@@ -82,7 +82,7 @@ func run() error {
 		return nil
 	}
 
-	met, _, closeTel, err := f.Telemetry("cobra-compose")
+	met, closeTel, err := f.Telemetry("cobra-compose")
 	if err != nil {
 		return err
 	}

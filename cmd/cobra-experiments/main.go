@@ -17,9 +17,11 @@
 // with -j 1 forcing the serial path.  With -server the same grids execute
 // on a cobra-serve daemon through the unified backend — tables identical to
 // local, because every grid point is a canonical RunSpec carrying its
-// derived seed.  Long runs can be watched live with -progress (periodic
-// stderr status), -metrics-addr (Prometheus text endpoint), and -pprof-addr
-// (net/http/pprof + runtime trace).
+// derived seed.  -timeout bounds every simulation; a failed one makes the
+// tool exit 1 with the error.  Long runs can be watched live with -progress
+// (periodic stderr status; per-run phase lines under -server),
+// -metrics-addr (Prometheus text endpoint), and -pprof-addr (net/http/pprof
+// + runtime trace).
 package main
 
 import (
@@ -75,16 +77,12 @@ func run() error {
 			fmt.Fprintf(os.Stderr, "run %s: phase=%s cycles=%d\n", id, ev.Phase, ev.Cycles)
 		}
 	}
-	met, progress, closeTel, err := f.Telemetry("cobra-experiments")
+	met, closeTel, err := f.Telemetry("cobra-experiments")
 	if err != nil {
 		return err
 	}
 	defer closeTel()
 	cfg.Metrics = met
-	if progress > 0 {
-		cfg.Progress = os.Stderr
-		cfg.ProgressEvery = progress
-	}
 	// One flag decides where grids run; the grids themselves don't care.
 	cfg.Backend, _, err = f.ResolveBackend("cobra-experiments", met, onProgress)
 	if err != nil {

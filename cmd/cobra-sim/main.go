@@ -94,7 +94,7 @@ func run() error {
 		cli.EmitDigest(w, digest)
 	}
 
-	met, _, closeTel, err := f.Telemetry("cobra-sim")
+	met, closeTel, err := f.Telemetry("cobra-sim")
 	if err != nil {
 		return err
 	}

@@ -106,7 +106,7 @@ func run() error {
 		}
 	}
 
-	met, progress, closeTel, err := f.Telemetry("cobra-sweep")
+	met, closeTel, err := f.Telemetry("cobra-sweep")
 	if err != nil {
 		return err
 	}
@@ -172,14 +172,9 @@ func run() error {
 	if *keepGoing {
 		policy = runner.CollectAll
 	}
-	ropt := runner.Options{
+	full, err := runner.RunSpecs(run, runner.Options{
 		Workers: *jobsN, Policy: policy, Timeout: *f.Timeout, Metrics: met,
-	}
-	if progress > 0 {
-		ropt.Progress = os.Stderr
-		ropt.ProgressEvery = progress
-	}
-	full, err := runner.RunSpecs(run, ropt)
+	})
 	var batch *runner.BatchError
 	if err != nil && !(errors.As(err, &batch) && *keepGoing) {
 		return err

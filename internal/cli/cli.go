@@ -283,11 +283,8 @@ func (f *RunFlags) Spec() (*spec.RunSpec, error) {
 	if f.Paranoid != nil {
 		s.Paranoid = s.Paranoid || *f.Paranoid
 	}
-	if f.Timeout != nil && *f.Timeout > 0 {
-		s.TimeoutMS = f.Timeout.Milliseconds()
-		if s.TimeoutMS == 0 {
-			s.TimeoutMS = 1 // sub-millisecond budgets still time out
-		}
+	if f.Timeout != nil {
+		s.SetTimeout(*f.Timeout)
 	}
 	if f.Faults != nil && (*f.Faults != "" || *f.FaultPeriod > 0) {
 		if *f.Faults == "" || *f.FaultPeriod == 0 {
@@ -336,30 +333,33 @@ func (f *RunFlags) WantSparkline() bool { return f.Sparkline != nil && *f.Sparkl
 func Preset(name string) (*spec.RunSpec, error) { return spec.Preset(name) }
 
 // Telemetry wires the -metrics-addr/-pprof-addr/-progress flags: it creates
-// a metrics sink when anything needs one, starts the listeners, and returns
-// the sink (possibly nil), the progress period (0 = off), and a closer that
-// releases the listeners.  Endpoint addresses are announced on stderr.
-func (f *RunFlags) Telemetry(tool string) (*obs.Metrics, time.Duration, func(), error) {
+// a metrics sink when anything needs one, starts the listeners and the
+// progress reporter, and returns the sink (possibly nil) and a closer that
+// stops them.  -progress prints the sink's status line to stderr at its
+// period; under -server the daemon runs the simulations, so no local line is
+// printed (the tool shows the daemon's per-run progress instead).  Endpoint
+// addresses are announced on stderr.
+func (f *RunFlags) Telemetry(tool string) (*obs.Metrics, func(), error) {
 	var (
-		met      *obs.Metrics
-		progress time.Duration
-		closers  []func() error
+		met     *obs.Metrics
+		every   time.Duration
+		closers []func() error
 	)
 	closeAll := func() {
 		for _, c := range closers {
 			c() //nolint:errcheck
 		}
 	}
-	if f.Progress != nil {
-		progress = *f.Progress
+	if f.Progress != nil && f.ServerURL() == "" {
+		every = *f.Progress
 	}
-	if progress > 0 || str(f.MetricsAddr) != "" {
+	if every > 0 || str(f.MetricsAddr) != "" {
 		met = obs.NewMetrics()
 	}
 	if addr := str(f.MetricsAddr); addr != "" {
 		bound, close, err := obs.ServeMetrics(addr, met)
 		if err != nil {
-			return nil, 0, nil, fmt.Errorf("metrics listener: %w", err)
+			return nil, nil, fmt.Errorf("metrics listener: %w", err)
 		}
 		closers = append(closers, close)
 		slog.Info("serving metrics", "tool", tool, "url", "http://"+bound+"/metrics")
@@ -368,12 +368,40 @@ func (f *RunFlags) Telemetry(tool string) (*obs.Metrics, time.Duration, func(), 
 		bound, close, err := obs.ServePprof(addr)
 		if err != nil {
 			closeAll()
-			return nil, 0, nil, fmt.Errorf("pprof listener: %w", err)
+			return nil, nil, fmt.Errorf("pprof listener: %w", err)
 		}
 		closers = append(closers, close)
 		slog.Info("serving pprof", "tool", tool, "url", "http://"+bound+"/debug/pprof/")
 	}
-	return met, progress, closeAll, nil
+	if every > 0 {
+		closers = append(closers, reportProgress(met, every))
+	}
+	return met, closeAll, nil
+}
+
+// reportProgress prints met's status line to stderr every period until the
+// returned stop func is called; stop returns once the reporter has exited,
+// so no line follows it.
+func reportProgress(met *obs.Metrics, every time.Duration) func() error {
+	tick := time.NewTicker(every)
+	done, idle := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(idle)
+		defer tick.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-tick.C:
+				fmt.Fprintln(os.Stderr, met.ProgressLine())
+			}
+		}
+	}()
+	return func() error {
+		close(done)
+		<-idle
+		return nil
+	}
 }
 
 // Main wraps a tool's entry point with the shared error convention

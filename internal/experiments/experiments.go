@@ -34,43 +34,34 @@ type Config struct {
 	Warmup uint64 // instructions discarded before measurement
 	Seed   uint64
 
-	// Parallelism caps the worker goroutines the runner fans simulations
-	// out on: 0 means GOMAXPROCS, 1 forces the serial path.  Results are
-	// bit-identical for every value (see internal/runner).
+	// Parallelism caps the simulations a grid runs at once: 0 means
+	// GOMAXPROCS, 1 forces the serial path.  Results are bit-identical for
+	// every value (see internal/runner).
 	Parallelism int
 
 	// Paranoid arms the pipeline invariant checker on every simulated
-	// design; any violation fails the experiment loudly.  The checker is
+	// design; any violation fails the experiment.  The checker is
 	// observation-only, so tables are byte-identical either way.
 	Paranoid bool
 
-	// Timeout, when > 0, bounds each simulation's wall-clock time via the
-	// runner's per-job context.
+	// Timeout, when > 0, bounds each simulation's wall-clock time.  It
+	// becomes every grid spec's TimeoutMS, so it holds on any backend.
 	Timeout time.Duration
 
-	// Metrics, when non-nil, receives live batch telemetry from every grid
-	// the experiments fan out (served by cobra-experiments -metrics-addr).
+	// Metrics, when non-nil, receives live telemetry from the grids that run
+	// in-process (served by cobra-experiments -metrics-addr and -progress).
 	Metrics *obs.Metrics
 
-	// Backend, when non-nil, executes every runAll grid through the unified
-	// Backend interface instead of the in-process fast path: each grid
-	// point becomes a canonical RunSpec carrying the exact per-index seed
-	// the local runner would derive, so the returned counters are
-	// byte-identical either way — for a backend.Local trivially, and for a
-	// backend.Remote because the daemon runs the same spec.Exec.
-	// Experiments that need in-process handles (pipeline inspection for
-	// energy accounting, attribution profiles, pre-built programs) keep
-	// running locally regardless.
+	// Backend executes every grid; nil means in-process (backend.Local).
+	// Grid point i is a canonical RunSpec with seed Derive(Seed, i), so
+	// tables are byte-identical on every backend.  Grids that read
+	// process-local outcome handles — Energy's pipelines, H2P's attribution
+	// profiles — always run in-process.
 	Backend backend.Backend
 	// Digests, when non-nil, receives one "digest=<sha256>" line per grid
-	// spec before it runs (Backend path only) — the shared -print-digest
-	// surface of the CLI tools.
+	// spec before it runs — the shared -print-digest surface of the CLI
+	// tools.
 	Digests io.Writer
-	// Progress, when non-nil, gets a periodic one-line status report while
-	// a grid runs (cobra-experiments -progress).
-	Progress io.Writer
-	// ProgressEvery overrides the progress period (default 5s).
-	ProgressEvery time.Duration
 }
 
 // Defaults fills zero fields.
@@ -101,126 +92,71 @@ func designs() []design {
 	}
 }
 
+// failure carries an experiment's failure (a failed grid point, a bad
+// design) out of its table builder; Render recovers it into its error.
+type failure struct{ error }
+
+// must raises err, if any, as the experiment's failure.
+func must(err error) {
+	if err != nil {
+		panic(failure{err})
+	}
+}
+
 func pipeline(d design) *compose.Pipeline {
 	p, err := compose.New(pred.DefaultConfig(), compose.MustParse(d.topo), d.opt)
 	if err != nil {
-		panic(fmt.Sprintf("experiments: %s: %v", d.name, err))
+		panic(failure{fmt.Errorf("%s: %w", d.name, err)})
 	}
 	return p
 }
 
-// run executes one (design, workload) full-core simulation with the batch
-// base seed, discarding the warm-up slice when configured.  Only TraceGap
-// still uses this direct path: its in-core run must share cfg.Seed with the
-// trace capture it is compared against.  Every other experiment submits its
-// grid to the parallel runner via runAll.
-func run(d design, workload string, core uarch.Config, cfg Config) *stats.Sim {
-	d.opt.Paranoid = d.opt.Paranoid || cfg.Paranoid
-	bp := pipeline(d)
-	prog, err := workloads.Get(workload)
-	if err != nil {
-		panic(err)
+// job describes one grid point as the RunSpec every backend runs.  Its seed
+// is left zero for execute to derive from the point's grid position.
+func (c Config) job(d design, workload string, core uarch.Config) *spec.RunSpec {
+	s := &spec.RunSpec{
+		Topology: d.topo, Pipeline: spec.FromOptions(d.opt), Workload: workload,
+		Insts: c.Insts, Warmup: c.Warmup, Core: &core, Paranoid: c.Paranoid,
 	}
-	c := uarch.NewCore(core, bp, prog, cfg.Seed)
-	if cfg.Warmup > 0 {
-		c.Run(cfg.Warmup)
-		c.ResetStats()
-	}
-	s := c.Run(cfg.Insts)
-	checkParanoid(d.topo, workload, bp)
+	s.SetTimeout(c.Timeout)
 	return s
 }
 
-// checkParanoid fails an experiment loudly on invariant violations (only
-// possible when paranoid mode is armed).
-func checkParanoid(topo, workload string, p *compose.Pipeline) {
-	if p == nil || p.ViolationCount() == 0 {
-		return
+// execute runs a grid and returns its outcomes in grid order.  A point left
+// at the zero seed runs with Derive(c.Seed, i), i its grid index, so a table
+// depends on neither Parallelism nor the backend.  inProcess pins the grid to
+// a local backend, for callers that read an outcome's pipeline or
+// attribution profile.  Any failed point fails the experiment.
+func (c Config) execute(specs []*spec.RunSpec, inProcess bool) []*spec.Outcome {
+	be := c.Backend
+	if _, local := be.(*backend.Local); be == nil || inProcess && !local {
+		be = &backend.Local{Metrics: c.Metrics}
 	}
-	panic(fmt.Sprintf("experiments: %d invariant violations (%q on %s); first: %v",
-		p.ViolationCount(), topo, workload, p.Violations()[0]))
-}
-
-// job describes one grid point for the parallel runner.
-func (c Config) job(d design, workload string, core uarch.Config) runner.Sim {
-	opt := d.opt
-	opt.Paranoid = opt.Paranoid || c.Paranoid
-	return runner.Sim{
-		Topology: d.topo, Opt: opt, Workload: workload,
-		Core: core, Insts: c.Insts, Warmup: c.Warmup,
-	}
-}
-
-// runnerOptions builds the batch options an experiment grid runs under.
-func (c Config) runnerOptions() runner.Options {
-	return runner.Options{Workers: c.Parallelism, Seed: c.Seed, Timeout: c.Timeout,
-		Metrics: c.Metrics, Progress: c.Progress, ProgressEvery: c.ProgressEvery}
-}
-
-// runAll fans an experiment's independent simulations out across
-// c.Parallelism workers; results come back in submission order.  With
-// Config.Backend set the same grid executes through the unified backend
-// instead, byte-identically (see runAllBackend).
-func (c Config) runAll(jobs []runner.Sim) []*stats.Sim {
-	if c.Backend != nil && remotable(jobs) {
-		return c.runAllBackend(jobs)
-	}
-	full, err := runner.RunFull(jobs, c.runnerOptions())
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	out := make([]*stats.Sim, len(full))
-	for i, r := range full {
-		checkParanoid(jobs[i].Topology, jobs[i].Workload, r.Pipeline)
-		out[i] = r.Sim
-	}
-	return out
-}
-
-// remotable reports whether every job in a grid can be described as a
-// RunSpec: jobs carrying a pre-built program (custom fetch geometries) have
-// no workload reference and must run in-process.
-func remotable(jobs []runner.Sim) bool {
-	for _, j := range jobs {
-		if j.Prog != nil {
-			return false
+	for i, s := range specs {
+		if s.Seed == 0 {
+			s.Seed = runner.Derive(c.Seed, uint64(i))
 		}
-	}
-	return true
-}
-
-// runAllBackend submits a grid to Config.Backend.  Job i becomes the
-// canonical RunSpec with seed Derive(c.Seed, i) — exactly the seed the local
-// RunFull path would hand it — so the backend's counters (and therefore
-// every printed table cell) match the in-process fast path bit for bit.
-// The paranoid guard still holds: the spec carries the flag and spec.Exec
-// fails the run on any invariant violation, which surfaces here as a run
-// error.  Failures panic like the local path does.
-func (c Config) runAllBackend(jobs []runner.Sim) []*stats.Sim {
-	specs := make([]*spec.RunSpec, len(jobs))
-	for i := range jobs {
-		sp, err := runner.FromSim(jobs[i], runner.Derive(c.Seed, uint64(i)))
-		if err != nil {
-			panic(fmt.Sprintf("experiments: %q on %s: %v", jobs[i].Topology, jobs[i].Workload, err))
-		}
-		specs[i] = sp
 		if c.Digests != nil {
-			d, err := sp.Digest()
-			if err != nil {
-				panic("experiments: " + err.Error())
-			}
+			d, err := s.Digest()
+			must(err)
 			fmt.Fprintf(c.Digests, "digest=%s\n", d)
 		}
 	}
-	outs, err := backend.All(context.Background(), c.Backend, specs, c.Parallelism)
+	outs, err := backend.All(context.Background(), be, specs, c.Parallelism)
 	if err != nil {
-		panic(fmt.Sprintf("experiments: backend %s: %v", c.Backend.Name(), err))
+		must(fmt.Errorf("backend %s: %w", be.Name(), err))
 	}
-	out := make([]*stats.Sim, len(outs))
+	return outs
+}
+
+// runAll executes a grid on c's backend and returns its counters.
+func (c Config) runAll(specs []*spec.RunSpec) []*stats.Sim {
+	outs := c.execute(specs, false)
+	res := make([]*stats.Sim, len(outs))
 	for i, o := range outs {
-		out[i] = o.Stats
+		res[i] = o.Stats
 	}
-	return out
+	return res
 }
 
 // ---- Table I ----
@@ -350,7 +286,7 @@ var Fig10Systems = []string{"skylake", "graviton", "tourney", "b2", "tage-l"}
 func Fig10(cfg Config) ([]Fig10Row, *stats.Table) {
 	cfg = cfg.Defaults()
 	type point struct{ workload, system string }
-	var jobs []runner.Sim
+	var jobs []*spec.RunSpec
 	var grid []point
 	for _, w := range workloads.Names() {
 		for _, sys := range commercial.Systems() {
@@ -439,7 +375,7 @@ func SerializedFetch(cfg Config) *stats.Table {
 	base := uarch.DefaultConfig()
 	serialCfg := base
 	serialCfg.SerializedFetch = true
-	res := cfg.runAll([]runner.Sim{
+	res := cfg.runAll([]*spec.RunSpec{
 		cfg.job(designs()[2], "dhrystone", base),
 		cfg.job(designs()[2], "dhrystone", serialCfg),
 	})
@@ -462,7 +398,7 @@ func TageLatency(cfg Config) *stats.Table {
 	}
 	d2 := design{"tage-l2", "LOOP3 > TAGE2 > BTB2 > BIM2 > UBTB1", compose.Options{GHistBits: 64}}
 	d3 := designs()[2]
-	var jobs []runner.Sim
+	var jobs []*spec.RunSpec
 	for _, w := range workloads.Names() {
 		jobs = append(jobs, cfg.job(d2, w, uarch.DefaultConfig()), cfg.job(d3, w, uarch.DefaultConfig()))
 	}
@@ -495,7 +431,7 @@ func HistoryRepair(cfg Config) *stats.Table {
 	}
 	pols := []compose.GHRPolicy{compose.GHRNoRepair, compose.GHRRepair, compose.GHRRepairReplay}
 	names := append(workloads.Names(), "dhrystone")
-	var jobs []runner.Sim
+	var jobs []*spec.RunSpec
 	for _, w := range names {
 		for _, pol := range pols {
 			d := designs()[2]
@@ -541,7 +477,7 @@ func SFB(cfg Config) *stats.Table {
 	base := uarch.DefaultConfig()
 	sfbCfg := base
 	sfbCfg.SFB = true
-	res := cfg.runAll([]runner.Sim{
+	res := cfg.runAll([]*spec.RunSpec{
 		cfg.job(designs()[2], "coremark", base),
 		cfg.job(designs()[2], "coremark", sfbCfg),
 	})
@@ -567,30 +503,36 @@ func TraceGap(cfg Config) *stats.Table {
 		Title:   "Trace-driven vs in-core accuracy for identical predictor RTL (§II-B)",
 		Headers: []string{"design", "workload", "trace acc", "in-core acc", "gap"},
 	}
+	type point struct {
+		design, workload string
+		traceAcc         float64
+	}
+	var grid []point
+	var jobs []*spec.RunSpec
 	for _, d := range designs() {
 		for _, w := range []string{"gcc", "leela"} {
 			prog, err := workloads.Get(w)
-			if err != nil {
-				panic(err)
-			}
+			must(err)
 			var buf bytes.Buffer
-			if _, err := trace.Capture(&buf, prog, cfg.Seed, cfg.Insts); err != nil {
-				panic(err)
-			}
+			_, err = trace.Capture(&buf, prog, cfg.Seed, cfg.Insts)
+			must(err)
 			tr, err := trace.NewReader(&buf)
-			if err != nil {
-				panic(err)
-			}
+			must(err)
 			tres, err := trace.Simulate(pipeline(d), tr)
-			if err != nil {
-				panic(err)
-			}
-			cres := run(d, w, uarch.DefaultConfig(), cfg)
-			t.AddRow(d.name, w,
-				fmt.Sprintf("%.2f%%", tres.Accuracy()*100),
-				fmt.Sprintf("%.2f%%", cres.Accuracy()*100),
-				fmt.Sprintf("%+.2f pp", (tres.Accuracy()-cres.Accuracy())*100))
+			must(err)
+			grid = append(grid, point{d.name, w, tres.Accuracy()})
+			// The in-core run shares the capture's seed, not a derived one.
+			j := cfg.job(d, w, uarch.DefaultConfig())
+			j.Seed = cfg.Seed
+			jobs = append(jobs, j)
 		}
+	}
+	for i, cres := range cfg.runAll(jobs) {
+		p := grid[i]
+		t.AddRow(p.design, p.workload,
+			fmt.Sprintf("%.2f%%", p.traceAcc*100),
+			fmt.Sprintf("%.2f%%", cres.Accuracy()*100),
+			fmt.Sprintf("%+.2f pp", (p.traceAcc-cres.Accuracy())*100))
 	}
 	return t
 }
@@ -607,7 +549,7 @@ func AblationLoop(cfg Config) *stats.Table {
 	with := designs()[2]
 	without := design{"tage-noloop", "TAGE3 > BTB2 > BIM2 > UBTB1", compose.Options{GHistBits: 64}}
 	ws := []string{"x264", "exchange2", "xz", "coremark"}
-	var jobs []runner.Sim
+	var jobs []*spec.RunSpec
 	for _, w := range ws {
 		jobs = append(jobs, cfg.job(with, w, uarch.DefaultConfig()), cfg.job(without, w, uarch.DefaultConfig()))
 	}
@@ -631,7 +573,7 @@ func AblationUBTB(cfg Config) *stats.Table {
 	with := designs()[2]
 	without := design{"tage-noubtb", "LOOP3 > TAGE3 > BTB2 > BIM2", compose.Options{GHistBits: 64}}
 	ws := []string{"dhrystone", "gcc", "xalancbmk"}
-	var jobs []runner.Sim
+	var jobs []*spec.RunSpec
 	for _, w := range ws {
 		jobs = append(jobs, cfg.job(with, w, uarch.DefaultConfig()), cfg.job(without, w, uarch.DefaultConfig()))
 	}
@@ -657,7 +599,7 @@ func Shootout(cfg Config) *stats.Table {
 	comps := []string{
 		"GBIM3", "GSEL3", "PBIM3", "GSKEW3", "YAGS3", "GTAG3", "PERC3", "GEHL3", "TAGE3",
 	}
-	var jobs []runner.Sim
+	var jobs []*spec.RunSpec
 	for _, comp := range comps {
 		d := design{comp, comp + " > BTB2 > BIM2", compose.Options{GHistBits: 64}}
 		jobs = append(jobs, cfg.job(d, "gcc", uarch.DefaultConfig()), cfg.job(d, "leela", uarch.DefaultConfig()))
@@ -681,33 +623,25 @@ func Shootout(cfg Config) *stats.Table {
 
 // AblationWidth compares the default 4x4-byte fetch geometry against the
 // paper's 8x2-byte RVC geometry (§III-C: superscalar prediction matters as
-// fetch units widen) with the TAGE-L design on identical program structure.
+// fetch units widen) with the TAGE-L design on identical program structure:
+// spec.Exec lays each proxy out for its core's instruction width.
 func AblationWidth(cfg Config) *stats.Table {
 	cfg = cfg.Defaults()
 	t := &stats.Table{
 		Title:   "Ablation — fetch geometry: 4x4B vs 8x2B packets (§III-C)",
 		Headers: []string{"workload", "IPC 4-wide", "IPC 8-wide", "delta", "MPKI 4-wide", "MPKI 8-wide"},
 	}
-	job := func(w string, fetch pred.Config, instBytes int) runner.Sim {
-		prof, ok := workloads.GetProfile(w)
-		if !ok {
-			panic("unknown profile " + w)
-		}
+	job := func(w string, fetch pred.Config) *spec.RunSpec {
 		core := uarch.DefaultConfig()
 		core.Fetch = fetch
-		return runner.Sim{
-			Topology: "LOOP3 > TAGE3 > BTB2 > BIM2 > UBTB1",
-			Opt:      compose.Options{GHistBits: 64},
-			Prog:     workloads.BuildWithGeometry(prof, instBytes),
-			Core:     core, Insts: cfg.Insts, Warmup: cfg.Warmup,
-		}
+		return cfg.job(designs()[2], w, core)
 	}
 	ws := []string{"gcc", "x264", "exchange2"}
-	var jobs []runner.Sim
+	var jobs []*spec.RunSpec
 	for _, w := range ws {
 		jobs = append(jobs,
-			job(w, pred.Config{FetchWidth: 4, InstBytes: 4}, 4),
-			job(w, pred.Config{FetchWidth: 8, InstBytes: 2}, 2))
+			job(w, pred.Config{FetchWidth: 4, InstBytes: 4}),
+			job(w, pred.Config{FetchWidth: 8, InstBytes: 2}))
 	}
 	res := cfg.runAll(jobs)
 	for i, w := range ws {
@@ -762,19 +696,14 @@ func Energy(cfg Config) *stats.Table {
 		w string
 	}
 	var grid []point
-	var jobs []runner.Sim
+	var jobs []*spec.RunSpec
 	for _, d := range designs() {
 		for _, w := range []string{"gcc", "x264"} {
 			grid = append(grid, point{d, w})
 			jobs = append(jobs, cfg.job(d, w, uarch.DefaultConfig()))
 		}
 	}
-	full, err := runner.RunFull(jobs, cfg.runnerOptions())
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	for i, r := range full {
-		checkParanoid(jobs[i].Topology, jobs[i].Workload, r.Pipeline)
+	for i, r := range cfg.execute(jobs, true) {
 		rep := area.Energy(r.Pipeline)
 		top := ""
 		best := -1.0
@@ -784,7 +713,7 @@ func Energy(cfg Config) *stats.Table {
 			}
 		}
 		t.AddRow(grid[i].d.name, grid[i].w,
-			fmt.Sprintf("%.0f", rep.PerKiloInst(r.Sim.Instructions)), top)
+			fmt.Sprintf("%.0f", rep.PerKiloInst(r.Stats.Instructions)), top)
 	}
 	return t
 }
@@ -808,24 +737,19 @@ func H2P(cfg Config) *stats.Table {
 		w string
 	}
 	var grid []point
-	var jobs []runner.Sim
+	var jobs []*spec.RunSpec
 	for _, d := range designs() {
 		for _, w := range []string{"gcc", "leela"} {
 			grid = append(grid, point{d, w})
 			j := cfg.job(d, w, uarch.DefaultConfig())
-			j.Attribution = true
+			j.Observe.Attribution = true
 			jobs = append(jobs, j)
 		}
 	}
-	full, err := runner.RunFull(jobs, cfg.runnerOptions())
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	for i, r := range full {
-		checkParanoid(jobs[i].Topology, jobs[i].Workload, r.Pipeline)
+	for i, r := range cfg.execute(jobs, true) {
 		prof := r.Profile
-		if got, want := prof.TotalMispredicts(), r.Sim.Mispredicts; got != want {
-			panic(fmt.Sprintf("experiments: h2p attribution drift (%s on %s): profile %d != counter %d",
+		if got, want := prof.TotalMispredicts(), r.Stats.Mispredicts; got != want {
+			must(fmt.Errorf("h2p attribution drift (%s on %s): profile %d != counter %d",
 				grid[i].d.name, grid[i].w, got, want))
 		}
 		hardest, wrong := "-", "-"

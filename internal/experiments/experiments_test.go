@@ -1,8 +1,14 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"cobra/internal/pred"
+	"cobra/internal/runner"
+	"cobra/internal/spec"
+	"cobra/internal/uarch"
 )
 
 func tiny() Config { return Config{Insts: 40000, Seed: 7} }
@@ -100,5 +106,34 @@ func TestTraceGapSmoke(t *testing.T) {
 	tg := TraceGap(Config{Insts: 30000, Seed: 7})
 	if len(tg.Rows) != 6 {
 		t.Errorf("trace gap rows = %d", len(tg.Rows))
+	}
+}
+
+// TestWideFetchSpecMatchesAblationCell: a hand-written spec on an 8x2-byte
+// frontend runs gcc laid out for 2-byte instructions and reproduces
+// AblationWidth's 8-wide gcc cell.
+func TestWideFetchSpecMatchesAblationCell(t *testing.T) {
+	if testing.Short() {
+		t.Skip("several simulations")
+	}
+	cfg := Config{Insts: 15_000, Seed: 42}
+	core := uarch.DefaultConfig()
+	core.Fetch = pred.Config{FetchWidth: 8, InstBytes: 2}
+	s, err := spec.Preset("tage-l")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Workload, s.Insts, s.Core = "gcc", cfg.Insts, &core
+	s.Seed = runner.Derive(cfg.Seed, 1) // gcc's 8-wide cell is grid point 1
+	out, err := spec.Exec(s, spec.Attach{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := AblationWidth(cfg).Rows[0] // workload, IPC 4, IPC 8, delta, MPKI 4, MPKI 8
+	if got := fmt.Sprintf("%.3f", out.Stats.IPC()); got != row[2] {
+		t.Errorf("IPC %s, ablation cell %s", got, row[2])
+	}
+	if got := fmt.Sprintf("%.2f", out.Stats.MPKI()); got != row[5] {
+		t.Errorf("MPKI %s, ablation cell %s", got, row[5])
 	}
 }

@@ -60,3 +60,31 @@ func TestGoldenFig10Paranoid(t *testing.T) {
 	_, table := Fig10(Config{Insts: 15_000, Seed: 42, Parallelism: 2, Paranoid: true})
 	golden(t, "fig10_small.txt", table.String())
 }
+
+// The small-config pins below cover the experiments that read more than a
+// grid's counters: per-geometry programs (ablation-width), a trace capture
+// sharing the batch seed (tracegap), pipeline energy accounting (energy),
+// and attribution profiles (h2p).
+func smallGolden(t *testing.T, name string, render func(Config) string) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("simulation grid")
+	}
+	golden(t, name, render(Config{Insts: 15_000, Seed: 42, Parallelism: 2}))
+}
+
+func TestGoldenAblationWidth(t *testing.T) {
+	smallGolden(t, "ablation_width_small.txt", func(c Config) string { return AblationWidth(c).String() })
+}
+
+func TestGoldenTraceGap(t *testing.T) {
+	smallGolden(t, "tracegap_small.txt", func(c Config) string { return TraceGap(c).String() })
+}
+
+func TestGoldenEnergy(t *testing.T) {
+	smallGolden(t, "energy_small.txt", func(c Config) string { return Energy(c).String() })
+}
+
+func TestGoldenH2P(t *testing.T) {
+	smallGolden(t, "h2p_small.txt", func(c Config) string { return H2P(c).String() })
+}

@@ -74,10 +74,20 @@ func Simulated(id string) bool {
 // Render produces the named experiment's output — the exact bytes
 // cobra-experiments prints for it (without the trailing newline Println
 // adds).  Simulation-backed experiments run under cfg, including its
-// Backend when set.
-func Render(id string, cfg Config) (string, error) {
+// Backend when set; a failed grid point (timeout, invariant violation,
+// contained panic, unreachable backend) comes back as the returned error.
+func Render(id string, cfg Config) (out string, err error) {
 	for _, e := range registry {
 		if e.id == id {
+			defer func() {
+				if r := recover(); r != nil {
+					f, ok := r.(failure)
+					if !ok {
+						panic(r)
+					}
+					err = fmt.Errorf("experiment %s: %w", id, f.error)
+				}
+			}()
 			return e.render(cfg), nil
 		}
 	}

@@ -8,10 +8,7 @@ import (
 
 	"cobra/internal/backend"
 	"cobra/internal/client"
-	"cobra/internal/runner"
 	"cobra/internal/serve"
-	"cobra/internal/uarch"
-	"cobra/internal/workloads"
 )
 
 // TestRemoteMatchesLocal: a grid executed through a remote Backend — specs
@@ -49,37 +46,9 @@ func TestRemoteMatchesLocal(t *testing.T) {
 		t.Errorf("remote table differs from local:\n--- local ---\n%s--- remote ---\n%s", want, got)
 	}
 
-	// The same grid through a backend.Local must also match: the Backend
-	// seam itself introduces no byte-level drift.
-	viaLocal := local
-	viaLocal.Backend = &backend.Local{}
-	if g := TageLatency(viaLocal).String(); g != want {
-		t.Errorf("local-backend table differs from fast path:\n--- fast ---\n%s--- backend ---\n%s", want, g)
-	}
-
-	// A grid with pre-built programs is not remotable and must fall back to
-	// the local path transparently (same bytes trivially, but it must not
-	// panic or try to submit).
+	// AblationWidth's 8x2-byte cells travel as specs too: the daemon lays
+	// each proxy out for the spec's fetch geometry, exactly as locally.
 	if w, g := AblationWidth(local).String(), AblationWidth(remote).String(); g != w {
-		t.Errorf("non-remotable fallback differs:\n--- local ---\n%s--- fallback ---\n%s", w, g)
-	}
-}
-
-// TestRemotableDetection: jobs carrying a pre-built Prog flag the grid as
-// not remotable; plain workload-referencing jobs are.
-func TestRemotableDetection(t *testing.T) {
-	cfg := Config{Insts: 1000, Seed: 1}.Defaults()
-	plain := cfg.job(designs()[1], "fib", uarch.DefaultConfig())
-	if !remotable([]runner.Sim{plain}) {
-		t.Error("plain workload job reported non-remotable")
-	}
-	prog, err := workloads.Get("fib")
-	if err != nil {
-		t.Fatal(err)
-	}
-	custom := plain
-	custom.Prog = prog
-	if remotable([]runner.Sim{plain, custom}) {
-		t.Error("grid with a pre-built program reported remotable")
+		t.Errorf("remote ablation-width differs:\n--- local ---\n%s--- remote ---\n%s", w, g)
 	}
 }

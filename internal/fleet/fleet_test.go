@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"net/http/httptest"
 	"os"
@@ -14,6 +15,7 @@ import (
 	"cobra/internal/backend"
 	"cobra/internal/client"
 	"cobra/internal/serve"
+	"cobra/internal/spec"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/golden files")
@@ -372,5 +374,27 @@ func TestCacheCorruptionHeals(t *testing.T) {
 	}
 	if res2.Services["baseline"].Output != res.Services["baseline"].Output {
 		t.Error("healed output differs")
+	}
+}
+
+// failingBackend refuses every run.
+type failingBackend struct{}
+
+func (failingBackend) Name() string { return "failing" }
+func (failingBackend) Run(context.Context, *spec.RunSpec) (*spec.Outcome, error) {
+	return nil, errors.New("backend unavailable")
+}
+
+// TestExperimentFailureFailsService: a grid failure inside an `experiment:`
+// service fails that service with an error instead of panicking the
+// executor's goroutine (which would kill the whole process).
+func TestExperimentFailureFailsService(t *testing.T) {
+	f, err := Parse([]byte(`{"services": {"d1": {"experiment": {"id": "d1", "insts": 1000}}}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.Run(context.Background(), Options{Backend: failingBackend{}})
+	if err == nil || !strings.Contains(err.Error(), `service "d1"`) || !strings.Contains(err.Error(), "backend unavailable") {
+		t.Fatalf("want the d1 service to fail with the backend error, got %v", err)
 	}
 }

@@ -20,8 +20,8 @@ import (
 // they decide where and how fast services run, never what bytes they
 // produce.
 type Options struct {
-	// Backend executes every run and sweep cell (and remotable experiment
-	// grids).  nil means in-process.
+	// Backend executes every run and sweep cell and every experiment grid
+	// that needs no in-process handles.  nil means in-process.
 	Backend backend.Backend
 	// CacheDir holds the local result cache; "" disables caching (every
 	// service executes).

@@ -53,7 +53,7 @@ func topOf(m map[string]uint64) string {
 // stats.Sim.Mispredicts counter.
 //
 // A profile is not safe for concurrent use; give each parallel runner job
-// its own (runner.Sim.Attribution does).
+// its own (a spec's Observe.Attribution does).
 type BranchProfile struct {
 	byPC map[uint64]*BranchStat
 

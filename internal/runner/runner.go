@@ -1,16 +1,17 @@
 // Package runner is the parallel experiment engine: it fans a batch of
-// independent full-core simulations (design × workload × core config) out
-// across worker goroutines and merges the results back in deterministic
-// submission order.
+// independent full-core simulations — canonical spec.RunSpecs, each run by
+// spec.Exec — out across worker goroutines and merges the results back in
+// deterministic submission order.
 //
 // Determinism is the contract, not a best effort.  Three properties make a
 // batch's output bit-identical regardless of worker count:
 //
-//  1. every job gets its own compose.Pipeline and uarch.Core — no predictor
-//     or core state is shared between jobs;
-//  2. job i's seed is Derive(base, i), a splitmix64 stream indexed by
-//     submission position, so a job's dynamics depend only on its position
-//     in the batch, never on which worker ran it or when;
+//  1. every job's spec.Exec builds its own compose.Pipeline and uarch.Core —
+//     no predictor or core state is shared between jobs;
+//  2. every spec carries its own seed, and grid builders give point i the
+//     seed Derive(base, i), a splitmix64 stream indexed by submission
+//     position, so a job's dynamics depend only on its position in the grid,
+//     never on which worker ran it or when;
 //  3. results land in out[i] for job i — workers race only over disjoint
 //     slots, and the merged slice reads in submission order.
 //
@@ -22,21 +23,13 @@ package runner
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"time"
 
-	"cobra/internal/compose"
 	"cobra/internal/interval"
 	"cobra/internal/obs"
-	"cobra/internal/program"
-	"cobra/internal/stats"
-	"cobra/internal/uarch"
-	"cobra/internal/workloads"
 )
 
 // Derive returns the seed for the job at a submission index: the index-th
@@ -58,8 +51,7 @@ func Derive(base, index uint64) uint64 {
 
 // Map runs fn(0) … fn(n-1) on up to workers goroutines and returns the
 // results indexed by argument — the deterministic-merge primitive under
-// Run, exported for experiments whose jobs need more than a Sim describes
-// (post-run pipeline inspection, custom program construction).  workers <= 0
+// RunSpecs and backend.All.  workers <= 0
 // means runtime.GOMAXPROCS(0); workers == 1 runs everything inline on the
 // calling goroutine (the serial path).
 func Map[T any](workers, n int, fn func(i int) T) []T {
@@ -95,28 +87,6 @@ func Map[T any](workers, n int, fn func(i int) T) []T {
 	return out
 }
 
-// Sim describes one independent full-core simulation.
-type Sim struct {
-	Topology string          // predictor topology (parsed per job)
-	Opt      compose.Options // management-structure options
-	Workload string          // resolved via workloads.Get when Prog is nil
-
-	// Prog, when non-nil, overrides Workload with a pre-built program (e.g.
-	// a non-default fetch geometry).  A shared instance must not be
-	// SingleUse.
-	Prog *program.Program
-
-	Core   uarch.Config
-	Insts  uint64 // measured instructions
-	Warmup uint64 // instructions discarded before measurement
-
-	// Attribution, when true, attaches a fresh obs.BranchProfile to the job's
-	// core so the result carries per-PC misprediction attribution (H2P
-	// analysis).  Each job gets its own profile — no cross-job sharing — so
-	// determinism and the parallel merge are unaffected.
-	Attribution bool
-}
-
 // Policy selects how a batch reacts to job failures.
 type Policy int
 
@@ -137,8 +107,6 @@ type Options struct {
 	// Workers caps the worker goroutines: <= 0 means GOMAXPROCS, 1 forces
 	// the serial in-line path.  The choice never changes results.
 	Workers int
-	// Seed is the base seed; job i runs with Derive(Seed, i).
-	Seed uint64
 	// Policy selects fail-fast (default) or collect-all error handling.
 	Policy Policy
 	// Timeout, when > 0, bounds each job's wall-clock run time; an
@@ -152,12 +120,6 @@ type Options struct {
 	// while the batch runs.  Purely observational: counters never influence
 	// job scheduling or results.
 	Metrics *obs.Metrics
-	// Progress, when non-nil, gets a one-line status report written every
-	// ProgressEvery (default 5s) while the batch runs — the long-sweep
-	// heartbeat.  A Metrics sink is created internally if none was given.
-	Progress io.Writer
-	// ProgressEvery overrides the progress reporting period.
-	ProgressEvery time.Duration
 
 	// SpanFor, when non-nil, returns the parent wall-clock span under which
 	// job i's execution spans are recorded (nil parent = job untraced).  The
@@ -222,207 +184,4 @@ func (e *BatchError) Unwrap() []error {
 		out[i] = je
 	}
 	return out
-}
-
-// Result pairs one job's counters with the pipeline that produced them, for
-// post-run area/energy attribution.
-type Result struct {
-	Sim      *stats.Sim
-	Pipeline *compose.Pipeline
-	// Wall is the job's wall-clock run time (telemetry; excluded from any
-	// simulated quantity).
-	Wall time.Duration
-	// Profile carries per-PC misprediction attribution when the job asked
-	// for it (Sim.Attribution); nil otherwise.
-	Profile *obs.BranchProfile
-}
-
-// run executes one job with an already-derived seed.  ctx cancellation is
-// cooperative: the core polls it and the job reports ctx.Err().
-func (j Sim) run(ctx context.Context, seed uint64, met *obs.Metrics) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return Result{}, err // batch already cancelled; don't start
-	}
-	topo, err := compose.ParseTopologyCached(j.Topology)
-	if err != nil {
-		return Result{}, err
-	}
-	bp, err := compose.New(j.Core.Fetch, topo, j.Opt)
-	if err != nil {
-		return Result{}, err
-	}
-	prog := j.Prog
-	if prog == nil {
-		if prog, err = workloads.Get(j.Workload); err != nil {
-			return Result{}, err
-		}
-	} else if prog.SingleUse {
-		// A pre-built single-use program may already have executed, and other
-		// jobs in the batch may hold the same pointer; name the workload
-		// instead so each job compiles its own copy.
-		return Result{}, fmt.Errorf("pre-built program %s is single-use; pass it by workload name", prog.Name)
-	}
-	c := uarch.NewCore(j.Core, bp, prog, seed)
-	c.SetContext(ctx)
-	c.SetMetrics(met)
-	var prof *obs.BranchProfile
-	if j.Attribution {
-		prof = obs.NewBranchProfile()
-		c.SetBranchProfile(prof)
-	}
-	if j.Warmup > 0 {
-		c.Run(j.Warmup)
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		c.ResetStats()
-	}
-	s := c.Run(j.Insts)
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	return Result{Sim: s, Pipeline: bp, Profile: prof}, nil
-}
-
-// safeRun is run behind a recover boundary: a panicking job (component bug,
-// watchdog deadlock, poisoned workload) becomes a *PanicError carrying the
-// panic value and stack instead of killing the whole process.
-func (j Sim) safeRun(ctx context.Context, seed uint64, met *obs.Metrics) (res Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &PanicError{Value: r, Stack: debug.Stack()}
-		}
-	}()
-	return j.run(ctx, seed, met)
-}
-
-// batch is the scaffolding shared by RunFull and RunSpecs: the cancellable
-// batch context, per-job timeout contexts, metrics accounting, the progress
-// reporter, and policy-driven error collection.  exec runs one job; describe
-// labels a failed one for its JobError.  Failed indices hold zero T.
-func batch[T any](n int, opt Options,
-	describe func(int) (topology, workload string),
-	exec func(ctx context.Context, i int, met *obs.Metrics) (T, error)) ([]T, error) {
-	base := opt.Ctx
-	if base == nil {
-		base = context.Background()
-	}
-	bctx, cancel := context.WithCancel(base)
-	defer cancel()
-	met := opt.Metrics
-	if met == nil && opt.Progress != nil {
-		met = obs.NewMetrics() // progress reporting needs a counter sink
-	}
-	met.AddJobs(n)
-	if opt.Progress != nil {
-		every := opt.ProgressEvery
-		if every <= 0 {
-			every = 5 * time.Second
-		}
-		tick := time.NewTicker(every)
-		done := make(chan struct{})
-		idle := make(chan struct{})
-		go func() {
-			defer close(idle)
-			defer tick.Stop()
-			for {
-				select {
-				case <-done:
-					return
-				case <-tick.C:
-					fmt.Fprintln(opt.Progress, met.ProgressLine())
-				}
-			}
-		}()
-		// Wait for the reporter to finish any in-flight write before
-		// returning, so callers may reuse the Progress writer immediately.
-		defer func() { close(done); <-idle }()
-	}
-	type slot struct {
-		res T
-		err error
-	}
-	rs := Map(opt.Workers, n, func(i int) slot {
-		ctx := bctx
-		stop := context.CancelFunc(func() {})
-		if opt.Timeout > 0 {
-			ctx, stop = context.WithTimeout(bctx, opt.Timeout)
-		}
-		met.JobStarted()
-		res, err := exec(ctx, i, met)
-		stop()
-		met.JobDone(err != nil)
-		if err != nil && opt.Policy == FailFast {
-			cancel()
-		}
-		return slot{res, err}
-	})
-	out := make([]T, n)
-	var errs []*JobError
-	for i, r := range rs {
-		if r.err != nil {
-			topo, wl := describe(i)
-			errs = append(errs, &JobError{Index: i, Topology: topo, Workload: wl, Err: r.err})
-			continue
-		}
-		out[i] = r.res
-	}
-	if len(errs) == 0 {
-		return out, nil
-	}
-	if opt.Policy == CollectAll {
-		return out, &BatchError{Total: n, Errs: errs}
-	}
-	// FailFast: return the root cause, not the cancellation cascade it
-	// triggered in later-draining jobs.
-	for _, e := range errs {
-		if !errors.Is(e.Err, context.Canceled) {
-			return nil, e
-		}
-	}
-	return nil, errs[0]
-}
-
-// RunFull executes jobs across workers and returns results in submission
-// order.  Failures are reported per Options.Policy: FailFast cancels the
-// rest of the batch and returns (nil, *JobError) for the root cause;
-// CollectAll runs everything and returns the successful results alongside a
-// *BatchError (failed jobs leave zero Results at their index).
-func RunFull(jobs []Sim, opt Options) ([]Result, error) {
-	out, err := batch(len(jobs), opt,
-		func(i int) (string, string) { return jobs[i].Topology, jobs[i].describeWorkload() },
-		func(ctx context.Context, i int, met *obs.Metrics) (Result, error) {
-			begin := time.Now()
-			res, rerr := jobs[i].safeRun(ctx, Derive(opt.Seed, uint64(i)), met)
-			res.Wall = time.Since(begin)
-			var insts uint64
-			if res.Sim != nil {
-				insts = res.Sim.Instructions
-			}
-			met.ObserveJob(res.Wall, insts)
-			return res, rerr
-		})
-	return out, err
-}
-
-// Run is RunFull without the pipeline handles — the common case.  Under
-// CollectAll with failures, the returned slice still carries the successful
-// sims (nil at failed indices) alongside the *BatchError.
-func Run(jobs []Sim, opt Options) ([]*stats.Sim, error) {
-	full, err := RunFull(jobs, opt)
-	if full == nil {
-		return nil, err
-	}
-	out := make([]*stats.Sim, len(full))
-	for i, r := range full {
-		out[i] = r.Sim
-	}
-	return out, err
-}
-
-func (j Sim) describeWorkload() string {
-	if j.Prog != nil {
-		return "program " + j.Prog.Name
-	}
-	return "workload " + j.Workload
 }

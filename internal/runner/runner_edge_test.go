@@ -7,52 +7,42 @@ import (
 	"testing"
 	"time"
 
-	"cobra/internal/compose"
-	"cobra/internal/pred"
+	"cobra/internal/spec"
 	"cobra/internal/uarch"
 )
 
-// bomb wraps a real component and panics after a number of predictions —
-// modelling a buggy third-party component detonating mid-simulation.
-type bomb struct {
-	pred.Subcomponent
-	n int
+// gccSpec is a small healthy job.
+func gccSpec(insts uint64) *spec.RunSpec {
+	return &spec.RunSpec{Topology: "GBIM3 > BTB2 > BIM2", Pipeline: spec.Pipeline{GHistBits: 32},
+		Workload: "gcc", Seed: 1, Insts: insts}
 }
 
-func (b *bomb) Predict(q *pred.Query) pred.Response {
-	b.n++
-	if b.n > 100 {
-		panic("bomb: injected component failure")
-	}
-	return b.Subcomponent.Predict(q)
-}
-
-// bombOpt arms the BIM2 instance of a pipeline with a bomb.
-func bombOpt() compose.Options {
-	return compose.Options{GHistBits: 32, Wrap: func(c pred.Subcomponent) pred.Subcomponent {
-		if c.Name() == "BIM2" {
-			return &bomb{Subcomponent: c}
-		}
-		return c
-	}}
+// stallSpec is a job whose core panics on its first cycles: a one-cycle
+// watchdog fires before the pipeline can commit anything — a real model
+// panic, the kind a buggy component or deadlock raises mid-simulation.
+func stallSpec() *spec.RunSpec {
+	core := uarch.DefaultConfig()
+	core.WatchdogCycles = 1
+	s := gccSpec(10_000)
+	s.Core = &core
+	return s
 }
 
 func TestRunEmptyBatch(t *testing.T) {
-	res, err := Run(nil, Options{Workers: 4})
+	res, err := RunSpecs(nil, Options{Workers: 4})
 	if err != nil || len(res) != 0 {
 		t.Fatalf("empty batch: res=%v err=%v", res, err)
 	}
 }
 
 func TestWorkersExceedJobs(t *testing.T) {
-	jobs := testJobs(5_000)[:2]
-	res, err := Run(jobs, Options{Workers: 64, Seed: 1})
+	res, err := RunSpecs(testSpecs(5_000)[:2], Options{Workers: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, s := range res {
-		if s == nil || s.Instructions < 5_000 {
-			t.Fatalf("job %d incomplete: %+v", i, s)
+	for i, r := range res {
+		if r.Outcome == nil || r.Outcome.Stats.Instructions < 5_000 {
+			t.Fatalf("job %d incomplete: %+v", i, r)
 		}
 	}
 }
@@ -60,12 +50,8 @@ func TestWorkersExceedJobs(t *testing.T) {
 // TestPanicIsolatedCollectAll: a panicking job becomes a JobError carrying
 // the panic value and stack while every other job still returns its result.
 func TestPanicIsolatedCollectAll(t *testing.T) {
-	core := uarch.DefaultConfig()
-	ok := Sim{Topology: "GBIM3 > BTB2 > BIM2", Opt: compose.Options{GHistBits: 32},
-		Workload: "gcc", Core: core, Insts: 10_000}
-	bad := ok
-	bad.Opt = bombOpt()
-	res, err := Run([]Sim{ok, bad, ok}, Options{Workers: 2, Seed: 1, Policy: CollectAll})
+	ok := gccSpec(10_000)
+	res, err := RunSpecs([]*spec.RunSpec{ok, stallSpec(), ok}, Options{Workers: 2, Policy: CollectAll})
 	var batch *BatchError
 	if !errors.As(err, &batch) {
 		t.Fatalf("want *BatchError, got %v", err)
@@ -77,18 +63,18 @@ func TestPanicIsolatedCollectAll(t *testing.T) {
 	if !errors.As(batch.Errs[0], &pe) {
 		t.Fatalf("job error does not wrap *PanicError: %v", batch.Errs[0])
 	}
-	if !strings.Contains(pe.Error(), "bomb:") || !strings.Contains(string(pe.Stack), "Predict") {
+	if !strings.Contains(pe.Error(), "no commit for") || !strings.Contains(string(pe.Stack), "(*Core).Run") {
 		t.Errorf("panic error lost value or stack: %v", pe)
 	}
 	if !strings.Contains(batch.Errs[0].Error(), "job 1") {
 		t.Errorf("job error does not identify the job: %v", batch.Errs[0])
 	}
 	for _, i := range []int{0, 2} {
-		if res[i] == nil || res[i].Instructions < 10_000 {
+		if res[i].Outcome == nil || res[i].Outcome.Stats.Instructions < 10_000 {
 			t.Errorf("healthy job %d lost its result: %+v", i, res[i])
 		}
 	}
-	if res[1] != nil {
+	if res[1].Outcome != nil {
 		t.Error("failed job left a non-nil result")
 	}
 }
@@ -96,13 +82,8 @@ func TestPanicIsolatedCollectAll(t *testing.T) {
 // TestPanicFailFast: under the default policy the recovered panic is the
 // root-cause error, never a cancellation cascade.
 func TestPanicFailFast(t *testing.T) {
-	core := uarch.DefaultConfig()
-	ok := Sim{Topology: "GBIM3 > BTB2 > BIM2", Opt: compose.Options{GHistBits: 32},
-		Workload: "gcc", Core: core, Insts: 200_000}
-	bad := ok
-	bad.Opt = bombOpt()
-	bad.Insts = 10_000
-	res, err := Run([]Sim{ok, bad, ok, ok}, Options{Workers: 2, Seed: 1})
+	ok := gccSpec(200_000)
+	res, err := RunSpecs([]*spec.RunSpec{ok, stallSpec(), ok, ok}, Options{Workers: 2})
 	if res != nil {
 		t.Error("fail-fast batch returned partial results")
 	}
@@ -122,11 +103,9 @@ func TestPanicFailFast(t *testing.T) {
 // TestCancelMidBatch: cancelling the batch context aborts in-flight jobs
 // cooperatively and the batch reports the cancellation.
 func TestCancelMidBatch(t *testing.T) {
-	core := uarch.DefaultConfig()
-	jobs := make([]Sim, 4)
-	for i := range jobs {
-		jobs[i] = Sim{Topology: "GBIM3 > BTB2 > BIM2", Opt: compose.Options{GHistBits: 32},
-			Workload: "gcc", Core: core, Insts: 500_000_000}
+	specs := make([]*spec.RunSpec, 4)
+	for i := range specs {
+		specs[i] = gccSpec(500_000_000)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -134,7 +113,7 @@ func TestCancelMidBatch(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	res, err := Run(jobs, Options{Workers: 2, Seed: 1, Ctx: ctx})
+	res, err := RunSpecs(specs, Options{Workers: 2, Ctx: ctx})
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v (res=%v)", err, res != nil)
 	}
@@ -143,30 +122,37 @@ func TestCancelMidBatch(t *testing.T) {
 	}
 }
 
-// TestTimeoutWhileOthersComplete: a per-job timeout kills only the
-// overrunning job; the rest of the batch completes and keeps its results.
+// TestTimeoutWhileOthersComplete: a per-job timeout — the batch's or the
+// spec's own TimeoutMS — kills only the overrunning job; the rest of the
+// batch completes and keeps its results.
 func TestTimeoutWhileOthersComplete(t *testing.T) {
-	core := uarch.DefaultConfig()
-	small := Sim{Topology: "GBIM3 > BTB2 > BIM2", Opt: compose.Options{GHistBits: 32},
-		Workload: "gcc", Core: core, Insts: 10_000}
-	huge := small
-	huge.Insts = 2_000_000_000
-	jobs := []Sim{huge, small, small, small}
-	res, err := Run(jobs, Options{Workers: 2, Seed: 1, Policy: CollectAll,
-		Timeout: 2 * time.Second})
-	var batch *BatchError
-	if !errors.As(err, &batch) {
-		t.Fatalf("want *BatchError, got %v", err)
-	}
-	if len(batch.Errs) != 1 || batch.Errs[0].Index != 0 {
-		t.Fatalf("unexpected failures: %v", batch)
-	}
-	if !errors.Is(batch.Errs[0], context.DeadlineExceeded) {
-		t.Fatalf("overrunning job error %v, want deadline exceeded", batch.Errs[0])
-	}
-	for i := 1; i < len(jobs); i++ {
-		if res[i] == nil || res[i].Instructions < 10_000 {
-			t.Errorf("job %d within budget lost its result: %+v", i, res[i])
+	small := gccSpec(10_000)
+	huge := gccSpec(2_000_000_000)
+	ownBudget := gccSpec(2_000_000_000)
+	ownBudget.TimeoutMS = 500
+	for name, tc := range map[string]struct {
+		overrun *spec.RunSpec
+		timeout time.Duration
+	}{
+		"batch timeout": {huge, 2 * time.Second},
+		"spec timeout":  {ownBudget, 0},
+	} {
+		specs := []*spec.RunSpec{tc.overrun, small, small, small}
+		res, err := RunSpecs(specs, Options{Workers: 2, Policy: CollectAll, Timeout: tc.timeout})
+		var batch *BatchError
+		if !errors.As(err, &batch) {
+			t.Fatalf("%s: want *BatchError, got %v", name, err)
+		}
+		if len(batch.Errs) != 1 || batch.Errs[0].Index != 0 {
+			t.Fatalf("%s: unexpected failures: %v", name, batch)
+		}
+		if !errors.Is(batch.Errs[0], context.DeadlineExceeded) {
+			t.Fatalf("%s: overrunning job error %v, want deadline exceeded", name, batch.Errs[0])
+		}
+		for i := 1; i < len(specs); i++ {
+			if res[i].Outcome == nil || res[i].Outcome.Stats.Instructions < 10_000 {
+				t.Errorf("%s: job %d within budget lost its result: %+v", name, i, res[i])
+			}
 		}
 	}
 }

@@ -1,26 +1,26 @@
 package runner
 
 import (
-	"bytes"
-	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"cobra/internal/obs"
+	"cobra/internal/spec"
 )
 
-// TestSharedTracerParallelBatch attaches ONE tracer to every pipeline of a
-// parallel batch; under -race this proves the Tracer (and every emit site
+// TestSharedTracerParallelBatch attaches ONE tracer to every execution of a
+// parallel fan-out; under -race this proves the Tracer (and every emit site
 // feeding it) is safe when jobs run concurrently.
 func TestSharedTracerParallelBatch(t *testing.T) {
 	tr := obs.NewTracer(1 << 12)
-	jobs := testJobs(5_000)
-	for i := range jobs {
-		jobs[i].Opt.Observer = tr
-	}
-	if _, err := Run(jobs, Options{Workers: 4, Seed: 42}); err != nil {
-		t.Fatal(err)
+	specs := testSpecs(5_000)
+	errs := Map(4, len(specs), func(i int) error {
+		_, err := spec.Exec(specs[i], spec.Attach{Observer: tr})
+		return err
+	})
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
 	}
 	if tr.Total() == 0 {
 		t.Fatal("shared tracer observed no events")
@@ -33,28 +33,25 @@ func TestSharedTracerParallelBatch(t *testing.T) {
 }
 
 // TestObserverDoesNotChangeResults is the zero-cost contract at batch level:
-// attaching an observer, metrics, and attribution must leave every counter
+// event capture, attribution, and metrics must leave every counter
 // bit-identical.
 func TestObserverDoesNotChangeResults(t *testing.T) {
-	jobs := testJobs(10_000)
-	plain, err := Run(jobs, Options{Workers: 2, Seed: 42})
+	plain, err := RunSpecs(testSpecs(10_000), Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	observed := testJobs(10_000)
-	tr := obs.NewTracer(256)
-	for i := range observed {
-		observed[i].Opt.Observer = tr
-		observed[i].Attribution = true
+	observed := testSpecs(10_000)
+	for _, s := range observed {
+		s.Observe = spec.Observe{Events: true, EventsBuf: 256, Attribution: true}
 	}
-	full, err := RunFull(observed, Options{Workers: 2, Seed: 42, Metrics: obs.NewMetrics()})
+	full, err := RunSpecs(observed, Options{Workers: 2, Metrics: obs.NewMetrics()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range jobs {
-		if fp(plain[i]) != fp(full[i].Sim) {
+	for i := range plain {
+		if fp(plain[i]) != fp(full[i]) {
 			t.Fatalf("job %d diverged under observation: plain %+v observed %+v",
-				i, fp(plain[i]), fp(full[i].Sim))
+				i, fp(plain[i]), fp(full[i]))
 		}
 	}
 }
@@ -63,23 +60,24 @@ func TestObserverDoesNotChangeResults(t *testing.T) {
 // job of a batch: the per-PC mispredict sum equals the Sim counter, and the
 // exec sum equals the committed control-flow total.
 func TestAttributionMatchesCounters(t *testing.T) {
-	jobs := testJobs(10_000)
-	for i := range jobs {
-		jobs[i].Attribution = true
+	specs := testSpecs(10_000)
+	for _, s := range specs {
+		s.Observe.Attribution = true
 	}
-	full, err := RunFull(jobs, Options{Workers: 3, Seed: 42})
+	full, err := RunSpecs(specs, Options{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range full {
-		if r.Profile == nil {
+		prof, sim := r.Outcome.Profile, r.Outcome.Stats
+		if prof == nil {
 			t.Fatalf("job %d: Attribution set but no profile", i)
 		}
-		if got, want := r.Profile.TotalMispredicts(), r.Sim.Mispredicts; got != want {
+		if got, want := prof.TotalMispredicts(), sim.Mispredicts; got != want {
 			t.Errorf("job %d: profile mispredicts %d != counter %d", i, got, want)
 		}
-		cfis := r.Sim.Branches + r.Sim.Jumps + r.Sim.IndirectJumps
-		if got := r.Profile.TotalExecs(); got != cfis {
+		cfis := sim.Branches + sim.Jumps + sim.IndirectJumps
+		if got := prof.TotalExecs(); got != cfis {
 			t.Errorf("job %d: profile execs %d != committed CFIs %d", i, got, cfis)
 		}
 		if r.Wall <= 0 {
@@ -88,53 +86,16 @@ func TestAttributionMatchesCounters(t *testing.T) {
 	}
 }
 
-// syncBuffer is a goroutine-safe bytes.Buffer for the progress writer.
-type syncBuffer struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (b *syncBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
-}
-
-func (b *syncBuffer) String() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.String()
-}
-
-// TestProgressReporting drives the periodic progress line with a tiny period
-// and checks the heartbeat contains the job totals.
-func TestProgressReporting(t *testing.T) {
-	var buf syncBuffer
-	jobs := testJobs(20_000)
-	if _, err := Run(jobs, Options{
-		Workers: 2, Seed: 42, Progress: &buf, ProgressEvery: time.Millisecond,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "jobs done") {
-		t.Fatalf("no progress heartbeat written; got %q", out)
-	}
-}
-
 // TestMetricsAccounting checks the runner's job accounting against a batch
 // with one deliberately failing job.
 func TestMetricsAccounting(t *testing.T) {
-	jobs := testJobs(5_000)
-	jobs = append(jobs, Sim{Topology: "NOPE9", Workload: "dhrystone",
-		Core: jobs[0].Core, Insts: 1})
+	specs := append(testSpecs(5_000), &spec.RunSpec{Topology: "NOPE9", Workload: "dhrystone", Insts: 1})
 	met := obs.NewMetrics()
-	_, err := Run(jobs, Options{Workers: 2, Seed: 42, Policy: CollectAll, Metrics: met})
-	if err == nil {
+	if _, err := RunSpecs(specs, Options{Workers: 2, Policy: CollectAll, Metrics: met}); err == nil {
 		t.Fatal("expected a batch error from the poisoned job")
 	}
 	s := met.Snap()
-	if s.JobsTotal != uint64(len(jobs)) || s.JobsDone != uint64(len(jobs)) || s.JobsFailed != 1 {
+	if s.JobsTotal != uint64(len(specs)) || s.JobsDone != uint64(len(specs)) || s.JobsFailed != 1 {
 		t.Fatalf("accounting: %+v", s)
 	}
 	if s.Cycles == 0 || s.Instructions == 0 {

@@ -4,27 +4,27 @@ import (
 	"runtime"
 	"testing"
 
-	"cobra/internal/compose"
-	"cobra/internal/stats"
+	"cobra/internal/pred"
+	"cobra/internal/spec"
 	"cobra/internal/uarch"
-	"cobra/internal/workloads"
 )
 
-func testJobs(insts uint64) []Sim {
-	core := uarch.DefaultConfig()
-	jobs := []Sim{}
+// testSpecs is a small design × workload grid whose point i runs with seed
+// Derive(42, i), the way experiment grids are seeded.
+func testSpecs(insts uint64) []*spec.RunSpec {
+	var specs []*spec.RunSpec
 	for _, topo := range []string{"GBIM3 > BTB2 > BIM2", "GTAG3 > BTB2 > BIM2"} {
 		for _, w := range []string{"dhrystone", "gcc", "sort"} {
-			jobs = append(jobs, Sim{
+			specs = append(specs, &spec.RunSpec{
 				Topology: topo,
-				Opt:      compose.Options{GHistBits: 32},
+				Pipeline: spec.Pipeline{GHistBits: 32},
 				Workload: w,
-				Core:     core,
+				Seed:     Derive(42, uint64(len(specs))),
 				Insts:    insts,
 			})
 		}
 	}
-	return jobs
+	return specs
 }
 
 // fingerprint reduces a result to the fields the experiment tables render.
@@ -32,24 +32,25 @@ type fingerprint struct {
 	cycles, insts, misp, bubbles uint64
 }
 
-func fp(s *stats.Sim) fingerprint {
+func fp(r SpecResult) fingerprint {
+	s := r.Outcome.Stats
 	return fingerprint{s.Cycles, s.Instructions, s.Mispredicts, s.FetchBubbles}
 }
 
 // TestWorkerCountInvariance is the determinism contract: the same batch run
 // with 1, 3, and GOMAXPROCS workers produces identical counters per job.
 func TestWorkerCountInvariance(t *testing.T) {
-	jobs := testJobs(20_000)
-	serial, err := Run(jobs, Options{Workers: 1, Seed: 42})
+	specs := testSpecs(20_000)
+	serial, err := RunSpecs(specs, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{3, runtime.GOMAXPROCS(0), 0} {
-		par, err := Run(jobs, Options{Workers: workers, Seed: 42})
+		par, err := RunSpecs(specs, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range jobs {
+		for i := range specs {
 			if fp(serial[i]) != fp(par[i]) {
 				t.Fatalf("workers=%d job %d diverged: serial %+v parallel %+v",
 					workers, i, fp(serial[i]), fp(par[i]))
@@ -58,20 +59,22 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestSeedDerivationPerIndex: two jobs identical except for position must
-// see different seeds (independent dynamics), and the same position must
-// reproduce exactly.
+// TestSeedDerivationPerIndex: two specs identical except for their derived
+// seeds (grid positions 0 and 1) must see different dynamics, and the same
+// batch must reproduce exactly at another worker count.
 func TestSeedDerivationPerIndex(t *testing.T) {
-	core := uarch.DefaultConfig()
-	j := Sim{Topology: "BIM2", Workload: "gcc", Core: core, Insts: 20_000}
-	res, err := Run([]Sim{j, j}, Options{Workers: 1, Seed: 7})
+	at := func(i uint64) *spec.RunSpec {
+		return &spec.RunSpec{Topology: "BIM2", Workload: "gcc", Seed: Derive(7, i), Insts: 20_000}
+	}
+	specs := []*spec.RunSpec{at(0), at(1)}
+	res, err := RunSpecs(specs, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fp(res[0]) == fp(res[1]) {
-		t.Error("jobs at different indices ran with the same dynamics (seed not derived per index)")
+		t.Error("specs at different grid positions ran with the same dynamics (seed not derived per index)")
 	}
-	again, err := Run([]Sim{j, j}, Options{Workers: 2, Seed: 7})
+	again, err := RunSpecs(specs, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,27 +118,22 @@ func TestMapOrderAndCoverage(t *testing.T) {
 	}
 }
 
+// TestRunErrors: a bad topology or workload fails its job with an error
+// rather than a panic, including a fixed-layout workload on a frontend whose
+// instruction width it has no layout for.
 func TestRunErrors(t *testing.T) {
-	core := uarch.DefaultConfig()
-	if _, err := Run([]Sim{{Topology: "NOPE9", Workload: "gcc", Core: core, Insts: 100}},
-		Options{Workers: 2}); err == nil {
-		t.Error("unknown component must error")
-	}
-	if _, err := Run([]Sim{{Topology: "BIM2", Workload: "nonesuch", Core: core, Insts: 100}},
-		Options{Workers: 2}); err == nil {
-		t.Error("unknown workload must error")
-	}
-	if _, err := Run([]Sim{{Topology: "] bad [", Workload: "gcc", Core: core, Insts: 100}},
-		Options{Workers: 2}); err == nil {
-		t.Error("malformed topology must error")
-	}
-	prog, err := workloads.Get("sort")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run([]Sim{{Topology: "BIM2", Prog: prog, Core: core, Insts: 100}},
-		Options{Workers: 1}); err == nil {
-		t.Error("shared single-use program must be rejected")
+	wide := uarch.DefaultConfig()
+	wide.Fetch = pred.Config{FetchWidth: 8, InstBytes: 2}
+	for name, s := range map[string]*spec.RunSpec{
+		"unknown component":       {Topology: "NOPE9", Workload: "gcc", Insts: 100},
+		"unknown workload":        {Topology: "BIM2", Workload: "nonesuch", Insts: 100},
+		"malformed topology":      {Topology: "] bad [", Workload: "gcc", Insts: 100},
+		"fixed layout at 2 bytes": {Topology: "BIM2", Workload: "dhrystone", Core: &wide, Insts: 100},
+		"kernel at 2 bytes":       {Topology: "BIM2", Workload: "sort", Core: &wide, Insts: 100},
+	} {
+		if _, err := RunSpecs([]*spec.RunSpec{s}, Options{Workers: 2}); err == nil {
+			t.Errorf("%s must error", name)
+		}
 	}
 }
 
@@ -143,23 +141,18 @@ func TestRunErrors(t *testing.T) {
 // workload instance at high worker counts — the scenario the race detector
 // watches (run with -race in CI).
 func TestSharedCachedProgramConcurrently(t *testing.T) {
-	prog, err := workloads.Get("gcc")
+	specs := make([]*spec.RunSpec, 8)
+	for i := range specs {
+		specs[i] = &spec.RunSpec{Topology: "GBIM3 > BTB2 > BIM2", Pipeline: spec.Pipeline{GHistBits: 32},
+			Workload: "gcc", Seed: Derive(1, uint64(i)), Insts: 10_000}
+	}
+	res, err := RunSpecs(specs, Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	core := uarch.DefaultConfig()
-	jobs := make([]Sim, 8)
-	for i := range jobs {
-		jobs[i] = Sim{Topology: "GBIM3 > BTB2 > BIM2", Opt: compose.Options{GHistBits: 32},
-			Prog: prog, Core: core, Insts: 10_000}
-	}
-	res, err := Run(jobs, Options{Workers: 8, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(res); i++ {
-		if res[i].Instructions < 10_000 {
-			t.Errorf("job %d committed %d insts", i, res[i].Instructions)
+	for i, r := range res {
+		if r.Outcome.Stats.Instructions < 10_000 {
+			t.Errorf("job %d committed %d insts", i, r.Outcome.Stats.Instructions)
 		}
 	}
 }

@@ -2,11 +2,10 @@ package runner
 
 import (
 	"context"
+	"errors"
 	"runtime/debug"
 	"time"
 
-	"cobra/internal/interval"
-	"cobra/internal/obs"
 	"cobra/internal/spec"
 )
 
@@ -22,91 +21,120 @@ type SpecResult struct {
 	Wall time.Duration
 }
 
-// FromSim converts a batch job into the canonical spec it describes, for
-// callers that assemble jobs programmatically but want spec digests (cache
-// keys, provenance records).  Jobs with a pre-built Prog have no workload
-// reference and are not convertible.
-func FromSim(j Sim, seed uint64) (*spec.RunSpec, error) {
-	s := &spec.RunSpec{
-		Topology: j.Topology,
-		Pipeline: spec.FromOptions(j.Opt),
-		Workload: j.Workload,
-		Seed:     seed,
-		Insts:    j.Insts,
-		Warmup:   j.Warmup,
-		Core:     &j.Core,
-		Paranoid: j.Opt.Paranoid,
-		Observe:  spec.Observe{Attribution: j.Attribution},
+// RunSpecs executes the canonical run each spec describes, fanned out across
+// opt.Workers with a deterministic merge.  Every spec runs with its own seed,
+// so each result is bit-identical to a direct cobra-sim/cobra.Run of the same
+// spec.  Specs are not mutated: each job runs its canonical copy, returned in
+// SpecResult.Spec.  A panicking job becomes a *PanicError instead of killing
+// the process.  Failures are reported per opt.Policy: FailFast cancels the
+// rest of the batch and returns (nil, *JobError) for the root cause;
+// CollectAll runs everything and returns the successful results alongside a
+// *BatchError (failed jobs leave a zero SpecResult at their index).
+func RunSpecs(specs []*spec.RunSpec, opt Options) ([]SpecResult, error) {
+	base := opt.Ctx
+	if base == nil {
+		base = context.Background()
 	}
-	if err := s.Canonicalize(); err != nil {
-		return nil, err
+	bctx, cancel := context.WithCancel(base)
+	defer cancel()
+	opt.Metrics.AddJobs(len(specs))
+	type slot struct {
+		res SpecResult
+		err error
 	}
-	return s, nil
+	rs := Map(opt.Workers, len(specs), func(i int) slot {
+		ctx, stop := bctx, context.CancelFunc(func() {})
+		if opt.Timeout > 0 {
+			ctx, stop = context.WithTimeout(bctx, opt.Timeout)
+		}
+		opt.Metrics.JobStarted()
+		res, err := runJob(ctx, i, specs[i], opt)
+		stop()
+		opt.Metrics.JobDone(err != nil)
+		if err != nil && opt.Policy == FailFast {
+			cancel()
+		}
+		return slot{res, err}
+	})
+	out := make([]SpecResult, len(specs))
+	var errs []*JobError
+	for i, r := range rs {
+		if r.err != nil {
+			errs = append(errs, &JobError{Index: i, Topology: specs[i].Topology,
+				Workload: "workload " + specs[i].Workload, Err: r.err})
+			continue
+		}
+		out[i] = r.res
+	}
+	if len(errs) == 0 {
+		return out, nil
+	}
+	if opt.Policy == CollectAll {
+		return out, &BatchError{Total: len(specs), Errs: errs}
+	}
+	// FailFast: return the root cause, not the cancellation cascade it
+	// triggered in later-draining jobs.
+	for _, e := range errs {
+		if !errors.Is(e.Err, context.Canceled) {
+			return nil, e
+		}
+	}
+	return nil, errs[0]
 }
 
-// RunSpecs executes the canonical run each spec describes, fanned out across
-// opt.Workers with the same deterministic merge, panic containment, metrics
-// accounting, and failure policies as RunFull.  Unlike RunFull — whose jobs
-// derive per-index seeds from opt.Seed — every spec runs with its *own* seed,
-// so each result is bit-identical to a direct cobra-sim/cobra.Run of the
-// same spec; opt.Seed is ignored.  Specs are not mutated: each job runs its
-// canonical copy, returned in SpecResult.Spec.
-func RunSpecs(specs []*spec.RunSpec, opt Options) ([]SpecResult, error) {
-	return batch(len(specs), opt,
-		func(i int) (string, string) { return specs[i].Topology, "workload " + specs[i].Workload },
-		func(ctx context.Context, i int, met *obs.Metrics) (SpecResult, error) {
-			var span *obs.ActiveSpan
-			if opt.SpanFor != nil {
-				if parent := opt.SpanFor(i); parent != nil {
-					span = parent.Child("exec", "run")
-					span.SetAttr("topology", specs[i].Topology)
-					span.SetAttr("workload", specs[i].Workload)
-				}
-			}
-			var prog *obs.RunProgress
-			if opt.ProgressFor != nil {
-				prog = opt.ProgressFor(i)
-			}
-			var ivl *interval.Recorder
-			if opt.IntervalsFor != nil {
-				ivl = opt.IntervalsFor(i)
-			}
-			begin := time.Now()
-			res, err := safeExec(ctx, specs[i], met, span, prog, ivl)
-			res.Wall = time.Since(begin)
-			var insts uint64
-			if res.Outcome != nil && res.Outcome.Stats != nil {
-				insts = res.Outcome.Stats.Instructions
-				// Surface silent event-ring overflow on /metrics.
-				met.AddEventDrops(res.Outcome.EventsTotal - uint64(len(res.Outcome.Events)))
-			}
-			met.ObserveJob(res.Wall, insts)
-			if err != nil {
-				span.SetAttr("error", err.Error())
-			}
-			span.End()
-			return res, err
-		})
+// runJob executes spec i of a batch with the per-job hooks opt assigns it
+// (exec span, live progress sink, interval recorder) and books its wall time
+// and event-ring drops on opt.Metrics.
+func runJob(ctx context.Context, i int, s *spec.RunSpec, opt Options) (SpecResult, error) {
+	at := spec.Attach{Ctx: ctx, Metrics: opt.Metrics}
+	if opt.SpanFor != nil {
+		if parent := opt.SpanFor(i); parent != nil {
+			at.Span = parent.Child("exec", "run")
+			at.Span.SetAttr("topology", s.Topology)
+			at.Span.SetAttr("workload", s.Workload)
+		}
+	}
+	if opt.ProgressFor != nil {
+		at.Progress = opt.ProgressFor(i)
+	}
+	if opt.IntervalsFor != nil {
+		at.Intervals = opt.IntervalsFor(i)
+	}
+	begin := time.Now()
+	res, err := safeExec(s, at)
+	res.Wall = time.Since(begin)
+	var insts uint64
+	if res.Outcome != nil && res.Outcome.Stats != nil {
+		insts = res.Outcome.Stats.Instructions
+		// Surface silent event-ring overflow on /metrics.
+		opt.Metrics.AddEventDrops(res.Outcome.EventsTotal - uint64(len(res.Outcome.Events)))
+	}
+	opt.Metrics.ObserveJob(res.Wall, insts)
+	if err != nil {
+		at.Span.SetAttr("error", err.Error())
+	}
+	at.Span.End()
+	return res, err
 }
 
 // safeExec is spec.Exec behind the runner's recover boundary: a panicking
 // job becomes a *PanicError instead of killing the process.
-func safeExec(ctx context.Context, s *spec.RunSpec, met *obs.Metrics, span *obs.ActiveSpan, prog *obs.RunProgress, ivl *interval.Recorder) (res SpecResult, err error) {
+func safeExec(s *spec.RunSpec, at spec.Attach) (res SpecResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	if err := ctx.Err(); err != nil {
+	if err := at.Ctx.Err(); err != nil {
 		return SpecResult{}, err // batch already cancelled; don't start
 	}
 	c, err := s.Canonical()
 	if err != nil {
 		return SpecResult{}, err
 	}
-	out, err := spec.Exec(c, spec.Attach{Ctx: ctx, Metrics: met, Span: span, Progress: prog, Intervals: ivl})
+	out, err := spec.Exec(c, at)
 	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
+		if cerr := at.Ctx.Err(); cerr != nil {
 			err = cerr // report the cancellation, not its downstream wrapping
 		}
 		return SpecResult{}, err

@@ -80,7 +80,7 @@ func TestConcurrentCacheAndFingerprint(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			want, err := workloads.Fingerprint("fib")
+			want, err := workloads.Fingerprint("fib", 4)
 			if err != nil {
 				t.Error(err)
 				return
@@ -90,11 +90,11 @@ func TestConcurrentCacheAndFingerprint(t *testing.T) {
 					if _, err := workloads.Get(name); err != nil {
 						t.Errorf("Get(%q): %v", name, err)
 					}
-					if _, err := workloads.Fingerprint(name); err != nil {
+					if _, err := workloads.Fingerprint(name, 4); err != nil {
 						t.Errorf("Fingerprint(%q): %v", name, err)
 					}
 				}
-				if got, _ := workloads.Fingerprint("fib"); got != want {
+				if got, _ := workloads.Fingerprint("fib", 4); got != want {
 					t.Errorf("fingerprint moved under concurrency: %s vs %s", got, want)
 				}
 			}

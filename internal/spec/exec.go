@@ -133,10 +133,11 @@ func geometryFor(c *RunSpec) (*compose.Geometry, error) {
 }
 
 // Exec runs the simulation a spec describes.  It is the one execution path
-// behind cobra.Run, runner.RunSpecs, and cobra-serve: canonicalize, compose
-// the pipeline (with the fault plan and observer wired in), build the
-// workload, assemble the host core, run warmup + measured instructions, and
-// enforce the paranoid-mode invariant contract.
+// behind cobra.Run, runner.RunSpecs, the experiment grids, and cobra-serve:
+// canonicalize, compose the pipeline (with the fault plan and observer wired
+// in), build the workload at the host core's instruction width, assemble the
+// host core, run warmup + measured instructions, and enforce the
+// paranoid-mode invariant contract.
 func Exec(s *RunSpec, at Attach) (*Outcome, error) {
 	begin := time.Now()
 	var tm Timings
@@ -207,7 +208,7 @@ func Exec(s *RunSpec, at Attach) (*Outcome, error) {
 	at.Progress.SetPhase(obs.PhaseWorkload)
 	sp = at.Span.Child("exec", "workload")
 	t0 = time.Now()
-	prog, err := workloads.Get(c.Workload)
+	prog, err := workloads.GetAt(c.Workload, cfg.Fetch.InstBytes)
 	endPhase(sp, &tm.WorkloadMS, t0, err)
 	if err != nil {
 		return nil, err

@@ -5,7 +5,7 @@
 //
 // A RunSpec is the unit every entry point shares: the cobra library surface,
 // the CLI tools (internal/cli parses flags straight into one), the parallel
-// runner (runner.FromSpec / runner.RunSpecs), and the cobra-serve daemon,
+// runner (runner.RunSpecs), the experiment grids, and the cobra-serve daemon,
 // which queues, deduplicates, and caches runs by the spec's content digest.
 //
 // Canonical form and digest.  Canonical(), or the in-place Canonicalize(),
@@ -91,11 +91,16 @@ type RunSpec struct {
 	Topology string   `json:"topology"`
 	Pipeline Pipeline `json:"pipeline"`
 
+	// Workload names the program.  Its layout follows the host core's fetch
+	// geometry: Exec builds it for Core.Fetch.InstBytes-byte instructions, so
+	// a SPECint proxy on an 8x2-byte frontend runs the same profile at 2-byte
+	// addresses.  Every other workload exists only at 4 bytes, and
+	// Canonicalize rejects it at any other width.
 	Workload string `json:"workload"`
-	// WorkloadHash pins the workload definition (program.Fingerprint).
-	// Canonicalize fills it when empty and rejects a stale mismatch, so a
-	// spec minted against one generator version cannot silently reuse
-	// results from another.
+	// WorkloadHash pins the workload definition (program.Fingerprint) at
+	// that layout.  Canonicalize fills it when empty and rejects a stale
+	// mismatch, so a spec minted against one generator version cannot
+	// silently reuse results from another.
 	WorkloadHash string `json:"workload_hash,omitempty"`
 
 	Seed   uint64 `json:"seed"`
@@ -119,6 +124,15 @@ type RunSpec struct {
 
 // Timeout returns the per-run wall-clock budget (0 = none).
 func (s *RunSpec) Timeout() time.Duration { return time.Duration(s.TimeoutMS) * time.Millisecond }
+
+// SetTimeout sets the per-run wall-clock budget (d <= 0 = none), rounding a
+// sub-millisecond budget up to 1ms so it still times out.
+func (s *RunSpec) SetTimeout(d time.Duration) {
+	s.TimeoutMS = 0
+	if d > 0 {
+		s.TimeoutMS = max(d.Milliseconds(), 1)
+	}
+}
 
 // Options converts the serializable pipeline parameters into compose
 // options.  The non-serializable hooks (Wrap, Observer) stay zero; callers
@@ -249,12 +263,16 @@ func (s *RunSpec) Canonicalize() error {
 	}
 	s.Pipeline.GHRPolicy = renderGHRPolicy(pol)
 
-	if !workloads.Known(s.Workload) {
-		// Get's error names the known set; reuse it.
-		_, err := workloads.Get(s.Workload)
+	if s.Core != nil {
+		s.Host = "" // the override is the whole story
+	} else if s.Host == "" {
+		s.Host = "boom"
+	}
+	core, err := s.ResolveCore()
+	if err != nil {
 		return err
 	}
-	hash, err := workloads.Fingerprint(s.Workload)
+	hash, err := workloads.Fingerprint(s.Workload, core.Fetch.InstBytes)
 	if err != nil {
 		return err
 	}
@@ -269,15 +287,6 @@ func (s *RunSpec) Canonicalize() error {
 	}
 	if s.Insts == 0 {
 		s.Insts = DefaultInsts
-	}
-
-	if s.Core != nil {
-		s.Host = "" // the override is the whole story
-	} else if s.Host == "" {
-		s.Host = "boom"
-	}
-	if _, err := s.ResolveCore(); err != nil {
-		return err
 	}
 	if s.TimeoutMS < 0 {
 		return fmt.Errorf("spec: negative timeout_ms %d", s.TimeoutMS)

@@ -7,6 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"cobra/internal/pred"
+	"cobra/internal/uarch"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden fixtures in testdata/")
@@ -263,5 +266,28 @@ func TestFingerprintStable(t *testing.T) {
 	}
 	if ca.WorkloadHash != cb.WorkloadHash {
 		t.Errorf("workload hash unstable: %s vs %s", ca.WorkloadHash, cb.WorkloadHash)
+	}
+}
+
+// TestWorkloadFollowsFetchGeometry: the pinned workload hash is the program
+// laid out for the host core's instruction width.  A SPECint proxy on an
+// 8x2-byte frontend pins a different hash than at 4 bytes; a fixed-layout
+// workload is rejected at 2 bytes instead of deadlocking the core.
+func TestWorkloadFollowsFetchGeometry(t *testing.T) {
+	wide := uarch.DefaultConfig()
+	wide.Fetch = pred.Config{FetchWidth: 8, InstBytes: 2}
+	narrow, err := (&RunSpec{Topology: "BIM2", Workload: "gcc"}).Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rvc, err := (&RunSpec{Topology: "BIM2", Workload: "gcc", Core: &wide}).Canonical()
+	if err != nil {
+		t.Fatalf("gcc at 2-byte instructions: %v", err)
+	}
+	if rvc.WorkloadHash == narrow.WorkloadHash {
+		t.Error("2-byte and 4-byte layouts of gcc pin the same workload hash")
+	}
+	if err := (&RunSpec{Topology: "BIM2", Workload: "dhrystone", Core: &wide}).Canonicalize(); err == nil {
+		t.Error("Canonicalize accepted dhrystone at 2-byte instructions")
 	}
 }

@@ -8,28 +8,34 @@ import (
 	"cobra/internal/isa"
 )
 
-// Fingerprints are memoized per workload name: synthetic programs are
-// themselves cached, so hashing them twice is merely wasteful, but the
-// interpreted-ISA kernels recompile on every Get and the hash walk is the
-// only reason a spec validation would pay that compile.
+// Fingerprints are memoized per (workload, instruction width): synthetic
+// programs are themselves cached, so hashing them twice is merely wasteful,
+// but the interpreted-ISA kernels recompile on every Get and the hash walk is
+// the only reason a spec validation would pay that compile.
 var (
 	fpMu sync.Mutex
-	fps  = map[string]string{}
+	fps  = map[fpKey]string{}
 )
 
+type fpKey struct {
+	name      string
+	instBytes int
+}
+
 // Fingerprint returns the content hash of the named workload's program
-// image (see program.Fingerprint).  The hash identifies the workload
-// *definition*: regenerating it after a generator or kernel change yields a
-// new value, which is what lets RunSpec digests invalidate stale cached
-// results.
-func Fingerprint(name string) (string, error) {
+// image as laid out for instBytes-byte instructions (see GetAt and
+// program.Fingerprint).  The hash identifies the workload *definition*:
+// regenerating it after a generator or kernel change yields a new value,
+// which is what lets RunSpec digests invalidate stale cached results.
+func Fingerprint(name string, instBytes int) (string, error) {
+	key := fpKey{name, instBytes}
 	fpMu.Lock()
-	if f, ok := fps[name]; ok {
+	if f, ok := fps[key]; ok {
 		fpMu.Unlock()
 		return f, nil
 	}
 	fpMu.Unlock()
-	p, err := Get(name)
+	p, err := GetAt(name, instBytes)
 	if err != nil {
 		return "", err
 	}
@@ -43,7 +49,7 @@ func Fingerprint(name string) (string, error) {
 		f = fmt.Sprintf("sha256:%x", sum)
 	}
 	fpMu.Lock()
-	fps[name] = f
+	fps[key] = f
 	fpMu.Unlock()
 	return f, nil
 }
@@ -59,18 +65,4 @@ func kernelSource(name string) (string, bool) {
 		return isa.DispatchSource, true
 	}
 	return "", false
-}
-
-// Known reports whether name resolves to a workload without building it.
-func Known(name string) bool {
-	switch name {
-	case "dhrystone", "coremark", "sort", "fib", "dispatch":
-		return true
-	}
-	for _, p := range profiles {
-		if p.Name == name {
-			return true
-		}
-	}
-	return false
 }

@@ -19,6 +19,7 @@ import (
 	"sort"
 	"sync"
 
+	"cobra/internal/bitutil"
 	"cobra/internal/isa"
 	"cobra/internal/program"
 )
@@ -390,6 +391,23 @@ func Get(name string) (*program.Program, error) {
 	all := append(Names(), "dhrystone", "coremark", "sort", "fib", "dispatch")
 	sort.Strings(all)
 	return nil, fmt.Errorf("workloads: unknown workload %q (have %v)", name, all)
+}
+
+// GetAt returns the named workload laid out for instBytes-byte instructions
+// — a host core's fetch geometry.  The SPECint proxies regenerate at any
+// power-of-two width with identical structure (BuildWithGeometry); every
+// other workload has a fixed 4-byte layout and is rejected at other widths.
+func GetAt(name string, instBytes int) (*program.Program, error) {
+	if instBytes == 4 {
+		return Get(name)
+	}
+	if p, ok := GetProfile(name); ok && bitutil.IsPow2(instBytes) {
+		return BuildWithGeometry(p, instBytes), nil
+	}
+	if _, err := Get(name); err != nil {
+		return nil, err
+	}
+	return nil, fmt.Errorf("workloads: %s cannot be laid out for %d-byte instructions (only the SPECint proxies regenerate at other fetch geometries)", name, instBytes)
 }
 
 // GetProfile returns the profile for a SPECint proxy (for sweeps).
