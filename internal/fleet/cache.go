@@ -6,16 +6,18 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"cobra/internal/sealed"
 )
 
 // The result cache is a directory of sealed JSON entries keyed by service
 // digest.  Because the digest covers the service's canonical content AND its
 // dependencies' digests (see File.Digest), a hit proves the cached output
 // was produced by byte-identical inputs — skipping is substitution, not
-// guessing.  Entries are written to a temp file and renamed into place, so a
-// crash mid-write leaves garbage the loader ignores, never a torn entry
-// presented as truth (the same sealing discipline cobra-serve's disk cache
-// uses).
+// guessing.  Entries are sealed files (package sealed, shared with
+// cobra-serve's disk cache): fsynced and renamed into place, and checked
+// against their sha256 footer on every read, so a torn or bit-flipped entry
+// is quarantined and recomputed, never replayed as truth.
 
 // cacheEntry is one cached service result.  Entries written before interval
 // digests existed decode with a nil IntervalDigests — a hit still replays
@@ -32,15 +34,16 @@ func cachePath(dir, digest string) string {
 	return filepath.Join(dir, strings.TrimPrefix(digest, "sha256:")+".json")
 }
 
-// cacheLoad returns the cached entry for digest, if a well-formed one
-// exists.  Any read or decode failure is a miss: the executor re-runs and
-// rewrites, so corruption heals itself.
+// cacheLoad returns the cached entry for digest, if a verified one exists.
+// Every failure is a miss: the executor re-runs and rewrites, so corruption
+// heals itself.  An entry whose seal does not verify is also quarantined as
+// *.corrupt by sealed.Read.
 func cacheLoad(dir, digest string) (cacheEntry, bool) {
 	var e cacheEntry
 	if dir == "" {
 		return e, false
 	}
-	data, err := os.ReadFile(cachePath(dir, digest))
+	data, err := sealed.Read(cachePath(dir, digest))
 	if err != nil {
 		return e, false
 	}
@@ -50,7 +53,7 @@ func cacheLoad(dir, digest string) (cacheEntry, bool) {
 	return e, true
 }
 
-// cacheStore seals an entry: temp file, fsync-free write, atomic rename.
+// cacheStore seals an entry and publishes it atomically.
 func cacheStore(dir, digest string, e cacheEntry) error {
 	if dir == "" {
 		return nil
@@ -62,21 +65,7 @@ func cacheStore(dir, digest string, e cacheEntry) error {
 	if err != nil {
 		return fmt.Errorf("fleet: cache: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, ".entry-*")
-	if err != nil {
-		return fmt.Errorf("fleet: cache: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("fleet: cache: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("fleet: cache: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), cachePath(dir, digest)); err != nil {
-		os.Remove(tmp.Name())
+	if err := sealed.Publish(cachePath(dir, digest), sealed.Seal(data)); err != nil {
 		return fmt.Errorf("fleet: cache: %w", err)
 	}
 	return nil

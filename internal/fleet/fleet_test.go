@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -353,27 +354,55 @@ func TestRunFleetRemote(t *testing.T) {
 	}
 }
 
-// TestCacheCorruptionHeals: a torn cache entry is a miss, not an error.
+// TestCacheCorruptionHeals: a damaged cache entry is a miss, not an error,
+// and never replays its damaged output.  The torn entry is not even JSON;
+// the bit-flipped one is still valid JSON with the right digest field, so
+// only the entry's seal can catch it.
 func TestCacheCorruptionHeals(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	cache := t.TempDir()
 	sub, err := loadFixture(t).Restrict([]string{"baseline"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := runFixture(t, sub, cache, nil)
-	digest := res.Services["baseline"].Digest
-	if err := os.WriteFile(cachePath(cache, digest), []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	res2 := runFixture(t, sub, cache, nil)
-	if res2.Executed != 1 {
-		t.Fatalf("corrupted entry was not re-executed (executed=%d)", res2.Executed)
-	}
-	if res2.Services["baseline"].Output != res.Services["baseline"].Output {
-		t.Error("healed output differs")
+	for _, tc := range []struct {
+		name    string
+		corrupt func(t *testing.T, entry []byte) []byte
+	}{
+		{"torn", func(*testing.T, []byte) []byte { return []byte("{torn") }},
+		{"bit-flip", func(t *testing.T, entry []byte) []byte {
+			out := bytes.Index(entry, []byte(`"output":"`))
+			if out < 0 {
+				t.Fatalf("no output field in entry:\n%s", entry)
+			}
+			i := out + bytes.IndexAny(entry[out:], "123456789")
+			entry[i] ^= 0x01 // one digit becomes its neighbour: still valid JSON
+			return entry
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cache := t.TempDir()
+			res := runFixture(t, sub, cache, nil)
+			entry := cachePath(cache, res.Services["baseline"].Digest)
+			data, err := os.ReadFile(entry)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(entry, tc.corrupt(t, data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			res2 := runFixture(t, sub, cache, nil)
+			if res2.Executed != 1 {
+				t.Fatalf("corrupted entry was not re-executed (executed=%d)", res2.Executed)
+			}
+			if res2.Services["baseline"].Output != res.Services["baseline"].Output {
+				t.Error("healed output differs")
+			}
+			if _, err := os.Stat(entry + ".corrupt"); err != nil {
+				t.Errorf("corrupted entry not quarantined: %v", err)
+			}
+		})
 	}
 }
 

@@ -172,7 +172,11 @@ func Decode(data []byte) (*Set, error) {
 		}
 		table[i] = string(r.data[r.off : r.off+int(n)])
 		r.off += int(n)
+		if i > 0 && table[i] <= table[i-1] {
+			return nil, fmt.Errorf("interval: provider names not sorted and unique at %d", i)
+		}
 	}
+	seen := make([]uint64, nNames) // window number + 1 that last named each provider
 	nWin, err := r.uvarint("window count")
 	if err != nil {
 		return nil, err
@@ -192,7 +196,9 @@ func Decode(data []byte) (*Set, error) {
 			return nil, err
 		}
 	}
-	s.Windows = make([]Window, 0, nWin)
+	// Every window takes at least 16 bytes, so a count the remaining bytes
+	// cannot hold is caught as truncation below, after a bounded allocation.
+	s.Windows = make([]Window, 0, min(nWin, uint64(len(r.data)-r.off)/16))
 	for i := uint64(0); i < nWin; i++ {
 		w := Window{Index: int(index), StartCycle: startCyc, StartInst: startInst}
 		var spans [15]uint64
@@ -207,6 +213,9 @@ func Decode(data []byte) (*Set, error) {
 			}
 		}
 		w.EndCycle, w.EndInst = startCyc+spans[0], startInst+spans[1]
+		if w.EndCycle < startCyc || w.EndInst < startInst {
+			return nil, fmt.Errorf("interval: window %d overflows the cycle or instruction count", i)
+		}
 		w.Branches, w.Mispredicts = spans[2], spans[3]
 		w.DirMispredicts, w.TgtMispredicts = spans[4], spans[5]
 		w.BTBMisses, w.RASEvents = spans[6], spans[7]
@@ -228,6 +237,10 @@ func Decode(data []byte) (*Set, error) {
 			if idx >= nNames {
 				return nil, fmt.Errorf("interval: window %d provider index %d out of range", i, idx)
 			}
+			if seen[idx] == i+1 {
+				return nil, fmt.Errorf("interval: window %d names provider %q twice", i, table[idx])
+			}
+			seen[idx] = i + 1
 			br, err := r.uvarint("provider branches")
 			if err != nil {
 				return nil, err

@@ -120,7 +120,9 @@ func ReadBinary(r io.Reader) ([]Event, error) {
 	if n > 1<<32 {
 		return nil, fmt.Errorf("obs: implausible event count %d", n)
 	}
-	events := make([]Event, 0, n)
+	// n is unverified: a damaged header must cost a short read, not a huge
+	// preallocation, so append grows the slice past this cap.
+	events := make([]Event, 0, min(n, 1<<16))
 	var rec [40]byte
 	for i := uint64(0); i < n; i++ {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {

@@ -100,6 +100,16 @@ func TestBinaryRejectsTruncation(t *testing.T) {
 	}
 }
 
+// TestBinaryHugeCountIsShortRead: a header claiming ~800M events over a
+// file that holds none is a truncation error, not a 45 GB preallocation
+// that kills the process.
+func TestBinaryHugeCountIsShortRead(t *testing.T) {
+	raw := "CBRAEVT1\x01\x00\x00\x00\x04\x0000000000\x00\x00\x00\x00"
+	if _, err := ReadBinary(strings.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "event 0") {
+		t.Fatalf("err = %v, want a short read at event 0", err)
+	}
+}
+
 func TestBinaryRejectsBadKind(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, []Event{{Kind: KPredict, Comp: "X"}}); err != nil {

@@ -1,14 +1,13 @@
 package serve
 
 import (
-	"bytes"
 	"container/list"
-	"crypto/sha256"
-	"encoding/hex"
-	"os"
+	"errors"
 	"path/filepath"
 	"regexp"
 	"sync"
+
+	"cobra/internal/sealed"
 )
 
 // digestRE is the only key shape the cache accepts.  Keys come back in from
@@ -24,11 +23,10 @@ func validDigest(id string) bool { return digestRE.MatchString(id) }
 // the first computation, so a cache hit is byte-identical to the original
 // response.  Safe for concurrent use.
 //
-// Disk entries are corruption-proof: every file carries a sha256 footer over
-// its payload, writes go through a fsynced temp file + atomic rename, and an
-// entry that fails verification on read is quarantined (renamed *.corrupt,
-// reported via onCorrupt) and treated as a miss — a flipped bit on disk is
-// recomputed, never replayed as truth.
+// Disk entries are sealed files (package sealed): written atomically with a
+// sha256 footer, and an entry that fails verification on read is quarantined
+// (renamed *.corrupt, reported via onCorrupt) and treated as a miss — a
+// flipped bit on disk is recomputed, never replayed as truth.
 type cache struct {
 	mu    sync.Mutex
 	max   int
@@ -44,54 +42,12 @@ type cache struct {
 	onCorrupt func(path string, reason string)
 }
 
-// Disk-entry footer: "\n" + footerMagic + 64 hex digits + "\n", appended
-// after the payload.  The newline prefix keeps the payload visually separable
-// when a human cats the file; verification never relies on it being JSON.
-const footerMagic = "#cobra-entry-v1 sha256="
-
-// footerLen is the exact on-disk footer size.
-const footerLen = 1 + len(footerMagic) + sha256.Size*2 + 1
-
-// sealEntry appends the integrity footer to a payload.
-func sealEntry(payload []byte) []byte {
-	sum := sha256.Sum256(payload)
-	out := make([]byte, 0, len(payload)+footerLen)
-	out = append(out, payload...)
-	out = append(out, '\n')
-	out = append(out, footerMagic...)
-	out = append(out, hex.EncodeToString(sum[:])...)
-	out = append(out, '\n')
-	return out
-}
-
-// openEntry verifies a sealed entry and returns its payload, or the reason
-// it is untrustworthy.
-func openEntry(data []byte) ([]byte, string) {
-	if len(data) < footerLen {
-		return nil, "entry shorter than integrity footer"
-	}
-	payload, footer := data[:len(data)-footerLen], data[len(data)-footerLen:]
-	if footer[0] != '\n' || footer[len(footer)-1] != '\n' ||
-		!bytes.HasPrefix(footer[1:], []byte(footerMagic)) {
-		return nil, "missing integrity footer"
-	}
-	want := string(footer[1+len(footerMagic) : len(footer)-1])
-	sum := sha256.Sum256(payload)
-	if got := hex.EncodeToString(sum[:]); got != want {
-		return nil, "payload sha256 " + got + " != footer " + want
-	}
-	return payload, ""
-}
-
 type centry struct {
 	key string
 	val []byte
 }
 
 func newCache(max int, dir, suffix string) *cache {
-	if suffix == "" {
-		suffix = ".json"
-	}
 	return &cache{max: max, ll: list.New(), items: make(map[string]*list.Element), dir: dir, suffix: suffix}
 }
 
@@ -114,30 +70,15 @@ func (c *cache) get(key string) ([]byte, bool) {
 		return nil, false
 	}
 	path := c.path(key)
-	data, err := os.ReadFile(path)
+	val, err := sealed.Read(path)
 	if err != nil {
-		return nil, false
-	}
-	val, reason := openEntry(data)
-	if reason != "" {
-		c.quarantine(path, reason)
+		if errors.Is(err, sealed.ErrCorrupt) && c.onCorrupt != nil {
+			c.onCorrupt(path, err.Error())
+		}
 		return nil, false
 	}
 	c.putMem(key, val)
 	return val, true
-}
-
-// quarantine moves a failed entry aside as <path>.corrupt so it is never
-// served again but stays on disk for a post-mortem, then reports it.
-func (c *cache) quarantine(path, reason string) {
-	if err := os.Rename(path, path+".corrupt"); err != nil {
-		// Rename failing (another reader already quarantined it, or the file
-		// vanished) still must not let the entry be served: remove our view.
-		os.Remove(path) //nolint:errcheck
-	}
-	if c.onCorrupt != nil {
-		c.onCorrupt(path, reason)
-	}
 }
 
 // put stores the bytes in memory and, when configured, on disk.  Disk write
@@ -150,18 +91,7 @@ func (c *cache) put(key string, val []byte) {
 	if c.dir == "" {
 		return
 	}
-	// Atomic publish (temp file, fsync, rename) so a concurrent reader or a
-	// mid-write crash never sees a torn file under the entry's real name.
-	tmp, err := os.CreateTemp(c.dir, ".result-*")
-	if err != nil {
-		return
-	}
-	if _, err := tmp.Write(sealEntry(val)); err == nil && tmp.Sync() == nil && tmp.Close() == nil {
-		os.Rename(tmp.Name(), c.path(key)) //nolint:errcheck
-		return
-	}
-	tmp.Close()           //nolint:errcheck
-	os.Remove(tmp.Name()) //nolint:errcheck
+	sealed.Publish(c.path(key), sealed.Seal(val)) //nolint:errcheck
 }
 
 func (c *cache) putMem(key string, val []byte) {

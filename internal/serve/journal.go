@@ -6,10 +6,10 @@ import (
 	"hash/crc32"
 	"log/slog"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 
+	"cobra/internal/sealed"
 	"cobra/internal/spec"
 )
 
@@ -32,7 +32,7 @@ import (
 //
 // On open the journal is compacted: completed digests' records are dropped
 // and only still-pending accepted records are rewritten (atomically, via
-// temp file + rename), so the log stays proportional to in-flight work.
+// sealed.Publish), so the log stays proportional to in-flight work.
 
 // journalMagic versions the line format; bump it if the framing changes.
 const journalMagic = "cbraj1"
@@ -214,48 +214,27 @@ func readJournal(path string, log *slog.Logger) (pending []pendingRun, skipped i
 
 // openJournal replays, compacts, and opens the journal at path for
 // appending.  Compaction rewrites the log to hold only the still-pending
-// accepted records (atomically: temp file, fsync, rename), so completed
+// accepted records (published atomically by sealed.Publish), so completed
 // history never accumulates.
 func openJournal(path string, log *slog.Logger) (*journal, []pendingRun, int, error) {
 	pending, skipped, err := readJournal(path, log)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("journal: reading %s: %w", path, err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".journal-*")
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("journal: %w", err)
-	}
+	var frames []byte
 	for _, p := range pending {
-		raw, merr := json.Marshal(p.spec)
-		if merr != nil {
-			tmp.Close()           //nolint:errcheck
-			os.Remove(tmp.Name()) //nolint:errcheck
-			return nil, nil, 0, fmt.Errorf("journal: %w", merr)
+		raw, err := json.Marshal(p.spec)
+		if err != nil {
+			return nil, nil, 0, fmt.Errorf("journal: %w", err)
 		}
-		line, eerr := encodeRecord(jrec{Type: recAccepted, Digest: p.digest, Spec: raw})
-		if eerr != nil {
-			tmp.Close()           //nolint:errcheck
-			os.Remove(tmp.Name()) //nolint:errcheck
-			return nil, nil, 0, fmt.Errorf("journal: %w", eerr)
+		line, err := encodeRecord(jrec{Type: recAccepted, Digest: p.digest, Spec: raw})
+		if err != nil {
+			return nil, nil, 0, fmt.Errorf("journal: %w", err)
 		}
-		if _, werr := tmp.Write(line); werr != nil {
-			tmp.Close()           //nolint:errcheck
-			os.Remove(tmp.Name()) //nolint:errcheck
-			return nil, nil, 0, fmt.Errorf("journal: %w", werr)
-		}
+		frames = append(frames, line...)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()           //nolint:errcheck
-		os.Remove(tmp.Name()) //nolint:errcheck
-		return nil, nil, 0, fmt.Errorf("journal: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name()) //nolint:errcheck
-		return nil, nil, 0, fmt.Errorf("journal: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name()) //nolint:errcheck
-		return nil, nil, 0, fmt.Errorf("journal: %w", err)
+	if err := sealed.Publish(path, frames); err != nil {
+		return nil, nil, 0, fmt.Errorf("journal: compacting: %w", err)
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {

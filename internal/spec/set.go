@@ -13,6 +13,11 @@ import (
 // part of the canonical JSON, so a bump invalidates every Set digest.
 const SetVersion = 1
 
+// maxSetPoints is the largest grid Canonicalize accepts.  Sets arrive from
+// files, and a few dozen two-value axes would otherwise overflow Len or
+// expand into millions of specs before the first point is checked.
+const maxSetPoints = 1 << 16
+
 // Axis varies one RunSpec field over a list of values.  Expansion is the
 // ordered cross product of a Set's axes: the first axis is the slowest
 // (outermost) index, the last the fastest, which is exactly the loop nest a
@@ -72,8 +77,8 @@ func (a *Axis) UnmarshalJSON(data []byte) error {
 // and expands identically everywhere, so "the sweep I ran" is as
 // content-addressable as "the run I ran".
 type Set struct {
-	Version int    `json:"version"`
-	Name    string `json:"name,omitempty"`
+	Version int     `json:"version"`
+	Name    string  `json:"name,omitempty"`
 	Base    RunSpec `json:"base"`
 	Axes    []Axis  `json:"axes,omitempty"`
 }
@@ -168,6 +173,7 @@ func (g *Set) Canonicalize() error {
 	if g.Version != SetVersion {
 		return fmt.Errorf("spec: unsupported set version %d (this build speaks %d)", g.Version, SetVersion)
 	}
+	points := 1
 	for i := range g.Axes {
 		a := &g.Axes[i]
 		a.Field = strings.ToLower(strings.TrimSpace(a.Field))
@@ -177,6 +183,9 @@ func (g *Set) Canonicalize() error {
 		}
 		if len(a.Values) == 0 {
 			return fmt.Errorf("spec: axis %q has no values", a.Field)
+		}
+		if points *= len(a.Values); points > maxSetPoints {
+			return fmt.Errorf("spec: set expands to more than %d points", maxSetPoints)
 		}
 		if a.Names != nil && len(a.Names) != len(a.Values) {
 			return fmt.Errorf("spec: axis %q has %d names for %d values",

@@ -124,6 +124,10 @@ func TestSetAxisNames(t *testing.T) {
 }
 
 func TestSetRejects(t *testing.T) {
+	huge := make([]Axis, 63)
+	for i := range huge {
+		huge[i] = Axis{Field: "seed", Values: []string{"1", "2"}}
+	}
 	cases := map[string]*Set{
 		"unknown field": {Base: RunSpec{Workload: "gcc"},
 			Axes: []Axis{{Field: "flux", Values: []string{"1"}}}},
@@ -136,6 +140,8 @@ func TestSetRejects(t *testing.T) {
 		"bad point": {Base: RunSpec{Workload: "gcc"},
 			Axes: []Axis{{Field: "topology", Values: []string{"NOT A TOPOLOGY ("}}}},
 		"bad version": {Version: 99, Base: RunSpec{Workload: "gcc"}},
+		// 2^63 points: Len overflows, so only the size bound stops it.
+		"too many points": {Base: RunSpec{Workload: "gcc"}, Axes: huge},
 	}
 	for name, g := range cases {
 		if err := g.Canonicalize(); err == nil {

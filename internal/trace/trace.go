@@ -96,6 +96,11 @@ func (t *Reader) Read() (Record, error) {
 	if err != nil {
 		return Record{}, err
 	}
+	// Only control-flow instructions are traced (see Capture).
+	kind := program.Kind(head >> 1)
+	if !kind.IsCFI() || kind > program.KindIndirect {
+		return Record{}, fmt.Errorf("trace: invalid record kind %d", kind)
+	}
 	pc, err := binary.ReadUvarint(t.r)
 	if err != nil {
 		return Record{}, fmt.Errorf("trace: truncated record: %w", err)
@@ -106,7 +111,7 @@ func (t *Reader) Read() (Record, error) {
 	}
 	return Record{
 		PC:     pc,
-		Kind:   program.Kind(head >> 1),
+		Kind:   kind,
 		Taken:  head&1 == 1,
 		Target: tgt,
 	}, nil

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"io"
+	"strings"
 	"testing"
 
 	"cobra/internal/compose"
@@ -58,6 +59,20 @@ func TestBadMagic(t *testing.T) {
 	}
 	if _, err := NewReader(bytes.NewBufferString("")); err == nil {
 		t.Error("empty stream must fail")
+	}
+}
+
+// TestReadRejectsInvalidKind: a record whose kind is not a control-flow
+// instruction is damage, not a branch to simulate.
+func TestReadRejectsInvalidKind(t *testing.T) {
+	for _, head := range []byte{byte(program.KindOp) << 1, byte(program.KindIndirect+1) << 1, 0xFF} {
+		r, err := NewReader(bytes.NewBufferString(magic + string([]byte{head, 0x10, 0x20})))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Read(); err == nil || !strings.Contains(err.Error(), "invalid record kind") {
+			t.Errorf("head %#x: err = %v, want invalid record kind", head, err)
+		}
 	}
 }
 
