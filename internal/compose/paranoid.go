@@ -11,7 +11,8 @@ import (
 // and the history-file entry involved.
 type InvariantError struct {
 	// Op is the pipeline operation after which the check fired: "Predict",
-	// "Accept", "ReAccept", "Resolve", "Commit", or "SquashAll".
+	// "Accept", "ReAccept", "Resolve", "Commit", or "SquashAll" — or
+	// "Core.step" for the host core's scheduler check (ReportViolation).
 	Op string
 	// Component is the sub-component instance the violation is attributed
 	// to, or "" for a pipeline-level (history file / history provider)
@@ -52,6 +53,16 @@ func (p *Pipeline) Violations() []*InvariantError {
 // ViolationCount returns the total number of violations detected, including
 // any beyond the retained list.
 func (p *Pipeline) ViolationCount() uint64 { return p.vioTotal }
+
+// Paranoid reports whether the invariant checker is armed.
+func (p *Pipeline) Paranoid() bool { return p.paranoid }
+
+// ReportViolation records an invariant violation found by a checker outside
+// the pipeline (the host core's scheduler check) on the same list, so it
+// surfaces through Violations like every pipeline invariant.
+func (p *Pipeline) ReportViolation(op string, cycle uint64, format string, args ...any) {
+	p.reportViolation(op, "", cycle, 0, format, args...)
+}
 
 func (p *Pipeline) reportViolation(op, comp string, cycle, seq uint64, format string, args ...any) {
 	p.vioTotal++

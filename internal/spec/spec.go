@@ -272,6 +272,9 @@ func (s *RunSpec) Canonicalize() error {
 	if err != nil {
 		return err
 	}
+	if err := core.Validate(); err != nil {
+		return fmt.Errorf("spec: core: %w", err)
+	}
 	hash, err := workloads.Fingerprint(s.Workload, core.Fetch.InstBytes)
 	if err != nil {
 		return err

@@ -291,3 +291,51 @@ func TestWorkloadFollowsFetchGeometry(t *testing.T) {
 		t.Error("Canonicalize accepted dhrystone at 2-byte instructions")
 	}
 }
+
+// TestCanonicalizeRejectsUnrunnableCore: a core override that would deadlock
+// the watchdog or panic in NewCore is refused at canonicalization, before a
+// worker ever runs it; odd but runnable sizes still canonicalize.
+func TestCanonicalizeRejectsUnrunnableCore(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(c *uarch.Config)
+		ok   bool
+	}{
+		{"default", func(c *uarch.Config) {}, true},
+		{"inorder", func(c *uarch.Config) { *c = uarch.InOrderConfig() }, true},
+		{"rob 65", func(c *uarch.Config) { c.ROBEntries = 65 }, true},
+		{"zero latency", func(c *uarch.Config) { c.ALULat = 0 }, true},
+		{"rob 0", func(c *uarch.Config) { c.ROBEntries = 0 }, false},
+		{"rob negative", func(c *uarch.Config) { c.ROBEntries = -4 }, false},
+		{"decode 0", func(c *uarch.Config) { c.DecodeWidth = 0 }, false},
+		{"commit 0", func(c *uarch.Config) { c.CommitWidth = 0 }, false},
+		{"alu 0", func(c *uarch.Config) { c.NumALU = 0 }, false},
+		{"mem 0", func(c *uarch.Config) { c.NumMem = 0 }, false},
+		{"fp 0", func(c *uarch.Config) { c.NumFP = 0 }, false},
+		{"iq 0", func(c *uarch.Config) { c.IQEntries = 0 }, false},
+		{"ldq 0", func(c *uarch.Config) { c.LDQEntries = 0 }, false},
+		{"stq 0", func(c *uarch.Config) { c.STQEntries = 0 }, false},
+		{"ras 0", func(c *uarch.Config) { c.RASEntries = 0 }, false},
+		{"fetch buffer below packet", func(c *uarch.Config) { c.FetchBufferCap = 3 }, false},
+		{"fetch width 3", func(c *uarch.Config) { c.Fetch.FetchWidth = 3 }, false},
+		{"negative latency", func(c *uarch.Config) { c.MemLat = -1 }, false},
+		{"l1 sets 0", func(c *uarch.Config) { c.L1Sets = 0 }, false},
+		{"l2 sets 48", func(c *uarch.Config) { c.L2Sets = 48 }, false},
+		{"l1 ways 0", func(c *uarch.Config) { c.L1Ways = 0 }, false},
+		{"line 24", func(c *uarch.Config) { c.LineBytes = 24 }, false},
+		{"watchdog 0", func(c *uarch.Config) { c.WatchdogCycles = 0 }, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			core := uarch.DefaultConfig()
+			tc.edit(&core)
+			err := (&RunSpec{Topology: "BIM2", Workload: "gcc", Core: &core}).Canonicalize()
+			if tc.ok && err != nil {
+				t.Fatalf("rejected a runnable core: %v", err)
+			}
+			if !tc.ok && err == nil {
+				t.Fatal("accepted a core that cannot run")
+			}
+		})
+	}
+}

@@ -19,7 +19,12 @@
 // is unknowable without wrong-path semantics).
 package uarch
 
-import "cobra/internal/pred"
+import (
+	"fmt"
+
+	"cobra/internal/bitutil"
+	"cobra/internal/pred"
+)
 
 // Config describes the core (defaults reproduce Table II).
 type Config struct {
@@ -75,11 +80,6 @@ type Config struct {
 	WatchdogCycles uint64
 }
 
-// DefaultConfig reproduces the evaluated BOOM configuration (Table II):
-// 16-byte fetch, 4-wide decode/commit, 128-entry ROB, 3x32-entry issue
-// queues, 8 pipelines (4 ALU, 2 MEM, 2 FP), 32-entry LDQ/STQ, 32 KB 8-way
-// L1D, 512 KB 8-way L2, and a flat main-memory latency standing in for the
-// FASED LLC+DRAM model.
 // InOrderConfig models a simple scalar in-order core (Rocket-class): 1-wide
 // decode/commit, in-order single issue, small buffers — a second, very
 // different host for the same composed predictor pipelines (§IV-C).
@@ -99,6 +99,11 @@ func InOrderConfig() Config {
 	return c
 }
 
+// DefaultConfig reproduces the evaluated BOOM configuration (Table II):
+// 16-byte fetch, 4-wide decode/commit, 128-entry ROB, 3x32-entry issue
+// queues, 8 pipelines (4 ALU, 2 MEM, 2 FP), 32-entry LDQ/STQ, 32 KB 8-way
+// L1D, 512 KB 8-way L2, and a flat main-memory latency standing in for the
+// FASED LLC+DRAM model.
 func DefaultConfig() Config {
 	return Config{
 		Fetch:           pred.DefaultConfig(),
@@ -128,4 +133,57 @@ func DefaultConfig() Config {
 		SFBMaxDist:      8,
 		WatchdogCycles:  200000,
 	}
+}
+
+// Validate reports whether the configuration describes a core that can run:
+// every width, entry count and issue width positive, the fetch buffer able
+// to hold a whole packet, non-negative latencies, power-of-two cache
+// geometry, and an armed watchdog.  NewCore assumes all of these; a
+// configuration that fails one deadlocks or panics mid-run instead.
+func (c Config) Validate() error {
+	if !c.Fetch.Valid() {
+		return fmt.Errorf("uarch: fetch geometry %d x %d B is not a power of two",
+			c.Fetch.FetchWidth, c.Fetch.InstBytes)
+	}
+	type field struct {
+		name string
+		v    int
+	}
+	check := func(ok func(int) bool, want string, fs ...field) error {
+		for _, f := range fs {
+			if !ok(f.v) {
+				return fmt.Errorf("uarch: %s must be %s, got %d", f.name, want, f.v)
+			}
+		}
+		return nil
+	}
+	if err := check(func(v int) bool { return v > 0 }, "positive",
+		field{"DecodeWidth", c.DecodeWidth}, field{"CommitWidth", c.CommitWidth},
+		field{"ROBEntries", c.ROBEntries}, field{"IQEntries", c.IQEntries},
+		field{"NumALU", c.NumALU}, field{"NumMem", c.NumMem}, field{"NumFP", c.NumFP},
+		field{"LDQEntries", c.LDQEntries}, field{"STQEntries", c.STQEntries},
+		field{"RASEntries", c.RASEntries}, field{"L1Ways", c.L1Ways}, field{"L2Ways", c.L2Ways},
+	); err != nil {
+		return err
+	}
+	if err := check(func(v int) bool { return v >= 0 }, "non-negative",
+		field{"RedirectLatency", c.RedirectLatency}, field{"ALULat", c.ALULat},
+		field{"MulLat", c.MulLat}, field{"FPLat", c.FPLat}, field{"L1Lat", c.L1Lat},
+		field{"L2Lat", c.L2Lat}, field{"MemLat", c.MemLat},
+	); err != nil {
+		return err
+	}
+	if err := check(bitutil.IsPow2, "a power of two",
+		field{"LineBytes", c.LineBytes}, field{"L1Sets", c.L1Sets}, field{"L2Sets", c.L2Sets},
+	); err != nil {
+		return err
+	}
+	if c.FetchBufferCap < c.Fetch.FetchWidth {
+		return fmt.Errorf("uarch: FetchBufferCap %d cannot hold a %d-instruction fetch packet",
+			c.FetchBufferCap, c.Fetch.FetchWidth)
+	}
+	if c.WatchdogCycles == 0 {
+		return fmt.Errorf("uarch: WatchdogCycles must be positive")
+	}
+	return nil
 }

@@ -3,6 +3,7 @@ package uarch
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"cobra/internal/components"
 	"cobra/internal/compose"
@@ -30,7 +31,43 @@ type robE struct {
 	iq     uint8
 	src    [2]prodRef
 
+	// Wakeup links.  waitOn has bit k set while src[k]'s producer is live
+	// and not yet written back; the consumer is then on that producer's
+	// wake list through link slot*2+k+1 (0 ends a list).  wakeHead is this
+	// entry's own list as a producer, youngest consumer first; wakeNext[k]
+	// follows the src[k] link.
+	waitOn   uint8
+	wakeHead int32
+	wakeNext [2]int32
+
 	misp, dirMisp, tgtMisp bool
+}
+
+// slotSet is a bitset over ROB slots.
+type slotSet []uint64
+
+func (s slotSet) set(i int)      { s[i>>6] |= 1 << (i & 63) }
+func (s slotSet) clear(i int)    { s[i>>6] &^= 1 << (i & 63) }
+func (s slotSet) has(i int) bool { return s[i>>6]&(1<<(i&63)) != 0 }
+
+// next returns the lowest member of s in [lo, hi), or -1.
+func (s slotSet) next(lo, hi int) int {
+	if lo >= hi {
+		return -1
+	}
+	w := lo >> 6
+	m := s[w] &^ (uint64(1)<<(lo&63) - 1)
+	for m == 0 {
+		w++
+		if w<<6 >= hi {
+			return -1
+		}
+		m = s[w]
+	}
+	if i := w<<6 + bits.TrailingZeros64(m); i < hi {
+		return i
+	}
+	return -1
 }
 
 // prodRef names a producing ROB slot (idx < 0 means operand ready).
@@ -104,6 +141,12 @@ type Core struct {
 	stqUsed  int
 	pending  map[uint64]*pendingEntry
 
+	// Scheduler slot sets (see issue and writeback): waitSet holds state-0
+	// entries, execSet state-1 entries, and readySet the waiting entries
+	// whose producers have all written back.
+	waitSet, execSet, readySet slotSet
+	paranoid                   bool // check the sets against a ROB scan every step
+
 	lastCommitCycle uint64
 	histRepairBase  uint64
 
@@ -126,6 +169,8 @@ func NewCore(cfg Config, bp *compose.Pipeline, prog *program.Program, seed uint6
 		panic("uarch: core and pipeline disagree on fetch geometry")
 	}
 	oracle := program.NewOracle(prog, seed)
+	words := (cfg.ROBEntries + 63) / 64
+	sets := make([]uint64, 3*words)
 	return &Core{
 		cfg:       cfg,
 		bp:        bp,
@@ -138,6 +183,10 @@ func NewCore(cfg Config, bp *compose.Pipeline, prog *program.Program, seed uint6
 		onCorrect: true,
 		rob:       make([]robE, cfg.ROBEntries),
 		pending:   make(map[uint64]*pendingEntry),
+		waitSet:   sets[:words:words],
+		execSet:   sets[words : 2*words : 2*words],
+		readySet:  sets[2*words:],
+		paranoid:  bp.Paranoid(),
 		obsv:      bp.Observer(),
 		S:         stats.NewSim(),
 	}
@@ -210,12 +259,23 @@ func (c *Core) Pipeline() *compose.Pipeline { return c.bp }
 // Cycle returns the current simulated cycle.
 func (c *Core) Cycle() uint64 { return c.cycle }
 
-func (c *Core) robAt(i int) *robE {
+// ageSpan returns the seg-th slot range of the ROB ring in age order:
+// robHead..n-1, then 0..robHead-1.  Walking a slot set over both spans
+// visits its members oldest first.
+func (c *Core) ageSpan(seg int) (lo, hi int) {
+	if seg == 0 {
+		return c.robHead, len(c.rob)
+	}
+	return 0, c.robHead
+}
+
+// robIdx maps an age position (0 = oldest) to its ROB slot.
+func (c *Core) robIdx(i int) int {
 	j := c.robHead + i
 	if j >= len(c.rob) {
 		j -= len(c.rob)
 	}
-	return &c.rob[j]
+	return j
 }
 
 func (c *Core) pend(e *compose.Entry, n int) {
@@ -312,11 +372,17 @@ func (c *Core) dispatch() {
 		if f.inst != nil {
 			r.src[0] = c.lookupProducer(f.inst.Src1)
 			r.src[1] = c.lookupProducer(f.inst.Src2)
+			c.waitFor(idx, 0)
+			c.waitFor(idx, 1)
 			if f.inst.Dst != 0 {
 				c.rename[f.inst.Dst%32] = renameEntry{idx: idx, seq: f.seq, valid: true}
 			}
 		} else {
 			r.src[0].idx, r.src[1].idx = -1, -1
+		}
+		c.waitSet.set(idx)
+		if r.waitOn == 0 {
+			c.readySet.set(idx)
 		}
 		c.robCount++
 		c.iqUsed[iq]++
@@ -341,7 +407,56 @@ func (c *Core) lookupProducer(reg uint8) prodRef {
 	return prodRef{idx: re.idx, seq: re.seq}
 }
 
-// ready reports whether an instruction's operands have been produced.
+// waitFor links slot's src[k] onto its producer's wake list when that
+// producer is live and not yet written back — the test ready applies,
+// taken once at dispatch.  A done or retired producer stays done, and a
+// flushed producer's consumers are flushed with it, so the answer only
+// ever changes through the producer's writeback (wake).
+func (c *Core) waitFor(slot, k int) {
+	r := &c.rob[slot]
+	s := r.src[k]
+	if s.idx < 0 {
+		return
+	}
+	p := &c.rob[s.idx]
+	if !p.valid || p.fb.seq != s.seq || p.state == 2 {
+		return
+	}
+	r.wakeNext[k] = p.wakeHead
+	p.wakeHead = int32(slot*2 + k + 1)
+	r.waitOn |= 1 << k
+}
+
+// wake releases every consumer on r's wake list as r writes back; a
+// consumer with no source left to wait on becomes ready.
+func (c *Core) wake(r *robE) {
+	for l := r.wakeHead; l != 0; {
+		slot, k := int(l-1)>>1, (l-1)&1
+		cr := &c.rob[slot]
+		cr.waitOn &^= 1 << k
+		if cr.waitOn == 0 {
+			c.readySet.set(slot)
+		}
+		l = cr.wakeNext[k]
+	}
+	r.wakeHead = 0
+}
+
+// unlink takes a flushed consumer off its producers' wake lists.  The
+// ROB tail flushes youngest first and lists run youngest first, so each
+// of the consumer's links is the head of its list by the time it goes.
+func (c *Core) unlink(r *robE) {
+	for k := 1; k >= 0; k-- {
+		if r.waitOn&(1<<k) != 0 {
+			c.rob[r.src[k].idx].wakeHead = r.wakeNext[k]
+		}
+	}
+	r.waitOn = 0
+}
+
+// ready reports whether an instruction's operands have been produced, by a
+// full look at its producers: the oracle readySet is checked against in
+// paranoid mode.
 func (c *Core) ready(r *robE) bool {
 	for _, s := range r.src {
 		if s.idx < 0 {
@@ -387,48 +502,64 @@ func (c *Core) memAddr(r *robE) uint64 {
 }
 
 // issue selects ready instructions per issue queue, oldest first, up to each
-// queue's issue width.
+// queue's issue width.  It walks the ready set in age order (an in-order
+// core walks the waiting set and stalls at the first entry that cannot
+// issue), so the selection is exactly that of a full ROB scan testing
+// every waiting entry's operands.
 func (c *Core) issue() {
 	budget := [numIQ]int{c.cfg.NumALU, c.cfg.NumMem, c.cfg.NumFP}
-	left := c.iqUsed[iqInt] + c.iqUsed[iqMem] + c.iqUsed[iqFP]
-	for i := 0; i < c.robCount && left > 0; i++ {
-		r := c.robAt(i)
-		if r.state != 0 {
-			continue
-		}
-		left--
-		if budget[r.iq] == 0 || !c.ready(r) {
-			if c.cfg.InOrderIssue {
-				return // in-order pipelines stall behind the oldest hazard
+	cand := c.readySet
+	if c.cfg.InOrderIssue {
+		cand = c.waitSet
+	}
+	for seg := 0; seg < 2; seg++ {
+		lo, hi := c.ageSpan(seg)
+		for i := cand.next(lo, hi); i >= 0; i = cand.next(i+1, hi) {
+			r := &c.rob[i]
+			if budget[r.iq] == 0 || !c.readySet.has(i) {
+				if c.cfg.InOrderIssue {
+					return // in-order pipelines stall behind the oldest hazard
+				}
+				continue
 			}
-			continue
+			budget[r.iq]--
+			c.iqUsed[r.iq]--
+			r.state = 1
+			r.doneAt = c.cycle + uint64(c.execLatency(r))
+			c.waitSet.clear(i)
+			c.readySet.clear(i)
+			c.execSet.set(i)
 		}
-		budget[r.iq]--
-		c.iqUsed[r.iq]--
-		r.state = 1
-		r.doneAt = c.cycle + uint64(c.execLatency(r))
 	}
 }
 
-// writeback completes issued instructions and resolves correct-path control
-// flow; a misprediction triggers the full flush-and-redirect sequence.
+// writeback completes issued instructions, oldest first, waking their
+// consumers, and resolves correct-path control flow; a misprediction
+// triggers the full flush-and-redirect sequence, which removes every
+// younger entry and so ends the walk.
 func (c *Core) writeback() {
-	for i := 0; i < c.robCount; i++ {
-		r := c.robAt(i)
-		if r.state != 1 || r.doneAt > c.cycle {
-			continue
+	for seg := 0; seg < 2; seg++ {
+		lo, hi := c.ageSpan(seg)
+		for i := c.execSet.next(lo, hi); i >= 0; i = c.execSet.next(i+1, hi) {
+			r := &c.rob[i]
+			if r.doneAt > c.cycle {
+				continue
+			}
+			r.state = 2
+			c.execSet.clear(i)
+			c.wake(r)
+			f := &r.fb
+			if !f.correct || f.predicated || f.inst == nil || !f.inst.Kind.IsCFI() {
+				continue
+			}
+			res := c.bp.Resolve(c.cycle, f.entry, f.slot, f.step.Taken, f.step.Target)
+			if !res.Mispredict {
+				continue
+			}
+			r.misp, r.dirMisp, r.tgtMisp = true, res.DirMisp, res.TgtMisp
+			c.flushAfter(r, res.Redirect)
+			return
 		}
-		r.state = 2
-		f := &r.fb
-		if !f.correct || f.predicated || f.inst == nil || !f.inst.Kind.IsCFI() {
-			continue
-		}
-		res := c.bp.Resolve(c.cycle, f.entry, f.slot, f.step.Taken, f.step.Target)
-		if !res.Mispredict {
-			continue
-		}
-		r.misp, r.dirMisp, r.tgtMisp = true, res.DirMisp, res.TgtMisp
-		c.flushAfter(r, res.Redirect)
 	}
 }
 
@@ -439,10 +570,15 @@ func (c *Core) flushAfter(r *robE, redirect uint64) {
 	branchSeq := r.fb.seq
 	// ROB tail flush.
 	for c.robCount > 0 {
-		tail := c.robAt(c.robCount - 1)
+		ti := c.robIdx(c.robCount - 1)
+		tail := &c.rob[ti]
 		if tail.fb.seq <= branchSeq {
 			break
 		}
+		c.waitSet.clear(ti)
+		c.execSet.clear(ti)
+		c.readySet.clear(ti)
+		c.unlink(tail)
 		if tail.state == 0 {
 			c.iqUsed[tail.iq]--
 		}
@@ -501,7 +637,7 @@ func (c *Core) flushAfter(r *robE, redirect uint64) {
 // commit retires completed instructions in order.
 func (c *Core) commit() {
 	for n := 0; n < c.cfg.CommitWidth && c.robCount > 0; n++ {
-		r := c.robAt(0)
+		r := &c.rob[c.robHead]
 		if r.state != 2 {
 			return
 		}
@@ -610,6 +746,35 @@ func (c *Core) step() {
 	c.dispatch()
 	c.fetch()
 	c.frontendAdvance()
+	if c.paranoid {
+		c.checkSched()
+	}
+}
+
+// checkSched is the paranoid-mode scheduler invariant: the waiting,
+// executing and ready slot sets must equal what a full ROB scan derives,
+// with ready as the oracle for readiness.  A mismatch is recorded on the
+// pipeline's violation list.
+func (c *Core) checkSched() {
+	n := len(c.rob)
+	for j := 0; j < len(c.waitSet)*64; j++ {
+		var wantW, wantE, wantR bool
+		if j < n {
+			age := j - c.robHead
+			if age < 0 {
+				age += n
+			}
+			if r := &c.rob[j]; age < c.robCount {
+				wantW, wantE = r.state == 0, r.state == 1
+				wantR = wantW && c.ready(r)
+			}
+		}
+		if c.waitSet.has(j) != wantW || c.execSet.has(j) != wantE || c.readySet.has(j) != wantR {
+			c.bp.ReportViolation("Core.step", c.cycle,
+				"scheduler slot %d sets waiting=%v executing=%v ready=%v, ROB scan says %v/%v/%v [head=%d count=%d]",
+				j, c.waitSet.has(j), c.execSet.has(j), c.readySet.has(j), wantW, wantE, wantR, c.robHead, c.robCount)
+		}
+	}
 }
 
 // ResetStats zeroes the performance counters without disturbing

@@ -9,7 +9,8 @@ import (
 
 // TestParanoidCleanOnRealRuns drives every Table I seed design through a
 // mispredict-heavy workload with the invariant checker armed: a healthy
-// pipeline must produce zero violations under every GHR policy.
+// pipeline must produce zero violations under every GHR policy, and a
+// healthy core on every host.
 func TestParanoidCleanOnRealRuns(t *testing.T) {
 	b := program.NewBuilder("paranoid", 0x1000, 4, 5)
 	b.Loop(50, func() {
@@ -17,6 +18,20 @@ func TestParanoidCleanOnRealRuns(t *testing.T) {
 		b.Hammock(0.5, 2, program.ClassALU)
 	})
 	prog := b.MustSeal()
+
+	// The host axis runs a workload whose L2-resident loads, stores and FP
+	// ops are multi-cycle producers, so consumers wait in the ROB and the
+	// checker's comparison of the core's scheduler slot sets against a
+	// full ROB scan sees the wakeup path.  ROB sizes that are not a
+	// multiple of 64, or exceed 64, exercise word boundaries and head wrap.
+	b = program.NewBuilder("paranoid-deps", 0x1000, 4, 5)
+	b.Loop(50, func() {
+		b.Ops(6, 0.3, 0.1, 0.2, func() program.MemBehavior {
+			return &program.RandMem{Base: 0x100000, Size: 1 << 16}
+		})
+		b.Hammock(0.5, 2, program.ClassALU)
+	})
+	deps := b.MustSeal()
 
 	designs := []struct {
 		name string
@@ -29,26 +44,50 @@ func TestParanoidCleanOnRealRuns(t *testing.T) {
 		{"tage-l", "LOOP3 > TAGE3 > BTB2 > BIM2 > UBTB1", compose.Options{GHistBits: 64}},
 	}
 	policies := []compose.GHRPolicy{compose.GHRRepair, compose.GHRRepairReplay, compose.GHRNoRepair}
+	rob := func(n int) func() Config {
+		return func() Config { c := DefaultConfig(); c.ROBEntries = n; return c }
+	}
+	hosts := []struct {
+		name string
+		cfg  func() Config
+	}{
+		{"boom", DefaultConfig},
+		{"inorder", InOrderConfig},
+		{"rob8", rob(8)},
+		{"rob65", rob(65)},
+		{"rob100", rob(100)},
+		{"rob130", rob(130)},
+	}
 
 	for _, d := range designs {
 		for _, pol := range policies {
 			t.Run(d.name+"/"+pol.String(), func(t *testing.T) {
-				opt := d.opt
-				opt.Paranoid = true
-				opt.GHRPolicy = pol
-				bp := mkPipeline(t, d.topo, opt)
-				core := NewCore(DefaultConfig(), bp, prog, 7)
-				s := core.Run(20000)
-				if s.Mispredicts == 0 {
-					t.Fatal("workload produced no mispredicts; repair paths untested")
-				}
-				if n := bp.ViolationCount(); n != 0 {
-					for _, v := range bp.Violations()[:min(3, len(bp.Violations()))] {
-						t.Errorf("violation: %v", v)
-					}
-					t.Fatalf("%d invariant violations on a healthy pipeline", n)
-				}
+				paranoidRun(t, DefaultConfig(), d.topo, d.opt, pol, prog, 20000)
 			})
 		}
+	}
+	for _, h := range hosts {
+		for _, d := range designs {
+			t.Run(h.name+"/"+d.name, func(t *testing.T) {
+				paranoidRun(t, h.cfg(), d.topo, d.opt, compose.GHRRepair, deps, 10000)
+			})
+		}
+	}
+}
+
+func paranoidRun(t *testing.T, cfg Config, topo string, opt compose.Options, pol compose.GHRPolicy, prog *program.Program, insts uint64) {
+	t.Helper()
+	opt.Paranoid = true
+	opt.GHRPolicy = pol
+	bp := mkPipeline(t, topo, opt)
+	s := NewCore(cfg, bp, prog, 7).Run(insts)
+	if s.Mispredicts == 0 {
+		t.Fatal("workload produced no mispredicts; repair paths untested")
+	}
+	if n := bp.ViolationCount(); n != 0 {
+		for _, v := range bp.Violations()[:min(3, len(bp.Violations()))] {
+			t.Errorf("violation: %v", v)
+		}
+		t.Fatalf("%d invariant violations on a healthy pipeline", n)
 	}
 }
