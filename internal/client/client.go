@@ -138,18 +138,18 @@ type Progress struct {
 // bytes the server returned, so callers can assert byte-identity against a
 // local execution.
 type Result struct {
-	ResultVersion int             `json:"result_version"`
-	Spec          *spec.RunSpec   `json:"spec"`
-	Digest        string          `json:"digest"`
-	TraceID       string          `json:"trace_id,omitempty"`
-	Stats         *stats.Sim      `json:"stats"`
-	Events        []obs.Event     `json:"events,omitempty"`
-	EventsTotal   uint64          `json:"events_total,omitempty"`
+	ResultVersion int           `json:"result_version"`
+	Spec          *spec.RunSpec `json:"spec"`
+	Digest        string        `json:"digest"`
+	TraceID       string        `json:"trace_id,omitempty"`
+	Stats         *stats.Sim    `json:"stats"`
+	Events        []obs.Event   `json:"events,omitempty"`
+	EventsTotal   uint64        `json:"events_total,omitempty"`
 	// Intervals is the windowed interval-telemetry summary (result_version
 	// >= 5) when the spec asked for it.
-	Intervals *interval.Set `json:"intervals,omitempty"`
-	Timings       json.RawMessage `json:"timings,omitempty"`
-	Retries       int             `json:"retries,omitempty"`
+	Intervals *interval.Set   `json:"intervals,omitempty"`
+	Timings   json.RawMessage `json:"timings,omitempty"`
+	Retries   int             `json:"retries,omitempty"`
 	// Resources is the daemon's per-run resource attribution (result_version
 	// >= 4): CPU, allocation, and GC cost plus the wait breakdown.
 	Resources *obs.Resources `json:"resources,omitempty"`

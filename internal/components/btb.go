@@ -19,6 +19,7 @@ import (
 type BTB struct {
 	pred.NopEvents
 	name    string
+	id      pred.Provider
 	latency int
 	cfg     pred.Config
 	sets    int
@@ -54,6 +55,7 @@ const btbTargetBits = 21
 // BTBParams configures a BTB instance.
 type BTBParams struct {
 	Name    string
+	ID      pred.Provider // pipeline-scoped provider ID (components.Env.ID)
 	Latency int
 	Entries int // total packet entries (sets * ways)
 	Ways    int
@@ -80,6 +82,7 @@ func NewBTB(cfg pred.Config, p BTBParams) *BTB {
 	}
 	b := &BTB{
 		name:    p.Name,
+		id:      p.ID,
 		latency: p.Latency,
 		cfg:     cfg,
 		sets:    sets,
@@ -201,7 +204,7 @@ func (b *BTB) Predict(q *pred.Query) pred.Response {
 		p := pred.Pred{
 			TgtValid:    true,
 			Target:      target,
-			TgtProvider: b.name,
+			TgtProvider: b.id,
 			IsCFI:       true,
 			Kind:        btbKindToPred(kind),
 		}
@@ -210,7 +213,7 @@ func (b *BTB) Predict(q *pred.Query) pred.Response {
 		if kind != btbKindBranch {
 			p.DirValid = true
 			p.Taken = true
-			p.DirProvider = b.name
+			p.DirProvider = b.id
 		}
 		overlay[i] = p
 	}

@@ -311,13 +311,13 @@ func TestGTAGHistorySensitivity(t *testing.T) {
 }
 
 func TestTourneySelectsCorrectSide(t *testing.T) {
-	tn := NewTourney(cfg(), TourneyParams{Name: "tourney", Entries: 64})
+	tn := NewTourney(cfg(), TourneyParams{Name: "tourney", ID: 3, Entries: 64})
 	pc := uint64(0xA000)
 	// Input 0 is always wrong, input 1 always right (taken).
 	in0 := make(pred.Packet, 4)
 	in1 := make(pred.Packet, 4)
-	in0[0] = pred.Pred{DirValid: true, Taken: false, DirProvider: "g"}
-	in1[0] = pred.Pred{DirValid: true, Taken: true, DirProvider: "l"}
+	in0[0] = pred.Pred{DirValid: true, Taken: false, DirProvider: 1}
+	in1[0] = pred.Pred{DirValid: true, Taken: true, DirProvider: 2}
 	slots := make([]pred.SlotInfo, 4)
 	slots[0] = pred.SlotInfo{Valid: true, IsBranch: true, Taken: true}
 	for i := 0; i < 8; i++ {
@@ -328,8 +328,8 @@ func TestTourneySelectsCorrectSide(t *testing.T) {
 	if !r.Overlay[0].Taken {
 		t.Error("selector should have learned to trust input 1")
 	}
-	if r.Overlay[0].DirProvider != "tourney" {
-		t.Errorf("direction provider = %q, want tourney", r.Overlay[0].DirProvider)
+	if r.Overlay[0].DirProvider != 3 {
+		t.Errorf("direction provider = %d, want the tourney's 3", r.Overlay[0].DirProvider)
 	}
 }
 
@@ -351,7 +351,7 @@ func TestTourneyNoTrainingOnAgreement(t *testing.T) {
 func TestTourneyPassesThroughTargets(t *testing.T) {
 	tn := NewTourney(cfg(), TourneyParams{Name: "tourney", Entries: 64})
 	in0 := make(pred.Packet, 4)
-	in0[2] = pred.Pred{DirValid: true, Taken: true, TgtValid: true, Target: 0xBEE0, TgtProvider: "btb"}
+	in0[2] = pred.Pred{DirValid: true, Taken: true, TgtValid: true, Target: 0xBEE0, TgtProvider: 1}
 	in1 := make(pred.Packet, 4)
 	r := tn.Predict(&pred.Query{PC: 0xA000, In: []pred.Packet{in0, in1}})
 	if !r.Overlay[2].TgtValid || r.Overlay[2].Target != 0xBEE0 {

@@ -22,7 +22,8 @@ import (
 //  7. Reset returns to a state equivalent to power-on for prediction.
 func conformance(t *testing.T, name string) {
 	t.Helper()
-	e := Env{Cfg: pred.DefaultConfig(), Global: history.NewGlobal(128)}
+	e := Env{Cfg: pred.DefaultConfig(), Global: history.NewGlobal(128), ID: 7}
+	const up pred.Provider = 9 // the upstream provider of every input slot
 	c, err := Build(e, name)
 	if err != nil {
 		t.Fatalf("build: %v", err)
@@ -35,7 +36,7 @@ func conformance(t *testing.T, name string) {
 		in := make([]pred.Packet, c.NumInputs())
 		for i := range in {
 			in[i] = make(pred.Packet, e.Cfg.FetchWidth)
-			in[i][0] = pred.Pred{DirValid: true, Taken: true, DirProvider: "up"}
+			in[i][0] = pred.Pred{DirValid: true, Taken: true, DirProvider: up}
 		}
 		return &pred.Query{PC: pc, GHist: ghist, GRaw: []uint64{ghist, 0}, In: in}
 	}
@@ -66,8 +67,8 @@ func conformance(t *testing.T, name string) {
 		t.Errorf("overlay has %d slots, want %d", len(r1.Overlay), e.Cfg.FetchWidth)
 	}
 	for i, p := range r1.Overlay {
-		if p.DirValid && p.DirProvider != c.Name() && p.DirProvider != "up" {
-			t.Errorf("slot %d: direction provider %q is neither the component nor pass-through", i, p.DirProvider)
+		if p.DirValid && p.DirProvider != e.ID && p.DirProvider != up {
+			t.Errorf("slot %d: direction provider %d is neither the component's ID %d nor pass-through", i, p.DirProvider, e.ID)
 		}
 	}
 
@@ -107,7 +108,7 @@ func conformance(t *testing.T, name string) {
 
 	// 7. Reset restores power-on prediction behaviour.
 	c.Reset()
-	fresh, err := Build(Env{Cfg: e.Cfg, Global: history.NewGlobal(128)}, name)
+	fresh, err := Build(Env{Cfg: e.Cfg, Global: history.NewGlobal(128), ID: e.ID}, name)
 	if err != nil {
 		t.Fatal(err)
 	}

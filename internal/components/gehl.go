@@ -20,6 +20,7 @@ import (
 type GEHL struct {
 	pred.NopEvents
 	name    string
+	id      pred.Provider
 	latency int
 	cfg     pred.Config
 
@@ -40,6 +41,7 @@ const gehlCtrBits = 4
 // GEHLParams configures a GEHL instance.
 type GEHLParams struct {
 	Name         string
+	ID           pred.Provider // pipeline-scoped provider ID (components.Env.ID)
 	Latency      int
 	TableEntries []int
 	HistLens     []uint
@@ -64,7 +66,7 @@ func NewGEHL(cfg pred.Config, g *history.Global, p GEHLParams) *GEHL {
 	if p.Latency < 1 {
 		p.Latency = 3
 	}
-	t := &GEHL{name: p.Name, latency: p.Latency, cfg: cfg,
+	t := &GEHL{name: p.Name, id: p.ID, latency: p.Latency, cfg: cfg,
 		theta: int32(2*len(p.TableEntries) + 1)}
 	for i := range p.TableEntries {
 		if !bitutil.IsPow2(p.TableEntries[i]) {
@@ -144,7 +146,7 @@ func (t *GEHL) Predict(q *pred.Query) pred.Response {
 	}
 	overlay := make(pred.Packet, t.cfg.FetchWidth)
 	for i := range overlay {
-		overlay[i] = pred.Pred{DirValid: true, Taken: taken, DirProvider: t.name}
+		overlay[i] = pred.Pred{DirValid: true, Taken: taken, DirProvider: t.id}
 	}
 	return pred.Response{Overlay: overlay, Meta: meta}
 }

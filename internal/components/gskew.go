@@ -21,6 +21,7 @@ import (
 type GSkew struct {
 	pred.NopEvents
 	name    string
+	id      pred.Provider
 	latency int
 	cfg     pred.Config
 	idxBits uint
@@ -34,6 +35,7 @@ type GSkew struct {
 // GSkewParams configures a GSkew instance.
 type GSkewParams struct {
 	Name    string
+	ID      pred.Provider // pipeline-scoped provider ID (components.Env.ID)
 	Latency int
 	Rows    int // rows per bank
 	HistLen uint
@@ -55,6 +57,7 @@ func NewGSkew(cfg pred.Config, p GSkewParams) *GSkew {
 	}
 	g := &GSkew{
 		name:    p.Name,
+		id:      p.ID,
 		latency: p.Latency,
 		cfg:     cfg,
 		idxBits: bitutil.Clog2(p.Rows),
@@ -118,7 +121,7 @@ func (g *GSkew) Predict(q *pred.Query) pred.Response {
 				votes++
 			}
 		}
-		overlay[i] = pred.Pred{DirValid: true, Taken: votes >= 2, DirProvider: g.name}
+		overlay[i] = pred.Pred{DirValid: true, Taken: votes >= 2, DirProvider: g.id}
 	}
 	return pred.Response{Overlay: overlay, Meta: g.metaBuf[:]}
 }
@@ -201,6 +204,7 @@ var _ pred.Subcomponent = (*GSkew)(nil)
 func init() {
 	Register("GEHL", func(env Env, name string, latency, size int) (pred.Subcomponent, error) {
 		p := DefaultGEHLParams(name)
+		p.ID = env.ID
 		if latency > 0 {
 			p.Latency = latency
 		}
@@ -213,7 +217,7 @@ func init() {
 		return NewGEHL(env.Cfg, env.Global, p), nil
 	})
 	Register("YAGS", func(env Env, name string, latency, size int) (pred.Subcomponent, error) {
-		prm := YAGSParams{Name: name, Latency: latency}
+		prm := YAGSParams{Name: name, ID: env.ID, Latency: latency}
 		if size > 0 {
 			prm.ChoiceRows = size
 			prm.ExcEntries = size / 4
@@ -221,7 +225,7 @@ func init() {
 		return NewYAGS(env.Cfg, prm), nil
 	})
 	Register("GSKEW", func(env Env, name string, latency, size int) (pred.Subcomponent, error) {
-		prm := GSkewParams{Name: name, Latency: latency}
+		prm := GSkewParams{Name: name, ID: env.ID, Latency: latency}
 		if size > 0 {
 			prm.Rows = size
 		}

@@ -20,6 +20,7 @@ import (
 type GTAG struct {
 	pred.NopEvents
 	name    string
+	id      pred.Provider
 	latency int
 	cfg     pred.Config
 	idxBits uint
@@ -38,6 +39,7 @@ type GTAG struct {
 // GTAGParams configures a GTAG instance.
 type GTAGParams struct {
 	Name    string
+	ID      pred.Provider // pipeline-scoped provider ID (components.Env.ID)
 	Latency int
 	Entries int  // rows (each covering one fetch packet)
 	TagBits uint // partial tag width (default 8)
@@ -64,6 +66,7 @@ func NewGTAG(cfg pred.Config, g *history.Global, p GTAGParams) *GTAG {
 	ctrBits := uint(2)
 	return &GTAG{
 		name:    p.Name,
+		id:      p.ID,
 		latency: p.Latency,
 		cfg:     cfg,
 		idxBits: idxBits,
@@ -132,7 +135,7 @@ func (g *GTAG) Predict(q *pred.Query) pred.Response {
 			overlay[i] = pred.Pred{
 				DirValid:    true,
 				Taken:       bitutil.CtrTaken(g.rowCtr(row, i), g.ctrBits),
-				DirProvider: g.name,
+				DirProvider: g.id,
 			}
 		}
 	}

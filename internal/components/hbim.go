@@ -58,6 +58,7 @@ func (s IndexSource) String() string {
 type HBIM struct {
 	pred.NopEvents
 	name    string
+	id      pred.Provider
 	latency int
 	cfg     pred.Config
 	source  IndexSource
@@ -73,6 +74,7 @@ type HBIM struct {
 // HBIMParams configures an HBIM instance.
 type HBIMParams struct {
 	Name    string
+	ID      pred.Provider // pipeline-scoped provider ID (components.Env.ID)
 	Latency int
 	Entries int // rows; each row holds FetchWidth counters
 	Source  IndexSource
@@ -97,6 +99,7 @@ func NewHBIM(cfg pred.Config, p HBIMParams) *HBIM {
 	}
 	return &HBIM{
 		name:    p.Name,
+		id:      p.ID,
 		latency: p.Latency,
 		cfg:     cfg,
 		source:  p.Source,
@@ -174,7 +177,7 @@ func (h *HBIM) Predict(q *pred.Query) pred.Response {
 		overlay[i] = pred.Pred{
 			DirValid:    true,
 			Taken:       bitutil.CtrTaken(h.ctrAt(row, i), h.ctrBits),
-			DirProvider: h.name,
+			DirProvider: h.id,
 		}
 	}
 	h.metaBuf[0] = row

@@ -23,6 +23,7 @@ import (
 type ITTAGE struct {
 	pred.NopEvents
 	name    string
+	id      pred.Provider
 	latency int
 	cfg     pred.Config
 	tables  []*itTable
@@ -42,6 +43,7 @@ type itTable struct {
 // ITTAGEParams configures an ITTAGE instance.
 type ITTAGEParams struct {
 	Name         string
+	ID           pred.Provider // pipeline-scoped provider ID (components.Env.ID)
 	Latency      int
 	TableEntries []int
 	HistLens     []uint
@@ -69,7 +71,7 @@ func NewITTAGE(cfg pred.Config, g *history.Global, p ITTAGEParams) *ITTAGE {
 	if p.Latency < 1 {
 		p.Latency = 3
 	}
-	t := &ITTAGE{name: p.Name, latency: p.Latency, cfg: cfg}
+	t := &ITTAGE{name: p.Name, id: p.ID, latency: p.Latency, cfg: cfg}
 	slotBits := bitutil.Clog2(cfg.FetchWidth)
 	if slotBits == 0 {
 		slotBits = 1
@@ -177,7 +179,7 @@ func (t *ITTAGE) Predict(q *pred.Query) pred.Response {
 		overlay[pSlot] = pred.Pred{
 			TgtValid:    true,
 			Target:      pTarget,
-			TgtProvider: t.name,
+			TgtProvider: t.id,
 			IsCFI:       true,
 			Kind:        pred.KindIndirect,
 		}
@@ -285,6 +287,7 @@ var _ pred.Subcomponent = (*ITTAGE)(nil)
 func init() {
 	Register("ITGT", func(env Env, name string, latency, size int) (pred.Subcomponent, error) {
 		p := DefaultITTAGEParams(name)
+		p.ID = env.ID
 		if latency > 0 {
 			p.Latency = latency
 		}

@@ -26,6 +26,7 @@ import (
 // restore those entries during the repair phase" (§III-G.5).
 type Loop struct {
 	name    string
+	id      pred.Provider
 	latency int
 	cfg     pred.Config
 	idxBits uint
@@ -55,6 +56,7 @@ const (
 // LoopParams configures a loop predictor.
 type LoopParams struct {
 	Name    string
+	ID      pred.Provider // pipeline-scoped provider ID (components.Env.ID)
 	Latency int
 	Entries int
 	TagBits uint
@@ -73,6 +75,7 @@ func NewLoop(cfg pred.Config, p LoopParams) *Loop {
 	}
 	return &Loop{
 		name:    p.Name,
+		id:      p.ID,
 		latency: p.Latency,
 		cfg:     cfg,
 		idxBits: bitutil.Clog2(p.Entries),
@@ -165,7 +168,7 @@ func (l *Loop) Predict(q *pred.Query) pred.Response {
 			overlay[slot] = pred.Pred{
 				DirValid:    true,
 				Taken:       taken,
-				DirProvider: l.name,
+				DirProvider: l.id,
 			}
 		}
 	}

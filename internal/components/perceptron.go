@@ -19,6 +19,7 @@ import (
 type Perceptron struct {
 	pred.NopEvents
 	name    string
+	id      pred.Provider
 	latency int
 	cfg     pred.Config
 	idxBits uint
@@ -33,6 +34,7 @@ type Perceptron struct {
 // PerceptronParams configures a perceptron predictor.
 type PerceptronParams struct {
 	Name    string
+	ID      pred.Provider // pipeline-scoped provider ID (components.Env.ID)
 	Latency int
 	Entries int
 	HistLen uint
@@ -55,6 +57,7 @@ func NewPerceptron(cfg pred.Config, p PerceptronParams) *Perceptron {
 	}
 	return &Perceptron{
 		name:    p.Name,
+		id:      p.ID,
 		latency: p.Latency,
 		cfg:     cfg,
 		idxBits: bitutil.Clog2(p.Entries),
@@ -102,7 +105,7 @@ func (p *Perceptron) Predict(q *pred.Query) pred.Response {
 	taken := sum >= 0
 	overlay := p.scratch
 	for i := range overlay {
-		overlay[i] = pred.Pred{DirValid: true, Taken: taken, DirProvider: p.name}
+		overlay[i] = pred.Pred{DirValid: true, Taken: taken, DirProvider: p.id}
 	}
 	mag := sum
 	if mag < 0 {

@@ -17,6 +17,9 @@ import (
 type Env struct {
 	Cfg    pred.Config
 	Global *history.Global
+	// ID is the node's pipeline-scoped provider ID, which the component
+	// stamps on the predictions it provides (see pred.Provider).
+	ID pred.Provider
 }
 
 // Factory builds a component instance.  name is the node's instance name
@@ -121,7 +124,7 @@ func init() {
 			size = 4096 // 16K counters / FetchWidth rows at the default width
 		}
 		return NewHBIM(env.Cfg, HBIMParams{
-			Name: name, Latency: latency, Entries: size, Source: IndexPC,
+			Name: name, ID: env.ID, Latency: latency, Entries: size, Source: IndexPC,
 		}), nil
 	})
 	Register("GBIM", func(env Env, name string, latency, size int) (pred.Subcomponent, error) {
@@ -129,7 +132,7 @@ func init() {
 			size = 4096
 		}
 		return NewHBIM(env.Cfg, HBIMParams{
-			Name: name, Latency: latency, Entries: size, Source: IndexGlobal,
+			Name: name, ID: env.ID, Latency: latency, Entries: size, Source: IndexGlobal,
 			HistLen: 16,
 		}), nil
 	})
@@ -138,7 +141,7 @@ func init() {
 			size = 4096
 		}
 		return NewHBIM(env.Cfg, HBIMParams{
-			Name: name, Latency: latency, Entries: size, Source: IndexLocal,
+			Name: name, ID: env.ID, Latency: latency, Entries: size, Source: IndexLocal,
 			HistLen: 16,
 		}), nil
 	})
@@ -147,7 +150,7 @@ func init() {
 			size = 4096
 		}
 		return NewHBIM(env.Cfg, HBIMParams{
-			Name: name, Latency: latency, Entries: size, Source: IndexGSelect,
+			Name: name, ID: env.ID, Latency: latency, Entries: size, Source: IndexGSelect,
 			HistLen: 8,
 		}), nil
 	})
@@ -156,7 +159,7 @@ func init() {
 			size = 4096
 		}
 		return NewHBIM(env.Cfg, HBIMParams{
-			Name: name, Latency: latency, Entries: size, Source: IndexPath,
+			Name: name, ID: env.ID, Latency: latency, Entries: size, Source: IndexPath,
 			HistLen: 12,
 		}), nil
 	})
@@ -172,7 +175,7 @@ func init() {
 					name, env.Global.Len())
 			}
 			return NewGTAG(env.Cfg, env.Global, GTAGParams{
-				Name: name, Latency: latency, Entries: size,
+				Name: name, ID: env.ID, Latency: latency, Entries: size,
 			}), nil
 		})
 	}
@@ -181,7 +184,7 @@ func init() {
 			size = 512 // packet entries: 2K instruction slots at width 4
 		}
 		return NewBTB(env.Cfg, BTBParams{
-			Name: name, Latency: latency, Entries: size, Ways: 4,
+			Name: name, ID: env.ID, Latency: latency, Entries: size, Ways: 4,
 		}), nil
 	})
 	Register("UBTB", func(env Env, name string, latency, size int) (pred.Subcomponent, error) {
@@ -191,10 +194,11 @@ func init() {
 		if latency > 1 {
 			return nil, fmt.Errorf("components: uBTB is single-cycle; latency %d unsupported", latency)
 		}
-		return NewUBTB(env.Cfg, UBTBParams{Name: name, Entries: size}), nil
+		return NewUBTB(env.Cfg, UBTBParams{Name: name, ID: env.ID, Entries: size}), nil
 	})
 	Register("TAGE", func(env Env, name string, latency, size int) (pred.Subcomponent, error) {
 		p := DefaultTAGEParams(name)
+		p.ID = env.ID
 		if latency > 0 {
 			p.Latency = latency
 		}
@@ -230,7 +234,7 @@ func init() {
 			size = 1024 // "1K tournament counters" (Table I)
 		}
 		return NewTourney(env.Cfg, TourneyParams{
-			Name: name, Latency: latency, Entries: size,
+			Name: name, ID: env.ID, Latency: latency, Entries: size,
 		}), nil
 	})
 	Register("LOOP", func(env Env, name string, latency, size int) (pred.Subcomponent, error) {
@@ -238,7 +242,7 @@ func init() {
 			size = 256 // "256-entry loop predictor" (Table I)
 		}
 		return NewLoop(env.Cfg, LoopParams{
-			Name: name, Latency: latency, Entries: size,
+			Name: name, ID: env.ID, Latency: latency, Entries: size,
 		}), nil
 	})
 	Register("PERC", func(env Env, name string, latency, size int) (pred.Subcomponent, error) {
@@ -246,7 +250,7 @@ func init() {
 			size = 256
 		}
 		return NewPerceptron(env.Cfg, PerceptronParams{
-			Name: name, Latency: latency, Entries: size, HistLen: 24,
+			Name: name, ID: env.ID, Latency: latency, Entries: size, HistLen: 24,
 		}), nil
 	})
 	Register("SCOR", func(env Env, name string, latency, size int) (pred.Subcomponent, error) {
@@ -254,7 +258,7 @@ func init() {
 			size = 1024
 		}
 		return NewStatCorrector(env.Cfg, StatCorrectorParams{
-			Name: name, Latency: latency, Entries: size,
+			Name: name, ID: env.ID, Latency: latency, Entries: size,
 		}), nil
 	})
 }

@@ -16,6 +16,7 @@ import (
 type StatCorrector struct {
 	pred.NopEvents
 	name    string
+	id      pred.Provider
 	latency int
 	cfg     pred.Config
 	idxBits uint
@@ -30,6 +31,7 @@ type StatCorrector struct {
 // StatCorrectorParams configures a statistical corrector.
 type StatCorrectorParams struct {
 	Name    string
+	ID      pred.Provider // pipeline-scoped provider ID (components.Env.ID)
 	Latency int
 	Entries int
 	HistLen uint
@@ -48,6 +50,7 @@ func NewStatCorrector(cfg pred.Config, p StatCorrectorParams) *StatCorrector {
 	}
 	return &StatCorrector{
 		name:    p.Name,
+		id:      p.ID,
 		latency: p.Latency,
 		cfg:     cfg,
 		idxBits: bitutil.Clog2(p.Entries),
@@ -128,7 +131,7 @@ func (c *StatCorrector) Predict(q *pred.Query) pred.Response {
 			overlay[i] = pred.Pred{
 				DirValid:    true,
 				Taken:       !p.Taken,
-				DirProvider: c.name,
+				DirProvider: c.id,
 			}
 		}
 	}

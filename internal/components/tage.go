@@ -26,6 +26,7 @@ import (
 type TAGE struct {
 	pred.NopEvents
 	name    string
+	id      pred.Provider
 	latency int
 	cfg     pred.Config
 
@@ -61,6 +62,7 @@ const (
 // TAGEParams configures a TAGE instance.
 type TAGEParams struct {
 	Name    string
+	ID      pred.Provider // pipeline-scoped provider ID (components.Env.ID)
 	Latency int
 	// TableEntries and HistLens configure the tagged tables (parallel
 	// slices).  TagBits may be scalar-per-table too.
@@ -92,6 +94,7 @@ func NewTAGE(cfg pred.Config, g *history.Global, p TAGEParams) *TAGE {
 	}
 	t := &TAGE{
 		name:      p.Name,
+		id:        p.ID,
 		latency:   p.Latency,
 		cfg:       cfg,
 		lfsr:      0xACE1,
@@ -224,7 +227,7 @@ func (t *TAGE) Predict(q *pred.Query) pred.Response {
 					overlay[i] = pred.Pred{
 						DirValid:    true,
 						Taken:       bitutil.CtrTaken(atb.rowCtr(altRow, i), tageCtrBits),
-						DirProvider: t.name,
+						DirProvider: t.id,
 					}
 				}
 				// else: pass through to predict_in (the base predictor).
@@ -233,7 +236,7 @@ func (t *TAGE) Predict(q *pred.Query) pred.Response {
 			overlay[i] = pred.Pred{
 				DirValid:    true,
 				Taken:       bitutil.CtrTaken(c, tageCtrBits),
-				DirProvider: t.name,
+				DirProvider: t.id,
 			}
 		}
 		flags = 1

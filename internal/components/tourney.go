@@ -20,6 +20,7 @@ import (
 type Tourney struct {
 	pred.NopEvents
 	name    string
+	id      pred.Provider
 	latency int
 	cfg     pred.Config
 	idxBits uint
@@ -33,6 +34,7 @@ type Tourney struct {
 // TourneyParams configures a tournament selector.
 type TourneyParams struct {
 	Name    string
+	ID      pred.Provider // pipeline-scoped provider ID (components.Env.ID)
 	Latency int
 	Entries int  // selector counters (one per row; selection is per packet)
 	HistLen uint // global history bits in the index
@@ -52,6 +54,7 @@ func NewTourney(cfg pred.Config, p TourneyParams) *Tourney {
 	}
 	return &Tourney{
 		name:    p.Name,
+		id:      p.ID,
 		latency: p.Latency,
 		cfg:     cfg,
 		idxBits: idxBits,
@@ -138,7 +141,7 @@ func (t *Tourney) Predict(q *pred.Query) pred.Response {
 			overlay[i] = pred.Pred{
 				DirValid:    true,
 				Taken:       chosen.Taken,
-				DirProvider: t.name,
+				DirProvider: t.id,
 				IsCFI:       chosen.IsCFI,
 				Kind:        chosen.Kind,
 			}

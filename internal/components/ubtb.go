@@ -18,6 +18,7 @@ import (
 // component can override it.
 type UBTB struct {
 	name    string
+	id      pred.Provider
 	latency int
 	cfg     pred.Config
 	tagBits uint
@@ -42,6 +43,7 @@ type ubtbEntry struct {
 // UBTBParams configures a micro-BTB.
 type UBTBParams struct {
 	Name    string
+	ID      pred.Provider // pipeline-scoped provider ID (components.Env.ID)
 	Entries int
 	TagBits uint
 }
@@ -56,6 +58,7 @@ func NewUBTB(cfg pred.Config, p UBTBParams) *UBTB {
 	}
 	return &UBTB{
 		name:    p.Name,
+		id:      p.ID,
 		latency: 1,
 		cfg:     cfg,
 		tagBits: p.TagBits,
@@ -114,8 +117,8 @@ func (u *UBTB) Predict(q *pred.Query) pred.Response {
 				Target:      e.target,
 				IsCFI:       true,
 				Kind:        btbKindToPred(int(e.kind)),
-				DirProvider: u.name,
-				TgtProvider: u.name,
+				DirProvider: u.id,
+				TgtProvider: u.id,
 			}
 		}
 	}

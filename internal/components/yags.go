@@ -18,6 +18,7 @@ import (
 type YAGS struct {
 	pred.NopEvents
 	name    string
+	id      pred.Provider
 	latency int
 	cfg     pred.Config
 	idxBits uint
@@ -36,6 +37,7 @@ type YAGS struct {
 // YAGSParams configures a YAGS instance.
 type YAGSParams struct {
 	Name       string
+	ID         pred.Provider // pipeline-scoped provider ID (components.Env.ID)
 	Latency    int
 	ChoiceRows int
 	ExcEntries int
@@ -74,6 +76,7 @@ func NewYAGS(cfg pred.Config, p YAGSParams) *YAGS {
 	}
 	return &YAGS{
 		name:    p.Name,
+		id:      p.ID,
 		latency: p.Latency,
 		cfg:     cfg,
 		idxBits: bitutil.Clog2(p.ChoiceRows),
@@ -162,7 +165,7 @@ func (y *YAGS) Predict(q *pred.Query) pred.Response {
 				taken = bitutil.CtrTaken(ctr, 2)
 			}
 		}
-		overlay[i] = pred.Pred{DirValid: true, Taken: taken, DirProvider: y.name}
+		overlay[i] = pred.Pred{DirValid: true, Taken: taken, DirProvider: y.id}
 	}
 	y.metaBuf[0] = cRow | uint64(cIdx)<<32
 	y.metaBuf[1] = tRow | uint64(tIdx)<<32

@@ -64,6 +64,12 @@ func (e *Entry) Seq() uint64 { return e.seq }
 // Valid reports whether the entry is still live (not squashed/committed).
 func (e *Entry) Valid() bool { return e.valid }
 
+// RingIndex returns the entry's position in the history-file ring.  Live
+// entries occupy distinct positions, so a host can keep per-entry state in
+// a slice of Options.HFEntries records, tagged with Seq to tell a
+// position's reuses apart.
+func (e *Entry) RingIndex() int { return e.idx }
+
 // historyFile is the ring of entries plus the repair state machine
 // bookkeeping (§IV-B.2).
 type historyFile struct {
@@ -91,15 +97,17 @@ func (hf *historyFile) alloc() *Entry {
 	hf.count++
 	hf.seq++
 	e := &hf.ring[idx]
-	slots := e.Slots
-	for i := range slots {
-		slots[i] = pred.SlotInfo{}
+	// Reset field by field: the per-entry buffers (metadata arena, stage
+	// vector, snapshot words, slot records) are reused in place, and Predict
+	// overwrites the snapshot and the histories before anything reads them.
+	for i := range e.Slots {
+		e.Slots[i] = pred.SlotInfo{}
 	}
-	metaBuf, metas, shifts, saves, sums, ops := e.metaBuf, e.metas, e.shifts, e.lhistSaves, e.metaSums, e.ops
-	snap, stages := e.preSnap, e.stages
-	*e = Entry{idx: idx, seq: hf.seq, valid: true, Slots: slots, CfiIdx: -1,
-		metaBuf: metaBuf, metas: metas, shifts: shifts[:0], lhistSaves: saves[:0],
-		metaSums: sums[:0], ops: ops[:0], preSnap: snap, stages: stages}
+	e.valid, e.seq, e.PC = true, hf.seq, 0
+	e.prePath, e.ghistLow, e.lhist, e.path = 0, 0, 0, 0
+	e.Used, e.CfiIdx, e.NextPC, e.fired = nil, -1, 0, false
+	e.shifts, e.lhistSaves = e.shifts[:0], e.lhistSaves[:0]
+	e.metaSums, e.ops = e.metaSums[:0], e.ops[:0]
 	return e
 }
 

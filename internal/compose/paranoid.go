@@ -89,9 +89,10 @@ func metaSum(words []uint64) uint64 {
 // applyShifts replays an entry's recorded speculative history bits onto a
 // snapshot's raw words (the same shift the live register performed), masked
 // to the architected length — the reference for the snapshot/shift chain
-// invariant.
-func applyShifts(hist []uint64, length uint, shifts []bool) []uint64 {
-	out := append([]uint64(nil), hist...)
+// invariant.  The result is built in dst's backing array (grown if short),
+// so the checker reuses one scratch buffer and stays allocation-free.
+func applyShifts(dst, hist []uint64, length uint, shifts []bool) []uint64 {
+	out := append(dst[:0], hist...)
 	for _, taken := range shifts {
 		carry := uint64(0)
 		if taken {
@@ -152,12 +153,10 @@ func (p *Pipeline) checkInvariants(op string, cycle uint64) {
 			"in-flight count %d out of bounds [0,%d]", hf.count, len(hf.ring))
 		return // the ring walk below would be meaningless
 	}
-	live := map[int]bool{}
-	for i := 0; i < hf.count; i++ {
-		live[(hf.head+i)%len(hf.ring)] = true
-	}
 	for i := range hf.ring {
-		if hf.ring[i].valid != live[i] {
+		// Slot i is occupied iff its distance past the head is below count.
+		age := (i - hf.head + len(hf.ring)) % len(hf.ring)
+		if live := age < hf.count; hf.ring[i].valid != live {
 			p.reportViolation(op, "", cycle, hf.ring[i].seq,
 				"ring slot %d validity %v disagrees with occupancy [head=%d count=%d]",
 				i, hf.ring[i].valid, hf.head, hf.count)
@@ -180,16 +179,18 @@ func (p *Pipeline) checkInvariants(op string, cycle uint64) {
 	if p.Opt.GHRPolicy != GHRNoRepair {
 		for i := 0; i < hf.count; i++ {
 			e := &hf.ring[(hf.head+i)%len(hf.ring)]
-			got := applyShifts(e.preSnap.Hist(), p.Global.Len(), e.shifts)
-			var want []uint64
-			which := ""
+			p.shiftScratch = applyShifts(p.shiftScratch, e.preSnap.Hist(), p.Global.Len(), e.shifts)
+			var y *Entry // the next-younger entry, or nil for the live register
+			want := p.Global.Raw()
 			if i+1 < hf.count {
-				y := &hf.ring[(hf.head+i+1)%len(hf.ring)]
-				want, which = y.preSnap.Hist(), fmt.Sprintf("entry#%d snapshot", y.seq)
-			} else {
-				want, which = p.Global.Raw(), "live global history"
+				y = &hf.ring[(hf.head+i+1)%len(hf.ring)]
+				want = y.preSnap.Hist()
 			}
-			if !wordsEqual(got, want) {
+			if !wordsEqual(p.shiftScratch, want) {
+				which := "live global history"
+				if y != nil {
+					which = fmt.Sprintf("entry#%d snapshot", y.seq)
+				}
 				p.reportViolation(op, "", cycle, e.seq,
 					"snapshot/shift chain broken: snapshot + %d recorded bits != %s (restore round-trip violated)",
 					len(e.shifts), which)

@@ -141,9 +141,10 @@ type Pipeline struct {
 	C  Counters
 
 	// paranoid-mode state (see paranoid.go).
-	paranoid   bool
-	violations []*InvariantError
-	vioTotal   uint64
+	paranoid     bool
+	violations   []*InvariantError
+	vioTotal     uint64
+	shiftScratch []uint64 // applyShifts destination, reused across checks
 
 	// observability (see internal/obs): obsv mirrors Opt.Observer for the
 	// hot-path nil checks; trackOps records each node's raw direction
@@ -151,11 +152,13 @@ type Pipeline struct {
 	obsv     obs.Observer
 	trackOps bool
 
-	// scratch buffers reused across Predict calls.
-	outs    [][]pred.Packet // per node, per stage: combined output packets
-	ovl     []pred.Packet   // per node: the raw overlay it returned this query
-	zeroPkt pred.Packet     // read-only all-empty packet
-	metaOff []int           // per node: offset into the per-entry meta arena
+	// The stage plan (see planStages) and the scratch buffers reused
+	// across Predict calls.
+	plan    []stageOp     // the copy/overlay work of one query, in evaluation order
+	final   []pred.Packet // per stage: the root's packet (owned or aliased)
+	ovl     []pred.Packet // per node: the raw overlay it returned this query
+	zeroPkt pred.Packet   // read-only all-empty packet
+	metaOff []int         // per node: offset into the per-entry meta arena
 	metaTot int
 
 	// q and ev are the reusable signal payloads handed to sub-components
@@ -190,9 +193,13 @@ func New(cfg pred.Config, topo *Topology, opt Options) (*Pipeline, error) {
 	}
 	env := components.Env{Cfg: cfg, Global: p.Global}
 	order := topo.Nodes() // inputs-first
+	if len(order) > maxNodes {
+		return nil, fmt.Errorf("compose: topology has %d nodes; provider IDs allow at most %d", len(order), maxNodes)
+	}
 	index := map[*Node]int{}
 	usesLocal := false
 	for _, n := range order {
+		env.ID = pred.Provider(len(p.nodes) + 1)
 		comp, err := components.Build(env, n.Name)
 		if err != nil {
 			return nil, err
@@ -238,15 +245,9 @@ func New(cfg pred.Config, topo *Topology, opt Options) (*Pipeline, error) {
 		p.Local = history.NewLocal(opt.LocalEntries, opt.LocalHistBits, cfg.PktOff())
 	}
 	p.hf = newHistoryFile(opt.HFEntries, cfg.FetchWidth)
-	p.outs = make([][]pred.Packet, len(p.nodes))
-	for i := range p.outs {
-		p.outs[i] = make([]pred.Packet, p.depth)
-		for d := range p.outs[i] {
-			p.outs[i][d] = make(pred.Packet, cfg.FetchWidth)
-		}
-	}
-	p.ovl = make([]pred.Packet, len(p.nodes))
 	p.zeroPkt = make(pred.Packet, cfg.FetchWidth)
+	p.planStages()
+	p.ovl = make([]pred.Packet, len(p.nodes))
 	p.metaOff = make([]int, len(p.nodes))
 	for i, n := range p.nodes {
 		p.metaOff[i] = p.metaTot
@@ -331,6 +332,83 @@ func overlayInto(dst, over, base pred.Packet) {
 	}
 }
 
+// maxNodes is the largest topology a pipeline can number: provider IDs are
+// uint16 and ID 0 is reserved for "no provider".
+const maxNodes = 1<<16 - 1
+
+// ProviderName returns the topology node name behind a provider ID carried
+// by this pipeline's predictions, or "" for ID 0 (no component provided the
+// field) and for IDs this pipeline never issued.  IDs are pipeline-scoped,
+// so names are resolved only where attribution leaves the pipeline.
+func (p *Pipeline) ProviderName(id pred.Provider) string {
+	if id == 0 || int(id) > len(p.nodes) {
+		return ""
+	}
+	return p.nodes[id-1].name
+}
+
+// stageOp is one step of the stage plan: at some stage, a node either
+// responds (its component predicts and the answer is overlaid on the primary
+// input) or re-pins the overlay it answered earlier over a primary input
+// that changed at this stage.
+type stageOp struct {
+	node    int
+	respond bool
+	dst     pred.Packet   // the node's own packet for this stage
+	prim    pred.Packet   // the primary input's packet for this stage (zeroPkt for leaves)
+	in      []pred.Packet // respond: every input's packet for this stage, in edge order
+}
+
+// planStages compiles the depth x node evaluation of Predict once, at build
+// time.  Each node's packet at stage d is
+//
+//   - the primary input's stage-d packet while d < latency (pass-through),
+//   - the component's answer overlaid on the primary input at d == latency,
+//   - that answer re-pinned over the primary input for d > latency.
+//
+// Only the second kind, and the third where the primary input's packet
+// changed at d, compute anything; every other packet is an alias of one
+// that does — the primary input's, the node's own from stage d-1, or
+// zeroPkt — because its contents would be a byte-for-byte copy.  Each owned
+// buffer is written by exactly one op per query, and the ops run stage by
+// stage in topological order, so every alias is read after its one write:
+// the plan yields the same packets as evaluating every (stage, node) pair.
+// Aliased packets are read-only, as components already treat Query.In.
+func (p *Pipeline) planStages() {
+	outs := make([][]pred.Packet, len(p.nodes)) // per node, per stage
+	for ni := range outs {
+		outs[ni] = make([]pred.Packet, p.depth)
+	}
+	for d := 1; d <= p.depth; d++ {
+		for ni, n := range p.nodes {
+			prim, primPrev := p.zeroPkt, p.zeroPkt
+			if n.primary >= 0 {
+				prim = outs[n.primary][d-1]
+				if d > 1 {
+					primPrev = outs[n.primary][d-2]
+				}
+			}
+			switch {
+			case d < n.lat:
+				outs[ni][d-1] = prim
+			case d > n.lat && &prim[0] == &primPrev[0]:
+				outs[ni][d-1] = outs[ni][d-2]
+			default:
+				op := stageOp{node: ni, respond: d == n.lat,
+					dst: make(pred.Packet, p.Cfg.FetchWidth), prim: prim}
+				if op.respond {
+					for _, ii := range n.inputs {
+						op.in = append(op.in, outs[ii][d-1])
+					}
+				}
+				outs[ni][d-1] = op.dst
+				p.plan = append(p.plan, op)
+			}
+		}
+	}
+	p.final = outs[p.rootIdx]
+}
+
 // Predict issues the predict event for the fetch packet at pc (§III-E) and
 // returns the allocated history-file entry plus the final prediction at
 // every stage 1..Depth (stages[d-1] is what the pipeline redirects on d
@@ -364,47 +442,38 @@ func (p *Pipeline) Predict(cycle uint64, pc uint64) (*Entry, []pred.Packet) {
 	}
 
 	graw := e.preSnap.Hist()
-	for d := 1; d <= p.depth; d++ {
-		for ni, n := range p.nodes {
-			prim := p.zeroPkt
-			if n.primary >= 0 {
-				prim = p.outs[n.primary][d-1]
-			}
-			switch {
-			case d < n.lat:
-				copy(p.outs[ni][d-1], prim)
-			case d == n.lat:
-				q := &p.q
-				q.Cycle, q.PC = cycle, e.PC
-				q.GHist, q.GRaw, q.LHist, q.Path = 0, nil, 0, 0
-				if n.lat >= 2 {
-					// Histories arrive at the end of Fetch-1 (§III-B):
-					// latency-1 components never see them.
-					q.GHist = e.ghistLow
-					q.GRaw = graw
-					q.LHist = e.lhist
-					q.Path = e.path
-				}
-				q.In = q.In[:0]
-				for _, ii := range n.inputs {
-					q.In = append(q.In, p.outs[ii][d-1])
-				}
-				resp := n.comp.Predict(q)
-				// Persist the metadata in the entry's arena (components may
-				// reuse their returned buffers on the next predict).
-				dst := e.metaBuf[p.metaOff[ni] : p.metaOff[ni]+len(resp.Meta)]
-				copy(dst, resp.Meta)
-				e.metas[ni] = dst
-				p.ovl[ni] = resp.Overlay
-				overlayInto(p.outs[ni][d-1], resp.Overlay, prim)
-				if p.obsv != nil {
-					p.emit(obs.KPredict, cycle, e, n.name, -1, n.lat, obs.MetaSum(dst))
-				}
-			default:
-				// d > lat: the component's own overlay stays pinned over the
-				// refined input (monotone refinement, §III-A).
-				overlayInto(p.outs[ni][d-1], p.ovl[ni], prim)
-			}
+	for i := range p.plan {
+		op := &p.plan[i]
+		ni := op.node
+		if !op.respond {
+			// d > lat: the component's own overlay stays pinned over the
+			// refined input (monotone refinement, §III-A).
+			overlayInto(op.dst, p.ovl[ni], op.prim)
+			continue
+		}
+		n := p.nodes[ni]
+		q := &p.q
+		q.Cycle, q.PC = cycle, e.PC
+		q.GHist, q.GRaw, q.LHist, q.Path = 0, nil, 0, 0
+		if n.lat >= 2 {
+			// Histories arrive at the end of Fetch-1 (§III-B): latency-1
+			// components never see them.
+			q.GHist = e.ghistLow
+			q.GRaw = graw
+			q.LHist = e.lhist
+			q.Path = e.path
+		}
+		q.In = op.in
+		resp := n.comp.Predict(q)
+		// Persist the metadata in the entry's arena (components may reuse
+		// their returned buffers on the next predict).
+		dst := e.metaBuf[p.metaOff[ni] : p.metaOff[ni]+len(resp.Meta)]
+		copy(dst, resp.Meta)
+		e.metas[ni] = dst
+		p.ovl[ni] = resp.Overlay
+		overlayInto(op.dst, resp.Overlay, op.prim)
+		if p.obsv != nil {
+			p.emit(obs.KPredict, cycle, e, n.name, -1, n.lat, obs.MetaSum(dst))
 		}
 	}
 	if len(e.stages) != p.depth {
@@ -414,7 +483,7 @@ func (p *Pipeline) Predict(cycle uint64, pc uint64) (*Entry, []pred.Packet) {
 		}
 	}
 	for d := 1; d <= p.depth; d++ {
-		copy(e.stages[d-1], p.outs[p.rootIdx][d-1])
+		copy(e.stages[d-1], p.final[d-1])
 	}
 	if p.trackOps {
 		// Snapshot every node's raw overlay opinion per slot (the ovl
@@ -454,17 +523,11 @@ func (p *Pipeline) Predict(cycle uint64, pc uint64) (*Entry, []pred.Packet) {
 // node ni and returns it.  The payload is valid only for the duration of
 // the one component call it is handed to.
 func (p *Pipeline) event(cycle uint64, e *Entry, ni int) *pred.Event {
-	p.ev = pred.Event{
-		Cycle: cycle,
-		PC:    e.PC,
-		GHist: e.ghistLow,
-		GRaw:  e.preSnap.Hist(),
-		LHist: e.lhist,
-		Path:  e.path,
-		Meta:  e.metas[ni],
-		Slots: e.Slots,
-	}
-	return &p.ev
+	ev := &p.ev
+	ev.Cycle, ev.PC = cycle, e.PC
+	ev.GHist, ev.GRaw, ev.LHist, ev.Path = e.ghistLow, e.preSnap.Hist(), e.lhist, e.path
+	ev.Meta, ev.Slots = e.metas[ni], e.Slots
+	return ev
 }
 
 // Accept installs the frontend's accepted view of the packet (initially the

@@ -26,6 +26,7 @@ func resetFakes() {
 
 type fakeComp struct {
 	name string
+	id   pred.Provider
 	lat  int
 	cfg  pred.Config
 }
@@ -39,12 +40,12 @@ func (f *fakeComp) Predict(q *pred.Query) pred.Response {
 	fakeCtl.ghist[f.name] = q.GHist
 	overlay := make(pred.Packet, f.cfg.FetchWidth)
 	if p, ok := fakeCtl.hit[f.name]; ok {
-		p.DirProvider, p.TgtProvider = "", ""
+		p.DirProvider, p.TgtProvider = 0, 0
 		if p.DirValid {
-			p.DirProvider = f.name
+			p.DirProvider = f.id
 		}
 		if p.TgtValid {
-			p.TgtProvider = f.name
+			p.TgtProvider = f.id
 		}
 		overlay[0] = p
 	}
@@ -70,7 +71,7 @@ func init() {
 			if latency == 0 {
 				latency = 1
 			}
-			return &fakeComp{name: name, lat: latency, cfg: env.Cfg}, nil
+			return &fakeComp{name: name, id: env.ID, lat: latency, cfg: env.Cfg}, nil
 		})
 	}
 }
@@ -151,7 +152,7 @@ func TestOrderingSemantics_LoopWins(t *testing.T) {
 	fakeCtl.hit["TSTC2"] = pred.Pred{DirValid: true, Taken: true}
 	p := mustPipeline(t, "TSTC2 > TSTB2 > TSTA1", Options{})
 	_, stages := p.Predict(0, 0x1000)
-	if !stages[1][0].Taken || stages[1][0].DirProvider != "TSTC2" {
+	if !stages[1][0].Taken || p.ProviderName(stages[1][0].DirProvider) != "TSTC2" {
 		t.Errorf("loop predictor should win at stage 2: %+v", stages[1][0])
 	}
 }

@@ -61,7 +61,7 @@ func FuzzInjector(f *testing.F) {
 					inputs := make([]pred.Packet, in.NumInputs())
 					for j := range inputs {
 						inputs[j] = make(pred.Packet, cfg.FetchWidth)
-						inputs[j][0] = pred.Pred{DirValid: true, Taken: draw()%2 == 0, DirProvider: "up"}
+						inputs[j][0] = pred.Pred{DirValid: true, Taken: draw()%2 == 0, DirProvider: 1}
 					}
 					q := pred.Query{Cycle: cycle, PC: pc, GHist: g,
 						GRaw: []uint64{g, 0}, Path: draw(), In: inputs}

@@ -81,12 +81,20 @@ type Pred struct {
 	IsCFI bool
 	Kind  CFIKind
 
-	// DirProvider / TgtProvider name the sub-component whose opinion each
-	// field group carries — attribution for Fig. 8-style provider stats and
-	// for the tournament's selector update.
-	DirProvider string
-	TgtProvider string
+	// DirProvider / TgtProvider identify the sub-component whose opinion
+	// each field group carries — attribution for Fig. 8-style provider
+	// stats and for the tournament's selector update.
+	DirProvider Provider
+	TgtProvider Provider
 }
+
+// Provider identifies a sub-component within one predictor pipeline: the
+// composer numbers the topology's nodes 1..n in topological order and hands
+// each component its number at construction (compose.Pipeline.ProviderName
+// turns it back into the node's name).  The zero value means no component —
+// a slot nobody predicted.  Keeping the ID a small integer instead of a name
+// leaves Pred pointer-free, so packets copy without write barriers.
+type Provider uint16
 
 // OverlayOn returns base with p's valid field groups overriding it.
 func (p Pred) OverlayOn(base Pred) Pred {

@@ -1,30 +1,40 @@
 package pred
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"cobra/internal/sram"
 )
 
+// Provider IDs the overlay tests attribute fields to.
+const (
+	bim Provider = iota + 1
+	btb
+	tage
+	btb2
+	loop
+)
+
 func TestOverlayOnFieldGroups(t *testing.T) {
-	base := Pred{DirValid: true, Taken: false, DirProvider: "bim",
-		TgtValid: true, Target: 0x100, TgtProvider: "btb"}
+	base := Pred{DirValid: true, Taken: false, DirProvider: bim,
+		TgtValid: true, Target: 0x100, TgtProvider: btb}
 
 	// Direction-only override keeps the base target.
-	dir := Pred{DirValid: true, Taken: true, DirProvider: "tage"}
+	dir := Pred{DirValid: true, Taken: true, DirProvider: tage}
 	got := dir.OverlayOn(base)
-	if !got.Taken || got.DirProvider != "tage" {
+	if !got.Taken || got.DirProvider != tage {
 		t.Errorf("direction override failed: %+v", got)
 	}
-	if !got.TgtValid || got.Target != 0x100 || got.TgtProvider != "btb" {
+	if !got.TgtValid || got.Target != 0x100 || got.TgtProvider != btb {
 		t.Errorf("target must pass through: %+v", got)
 	}
 
 	// Target-only override keeps the base direction (Fig. 3 BTB behaviour).
-	tgt := Pred{TgtValid: true, Target: 0x200, TgtProvider: "btb2", IsCFI: true}
+	tgt := Pred{TgtValid: true, Target: 0x200, TgtProvider: btb2, IsCFI: true}
 	got = tgt.OverlayOn(base)
-	if got.Taken || got.DirProvider != "bim" {
+	if got.Taken || got.DirProvider != bim {
 		t.Errorf("direction must pass through: %+v", got)
 	}
 	if got.Target != 0x200 || !got.IsCFI {
@@ -34,6 +44,22 @@ func TestOverlayOnFieldGroups(t *testing.T) {
 	// Empty overlay is the identity (pure pass-through).
 	if got := (Pred{}).OverlayOn(base); got != base {
 		t.Errorf("empty overlay changed base: %+v", got)
+	}
+}
+
+// TestPredIsPointerFree pins the packet layout the composer's copies rely
+// on: no field the garbage collector must scan, and 24 bytes in all.
+func TestPredIsPointerFree(t *testing.T) {
+	typ := reflect.TypeOf(Pred{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Bool, reflect.Uint8, reflect.Uint16, reflect.Uint64:
+		default:
+			t.Errorf("field %s is a %s; Pred must stay pointer-free", f.Name, f.Type.Kind())
+		}
+	}
+	if n := typ.Size(); n != 24 {
+		t.Errorf("Pred is %d bytes, want 24", n)
 	}
 }
 
@@ -60,27 +86,27 @@ func TestOverlayIdentityProperty(t *testing.T) {
 func TestOverlayAssociativity(t *testing.T) {
 	// (a over (b over c)) == ((a over b applied at packet level)) — for
 	// single fields: overlaying is right-biased and associative.
-	a := Pred{DirValid: true, Taken: true, DirProvider: "a"}
-	b := Pred{TgtValid: true, Target: 5, TgtProvider: "b"}
-	c := Pred{DirValid: true, Taken: false, DirProvider: "c",
-		TgtValid: true, Target: 9, TgtProvider: "c"}
+	a := Pred{DirValid: true, Taken: true, DirProvider: 1}
+	b := Pred{TgtValid: true, Target: 5, TgtProvider: 2}
+	c := Pred{DirValid: true, Taken: false, DirProvider: 3,
+		TgtValid: true, Target: 9, TgtProvider: 3}
 	left := a.OverlayOn(b.OverlayOn(c))
-	if !left.DirValid || !left.Taken || left.DirProvider != "a" {
+	if !left.DirValid || !left.Taken || left.DirProvider != 1 {
 		t.Errorf("direction should come from a: %+v", left)
 	}
-	if left.Target != 5 || left.TgtProvider != "b" {
+	if left.Target != 5 || left.TgtProvider != 2 {
 		t.Errorf("target should come from b: %+v", left)
 	}
 }
 
 func TestPacketOverlay(t *testing.T) {
 	base := Packet{{DirValid: true, Taken: false}, {}}
-	over := Packet{{}, {DirValid: true, Taken: true, DirProvider: "loop"}}
+	over := Packet{{}, {DirValid: true, Taken: true, DirProvider: loop}}
 	got := over.OverlayOn(base)
 	if got[0] != base[0] {
 		t.Errorf("slot 0 must pass through: %+v", got[0])
 	}
-	if !got[1].Taken || got[1].DirProvider != "loop" {
+	if !got[1].Taken || got[1].DirProvider != loop {
 		t.Errorf("slot 1 must be overridden: %+v", got[1])
 	}
 }

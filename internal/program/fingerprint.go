@@ -3,7 +3,6 @@ package program
 import (
 	"crypto/sha256"
 	"fmt"
-	"sort"
 )
 
 // Fingerprint returns a stable content hash of the program's static image:
@@ -23,20 +22,17 @@ import (
 func (p *Program) Fingerprint() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "cobra-program-v1 %s entry=%#x instbytes=%d n=%d\n",
-		p.Name, p.Entry, p.InstBytes, len(p.insts))
+		p.Name, p.Entry, p.InstBytes, p.n)
 	behave := func(b any) string {
 		if p.SingleUse {
 			return fmt.Sprintf("%T", b)
 		}
 		return fmt.Sprintf("%T%+v", b, b)
 	}
-	pcs := make([]uint64, 0, len(p.insts))
-	for pc := range p.insts {
-		pcs = append(pcs, pc)
-	}
-	sort.Slice(pcs, func(a, b int) bool { return pcs[a] < pcs[b] })
-	for _, pc := range pcs {
-		i := p.insts[pc]
+	for _, i := range p.insts {
+		if i == nil {
+			continue
+		}
 		fmt.Fprintf(h, "%#x k=%d c=%d t=%#x r=%d,%d,%d",
 			i.PC, i.Kind, i.Class, i.Target, i.Dst, i.Src1, i.Src2)
 		if i.Dir != nil {

@@ -16,10 +16,7 @@
 // outcomes exist only on the committed path, exactly as in hardware.
 package program
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Kind classifies an instruction's control-flow role.
 type Kind uint8
@@ -117,22 +114,53 @@ type Program struct {
 	// one architectural execution and must never be shared or cached.
 	SingleUse bool
 
-	insts  map[uint64]*Inst
+	// The image is dense: insts[k] is the instruction at lo+k*InstBytes,
+	// nil in a gap.  Fetch looks up every slot of every packet, so At is one
+	// subtraction and one index rather than a map probe.
+	insts  []*Inst
+	lo     uint64
+	n      int
 	nSlots int
 }
 
+// maxSpan bounds the address range an image may cover, in instruction
+// slots, so a stray PC cannot make the dense image allocate gigabytes.
+const maxSpan = 1 << 24
+
 // New creates an empty program.
 func New(name string, entry uint64, instBytes int) *Program {
-	return &Program{Name: name, Entry: entry, InstBytes: instBytes,
-		insts: make(map[uint64]*Inst)}
+	return &Program{Name: name, Entry: entry, InstBytes: instBytes}
 }
 
-// Add inserts an instruction; duplicate PCs are a builder bug.
+// Add inserts an instruction.  Duplicate PCs, PCs off the image's
+// instruction grid (the first PC added, stepped by InstBytes) and images
+// spanning more than maxSpan slots are builder bugs.
 func (p *Program) Add(i *Inst) {
-	if _, dup := p.insts[i.PC]; dup {
+	ib := uint64(p.InstBytes)
+	if p.insts == nil {
+		p.lo = i.PC
+	}
+	if (i.PC-p.lo)%ib != 0 {
+		panic(fmt.Sprintf("program: instruction at %#x is off the %d-byte grid of %#x", i.PC, ib, p.lo))
+	}
+	lo, end := min(p.lo, i.PC), max(p.lo+uint64(len(p.insts))*ib, i.PC+ib)
+	if (end-lo)/ib > maxSpan {
+		panic(fmt.Sprintf("program: instruction at %#x stretches the image past %d slots", i.PC, maxSpan))
+	}
+	if i.PC < p.lo {
+		// Grow downwards: re-base the image at the new lowest PC.
+		p.insts = append(make([]*Inst, (p.lo-i.PC)/ib), p.insts...)
+		p.lo = i.PC
+	}
+	k := (i.PC - p.lo) / ib
+	if n := uint64(len(p.insts)); k >= n {
+		p.insts = append(p.insts, make([]*Inst, k+1-n)...)
+	}
+	if p.insts[k] != nil {
 		panic(fmt.Sprintf("program: duplicate instruction at %#x", i.PC))
 	}
-	p.insts[i.PC] = i
+	p.insts[k] = i
+	p.n++
 }
 
 // Slots returns how many State cells the program's behaviours use (slot ids
@@ -144,13 +172,10 @@ func (p *Program) Slots() int { return p.nSlots + 1 }
 // several instructions keeps its first assignment (shared dynamic state,
 // matching the semantics it had when the state lived in the struct).
 func (p *Program) assignSlots() {
-	pcs := make([]uint64, 0, len(p.insts))
-	for pc := range p.insts {
-		pcs = append(pcs, pc)
-	}
-	sort.Slice(pcs, func(a, b int) bool { return pcs[a] < pcs[b] })
-	for _, pc := range pcs {
-		i := p.insts[pc]
+	for _, i := range p.insts {
+		if i == nil {
+			continue
+		}
 		for _, b := range []any{i.Dir, i.Tgt, i.Mem, i.Sem} {
 			if s, ok := b.(slotted); ok && s.slotID() == 0 {
 				p.nSlots++
@@ -161,11 +186,19 @@ func (p *Program) assignSlots() {
 }
 
 // At returns the instruction at pc, or nil outside the image (wrong-path
-// fetch beyond the program fetches garbage, modelled as nil -> NOP).
-func (p *Program) At(pc uint64) *Inst { return p.insts[pc] }
+// fetch beyond the program fetches garbage, modelled as nil -> NOP): below
+// or past the image, in a gap, or off the instruction grid.
+func (p *Program) At(pc uint64) *Inst {
+	off := pc - p.lo // wraps to a huge value below the image
+	ib := uint64(p.InstBytes)
+	if k := off / ib; k < uint64(len(p.insts)) && off%ib == 0 {
+		return p.insts[k]
+	}
+	return nil
+}
 
 // Len returns the number of instructions in the image.
-func (p *Program) Len() int { return len(p.insts) }
+func (p *Program) Len() int { return p.n }
 
 // Validate checks the image is closed: every static target exists, every
 // branch has a direction behaviour, every indirect a target behaviour.  It
@@ -174,20 +207,21 @@ func (p *Program) Len() int { return len(p.insts) }
 // and may be shared across concurrent simulations.
 func (p *Program) Validate() error {
 	p.assignSlots()
-	for pc, i := range p.insts {
-		if i.PC != pc {
-			return fmt.Errorf("program %s: inst PC %#x filed under %#x", p.Name, i.PC, pc)
+	for _, i := range p.insts {
+		if i == nil {
+			continue
 		}
+		pc := i.PC
 		switch i.Kind {
 		case KindBranch:
 			if i.Dir == nil {
 				return fmt.Errorf("program %s: branch at %#x has no direction behaviour", p.Name, pc)
 			}
-			if p.insts[i.Target] == nil {
+			if p.At(i.Target) == nil {
 				return fmt.Errorf("program %s: branch at %#x targets %#x outside image", p.Name, pc, i.Target)
 			}
 		case KindJump, KindCall:
-			if p.insts[i.Target] == nil {
+			if p.At(i.Target) == nil {
 				return fmt.Errorf("program %s: %s at %#x targets %#x outside image", p.Name, i.Kind, pc, i.Target)
 			}
 		case KindIndirect:
@@ -197,7 +231,7 @@ func (p *Program) Validate() error {
 		}
 		if i.Kind == KindOp || i.Kind == KindBranch {
 			// Fall-through successor must exist.
-			if p.insts[pc+uint64(p.InstBytes)] == nil {
+			if p.At(pc+uint64(p.InstBytes)) == nil {
 				return fmt.Errorf("program %s: %s at %#x falls through outside image", p.Name, i.Kind, pc)
 			}
 		}
@@ -205,7 +239,7 @@ func (p *Program) Validate() error {
 			return fmt.Errorf("program %s: memory op at %#x has no address behaviour", p.Name, pc)
 		}
 	}
-	if p.insts[p.Entry] == nil {
+	if p.At(p.Entry) == nil {
 		return fmt.Errorf("program %s: entry %#x outside image", p.Name, p.Entry)
 	}
 	return nil

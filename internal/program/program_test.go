@@ -253,6 +253,53 @@ func TestDuplicatePCPanics(t *testing.T) {
 	p.Add(&Inst{PC: 0x1000})
 }
 
+// TestAtDenseImage table-tests the dense lookup: every PC of a two-island
+// image (added out of order, so the image grows both ways) resolves to its
+// instruction, and misaligned, gap, below-base and past-end PCs are nil.
+func TestAtDenseImage(t *testing.T) {
+	p := New("islands", 0x1000, 4)
+	want := map[uint64]*Inst{}
+	for _, pc := range []uint64{0x1008, 0x100c, 0x1000, 0x1004, 0x1040, 0x1044, 0x1048} {
+		i := &Inst{PC: pc}
+		p.Add(i)
+		want[pc] = i
+	}
+	if p.Len() != len(want) {
+		t.Errorf("Len = %d, want %d", p.Len(), len(want))
+	}
+	for pc, i := range want {
+		if got := p.At(pc); got != i {
+			t.Errorf("At(%#x) = %p, want %p", pc, got, i)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		pc   uint64
+	}{
+		{"below base", 0xffc},
+		{"far below base", 0},
+		{"misaligned", 0x1002},
+		{"misaligned last", 0x1049},
+		{"gap between islands", 0x1010},
+		{"gap end", 0x103c},
+		{"past end", 0x104c},
+		{"far past end", ^uint64(0)},
+	} {
+		if got := p.At(tc.pc); got != nil {
+			t.Errorf("%s: At(%#x) = %+v, want nil", tc.name, tc.pc, got)
+		}
+	}
+	if got := New("empty", 0x1000, 4).At(0x1000); got != nil {
+		t.Errorf("empty image: At = %+v, want nil", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("an instruction off the image's grid must panic")
+		}
+	}()
+	p.Add(&Inst{PC: 0x1022})
+}
+
 // TestProgramSharedAcrossOracles pins the immutability contract the
 // workload cache and parallel runner depend on: one built Program instance
 // driven by two independent Oracles produces identical, non-interfering

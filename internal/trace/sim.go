@@ -39,6 +39,9 @@ func (r SimResult) MPKB() float64 {
 func Simulate(p *compose.Pipeline, r *Reader) (SimResult, error) {
 	var res SimResult
 	cycle := uint64(0)
+	// Accept copies the slot records into the entry, so one buffer serves
+	// every record.
+	slots := make([]pred.SlotInfo, p.Cfg.FetchWidth)
 	for {
 		rec, err := r.Read()
 		if err == io.EOF {
@@ -55,7 +58,7 @@ func Simulate(p *compose.Pipeline, r *Reader) (SimResult, error) {
 		slot := p.Cfg.SlotOf(rec.PC)
 		fp := final[slot]
 
-		slots := make([]pred.SlotInfo, p.Cfg.FetchWidth)
+		clear(slots)
 		si := pred.SlotInfo{Valid: true, PC: rec.PC}
 		switch rec.Kind {
 		case program.KindBranch:

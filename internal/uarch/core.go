@@ -82,8 +82,12 @@ type renameEntry struct {
 	valid bool
 }
 
-type pendingEntry struct {
-	entry *compose.Entry
+// pendRec counts the delivered instructions of one history-file entry that
+// have neither committed nor been flushed.  Records are indexed by the
+// entry's ring slot and tagged with its seq; a record is live while its
+// count is non-zero.
+type pendRec struct {
+	seq   uint64
 	count int
 }
 
@@ -123,12 +127,11 @@ type Core struct {
 	rasCps        []rasCp
 	rasHead       int // index of the oldest live RAS checkpoint
 
-	// freelists: steady-state fetch recycles packets, per-packet slot
-	// vectors, and pending-entry records instead of allocating (the
-	// fetch/decode loop is the simulator's hottest path).
+	// freelists: steady-state fetch recycles packets and per-packet slot
+	// vectors instead of allocating (the fetch/decode loop is the
+	// simulator's hottest path).
 	pktFree   []*pkt
 	slotsFree [][]pred.SlotInfo
-	pendFree  []*pendingEntry
 	vdScratch []pred.SlotInfo // reusable viewDecode destination
 
 	// backend
@@ -139,7 +142,8 @@ type Core struct {
 	iqUsed   [numIQ]int
 	ldqUsed  int
 	stqUsed  int
-	pending  map[uint64]*pendingEntry
+	pending  []pendRec // one per history-file slot (see pend)
+	pendSeen []int     // paranoid mode: per-slot instruction counts (checkInflight)
 
 	// Scheduler slot sets (see issue and writeback): waitSet holds state-0
 	// entries, execSet state-1 entries, and readySet the waiting entries
@@ -182,7 +186,7 @@ func NewCore(cfg Config, bp *compose.Pipeline, prog *program.Program, seed uint6
 		fetchPC:   prog.Entry,
 		onCorrect: true,
 		rob:       make([]robE, cfg.ROBEntries),
-		pending:   make(map[uint64]*pendingEntry),
+		pending:   make([]pendRec, bp.Opt.HFEntries),
 		waitSet:   sets[:words:words],
 		execSet:   sets[words : 2*words : 2*words],
 		readySet:  sets[2*words:],
@@ -278,46 +282,37 @@ func (c *Core) robIdx(i int) int {
 	return j
 }
 
+// pend adds n delivered instructions to entry e's outstanding count.  The
+// record lives in e's history-file slot: an entry's instructions all leave
+// the machine before its slot can be reallocated, so a slot holds at most
+// one live record (checkInflight polices this in paranoid mode).
 func (c *Core) pend(e *compose.Entry, n int) {
-	p := c.pending[e.Seq()]
-	if p == nil {
-		if k := len(c.pendFree); k > 0 {
-			p = c.pendFree[k-1]
-			c.pendFree = c.pendFree[:k-1]
-			*p = pendingEntry{entry: e}
-		} else {
-			p = &pendingEntry{entry: e}
-		}
-		c.pending[e.Seq()] = p
+	r := &c.pending[e.RingIndex()]
+	if r.count == 0 {
+		r.seq = e.Seq()
 	}
-	p.count += n
+	r.count += n
 }
 
-// unpend decrements an entry's outstanding instruction count; at zero the
-// packet has fully committed (commit=true) or fully vanished, and the
-// history-file entry retires or is dropped.
-func (c *Core) unpend(seq uint64, commit bool) {
-	p := c.pending[seq]
-	if p == nil {
+// unpend decrements the outstanding count of f's history-file entry; at
+// zero the packet has fully committed (commit=true) or fully vanished, and
+// the entry retires or is dropped.
+func (c *Core) unpend(f *fbInst, commit bool) {
+	r := &c.pending[f.entry.RingIndex()]
+	if r.count == 0 || r.seq != f.entrySeq {
 		return
 	}
-	p.count--
-	if p.count > 0 {
-		return
+	r.count--
+	if r.count == 0 && commit && f.entry.Valid() {
+		c.bp.Commit(c.cycle, f.entry)
 	}
-	delete(c.pending, seq)
-	if commit && p.entry.Valid() {
-		c.bp.Commit(c.cycle, p.entry)
-	}
-	p.entry = nil
-	c.pendFree = append(c.pendFree, p)
 }
 
 // tgtProvider names the sub-component whose target opinion the frontend
 // accepted for f's slot, for H2P attribution of jumps and indirects.
 func (c *Core) tgtProvider(f *fbInst) string {
 	if f.entry != nil && f.slot < len(f.entry.Used) {
-		if p := f.entry.Used[f.slot].TgtProvider; p != "" {
+		if p := c.bp.ProviderName(f.entry.Used[f.slot].TgtProvider); p != "" {
 			return p
 		}
 	}
@@ -590,14 +585,14 @@ func (c *Core) flushAfter(r *robE, redirect uint64) {
 				c.stqUsed--
 			}
 		}
-		c.unpend(tail.fb.entrySeq, false)
+		c.unpend(&tail.fb, false)
 		tail.valid = false
 		c.robCount--
 	}
 	// Fetch buffer and in-flight packets are all younger than a resolving
 	// branch (in-order frontend).
 	for i := c.fbHead; i < len(c.fb); i++ {
-		c.unpend(c.fb[i].entrySeq, false)
+		c.unpend(&c.fb[i], false)
 	}
 	c.fb, c.fbHead = c.fb[:0], 0
 	for _, pk := range c.inflight {
@@ -651,7 +646,7 @@ func (c *Core) commit() {
 					c.S.Branches++
 					prov := ""
 					if f.entry != nil && f.slot < len(f.entry.Used) {
-						prov = f.entry.Used[f.slot].DirProvider
+						prov = c.bp.ProviderName(f.entry.Used[f.slot].DirProvider)
 					}
 					if prov == "" {
 						prov = "(default-nt)"
@@ -717,7 +712,7 @@ func (c *Core) commit() {
 				*re = renameEntry{}
 			}
 		}
-		c.unpend(f.entrySeq, true)
+		c.unpend(f, true)
 		// Prune committed RAS checkpoints.
 		for c.rasHead < len(c.rasCps) && c.rasCps[c.rasHead].entrySeq < f.entrySeq {
 			c.rasHead++
@@ -748,6 +743,54 @@ func (c *Core) step() {
 	c.frontendAdvance()
 	if c.paranoid {
 		c.checkSched()
+		c.checkInflight()
+	}
+}
+
+// checkInflight is the paranoid-mode invariant over the structures that
+// track in-flight instructions: every fetch-buffer and ROB instruction's
+// history-file entry is live, the pending record in its slot is tagged with
+// its seq, and each record's count is exactly the number of instructions
+// pointing at it; the oracle window [base, end) covers every in-flight
+// instruction's step, and the cursor lies within it.  A mismatch is recorded
+// on the pipeline's violation list.
+func (c *Core) checkInflight() {
+	if c.pendSeen == nil {
+		c.pendSeen = make([]int, len(c.pending))
+	}
+	clear(c.pendSeen)
+	for i := c.fbHead; i < len(c.fb); i++ {
+		c.checkInst(&c.fb[i])
+	}
+	for i := 0; i < c.robCount; i++ {
+		c.checkInst(&c.rob[c.robIdx(i)].fb)
+	}
+	for slot, r := range c.pending {
+		if r.count != c.pendSeen[slot] {
+			c.bp.ReportViolation("Core.step", c.cycle,
+				"pending slot %d counts %d instructions of entry#%d, fetch buffer and ROB hold %d",
+				slot, r.count, r.seq, c.pendSeen[slot])
+		}
+	}
+	if s := c.steps; s.cursor < s.base || s.cursor > s.end {
+		c.bp.ReportViolation("Core.step", c.cycle,
+			"step cursor %d outside the oracle window [%d, %d)", s.cursor, s.base, s.end)
+	}
+}
+
+// checkInst checks one in-flight instruction for checkInflight and counts
+// it against its entry's slot.
+func (c *Core) checkInst(f *fbInst) {
+	slot := f.entry.RingIndex()
+	if r := c.pending[slot]; r.count == 0 || r.seq != f.entrySeq || !f.entry.Valid() || f.entry.Seq() != f.entrySeq {
+		c.bp.ReportViolation("Core.step", c.cycle,
+			"instruction seq %d of entry#%d: pending slot %d holds entry#%d (count %d), history file holds entry#%d (valid %v)",
+			f.seq, f.entrySeq, slot, r.seq, r.count, f.entry.Seq(), f.entry.Valid())
+	}
+	c.pendSeen[slot]++
+	if s := c.steps; f.hasStep && (f.stepIdx < s.base || f.stepIdx >= s.end) {
+		c.bp.ReportViolation("Core.step", c.cycle,
+			"instruction seq %d holds oracle step %d outside the window [%d, %d)", f.seq, f.stepIdx, s.base, s.end)
 	}
 }
 

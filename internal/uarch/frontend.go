@@ -48,23 +48,46 @@ type fbInst struct {
 
 // stepBuffer windows the oracle's committed stream so fetch can rewind after
 // a mispredict (flushed correct-path instructions are refetched and must be
-// served the same architectural steps).
+// served the same architectural steps).  The window [base, end) lives in a
+// power-of-two ring, step i at ring[i&mask], which doubles when full; pruning
+// committed steps only advances base.
 type stepBuffer struct {
 	oracle *program.Oracle
-	steps  []program.Step
-	base   uint64 // index of steps[0]
+	ring   []program.Step
+	mask   uint64
+	base   uint64 // oldest retained step
+	end    uint64 // one past the newest step drawn from the oracle
 	cursor uint64 // next step to deliver
 }
+
+// stepRingMin is the ring's first allocation; it doubles from there.
+const stepRingMin = 64
 
 func newStepBuffer(o *program.Oracle) *stepBuffer {
 	return &stepBuffer{oracle: o}
 }
 
+// peek returns the step at the cursor, drawing it from the oracle if needed.
+// The pointer is valid until the next peek.
 func (s *stepBuffer) peek() *program.Step {
-	for s.cursor >= s.base+uint64(len(s.steps)) {
-		s.steps = append(s.steps, s.oracle.Next())
+	for s.cursor >= s.end {
+		if s.end-s.base == uint64(len(s.ring)) {
+			s.grow()
+		}
+		s.ring[s.end&s.mask] = s.oracle.Next()
+		s.end++
 	}
-	return &s.steps[s.cursor-s.base]
+	return &s.ring[s.cursor&s.mask]
+}
+
+// grow doubles the ring, moving the window [base, end) to its new slots.
+func (s *stepBuffer) grow() {
+	n := max(2*len(s.ring), stepRingMin)
+	ring := make([]program.Step, n)
+	for i := s.base; i < s.end; i++ {
+		ring[i&uint64(n-1)] = s.ring[i&s.mask]
+	}
+	s.ring, s.mask = ring, uint64(n-1)
 }
 
 func (s *stepBuffer) consume() uint64 {
@@ -82,15 +105,7 @@ func (s *stepBuffer) rewind(to uint64) {
 
 // prune drops steps older than idx (they have committed).
 func (s *stepBuffer) prune(idx uint64) {
-	if idx <= s.base {
-		return
-	}
-	n := idx - s.base
-	if n > uint64(len(s.steps)) {
-		n = uint64(len(s.steps))
-	}
-	s.steps = append(s.steps[:0], s.steps[n:]...)
-	s.base += n
+	s.base = max(s.base, min(idx, s.end))
 }
 
 type rasCp struct {

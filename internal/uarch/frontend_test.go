@@ -216,6 +216,67 @@ func TestStepBuffer(t *testing.T) {
 	sb.rewind(i0)
 }
 
+// TestStepBufferRing drives the oracle window through ring wrap, growth and
+// rewinds across the wrap point, checking every served step against the
+// oracle's own stream.
+func TestStepBufferRing(t *testing.T) {
+	p := backEdgeLoop(5)
+	ref := program.NewOracle(p, 3)
+	var want []program.Step
+	at := func(i uint64) program.Step {
+		for uint64(len(want)) <= i {
+			want = append(want, ref.Next())
+		}
+		return want[i]
+	}
+	sb := newStepBuffer(program.NewOracle(p, 3))
+	take := func(n int) {
+		t.Helper()
+		for k := 0; k < n; k++ {
+			got := *sb.peek()
+			if i := sb.consume(); got != at(i) {
+				t.Fatalf("step %d: got %+v, want %+v", i, got, at(i))
+			}
+		}
+	}
+	// slide advances the cursor n steps, keeping a window of 40 live steps.
+	slide := func(n int) {
+		t.Helper()
+		for k := 0; k < n; k++ {
+			sb.prune(sb.cursor - 40)
+			take(1)
+		}
+	}
+	// Fill the first ring, then let the window lap it several times: it
+	// wraps without growing.
+	take(stepRingMin)
+	slide(5 * stepRingMin)
+	if len(sb.ring) != stepRingMin {
+		t.Errorf("ring grew to %d with a window of 40", len(sb.ring))
+	}
+	// Rewind across the wrap point: base..cursor straddles ring index 0.
+	slide(stepRingMin - int(sb.cursor&sb.mask) + 1)
+	if sb.base&sb.mask < sb.cursor&sb.mask {
+		t.Fatalf("window [%d, %d) does not straddle the wrap point", sb.base, sb.cursor)
+	}
+	sb.rewind(sb.base + 1)
+	take(60)
+	// A window wider than the ring doubles it, keeping the steps in order;
+	// a rewind to the oldest retained step then replays all of them.
+	base := sb.base
+	take(3 * stepRingMin)
+	if len(sb.ring) != 4*stepRingMin {
+		t.Errorf("ring holds %d steps after growth, want %d", len(sb.ring), 4*stepRingMin)
+	}
+	sb.rewind(base)
+	take(int(sb.end - base))
+	sb.prune(sb.end + 10) // pruning past the drawn steps stops at end
+	if sb.base != sb.end {
+		t.Errorf("prune past end left base %d, end %d", sb.base, sb.end)
+	}
+	take(1)
+}
+
 // TestMemAddrWrongPathStability: wrong-path memory ops use deterministic
 // pseudo-addresses (cache pollution without touching oracle state).
 func TestMemAddrWrongPathStability(t *testing.T) {
