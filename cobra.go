@@ -344,7 +344,8 @@ type RunConfig struct {
 	// Profile, when non-nil, accumulates per-PC misprediction attribution
 	// (the H2P report behind -top-branches).
 	Profile *BranchProfile
-	// Metrics, when non-nil, receives live cycle/instruction telemetry.
+	// Metrics, when non-nil, receives live cycle/instruction telemetry
+	// (warmup included) from the run's recorder.
 	Metrics *Metrics
 }
 

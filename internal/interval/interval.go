@@ -5,11 +5,12 @@
 //
 // Every whole-run counter the evaluation reports (Tables I–III) averages
 // away exactly the phenomena compositions exploit: warmup transients, phase
-// behavior, hard-to-predict branches flipping providers in bursts.  A
-// Recorder attached to the uarch core closes one Window per N instructions
-// (quantized to the core's existing 8192-cycle telemetry-flush cadence, so
-// sampling adds no new branches to the hot loop) into a preallocated ring
-// with zero steady-state allocations.  The windows serialize to the compact
+// behavior, hard-to-predict branches flipping providers in bursts.  The
+// Recorder is the uarch core's one telemetry sink — it also carries the
+// run's live progress and feeds the batch Prometheus counters — and closes
+// one Window per N instructions (quantized to the core's 8192-cycle flush
+// cadence, so sampling adds no new branches to the hot loop) into a
+// preallocated ring with zero steady-state allocations.  The windows serialize to the compact
 // CBRAIVL1 binary codec (codec.go), whose encoded bytes also define the
 // set's content hash — the determinism pin that makes interval files
 // comparable across parallelism levels and execution backends.

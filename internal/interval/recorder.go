@@ -1,9 +1,14 @@
 package interval
 
 import (
+	"fmt"
+	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
+	"time"
 
+	"cobra/internal/obs"
 	"cobra/internal/stats"
 )
 
@@ -24,20 +29,46 @@ type snap struct {
 	overrides, squashes, repairs            uint64
 }
 
-// Recorder samples windowed counter deltas from a running core.  It is a
-// single-writer structure: the simulation goroutine calls Tick, Mispredict,
-// Rebase, and Finish; concurrent readers (the SSE progress feed) use Latest
-// and Set, which lock only against window closes — never against the
-// fast path, which is a single comparison.
+// Recorder is the one telemetry sink of a run.  The core feeds it on its
+// 8192-cycle flush (Tick), at the warmup boundary (Rebase) and at the end of
+// the run (Finish), and every number the run publishes is read from its
+// state: the live progress totals and phase (Snap, behind the SSE stream and
+// /statusz), the cycle/instruction deltas forwarded to the batch
+// obs.Metrics (Prometheus), and the windowed counter deltas (Set, behind
+// .ivl files and the result's interval digest).
+//
+// Progress totals share stats.Sim's base: they count from the last Rebase
+// (from 0 before any), so the totals published by Finish equal the result's
+// Cycles and Instructions.  The Prometheus counters are cumulative over
+// warmup and measurement alike.
+//
+// It is a single-writer structure: the simulation goroutine calls Tick,
+// Mispredict, Rebase, and Finish; concurrent readers use Snap and Set, which
+// read atomics and lock only against window closes — never against the
+// fast path of Tick, which publishes two atomics and makes one comparison.
 //
 // Steady state allocates nothing: windows close into a preallocated ring
 // whose per-slot Providers slices are reused, the provider name table stops
 // growing once every sub-component has predicted, and the H2P map stops
 // growing once the program's branch PCs have all mispredicted at least once.
+// With windows off (a zero window size) there is no ring and no H2P map.
 type Recorder struct {
-	every uint64 // window size in committed instructions
+	every uint64       // window size in committed instructions (0 = windows off)
+	met   *obs.Metrics // batch sink fed cycle/instruction deltas (nil = none)
 
-	mu      sync.Mutex // guards ring/start/count/dropped (close vs. Latest/Set)
+	// Live progress, read concurrently by Snap.  startNS is the wall clock
+	// at the first phase transition out of queued (0 while still queued).
+	phase   atomic.Uint32
+	cycles  atomic.Uint64
+	insts   atomic.Uint64
+	target  atomic.Uint64 // instruction budget of the current phase (0 = unknown)
+	startNS atomic.Int64
+
+	// The absolute core cycle and the committed instructions of the current
+	// slice already forwarded to met.
+	metCycles, metInsts uint64
+
+	mu      sync.Mutex // guards ring/start/count/dropped (close vs. Snap/Set)
 	ring    []Window
 	start   int // ring index of the oldest window
 	count   int
@@ -64,27 +95,102 @@ type Recorder struct {
 	windowH2P uint64
 }
 
-// NewRecorder returns a recorder closing one window every `every` committed
-// instructions (0 means DefaultInsts).
-func NewRecorder(every uint64) *Recorder {
-	if every == 0 {
-		every = DefaultInsts
+// NewRecorder returns a recorder in PhaseQueued closing one window every
+// `every` committed instructions; every == 0 turns windows off, leaving the
+// progress totals and the metrics forwarding.  met, when non-nil, receives
+// the run's cycle and instruction deltas.
+func NewRecorder(every uint64, met *obs.Metrics) *Recorder {
+	r := &Recorder{every: every, met: met}
+	if every > 0 {
+		r.ring = make([]Window, ringCap)
+		r.h2p = make(map[uint64]uint32, 1024)
 	}
-	return &Recorder{
-		every:        every,
-		ring:         make([]Window, ringCap),
-		nextBoundary: every,
-		h2p:          make(map[uint64]uint32, 1024),
-	}
+	r.nextBoundary = r.firstBoundary()
+	return r
 }
 
-// IntervalInsts returns the configured window size.
+// firstBoundary is the instruction count that closes a slice's first
+// window: never, with windows off.
+func (r *Recorder) firstBoundary() uint64 {
+	if r.every == 0 {
+		return math.MaxUint64
+	}
+	return r.every
+}
+
+// IntervalInsts returns the configured window size (0 = windows off).
 func (r *Recorder) IntervalInsts() uint64 { return r.every }
+
+// SetPhase publishes a phase transition (and starts the rate clock on the
+// first transition out of queued).
+func (r *Recorder) SetPhase(ph obs.RunPhase) {
+	if ph != obs.PhaseQueued && r.startNS.Load() == 0 {
+		r.startNS.CompareAndSwap(0, time.Now().UnixNano())
+	}
+	r.phase.Store(uint32(ph))
+}
+
+// SetTarget publishes the committed-instruction budget of the current phase
+// (warmup steps or simulate max), so readers can render completion percent.
+func (r *Recorder) SetTarget(insts uint64) { r.target.Store(insts) }
+
+// Progress is one point-in-time read of a run: its progress totals, plus the
+// most recently closed window while windows are on.
+type Progress struct {
+	obs.ProgressSnapshot
+	Window *Window `json:"window,omitempty"`
+}
+
+// Snap reads the run's progress.  Safe to call concurrently with the
+// simulation; QueuePos is the caller's to fill (the recorder does not know
+// about its neighbours in a queue).
+func (r *Recorder) Snap() Progress {
+	ph := obs.RunPhase(r.phase.Load())
+	p := Progress{ProgressSnapshot: obs.ProgressSnapshot{
+		Phase:       ph.String(),
+		Cycles:      r.cycles.Load(),
+		Insts:       r.insts.Load(),
+		TargetInsts: r.target.Load(),
+		Done:        ph.Terminal(),
+	}}
+	if start := r.startNS.Load(); start != 0 {
+		elapsed := time.Since(time.Unix(0, start))
+		p.ElapsedMS = elapsed.Milliseconds()
+		if sec := elapsed.Seconds(); sec > 0 {
+			p.InstsPerSec = float64(p.Insts) / sec
+		}
+	}
+	// The latest closed window, deep-copied so the caller never aliases
+	// ring storage.
+	r.mu.Lock()
+	if r.count > 0 {
+		w := r.ring[(r.start+r.count-1)%len(r.ring)]
+		w.Providers = append([]ProviderStat(nil), w.Providers...)
+		p.Window = &w
+	}
+	r.mu.Unlock()
+	return p
+}
+
+// publish stores the run's totals for Snap and forwards the cycles and
+// instructions not yet reported to the batch metrics.
+func (r *Recorder) publish(cycle uint64, s *stats.Sim) {
+	r.cycles.Store(cycle - r.cycleBase)
+	r.insts.Store(s.Instructions)
+	if r.met != nil {
+		r.met.AddCycles(cycle - r.metCycles)
+		r.met.AddInsts(s.Instructions - r.metInsts)
+		r.metCycles, r.metInsts = cycle, s.Instructions
+	}
+}
 
 // Mispredict records one committed-branch mispredict at pc for H2P-set
 // tracking.  Called from the core's commit stage; lock-free because only the
 // simulation goroutine touches the map and the open-window counter.
 func (r *Recorder) Mispredict(pc uint64) {
+	if r.h2p == nil {
+		return // windows off
+	}
 	n := r.h2p[pc] + 1
 	r.h2p[pc] = n
 	if n >= H2PThreshold {
@@ -93,8 +199,10 @@ func (r *Recorder) Mispredict(pc uint64) {
 }
 
 // Tick is the sampling hook, called from the core's periodic telemetry
-// flush.  The fast path — current window still open — is one comparison.
+// flush with the absolute core cycle.  It publishes the totals, and closes
+// the open window once its instruction boundary is reached.
 func (r *Recorder) Tick(cycle uint64, s *stats.Sim, overrides, squashes, repairs uint64) {
+	r.publish(cycle, s)
 	if s.Instructions < r.nextBoundary {
 		return
 	}
@@ -189,19 +297,28 @@ func (r *Recorder) syncProviders(s *stats.Sim) {
 	}
 }
 
-// Rebase discards everything recorded so far and restarts window numbering
-// at the current cycle — the interval-level analogue of Core.ResetStats, so
-// the warmup slice produces no windows and measured windows start at
-// cycle/instruction zero.  The H2P map deliberately survives: the
-// hard-to-predict set warms alongside the predictors.  The three pipeline
-// counters are snapshotted at their current absolute values because, unlike
-// stats.Sim, they do not reset at warmup.
-func (r *Recorder) Rebase(cycle uint64, overrides, squashes, repairs uint64) {
+// Rebase is the interval-level analogue of Core.ResetStats, called with the
+// counters of the slice about to be discarded: their last deltas reach the
+// batch metrics, then windows, numbering and the progress totals restart at
+// the current cycle, so the warmup slice produces no windows and measured
+// windows start at cycle/instruction zero.  The H2P map deliberately
+// survives: the hard-to-predict set warms alongside the predictors.  The
+// three pipeline counters are snapshotted at their current absolute values
+// because, unlike stats.Sim, they do not reset at warmup.
+func (r *Recorder) Rebase(cycle uint64, s *stats.Sim, overrides, squashes, repairs uint64) {
+	r.publish(cycle, s)
+	r.metInsts = 0
+	r.rebase(cycle, overrides, squashes, repairs)
+}
+
+func (r *Recorder) rebase(cycle uint64, overrides, squashes, repairs uint64) {
 	r.mu.Lock()
 	r.start, r.count, r.dropped = 0, 0, 0
 	r.mu.Unlock()
+	r.cycles.Store(0)
+	r.insts.Store(0)
 	r.nextIndex = 0
-	r.nextBoundary = r.every
+	r.nextBoundary = r.firstBoundary()
 	r.cycleBase = cycle
 	r.curStartCyc, r.curStartInst = 0, 0
 	r.prev = snap{overrides: overrides, squashes: squashes, repairs: repairs}
@@ -211,35 +328,26 @@ func (r *Recorder) Rebase(cycle uint64, overrides, squashes, repairs uint64) {
 	r.windowH2P = 0
 }
 
-// Reset returns the recorder to its just-constructed state: unlike Rebase,
-// the H2P map is cleared too.  Exec resets an attached recorder before
-// wiring it to a fresh core, so a retried attempt records exactly what a
-// first attempt would.
+// Reset readies the recorder for a fresh core: windows, totals and the
+// metrics bookkeeping restart at cycle zero and, unlike Rebase, the H2P map
+// is cleared too.  The phase and rate clock describe the job rather than the
+// attempt and are kept.  Exec resets an attached recorder before wiring it
+// to a new core, so a retried attempt records exactly what a first attempt
+// would.
 func (r *Recorder) Reset() {
-	r.Rebase(0, 0, 0, 0)
+	r.metCycles, r.metInsts = 0, 0
+	r.rebase(0, 0, 0, 0)
 	clear(r.h2p)
 }
 
-// Finish closes the trailing partial window, if any instructions committed
-// into it.  Called once, after the run loop exits.
+// Finish publishes the run's final totals and closes the trailing partial
+// window, if any instructions committed into it.  Called once, after the run
+// loop exits.
 func (r *Recorder) Finish(cycle uint64, s *stats.Sim, overrides, squashes, repairs uint64) {
-	if s.Instructions > r.curStartInst {
+	r.publish(cycle, s)
+	if r.every > 0 && s.Instructions > r.curStartInst {
 		r.close(cycle, s, overrides, squashes, repairs)
 	}
-}
-
-// Latest returns a copy of the most recently closed window (ok=false before
-// the first close).  Safe to call concurrently with the simulation; the
-// Providers slice is deep-copied so the caller never aliases ring storage.
-func (r *Recorder) Latest() (Window, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.count == 0 {
-		return Window{}, false
-	}
-	w := r.ring[(r.start+r.count-1)%len(r.ring)]
-	w.Providers = append([]ProviderStat(nil), w.Providers...)
-	return w, true
 }
 
 // Set snapshots the recorded windows as a self-contained Set with its
@@ -255,4 +363,80 @@ func (r *Recorder) Set() *Set {
 	r.mu.Unlock()
 	s.Hash = s.ContentHash()
 	return s
+}
+
+// Reconcile checks the recorder against the final counters of the run it
+// watched, after Finish, and returns the first disagreement: the published
+// progress totals must equal s's cycles and instructions, and — with windows
+// on and none dropped — the windows must tile [0, s.Instructions] ending at
+// s.Cycles, and every windowed counter with a stats.Sim counterpart, the
+// per-provider deltas included, must sum to that counterpart.  The core runs
+// it in paranoid mode; it allocates only to report a mismatch.
+func (r *Recorder) Reconcile(s *stats.Sim) error {
+	if c, n := r.cycles.Load(), r.insts.Load(); c != s.Cycles || n != s.Instructions {
+		return fmt.Errorf("progress totals %d cycles / %d insts, result %d / %d",
+			c, n, s.Cycles, s.Instructions)
+	}
+	if r.every == 0 {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.dropped > 0 {
+		return nil // the oldest windows are gone; their deltas cannot be summed
+	}
+	var endInst, endCycle uint64
+	var sum snap
+	for i := 0; i < r.count; i++ {
+		w := &r.ring[(r.start+i)%len(r.ring)]
+		if w.Index != i || w.StartInst != endInst || w.StartCycle != endCycle {
+			return fmt.Errorf("window %d (index %d) starts at inst %d cycle %d, predecessor ends at %d / %d",
+				i, w.Index, w.StartInst, w.StartCycle, endInst, endCycle)
+		}
+		endInst, endCycle = w.EndInst, w.EndCycle
+		sum.branches += w.Branches
+		sum.mispredicts += w.Mispredicts
+		sum.dirMisp += w.DirMispredicts
+		sum.tgtMisp += w.TgtMispredicts
+		sum.btbMisses += w.BTBMisses
+		sum.rasEvents += w.RASEvents
+		sum.fetchBubbles += w.FetchBubbles
+		sum.redirects += w.Redirects
+		sum.fetchReplays += w.FetchReplays
+		sum.repairs += w.HistoryRepairs
+	}
+	if endInst != s.Instructions || endCycle != s.Cycles {
+		return fmt.Errorf("%d windows end at inst %d cycle %d, result %d / %d",
+			r.count, endInst, endCycle, s.Instructions, s.Cycles)
+	}
+	want := snap{
+		branches: s.Branches, mispredicts: s.Mispredicts,
+		dirMisp: s.DirMispredicts, tgtMisp: s.TgtMispredicts,
+		btbMisses: s.BTBMisses, rasEvents: s.RASEvents, fetchBubbles: s.FetchBubbles,
+		redirects: s.RedirectFlushes, fetchReplays: s.FetchReplays, repairs: s.HistoryRepairs,
+	}
+	if sum != want {
+		return fmt.Errorf("%d windows sum to %+v, result has %+v", r.count, sum, want)
+	}
+	for name := range s.ProviderHits {
+		if i := sort.SearchStrings(r.provNames, name); i == len(r.provNames) || r.provNames[i] != name {
+			return fmt.Errorf("provider %s is missing from the windows", name)
+		}
+	}
+	for _, name := range r.provNames {
+		var hits, miss uint64
+		for i := 0; i < r.count; i++ {
+			for _, p := range r.ring[(r.start+i)%len(r.ring)].Providers {
+				if p.Name == name {
+					hits += p.Branches
+					miss += p.Mispredicts
+				}
+			}
+		}
+		if hits != s.ProviderHits[name] || miss != s.ProviderMisses[name] {
+			return fmt.Errorf("provider %s windows sum to %d hits / %d misses, result %d / %d",
+				name, hits, miss, s.ProviderHits[name], s.ProviderMisses[name])
+		}
+	}
+	return nil
 }

@@ -1,8 +1,11 @@
 package interval
 
 import (
+	"strings"
 	"testing"
+	"time"
 
+	"cobra/internal/obs"
 	"cobra/internal/stats"
 )
 
@@ -16,7 +19,7 @@ type driver struct {
 }
 
 func newDriver(every uint64) *driver {
-	return &driver{r: NewRecorder(every), s: stats.NewSim()}
+	return &driver{r: NewRecorder(every, nil), s: stats.NewSim()}
 }
 
 func (d *driver) advance(insts uint64) {
@@ -110,7 +113,7 @@ func TestRecorderProvidersSortedAndDeltaed(t *testing.T) {
 }
 
 func TestRecorderH2PThreshold(t *testing.T) {
-	r := NewRecorder(100)
+	r := NewRecorder(100, nil)
 	s := stats.NewSim()
 	for i := uint32(0); i < H2PThreshold-1; i++ {
 		r.Mispredict(0x40)
@@ -142,12 +145,12 @@ func TestRecorderRebaseAndReset(t *testing.T) {
 		d.r.Mispredict(0x99)
 	}
 	d.advance(250)
-	if _, ok := d.r.Latest(); !ok {
+	if d.r.Snap().Window == nil {
 		t.Fatal("no window before rebase")
 	}
 	// Rebase (the warmup boundary): windows restart at zero, H2P set survives.
-	d.r.Rebase(d.cyc, d.s.Instructions/10, d.s.Instructions/20, 0)
-	if _, ok := d.r.Latest(); ok {
+	d.r.Rebase(d.cyc, &d.s, d.s.Instructions/10, d.s.Instructions/20, 0)
+	if d.r.Snap().Window != nil {
 		t.Fatal("window survived rebase")
 	}
 	d.r.Mispredict(0x99)
@@ -163,7 +166,7 @@ func TestRecorderRebaseAndReset(t *testing.T) {
 }
 
 func TestRecorderRingOverflow(t *testing.T) {
-	r := NewRecorder(10)
+	r := NewRecorder(10, nil)
 	s := stats.NewSim()
 	const total = ringCap + 50
 	for i := 1; i <= total; i++ {
@@ -189,16 +192,143 @@ func TestRecorderRingOverflow(t *testing.T) {
 func TestRecorderLatestIsACopy(t *testing.T) {
 	d := newDriver(100)
 	d.advance(100)
-	w, ok := d.r.Latest()
-	if !ok {
+	w := d.r.Snap().Window
+	if w == nil {
 		t.Fatal("no window")
 	}
 	if len(w.Providers) == 0 {
 		t.Fatal("expected provider stats")
 	}
 	w.Providers[0].Branches = 0xDEAD
-	again, _ := d.r.Latest()
-	if again.Providers[0].Branches == 0xDEAD {
-		t.Fatal("Latest aliases ring storage")
+	if again := d.r.Snap().Window; again.Providers[0].Branches == 0xDEAD {
+		t.Fatal("Snap's window aliases ring storage")
+	}
+}
+
+// TestRecorderProgressSnapshot: the recorder's progress half — phase, rate
+// clock, target and totals — reads back through Snap, and totals count from
+// the last Rebase like stats.Sim.
+func TestRecorderProgressSnapshot(t *testing.T) {
+	r := NewRecorder(0, nil)
+	if p := r.Snap(); p.Phase != "queued" || p.Done || p.ElapsedMS != 0 {
+		t.Fatalf("fresh recorder = %+v", p)
+	}
+	r.SetPhase(obs.PhaseSimulate)
+	r.SetTarget(20000)
+	s := stats.NewSim()
+	s.Instructions = 2500
+	r.Tick(5000, &s, 0, 0, 0)
+	time.Sleep(5 * time.Millisecond)
+	p := r.Snap()
+	if p.Phase != "simulate" || p.Cycles != 5000 || p.Insts != 2500 || p.TargetInsts != 20000 {
+		t.Fatalf("snapshot = %+v", p)
+	}
+	if p.ElapsedMS <= 0 || p.InstsPerSec <= 0 {
+		t.Fatalf("rate not derived: %+v", p)
+	}
+	if p.Window != nil {
+		t.Fatalf("windows off, yet the snapshot carries %+v", p.Window)
+	}
+	// The warmup boundary: totals restart at the rebase cycle.
+	r.Rebase(6000, &s, 0, 0, 0)
+	s = stats.NewSim()
+	s.Instructions = 100
+	s.Cycles = 700
+	r.Finish(6700, &s, 0, 0, 0)
+	if p := r.Snap(); p.Cycles != 700 || p.Insts != 100 {
+		t.Fatalf("totals after rebase = %d cycles / %d insts, want 700 / 100", p.Cycles, p.Insts)
+	}
+	if err := r.Reconcile(&s); err != nil {
+		t.Fatal(err)
+	}
+	r.SetPhase(obs.PhaseDone)
+	if p := r.Snap(); !p.Done || p.Phase != "done" {
+		t.Fatalf("terminal snapshot = %+v", p)
+	}
+	if obs.PhaseFailed.String() != "failed" || !obs.PhaseFailed.Terminal() {
+		t.Fatal("failed phase misclassified")
+	}
+}
+
+// TestRecorderWindowsOff: a zero window size records no windows and keeps
+// no ring or H2P map, while totals and metrics still publish.
+func TestRecorderWindowsOff(t *testing.T) {
+	r := NewRecorder(0, nil)
+	if r.ring != nil || r.h2p != nil {
+		t.Fatal("windows-off recorder allocated a ring or H2P map")
+	}
+	s := stats.NewSim()
+	for i := 0; i < 10; i++ {
+		r.Mispredict(0x40)
+		s.Instructions += 1000
+		r.Tick(uint64(i+1)*2000, &s, 0, 0, 0)
+	}
+	r.Finish(21000, &s, 0, 0, 0)
+	if set := r.Set(); len(set.Windows) != 0 || set.IntervalInsts != 0 {
+		t.Fatalf("windows-off recorder produced %+v", set)
+	}
+	if p := r.Snap(); p.Cycles != 21000 || p.Insts != 10000 {
+		t.Fatalf("totals = %d / %d", p.Cycles, p.Insts)
+	}
+}
+
+// TestRecorderForwardsMetrics: the batch metrics receive cycle and
+// instruction deltas cumulative over warmup and measurement, while the
+// progress totals restart at the warmup boundary.
+func TestRecorderForwardsMetrics(t *testing.T) {
+	met := obs.NewMetrics()
+	r := NewRecorder(100, met)
+	s := stats.NewSim()
+	s.Instructions = 300
+	r.Tick(500, &s, 0, 0, 0)
+	s.Instructions = 400
+	r.Rebase(650, &s, 0, 0, 0) // warmup: 650 cycles, 400 insts
+	s = stats.NewSim()
+	s.Instructions = 1000
+	r.Tick(1650, &s, 0, 0, 0)
+	s.Instructions, s.Cycles = 1234, 1400
+	r.Finish(2050, &s, 0, 0, 0)
+	if m := met.Snap(); m.Cycles != 2050 || m.Instructions != 1634 {
+		t.Fatalf("metrics = %d cycles / %d insts, want 2050 / 1634", m.Cycles, m.Instructions)
+	}
+	if p := r.Snap(); p.Cycles != 1400 || p.Insts != 1234 {
+		t.Fatalf("progress = %d / %d, want the measured 1400 / 1234", p.Cycles, p.Insts)
+	}
+	// A reset recorder forwards a new core's deltas from cycle zero.
+	r.Reset()
+	s = stats.NewSim()
+	s.Instructions, s.Cycles = 10, 20
+	r.Finish(20, &s, 0, 0, 0)
+	if m := met.Snap(); m.Cycles != 2070 || m.Instructions != 1644 {
+		t.Fatalf("metrics after reset = %d / %d, want 2070 / 1644", m.Cycles, m.Instructions)
+	}
+}
+
+// TestRecorderReconcile: a faithfully fed recorder reconciles with the
+// counters it saw, and a counter the windows never saw is reported.
+func TestRecorderReconcile(t *testing.T) {
+	d := newDriver(1000)
+	for i := 0; i < 20; i++ {
+		d.advance(333)
+	}
+	d.s.Cycles = d.cyc
+	d.r.Finish(d.cyc, &d.s, d.s.Instructions/10, d.s.Instructions/20, 0)
+	if err := d.r.Reconcile(&d.s); err != nil {
+		t.Fatalf("faithful recorder: %v", err)
+	}
+	s := d.s
+	s.Branches++
+	if err := d.r.Reconcile(&s); err == nil || !strings.Contains(err.Error(), "windows sum") {
+		t.Fatalf("extra branch not reported: %v", err)
+	}
+	s = d.s
+	s.ProviderHits = map[string]uint64{"TAGE3": d.s.ProviderHits["TAGE3"] + 1}
+	if err := d.r.Reconcile(&s); err == nil || !strings.Contains(err.Error(), "provider TAGE3") {
+		t.Fatalf("extra provider hit not reported: %v", err)
+	}
+	s = d.s
+	s.Cycles++
+	if err := d.r.Reconcile(&s); err == nil || !strings.Contains(err.Error(), "progress totals") {
+		t.Fatalf("cycle mismatch not reported: %v", err)
 	}
 }

@@ -264,38 +264,6 @@ func TestFlightDumpOnPanic(t *testing.T) {
 	}
 }
 
-func TestRunProgressSnapshot(t *testing.T) {
-	var nilP *RunProgress
-	nilP.SetPhase(PhaseSimulate)
-	nilP.Set(1, 2)
-	if s := nilP.Snap(); s.Phase != "queued" {
-		t.Fatalf("nil sink phase = %q", s.Phase)
-	}
-
-	p := NewRunProgress()
-	if s := p.Snap(); s.Phase != "queued" || s.Done {
-		t.Fatalf("fresh sink = %+v", s)
-	}
-	p.SetPhase(PhaseSimulate)
-	p.SetTarget(20000)
-	p.Set(5000, 2500)
-	time.Sleep(5 * time.Millisecond)
-	s := p.Snap()
-	if s.Phase != "simulate" || s.Cycles != 5000 || s.Insts != 2500 || s.TargetInsts != 20000 {
-		t.Fatalf("snapshot = %+v", s)
-	}
-	if s.ElapsedMS <= 0 || s.InstsPerSec <= 0 {
-		t.Fatalf("rate not derived: %+v", s)
-	}
-	p.SetPhase(PhaseDone)
-	if s := p.Snap(); !s.Done || s.Phase != "done" {
-		t.Fatalf("terminal snapshot = %+v", s)
-	}
-	if PhaseFailed.String() != "failed" || !PhaseFailed.Terminal() {
-		t.Fatal("failed phase misclassified")
-	}
-}
-
 func TestResourceMeter(t *testing.T) {
 	m := StartResourceMeter(time.Millisecond)
 	// Do some attributable work: allocate and burn a little CPU.

@@ -1,20 +1,11 @@
 package obs
 
-import (
-	"sync/atomic"
-	"time"
-)
-
-// RunProgress is a lock-free live-progress sink for one simulation run: the
-// core and the exec pipeline publish phase transitions and cycle/instruction
-// totals into plain atomics, and any number of readers (the SSE endpoint,
-// /statusz, a progress bar) snapshot them without coordinating with the
-// writer.  Publishing is two atomic stores on the existing 8192-cycle metrics
-// flush cadence, so arming progress costs the hot loop nothing measurable and
-// a nil *RunProgress is, as everywhere in obs, a valid no-op receiver.
+// Run phases and progress snapshots: the vocabulary of a run's live
+// progress, published by its interval.Recorder and decoded by clients of the
+// serving stack's GET /v1/runs/{id}/progress stream.
 
 // Run phases, in execution order.  Queued is the zero value so a freshly
-// allocated RunProgress reports it without a store.
+// allocated recorder reports it without a store.
 type RunPhase uint32
 
 const (
@@ -55,51 +46,6 @@ func (p RunPhase) String() string {
 // Terminal reports whether the phase is an end state.
 func (p RunPhase) Terminal() bool { return p == PhaseDone || p == PhaseFailed }
 
-// RunProgress is the shared sink.  All methods are safe for concurrent use
-// and valid on a nil receiver.
-type RunProgress struct {
-	phase  atomic.Uint32
-	cycles atomic.Uint64
-	insts  atomic.Uint64
-	target atomic.Uint64 // instruction budget of the current phase (0 = unknown)
-	// startNS is the wall clock at the first non-queued phase transition,
-	// for the insts/sec rate; 0 while still queued.
-	startNS atomic.Int64
-}
-
-// NewRunProgress returns a sink in PhaseQueued.
-func NewRunProgress() *RunProgress { return &RunProgress{} }
-
-// SetPhase publishes a phase transition (and starts the rate clock on the
-// first transition out of queued).
-func (p *RunProgress) SetPhase(ph RunPhase) {
-	if p == nil {
-		return
-	}
-	if ph != PhaseQueued && p.startNS.Load() == 0 {
-		p.startNS.CompareAndSwap(0, time.Now().UnixNano())
-	}
-	p.phase.Store(uint32(ph))
-}
-
-// SetTarget publishes the committed-instruction budget of the current phase
-// (warmup steps or simulate max), so readers can render completion percent.
-func (p *RunProgress) SetTarget(insts uint64) {
-	if p != nil {
-		p.target.Store(insts)
-	}
-}
-
-// Set publishes the cycle and instruction totals — the call the core makes on
-// its periodic flush.
-func (p *RunProgress) Set(cycles, insts uint64) {
-	if p == nil {
-		return
-	}
-	p.cycles.Store(cycles)
-	p.insts.Store(insts)
-}
-
 // ProgressSnapshot is one point-in-time read of a run's progress.
 type ProgressSnapshot struct {
 	Phase       string  `json:"phase"`
@@ -110,36 +56,4 @@ type ProgressSnapshot struct {
 	ElapsedMS   int64   `json:"elapsed_ms"`
 	QueuePos    int     `json:"queue_pos,omitempty"`
 	Done        bool    `json:"done"`
-}
-
-// Snap reads the sink.  QueuePos is the caller's to fill (the sink does not
-// know about its neighbours in a queue).
-func (p *RunProgress) Snap() ProgressSnapshot {
-	if p == nil {
-		return ProgressSnapshot{Phase: PhaseQueued.String()}
-	}
-	ph := RunPhase(p.phase.Load())
-	s := ProgressSnapshot{
-		Phase:       ph.String(),
-		Cycles:      p.cycles.Load(),
-		Insts:       p.insts.Load(),
-		TargetInsts: p.target.Load(),
-		Done:        ph.Terminal(),
-	}
-	if start := p.startNS.Load(); start != 0 {
-		elapsed := time.Since(time.Unix(0, start))
-		s.ElapsedMS = elapsed.Milliseconds()
-		if sec := elapsed.Seconds(); sec > 0 {
-			s.InstsPerSec = float64(s.Insts) / sec
-		}
-	}
-	return s
-}
-
-// Phase reads the current phase.
-func (p *RunProgress) Phase() RunPhase {
-	if p == nil {
-		return PhaseQueued
-	}
-	return RunPhase(p.phase.Load())
 }

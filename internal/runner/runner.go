@@ -126,16 +126,12 @@ type Options struct {
 	// serving layer uses this to tie each job back to the HTTP request that
 	// enqueued it; spans are pure observability and never affect results.
 	SpanFor func(i int) *obs.ActiveSpan
-	// ProgressFor, when non-nil, returns the live-progress sink job i
-	// publishes phase transitions and cycle/instruction totals into (nil =
-	// job unwatched).  The serving layer uses this to feed the per-run SSE
-	// progress stream; like spans, sinks never affect results.
-	ProgressFor func(i int) *obs.RunProgress
-	// IntervalsFor, when non-nil, returns the windowed-telemetry recorder
-	// job i samples into (nil = use the spec's own Observe.IntervalInsts
-	// setting).  The serving layer uses this to expose live windows on the
-	// SSE progress stream while the run is still in flight.
-	IntervalsFor func(i int) *interval.Recorder
+	// RecorderFor, when non-nil, returns the telemetry recorder job i feeds
+	// (nil = Exec builds one from the spec and Metrics).  The serving layer
+	// uses this to watch a run's phase, totals and interval windows on the
+	// SSE progress stream while it is still in flight; like spans, recorders
+	// never affect results.
+	RecorderFor func(i int) *interval.Recorder
 }
 
 // JobError identifies which job of a batch failed and why.

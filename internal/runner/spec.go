@@ -83,7 +83,7 @@ func RunSpecs(specs []*spec.RunSpec, opt Options) ([]SpecResult, error) {
 }
 
 // runJob executes spec i of a batch with the per-job hooks opt assigns it
-// (exec span, live progress sink, interval recorder) and books its wall time
+// (exec span, telemetry recorder) and books its wall time
 // and event-ring drops on opt.Metrics.
 func runJob(ctx context.Context, i int, s *spec.RunSpec, opt Options) (SpecResult, error) {
 	at := spec.Attach{Ctx: ctx, Metrics: opt.Metrics}
@@ -94,11 +94,8 @@ func runJob(ctx context.Context, i int, s *spec.RunSpec, opt Options) (SpecResul
 			at.Span.SetAttr("workload", s.Workload)
 		}
 	}
-	if opt.ProgressFor != nil {
-		at.Progress = opt.ProgressFor(i)
-	}
-	if opt.IntervalsFor != nil {
-		at.Intervals = opt.IntervalsFor(i)
+	if opt.RecorderFor != nil {
+		at.Recorder = opt.RecorderFor(i)
 	}
 	begin := time.Now()
 	res, err := safeExec(s, at)

@@ -92,7 +92,9 @@ func startDaemon(t *testing.T, bin, dir string, extra ...string) *daemon {
 	}
 	d := &daemon{cmd: cmd, stderr: &syncBuffer{}, exited: make(chan error, 1)}
 	urlc := make(chan string, 1)
+	drained := make(chan struct{}) // stderr read to EOF: Wait may close the pipe
 	go func() {
+		defer close(drained)
 		sc := bufio.NewScanner(stderr)
 		sc.Buffer(make([]byte, 1<<20), 1<<20)
 		for sc.Scan() {
@@ -109,7 +111,10 @@ func startDaemon(t *testing.T, bin, dir string, extra ...string) *daemon {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	go func() { d.exited <- cmd.Wait() }()
+	go func() {
+		<-drained
+		d.exited <- cmd.Wait()
+	}()
 	select {
 	case d.url = <-urlc:
 	case err := <-d.exited:

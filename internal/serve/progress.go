@@ -10,33 +10,59 @@ import (
 
 	"cobra/internal/interval"
 	"cobra/internal/obs"
+	"cobra/internal/stats"
 )
 
 // This file is the live-introspection surface of the daemon: the per-run
 // progress stream (SSE with a plain-JSON long-poll fallback) and the human
-// /statusz page.  Both read the same lock-free RunProgress sinks the cores
-// publish into on their 8192-cycle flush, so watching a run costs the
-// simulation nothing measurable.
+// /statusz page.  Both read each job's interval.Recorder, the one telemetry
+// sink its core feeds on the 8192-cycle flush, so watching a run costs the
+// simulation nothing measurable and the terminal frame carries the run's
+// final totals.
 
 // progressEvent is one frame of the progress stream: the run's identity and
-// coarse status around the sink snapshot, plus — when the run records
-// interval telemetry — the most recently closed window, so a live watcher
-// sees time-resolved IPC/MPKI while the simulation is still in flight.
+// coarse status around the recorder snapshot, which carries — when the run
+// records interval telemetry — the most recently closed window, so a live
+// watcher sees time-resolved IPC/MPKI while the simulation is still in
+// flight.
 type progressEvent struct {
 	Digest string `json:"digest"`
 	Status string `json:"status"` // queued, running, done, failed
-	obs.ProgressSnapshot
-	Window *interval.Window `json:"window,omitempty"`
+	interval.Progress
 }
 
-// attachWindow adds the job's latest closed interval window to a frame.
-func attachWindow(ev *progressEvent, j *job) {
-	if j.ivl == nil {
-		return
+// jobEvent is the current frame of an admitted job, read from its recorder.
+func (s *Server) jobEvent(j *job) progressEvent {
+	ev := progressEvent{Digest: j.digest, Progress: j.rec.Snap()}
+	if ev.Done {
+		ev.Status = ev.Phase // done or failed
+	} else {
+		ev.Status = statusOf(j)
+		ev.QueuePos = s.queuePos(j)
 	}
-	if w, ok := j.ivl.Latest(); ok {
-		ev.Window = &w
+	return ev
+}
+
+// cachedEvent is the terminal frame of a run that finished before the
+// request: its totals and last window are the cached result's own, so they
+// equal what the live stream's final frame carried.
+func cachedEvent(id string, raw []byte) progressEvent {
+	ev := progressEvent{Digest: id, Status: "done"}
+	ev.Phase, ev.Done = obs.PhaseDone.String(), true
+	var res struct {
+		Stats     *stats.Sim    `json:"stats"`
+		Intervals *interval.Set `json:"intervals"`
 	}
+	if json.Unmarshal(raw, &res) != nil {
+		return ev
+	}
+	if res.Stats != nil {
+		ev.Cycles, ev.Insts = res.Stats.Cycles, res.Stats.Instructions
+	}
+	if res.Intervals != nil && len(res.Intervals.Windows) > 0 {
+		ev.Window = &res.Intervals.Windows[len(res.Intervals.Windows)-1]
+	}
+	return ev
 }
 
 // queuePos approximates a queued job's position: its admission sequence
@@ -54,28 +80,26 @@ func (s *Server) queuePos(j *job) int {
 	return int(pos)
 }
 
-// snapshotRun assembles the current progress frame for a digest, reporting
+// snapshotRun assembles the current progress frame for a digest, with the
+// in-flight job it was read from (nil once the run has finished), reporting
 // whether the digest is known at all.
-func (s *Server) snapshotRun(id string) (progressEvent, bool) {
+func (s *Server) snapshotRun(id string) (progressEvent, *job, bool) {
 	s.mu.Lock()
 	j, inflight := s.jobs[id]
 	_, failed := s.failures[id]
 	s.mu.Unlock()
 	if inflight {
-		ev := progressEvent{Digest: id, Status: statusOf(j), ProgressSnapshot: j.prog.Snap()}
-		ev.QueuePos = s.queuePos(j)
-		attachWindow(&ev, j)
-		return ev, true
+		return s.jobEvent(j), j, true
 	}
-	if _, ok := s.results.get(id); ok {
-		return progressEvent{Digest: id, Status: "done",
-			ProgressSnapshot: obs.ProgressSnapshot{Phase: obs.PhaseDone.String(), Done: true}}, true
+	if raw, ok := s.results.get(id); ok {
+		return cachedEvent(id, raw), nil, true
 	}
 	if failed {
-		return progressEvent{Digest: id, Status: "failed",
-			ProgressSnapshot: obs.ProgressSnapshot{Phase: obs.PhaseFailed.String(), Done: true}}, true
+		ev := progressEvent{Digest: id, Status: "failed"}
+		ev.Phase, ev.Done = obs.PhaseFailed.String(), true
+		return ev, nil, true
 	}
-	return progressEvent{}, false
+	return progressEvent{}, nil, false
 }
 
 // handleProgress serves GET /v1/runs/{id}/progress.  Clients that accept
@@ -93,7 +117,7 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "malformed digest %q", id)
 		return
 	}
-	ev, known := s.snapshotRun(id)
+	ev, j, known := s.snapshotRun(id)
 	if !known {
 		writeError(w, http.StatusNotFound, "unknown run %s", id)
 		return
@@ -130,35 +154,21 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 		flusher.Flush()
 	}
 	emit(ev)
-	if ev.Done {
+	if ev.Done { // a finished run's frame is always terminal
 		return
 	}
 
-	s.mu.Lock()
-	j := s.jobs[id]
-	s.mu.Unlock()
-	if j == nil { // finished between the snapshot and here
-		if ev, known := s.snapshotRun(id); known {
-			emit(ev)
-		}
-		return
-	}
 	tick := time.NewTicker(200 * time.Millisecond)
 	defer tick.Stop()
 	for {
 		select {
 		case <-r.Context().Done():
 			return
-		case <-j.done:
-			if ev, known := s.snapshotRun(id); known {
-				emit(ev)
-			}
+		case <-j.done: // the recorder now holds the final phase and totals
+			emit(s.jobEvent(j))
 			return
 		case <-tick.C:
-			ev := progressEvent{Digest: id, Status: statusOf(j), ProgressSnapshot: j.prog.Snap()}
-			ev.QueuePos = s.queuePos(j)
-			attachWindow(&ev, j)
-			emit(ev)
+			emit(s.jobEvent(j))
 		}
 	}
 }
@@ -225,9 +235,7 @@ func (s *Server) statusz() statuszDoc {
 		doc.FlightCap = f.Cap()
 	}
 	for _, j := range jobs {
-		ev := progressEvent{Digest: j.digest, Status: statusOf(j), ProgressSnapshot: j.prog.Snap()}
-		ev.QueuePos = s.queuePos(j)
-		doc.Runs = append(doc.Runs, ev)
+		doc.Runs = append(doc.Runs, s.jobEvent(j))
 	}
 	// Deterministic ordering for the page and for tests: running first (by
 	// ascending queue position), then queued.

@@ -8,11 +8,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"cobra/internal/obs"
+	"cobra/internal/stats"
 )
 
 // TestProgressSnapshotFallback: clients that don't ask for an event stream
@@ -39,6 +41,11 @@ func TestProgressSnapshotFallback(t *testing.T) {
 	}
 	if ev.Digest != rs.Digest || ev.Status != "done" || !ev.Done || ev.Phase != "done" {
 		t.Fatalf("terminal snapshot = %+v", ev)
+	}
+	// A snapshot taken after the run finished reads the cached result.
+	if st := resultStats(t, waitDone(t, ts, rs.Digest)); ev.Cycles != st.Cycles || ev.Insts != st.Instructions {
+		t.Fatalf("late terminal snapshot reads %d cycles / %d insts, result %d / %d",
+			ev.Cycles, ev.Insts, st.Cycles, st.Instructions)
 	}
 
 	bad, err := http.Get(ts.URL + "/v1/runs/sha256:" + strings.Repeat("0", 64) + "/progress")
@@ -101,24 +108,37 @@ func TestProgressStream(t *testing.T) {
 	if !last.Done || last.Status != "done" {
 		t.Fatalf("stream did not end on a terminal frame: %+v", last)
 	}
-	// Cycle counts within a phase must be monotone non-decreasing.
+	// Cycle counts must be monotone non-decreasing, the terminal frame
+	// included: it carries the run's final totals.
 	var prev uint64
 	sawCycles := false
 	for _, ev := range frames {
 		if ev.Cycles > 0 {
 			sawCycles = true
 		}
-		if ev.Cycles < prev && !ev.Done {
+		if ev.Cycles < prev {
 			t.Fatalf("cycle count went backwards: %d after %d", ev.Cycles, prev)
 		}
-		if !ev.Done {
-			prev = ev.Cycles
-		}
+		prev = ev.Cycles
 	}
 	if !sawCycles {
 		t.Error("no frame carried a cycle count; core flush not feeding the sink")
 	}
-	waitDone(t, ts, rs.Digest)
+	st := resultStats(t, waitDone(t, ts, rs.Digest))
+	if last.Cycles != st.Cycles || last.Insts != st.Instructions {
+		t.Fatalf("terminal frame reads %d cycles / %d insts, result %d / %d",
+			last.Cycles, last.Insts, st.Cycles, st.Instructions)
+	}
+}
+
+// resultStats decodes the counters of a finished run's result.
+func resultStats(t *testing.T, rs runStatus) *stats.Sim {
+	t.Helper()
+	var res Result
+	if err := json.Unmarshal(rs.Result, &res); err != nil || res.Stats == nil {
+		t.Fatalf("run %s has no result stats (%v): %s", rs.Digest, err, rs.Result)
+	}
+	return res.Stats
 }
 
 // TestResultCarriesResources: result_version is 5 and the stored result
@@ -377,4 +397,41 @@ func TestProgressStreamQueuedKeepalive(t *testing.T) {
 		t.Error("no running frame carried a live interval window despite sampling being on")
 	}
 	waitDone(t, ts, rs.Digest)
+}
+
+// TestMetricsReconcileWithResults: with no warmup, the Prometheus cycle and
+// instruction counters equal the sums of the completed runs' results —
+// cache hits simulate nothing and add nothing.
+func TestMetricsReconcileWithResults(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	var cycles, insts uint64
+	for i := 0; i < 3; i++ {
+		_, rs := postSpec(t, ts, smallSpec(uint64(80+i)))
+		st := resultStats(t, waitDone(t, ts, rs.Digest))
+		cycles += st.Cycles
+		insts += st.Instructions
+	}
+	postSpec(t, ts, smallSpec(80)) // a cache hit
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]uint64{"cobra_sim_cycles_total": cycles, "cobra_sim_instructions_total": insts}
+	for _, line := range strings.Split(string(body), "\n") {
+		name, val, ok := strings.Cut(line, " ")
+		if w, tracked := want[name]; ok && tracked {
+			if val != strconv.FormatUint(w, 10) {
+				t.Errorf("%s = %s, results sum to %d", name, val, w)
+			}
+			delete(want, name)
+		}
+	}
+	if len(want) != 0 {
+		t.Fatalf("/metrics lacks %v", want)
+	}
 }

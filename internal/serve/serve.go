@@ -137,19 +137,16 @@ type job struct {
 	enqueue  time.Time        // when the job entered the queue
 	admitSeq uint64           // admission order, for approximate queue position
 	started  atomic.Bool
-	prog     *obs.RunProgress   // live-progress sink behind /v1/runs/{id}/progress
-	ivl      *interval.Recorder // live window recorder (nil unless the spec asks)
+	rec      *interval.Recorder // the run's telemetry, behind /v1/runs/{id}/progress
 	done     chan struct{}
 }
 
-// recorderFor allocates the job's live interval recorder when the spec asks
-// for windowed telemetry, so the SSE progress stream can watch windows close
-// while the run is still in flight.
-func recorderFor(sp *spec.RunSpec) *interval.Recorder {
-	if sp.Observe.IntervalInsts == 0 {
-		return nil
-	}
-	return interval.NewRecorder(sp.Observe.IntervalInsts)
+// newJob builds the queue entry for a canonical spec, with the recorder its
+// run feeds: windows as the spec asks, and cycle/instruction deltas on the
+// server's metrics.
+func (s *Server) newJob(sp *spec.RunSpec, digest string, tc obs.TraceContext, submit time.Time) *job {
+	return &job{spec: sp, digest: digest, tc: tc, submit: submit,
+		rec: interval.NewRecorder(sp.Observe.IntervalInsts, s.met), done: make(chan struct{})}
 }
 
 // Server is the daemon state: worker pool, bounded queue, in-flight dedup
@@ -284,9 +281,7 @@ func (s *Server) replayPending() {
 				"run_digest", p.digest, "phase", "replay")
 			continue
 		}
-		j := &job{spec: p.spec, digest: p.digest, tc: obs.NewTraceContext(),
-			submit: time.Now(), prog: obs.NewRunProgress(),
-			ivl: recorderFor(p.spec), done: make(chan struct{})}
+		j := s.newJob(p.spec, p.digest, obs.NewTraceContext(), time.Now())
 		for {
 			s.mu.Lock()
 			if s.draining {
@@ -412,9 +407,9 @@ func (s *Server) runJob(j *job) {
 	delete(s.jobs, j.digest)
 	s.mu.Unlock()
 	if err != nil {
-		j.prog.SetPhase(obs.PhaseFailed)
+		j.rec.SetPhase(obs.PhaseFailed)
 	} else {
-		j.prog.SetPhase(obs.PhaseDone)
+		j.rec.SetPhase(obs.PhaseDone)
 	}
 	close(j.done)
 	s.met.ObserveRequestEx(time.Since(j.submit), false, j.tc.TraceIDString())
@@ -454,9 +449,8 @@ func (s *Server) execAttempt(j *job, rec *obs.SpanRecorder, pickup time.Time, qu
 	meter := obs.StartResourceMeter(0)
 	res, err := runner.RunSpecs([]*spec.RunSpec{j.spec}, runner.Options{
 		Workers: 1, Policy: runner.FailFast, Timeout: s.cfg.JobTimeout, Metrics: s.met,
-		SpanFor:      func(int) *obs.ActiveSpan { return wspan },
-		ProgressFor:  func(int) *obs.RunProgress { return j.prog },
-		IntervalsFor: func(int) *interval.Recorder { return j.ivl },
+		SpanFor:     func(int) *obs.ActiveSpan { return wspan },
+		RecorderFor: func(int) *interval.Recorder { return j.rec },
 	})
 	resources := meter.Stop()
 	resources.QueueWaitMS = float64(queueWait.Microseconds()) / 1000
@@ -624,8 +618,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	j := &job{spec: sp, digest: digest, tc: tc, submit: reqStart,
-		prog: obs.NewRunProgress(), ivl: recorderFor(sp), done: make(chan struct{})}
+	j := s.newJob(sp, digest, tc, reqStart)
 	j.enqueue = time.Now()
 	select {
 	case s.queue <- j:

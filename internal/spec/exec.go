@@ -30,7 +30,9 @@ type Attach struct {
 	// into the caller's profile; otherwise Observe.Attribution makes Exec
 	// allocate one and return it.
 	Profile *obs.BranchProfile
-	// Metrics, when non-nil, receives live cycle/instruction telemetry.
+	// Metrics, when non-nil, receives live cycle/instruction telemetry: Exec
+	// links the recorder it builds to it.  A caller-supplied Recorder keeps
+	// the metrics it was built with instead.
 	Metrics *obs.Metrics
 	// Ctx, when non-nil, cancels the run cooperatively; the spec's own
 	// TimeoutMS is layered on top.
@@ -47,16 +49,13 @@ type Attach struct {
 	// stack threads through the runner.  nil skips span recording; the
 	// Timings breakdown is measured either way.
 	Span *obs.ActiveSpan
-	// Progress, when non-nil, receives live phase transitions and
-	// cycle/instruction totals for this one run — the feed behind the serving
-	// stack's GET /v1/runs/{id}/progress stream.  Exec publishes the phase at
-	// each boundary; the core publishes totals on its periodic flush.
-	Progress *obs.RunProgress
-	// Intervals, when non-nil, is the caller's windowed-telemetry recorder
-	// (so live readers like the SSE progress feed can watch windows close);
-	// otherwise Observe.IntervalInsts makes Exec allocate one and return its
-	// snapshot in the Outcome.
-	Intervals *interval.Recorder
+	// Recorder, when non-nil, is the caller's telemetry sink for this run, so
+	// live readers (the serving stack's GET /v1/runs/{id}/progress stream)
+	// can watch its phase, totals and windows; Exec resets it first.
+	// Otherwise Exec builds one from Observe.IntervalInsts and Metrics.
+	// Either way the core feeds it, and when it records windows their
+	// snapshot is returned in the Outcome.
+	Recorder *interval.Recorder
 }
 
 // Timings is the wall-clock phase breakdown of one Exec call, in
@@ -84,8 +83,8 @@ type Outcome struct {
 	// Profile is the per-PC attribution profile: the caller's, or a fresh
 	// one when Observe.Attribution asked for it.
 	Profile *obs.BranchProfile
-	// Intervals is the windowed-telemetry snapshot when the spec asked for
-	// one (Observe.IntervalInsts > 0) or the caller attached a recorder.
+	// Intervals is the windowed-telemetry snapshot when the run's recorder
+	// records windows (Observe.IntervalInsts > 0, or the caller's recorder).
 	Intervals *interval.Set
 	// Timings is the wall-clock phase breakdown of this execution.
 	Timings Timings
@@ -152,7 +151,14 @@ func Exec(s *RunSpec, at Attach) (*Outcome, error) {
 		sp.End()
 	}
 
-	at.Progress.SetPhase(obs.PhaseCanonicalize)
+	rec := at.Recorder
+	if rec != nil {
+		rec.Reset() // a caller-owned recorder may carry a previous attempt
+	} else {
+		rec = interval.NewRecorder(s.Observe.IntervalInsts, at.Metrics)
+	}
+
+	rec.SetPhase(obs.PhaseCanonicalize)
 	sp := at.Span.Child("exec", "canonicalize")
 	t0 := time.Now()
 	c, err := s.Canonical()
@@ -161,7 +167,7 @@ func Exec(s *RunSpec, at Attach) (*Outcome, error) {
 		return nil, err
 	}
 
-	at.Progress.SetPhase(obs.PhaseCompose)
+	rec.SetPhase(obs.PhaseCompose)
 	sp = at.Span.Child("exec", "compose")
 	t0 = time.Now()
 	geo, err := geometryFor(c)
@@ -205,7 +211,7 @@ func Exec(s *RunSpec, at Attach) (*Outcome, error) {
 	}
 	endPhase(sp, &tm.ComposeMS, t0, nil)
 
-	at.Progress.SetPhase(obs.PhaseWorkload)
+	rec.SetPhase(obs.PhaseWorkload)
 	sp = at.Span.Child("exec", "workload")
 	t0 = time.Now()
 	prog, err := workloads.GetAt(c.Workload, cfg.Fetch.InstBytes)
@@ -222,21 +228,7 @@ func Exec(s *RunSpec, at Attach) (*Outcome, error) {
 	if prof != nil {
 		core.SetBranchProfile(prof)
 	}
-	if at.Metrics != nil {
-		core.SetMetrics(at.Metrics)
-	}
-	if at.Progress != nil {
-		core.SetProgress(at.Progress)
-	}
-	ivl := at.Intervals
-	if ivl != nil {
-		ivl.Reset() // a caller-owned recorder may carry a previous attempt
-	} else if c.Observe.IntervalInsts > 0 {
-		ivl = interval.NewRecorder(c.Observe.IntervalInsts)
-	}
-	if ivl != nil {
-		core.SetIntervals(ivl)
-	}
+	core.SetRecorder(rec)
 
 	ctx := at.Ctx
 	if d := c.Timeout(); d > 0 {
@@ -253,8 +245,8 @@ func Exec(s *RunSpec, at Attach) (*Outcome, error) {
 	}
 
 	if c.Warmup > 0 {
-		at.Progress.SetPhase(obs.PhaseWarmup)
-		at.Progress.SetTarget(c.Warmup)
+		rec.SetPhase(obs.PhaseWarmup)
+		rec.SetTarget(c.Warmup)
 		sp = at.Span.Child("exec", "warmup")
 		t0 = time.Now()
 		core.Run(c.Warmup)
@@ -266,8 +258,8 @@ func Exec(s *RunSpec, at Attach) (*Outcome, error) {
 		core.ResetStats()
 		endPhase(sp, &tm.WarmupMS, t0, nil)
 	}
-	at.Progress.SetPhase(obs.PhaseSimulate)
-	at.Progress.SetTarget(c.Insts)
+	rec.SetPhase(obs.PhaseSimulate)
+	rec.SetTarget(c.Insts)
 	sp = at.Span.Child("exec", "simulate")
 	t0 = time.Now()
 	res := core.Run(c.Insts)
@@ -292,8 +284,8 @@ func Exec(s *RunSpec, at Attach) (*Outcome, error) {
 		out.Events = tracer.Events()
 		out.EventsTotal = tracer.Total()
 	}
-	if ivl != nil {
-		out.Intervals = ivl.Set()
+	if rec.IntervalInsts() > 0 {
+		out.Intervals = rec.Set()
 	}
 	return out, nil
 }

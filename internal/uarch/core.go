@@ -160,11 +160,7 @@ type Core struct {
 	obsv       obs.Observer       // mirrors bp.Observer(): frontend redirect records
 	prof       *obs.BranchProfile // per-PC misprediction attribution (H2P)
 	opsScratch []obs.Opinion      // reused opinion buffer for prof records
-	met        *obs.Metrics       // live telemetry sink (flushed periodically)
-	metCycles  uint64             // cycles already flushed to met
-	metInsts   uint64             // instructions already flushed to met
-	rprog      *obs.RunProgress   // per-run live-progress sink (same cadence)
-	ivl        *interval.Recorder // windowed telemetry sampler (same cadence)
+	rec        *interval.Recorder // the run's telemetry sink (see SetRecorder)
 }
 
 // NewCore wires a predictor pipeline to a program.
@@ -207,40 +203,12 @@ func (c *Core) SetBranchProfile(p *obs.BranchProfile) {
 	}
 }
 
-// SetMetrics attaches a live telemetry sink: Run flushes cycle/instruction
-// deltas into it periodically (every few thousand simulated cycles), so a
-// metrics endpoint or progress reporter sees a long simulation advance
-// instead of one lump at the end.
-func (c *Core) SetMetrics(m *obs.Metrics) { c.met = m }
-
-// SetProgress attaches a per-run live-progress sink, published on the same
-// 8192-cycle cadence as the metrics flush.  Where Metrics aggregates across a
-// whole batch, RunProgress carries this one run's absolute totals — the feed
-// behind GET /v1/runs/{id}/progress.
-func (c *Core) SetProgress(p *obs.RunProgress) { c.rprog = p }
-
-// SetIntervals attaches a windowed-telemetry recorder, sampled on the same
-// 8192-cycle cadence as the metrics flush: the recorder closes one window
-// per spec.Observe.IntervalInsts committed instructions, quantized to that
-// cadence so interval sampling adds no new branch to the simulation loop.
-func (c *Core) SetIntervals(r *interval.Recorder) { c.ivl = r }
-
-// flushMetrics pushes the not-yet-reported cycle/instruction deltas and
-// publishes the run's absolute totals to the progress sink.
-func (c *Core) flushMetrics() {
-	if c.met != nil {
-		c.met.AddCycles(c.cycle - c.metCycles)
-		c.metCycles = c.cycle
-		if c.S.Instructions >= c.metInsts {
-			c.met.AddInsts(c.S.Instructions - c.metInsts)
-		}
-		c.metInsts = c.S.Instructions
-	}
-	c.rprog.Set(c.cycle, c.S.Instructions)
-	if c.ivl != nil {
-		c.ivl.Tick(c.cycle, &c.S, c.bp.C.ReAccepts, c.bp.C.Squashed, c.bp.C.HistRepairs)
-	}
-}
+// SetRecorder attaches the run's telemetry sink before the first Run.  Run
+// feeds it every 8192 cycles and at the end, ResetStats rebases it, and the
+// commit stage reports mispredicted branches to it; the live progress, the
+// batch metrics and the interval windows are all read from it (see
+// interval.Recorder).  Nil detaches.
+func (c *Core) SetRecorder(r *interval.Recorder) { c.rec = r }
 
 // emitRedirect records a frontend redirect on the observability stream.
 func (c *Core) emitRedirect(seq, target uint64) {
@@ -663,8 +631,8 @@ func (c *Core) commit() {
 							c.S.TgtMispredicts++
 						}
 						c.S.AddProviderMiss(prov)
-						if c.ivl != nil {
-							c.ivl.Mispredict(f.pc)
+						if c.rec != nil {
+							c.rec.Mispredict(f.pc)
 						}
 					}
 					if c.prof != nil {
@@ -752,18 +720,39 @@ func (c *Core) step() {
 // history-file entry is live, the pending record in its slot is tagged with
 // its seq, and each record's count is exactly the number of instructions
 // pointing at it; the oracle window [base, end) covers every in-flight
-// instruction's step, and the cursor lies within it.  A mismatch is recorded
-// on the pipeline's violation list.
+// instruction's step, and the cursor lies within it.  Program order holds
+// too: instruction seqs strictly increase from the oldest ROB entry through
+// the youngest fetch-buffer entry, and the in-flight packets' entry seqs
+// strictly increase.  A mismatch is recorded on the pipeline's violation
+// list.
 func (c *Core) checkInflight() {
 	if c.pendSeen == nil {
 		c.pendSeen = make([]int, len(c.pending))
 	}
 	clear(c.pendSeen)
-	for i := c.fbHead; i < len(c.fb); i++ {
-		c.checkInst(&c.fb[i])
+	var prev uint64 // seq of the previous instruction in program order
+	first := true
+	order := func(where string, i int, seq uint64) {
+		if !first && seq <= prev {
+			c.bp.ReportViolation("Core.step", c.cycle,
+				"%s position %d holds seq %d after seq %d", where, i, seq, prev)
+		}
+		prev, first = seq, false
 	}
 	for i := 0; i < c.robCount; i++ {
-		c.checkInst(&c.rob[c.robIdx(i)].fb)
+		f := &c.rob[c.robIdx(i)].fb
+		order("ROB", i, f.seq)
+		c.checkInst(f)
+	}
+	for i := c.fbHead; i < len(c.fb); i++ {
+		order("fetch buffer", i-c.fbHead, c.fb[i].seq)
+		c.checkInst(&c.fb[i])
+	}
+	for i := 1; i < len(c.inflight); i++ {
+		if a, b := c.inflight[i-1].e.Seq(), c.inflight[i].e.Seq(); b <= a {
+			c.bp.ReportViolation("Core.step", c.cycle,
+				"in-flight packet %d holds entry#%d after entry#%d", i, b, a)
+		}
 	}
 	for slot, r := range c.pending {
 		if r.count != c.pendSeen[slot] {
@@ -824,18 +813,14 @@ func (c *Core) checkSched() {
 // microarchitectural state — the standard warm-up methodology: run a
 // warm-up slice, reset, then measure.
 func (c *Core) ResetStats() {
-	if c.met != nil || c.rprog != nil {
-		c.flushMetrics()
+	if c.rec != nil {
+		// Discard warmup windows and restart the recorder's base at the
+		// measurement boundary, so its totals and windows line up with S.
+		c.rec.Rebase(c.cycle, &c.S, c.bp.C.ReAccepts, c.bp.C.Squashed, c.bp.C.HistRepairs)
 	}
 	c.S = stats.NewSim()
-	c.metInsts = 0
 	c.cycleBase = c.cycle
 	c.histRepairBase = c.bp.C.HistRepairs
-	if c.ivl != nil {
-		// Discard warmup windows and restart numbering at the measurement
-		// boundary, so window cycle/instruction bounds line up with S.
-		c.ivl.Rebase(c.cycle, c.bp.C.ReAccepts, c.bp.C.Squashed, c.bp.C.HistRepairs)
-	}
 }
 
 // Run simulates until maxInsts architectural instructions commit (counted
@@ -852,8 +837,8 @@ func (c *Core) Run(maxInsts uint64) *stats.Sim {
 		// Telemetry flush every 8K cycles keeps a live metrics endpoint,
 		// progress line, or SSE progress stream moving through a long run at
 		// negligible cost.
-		if (c.met != nil || c.rprog != nil || c.ivl != nil) && c.cycle&0x1FFF == 0 {
-			c.flushMetrics()
+		if c.rec != nil && c.cycle&0x1FFF == 0 {
+			c.rec.Tick(c.cycle, &c.S, c.bp.C.ReAccepts, c.bp.C.Squashed, c.bp.C.HistRepairs)
 		}
 		c.step()
 		if c.cycle-c.lastCommitCycle > c.cfg.WatchdogCycles {
@@ -863,11 +848,16 @@ func (c *Core) Run(maxInsts uint64) *stats.Sim {
 	}
 	c.S.Cycles = c.cycle - c.cycleBase
 	c.S.HistoryRepairs = c.bp.C.HistRepairs - c.histRepairBase
-	if c.met != nil || c.rprog != nil || c.ivl != nil {
-		c.flushMetrics()
-	}
-	if c.ivl != nil {
-		c.ivl.Finish(c.cycle, &c.S, c.bp.C.ReAccepts, c.bp.C.Squashed, c.bp.C.HistRepairs)
+	if c.rec != nil {
+		c.rec.Finish(c.cycle, &c.S, c.bp.C.ReAccepts, c.bp.C.Squashed, c.bp.C.HistRepairs)
+		// Paranoid mode reconciles the telemetry with the result of a run
+		// that reached its budget: a cancelled run may end on cycles that
+		// committed nothing, which no window covers.
+		if c.paranoid && c.S.Instructions >= maxInsts {
+			if err := c.rec.Reconcile(&c.S); err != nil {
+				c.bp.ReportViolation("Core.Run", c.cycle, "telemetry: %v", err)
+			}
+		}
 	}
 	return &c.S
 }

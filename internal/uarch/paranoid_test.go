@@ -4,13 +4,15 @@ import (
 	"testing"
 
 	"cobra/internal/compose"
+	"cobra/internal/interval"
 	"cobra/internal/program"
 )
 
 // TestParanoidCleanOnRealRuns drives every Table I seed design through a
 // mispredict-heavy workload with the invariant checker armed: a healthy
 // pipeline must produce zero violations under every GHR policy, and a
-// healthy core on every host.
+// healthy core on every host.  Each run warms up first and records interval
+// windows, so the checker also reconciles the telemetry with the result.
 func TestParanoidCleanOnRealRuns(t *testing.T) {
 	b := program.NewBuilder("paranoid", 0x1000, 4, 5)
 	b.Loop(50, func() {
@@ -80,7 +82,11 @@ func paranoidRun(t *testing.T, cfg Config, topo string, opt compose.Options, pol
 	opt.Paranoid = true
 	opt.GHRPolicy = pol
 	bp := mkPipeline(t, topo, opt)
-	s := NewCore(cfg, bp, prog, 7).Run(insts)
+	core := NewCore(cfg, bp, prog, 7)
+	core.SetRecorder(interval.NewRecorder(1000, nil))
+	core.Run(insts / 4)
+	core.ResetStats()
+	s := core.Run(insts)
 	if s.Mispredicts == 0 {
 		t.Fatal("workload produced no mispredicts; repair paths untested")
 	}

@@ -149,10 +149,25 @@ func TestIntervalSamplingDoesNotPerturbResults(t *testing.T) {
 	}
 }
 
-// TestIntervalDefaultWindow: a zero IntervalInsts in the recorder selects the
-// documented default.
+// TestIntervalDefaultWindow: the recorder applies no default — a zero window
+// size turns windows off, and a spec without observe.interval_insts returns
+// no interval set — so DefaultInsts is applied only by the tools that turn
+// sampling on (cobra-sim -intervals, cobra-diff).
 func TestIntervalDefaultWindow(t *testing.T) {
-	if got := interval.NewRecorder(0).IntervalInsts(); got != interval.DefaultInsts {
-		t.Fatalf("default window = %d, want %d", got, interval.DefaultInsts)
+	if got := interval.NewRecorder(0, nil).IntervalInsts(); got != 0 {
+		t.Fatalf("zero window became %d", got)
+	}
+	sp, err := spec.Preset("b2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp.Workload = "fib"
+	sp.Insts = 20_000
+	out, err := spec.Exec(sp, spec.Attach{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Intervals != nil {
+		t.Fatalf("unsampled run returned %d windows", len(out.Intervals.Windows))
 	}
 }

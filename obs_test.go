@@ -226,7 +226,7 @@ func TestSimulateAllocBudget(t *testing.T) {
 // budget TestIntervalOverheadGuard enforces.
 func TestIntervalAllocBudget(t *testing.T) {
 	EnableFlightRecorder(0) // the budget must hold with the recorder armed
-	r := interval.NewRecorder(1000)
+	r := interval.NewRecorder(1000, nil)
 	s := stats.NewSim()
 	var cycle uint64
 	step := func() {
