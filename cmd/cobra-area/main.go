@@ -1,67 +1,6 @@
-// Command cobra-area prints the Fig. 8 / Fig. 9 area breakdowns: predictor
-// sub-component areas (including the generated management structures,
-// "meta") and whole-core areas for each of the paper's three designs.
-//
-// Usage:
-//
-//	cobra-area            # Fig. 8 for all three designs
-//	cobra-area -core      # Fig. 9 (whole core)
-//	cobra-area -design b2 # one design only
+// Command cobra-area is `cobra area` (internal/cli/area.go) under its own name.
 package main
 
-import (
-	"flag"
-	"fmt"
+import "cobra/internal/cli"
 
-	"cobra"
-	"cobra/internal/cli"
-)
-
-func main() { cli.Main("cobra-area", run) }
-
-func run() error {
-	f := cli.AddRunFlags(flag.CommandLine, cli.GGuard)
-	var (
-		core   = flag.Bool("core", false, "whole-core breakdown (Fig. 9) instead of predictor-only (Fig. 8)")
-		design = flag.String("design", "", "restrict to one design: tage-l, b2, tourney")
-	)
-	flag.Parse()
-	if exit, err := f.Handle("cobra-area"); err != nil || exit {
-		return err
-	}
-	cli.ExitAfter("cobra-area", *f.Timeout)
-
-	designs := cobra.Designs()
-	if *design != "" {
-		designs = nil
-		for _, d := range cobra.Designs() {
-			if d.Name == *design {
-				designs = []cobra.Design{d}
-			}
-		}
-		if designs == nil {
-			return fmt.Errorf("unknown design %q", *design)
-		}
-	}
-	for _, d := range designs {
-		d.Opt.Paranoid = d.Opt.Paranoid || *f.Paranoid
-		var (
-			bd  cobra.Breakdown
-			err error
-		)
-		if *core {
-			bd, err = cobra.CoreArea(d, cobra.DefaultCoreConfig())
-		} else {
-			bd, err = cobra.PredictorArea(d)
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Print(bd.Render())
-		if kb, err := d.StorageKB(); err == nil && !*core {
-			fmt.Printf("  predictor storage: %.1f KB (Table I)\n", kb)
-		}
-		fmt.Println()
-	}
-	return nil
-}
+func main() { cli.Main("area") }

@@ -1,79 +1,6 @@
-// Command cobra-diagram renders the paper's pipeline diagrams as text:
-// Fig. 2 (the sub-component interface timing), Fig. 4 (the two example
-// topologies of §IV-A), and Fig. 7 (the three evaluated designs); or any
-// custom topology.
-//
-// Usage:
-//
-//	cobra-diagram -fig 2
-//	cobra-diagram -fig 4
-//	cobra-diagram -fig 7
-//	cobra-diagram -topology "TOURNEY3 > [GBIM2 > BTB2, LBIM2]"
+// Command cobra-diagram is `cobra diagram` (internal/cli/diagram.go) under its own name.
 package main
 
-import (
-	"flag"
-	"fmt"
+import "cobra/internal/cli"
 
-	"cobra"
-	"cobra/internal/cli"
-)
-
-func main() { cli.Main("cobra-diagram", run) }
-
-var paranoid *bool
-
-func run() error {
-	f := cli.AddRunFlags(flag.CommandLine, cli.GGuard)
-	var (
-		fig  = flag.Int("fig", 7, "paper figure to render: 2, 4, or 7")
-		topo = flag.String("topology", "", "render a custom topology instead")
-	)
-	paranoid = f.Paranoid
-	flag.Parse()
-	if exit, err := f.Handle("cobra-diagram"); err != nil || exit {
-		return err
-	}
-	cli.ExitAfter("cobra-diagram", *f.Timeout)
-
-	if *topo != "" {
-		return render(cobra.Design{Name: "custom", Topology: *topo})
-	}
-	switch *fig {
-	case 2:
-		fmt.Print(cobra.InterfaceDiagram())
-	case 4:
-		fmt.Println("Fig. 4 — the two §IV-A topologies of {uBTB1, PHT2, LOOP2}:")
-		fmt.Println()
-		if err := render(cobra.Design{Name: "topology-1", Topology: "LOOP2 > PHT2 > UBTB1"}); err != nil {
-			return err
-		}
-		if err := render(cobra.Design{Name: "topology-2", Topology: "UBTB1 > PHT2 > LOOP2"}); err != nil {
-			return err
-		}
-	case 7:
-		fmt.Println("Fig. 7 — pipeline diagrams of the COBRA-generated predictors:")
-		fmt.Println()
-		for _, d := range cobra.Designs() {
-			if err := render(d); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("no figure %d (have 2, 4, 7)", *fig)
-	}
-	return nil
-}
-
-func render(d cobra.Design) error {
-	if paranoid != nil && *paranoid {
-		d.Opt.Paranoid = true
-	}
-	s, err := cobra.PipelineDiagram(d)
-	if err != nil {
-		return err
-	}
-	fmt.Print(s)
-	fmt.Println()
-	return nil
-}
+func main() { cli.Main("diagram") }

@@ -1,255 +1,6 @@
-// Command cobra-events dumps, filters, and converts the compact binary event
-// traces written by cobra-sim -events.
-//
-// Usage:
-//
-//	cobra-events -i trace.bin                     # text dump
-//	cobra-events -i trace.bin -stats              # per-kind / per-component counts
-//	cobra-events -i trace.bin -kind mispredict -n 20
-//	cobra-events -i trace.bin -comp TAGE3 -since 1000 -until 2000
-//	cobra-events -i trace.bin -pc 0x10014
-//	cobra-events -i trace.bin -chrome trace.json  # convert for Perfetto
-//	cobra-events -i trace.bin -paranoid           # validate stream invariants
+// Command cobra-events is `cobra events` (internal/cli/events.go) under its own name.
 package main
 
-import (
-	"flag"
-	"fmt"
-	"math"
-	"os"
-	"strconv"
+import "cobra/internal/cli"
 
-	"cobra"
-	"cobra/internal/cli"
-	"cobra/internal/interval"
-	"cobra/internal/stats"
-)
-
-func main() { cli.Main("cobra-events", run) }
-
-func run() error {
-	f := cli.AddRunFlags(flag.CommandLine, cli.GGuard)
-	var (
-		input    = flag.String("i", "", "binary event trace to read (required; written by cobra-sim -events)")
-		kind     = flag.String("kind", "", "keep only events of this kind (predict, fire, mispredict, repair, update, redirect, squash)")
-		comp     = flag.String("comp", "", "keep only events from this sub-component instance (e.g. TAGE3)")
-		pcFilter = flag.String("pc", "", "keep only events whose fetch PC matches (hex or decimal)")
-		since    = flag.Uint64("since", 0, "keep only events at or after this cycle")
-		until    = flag.Uint64("until", math.MaxUint64, "keep only events at or before this cycle")
-		limit    = flag.Int("n", 0, "print at most N events (0 = all)")
-		doStats  = flag.Bool("stats", false, "print per-kind and per-component counts instead of records")
-		byWindow = flag.Uint64("by-window", 0, "with -stats: bucket the counts into windows of N cycles (time-resolved view of the trace)")
-		chrome   = flag.String("chrome", "", "convert the (filtered) events to Chrome trace_event JSON at this path")
-	)
-	paranoid := f.Paranoid
-	flag.Parse()
-	if exit, err := f.Handle("cobra-events"); err != nil || exit {
-		return err
-	}
-	if *input == "" {
-		flag.Usage()
-		return fmt.Errorf("-i is required")
-	}
-	cli.ExitAfter("cobra-events", *f.Timeout)
-
-	in, err := os.Open(*input)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	events, err := cobra.ReadBinaryEvents(in)
-	if err != nil {
-		return fmt.Errorf("reading %s: %w", *input, err)
-	}
-
-	if *paranoid {
-		if err := validate(events); err != nil {
-			return fmt.Errorf("%s: %w", *input, err)
-		}
-	}
-
-	keep, err := buildFilter(*kind, *comp, *pcFilter, *since, *until)
-	if err != nil {
-		return err
-	}
-	filtered := events[:0:0]
-	for i := range events {
-		if keep(&events[i]) {
-			filtered = append(filtered, events[i])
-		}
-	}
-
-	if *chrome != "" {
-		out, err := os.Create(*chrome)
-		if err != nil {
-			return err
-		}
-		err = cobra.WriteChromeTrace(out, filtered)
-		if cerr := out.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("writing %s: %w", *chrome, err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d events to %s\n", len(filtered), *chrome)
-		return nil
-	}
-	if *doStats {
-		if *byWindow > 0 {
-			return printWindowed(filtered, *byWindow)
-		}
-		printStats(filtered)
-		return nil
-	}
-	if *byWindow > 0 {
-		return fmt.Errorf("-by-window needs -stats")
-	}
-	n := len(filtered)
-	if *limit > 0 && *limit < n {
-		n = *limit
-	}
-	for i := 0; i < n; i++ {
-		printEvent(&filtered[i])
-	}
-	if n < len(filtered) {
-		fmt.Printf("... %d more (raise -n)\n", len(filtered)-n)
-	}
-	return nil
-}
-
-// validate checks the stream invariants a well-formed single-run trace obeys:
-// cycles never decrease, every kind is known, and component-scoped kinds
-// carry a component name while frontend kinds do not.
-func validate(events []cobra.Event) error {
-	var prev uint64
-	for i := range events {
-		ev := &events[i]
-		if ev.Kind.String() == "invalid" {
-			return fmt.Errorf("event %d: unknown kind %d", i, ev.Kind)
-		}
-		if ev.Cycle < prev {
-			return fmt.Errorf("event %d: cycle %d precedes cycle %d (stream not monotone)", i, ev.Cycle, prev)
-		}
-		prev = ev.Cycle
-		frontend := ev.Kind == cobra.EventRedirect || ev.Kind == cobra.EventSquash
-		if frontend && ev.Comp != "" {
-			return fmt.Errorf("event %d: frontend record %s carries component %q", i, ev.Kind, ev.Comp)
-		}
-		if !frontend && ev.Comp == "" {
-			return fmt.Errorf("event %d: component record %s has no component", i, ev.Kind)
-		}
-	}
-	return nil
-}
-
-func buildFilter(kind, comp, pc string, since, until uint64) (func(*cobra.Event) bool, error) {
-	wantKind := -1
-	if kind != "" {
-		k, ok := cobra.ParseEventKind(kind)
-		if !ok {
-			return nil, fmt.Errorf("unknown -kind %q", kind)
-		}
-		wantKind = int(k)
-	}
-	var wantPC uint64
-	havePC := false
-	if pc != "" {
-		v, err := strconv.ParseUint(pc, 0, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad -pc %q: %v", pc, err)
-		}
-		wantPC, havePC = v, true
-	}
-	return func(ev *cobra.Event) bool {
-		if wantKind >= 0 && int(ev.Kind) != wantKind {
-			return false
-		}
-		if comp != "" && ev.Comp != comp {
-			return false
-		}
-		if havePC && ev.PC != wantPC {
-			return false
-		}
-		return ev.Cycle >= since && ev.Cycle <= until
-	}, nil
-}
-
-func printEvent(ev *cobra.Event) {
-	comp := ev.Comp
-	if comp == "" {
-		comp = "(frontend)"
-	}
-	slot := "-"
-	if ev.Slot >= 0 {
-		slot = strconv.Itoa(int(ev.Slot))
-	}
-	fmt.Printf("cycle %-10d %-10s %-12s pc=%#-12x seq=%-8d slot=%-2s", ev.Cycle, ev.Kind, comp, ev.PC, ev.Seq, slot)
-	if ev.Dur > 0 {
-		fmt.Printf(" dur=%d", ev.Dur)
-	}
-	if ev.MetaSum != 0 {
-		fmt.Printf(" metasum=%#x", ev.MetaSum)
-	}
-	fmt.Println()
-}
-
-// printWindowed buckets the (filtered) trace into fixed cycle windows through
-// the interval subsystem and prints one row per window — the time-resolved
-// companion to the flat -stats view.
-func printWindowed(events []cobra.Event, every uint64) error {
-	set, err := interval.FromEvents(events, every)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%d events in %d windows of %d cycles\n", len(events), len(set.Windows), every)
-	t := &stats.Table{Title: "events by window",
-		Headers: []string{"window", "cycles", "predicts", "mispredicts", "squashes", "redirects", "repairs"}}
-	for i := range set.Windows {
-		w := &set.Windows[i]
-		var predicts uint64
-		for _, p := range w.Providers {
-			predicts += p.Branches
-		}
-		t.AddRow(fmt.Sprintf("%d", w.Index),
-			fmt.Sprintf("%d..%d", w.StartCycle, w.EndCycle),
-			fmt.Sprintf("%d", predicts),
-			fmt.Sprintf("%d", w.Mispredicts),
-			fmt.Sprintf("%d", w.Squashes),
-			fmt.Sprintf("%d", w.Redirects),
-			fmt.Sprintf("%d", w.HistoryRepairs))
-	}
-	fmt.Print(t)
-	return nil
-}
-
-func printStats(events []cobra.Event) {
-	byKind := map[string]uint64{}
-	byComp := map[string]uint64{}
-	var first, last uint64
-	for i := range events {
-		ev := &events[i]
-		byKind[ev.Kind.String()]++
-		comp := ev.Comp
-		if comp == "" {
-			comp = "(frontend)"
-		}
-		byComp[comp]++
-		if i == 0 || ev.Cycle < first {
-			first = ev.Cycle
-		}
-		if ev.Cycle > last {
-			last = ev.Cycle
-		}
-	}
-	fmt.Printf("%d events, cycles %d..%d\n", len(events), first, last)
-	t := &stats.Table{Title: "by kind", Headers: []string{"kind", "events"}}
-	for _, k := range stats.SortedKeys(byKind) {
-		t.AddRowf(k, byKind[k])
-	}
-	fmt.Print(t)
-	t = &stats.Table{Title: "by component", Headers: []string{"component", "events"}}
-	for _, k := range stats.SortedKeys(byComp) {
-		t.AddRowf(k, byComp[k])
-	}
-	fmt.Print(t)
-}
+func main() { cli.Main("events") }

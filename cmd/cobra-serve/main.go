@@ -1,145 +1,6 @@
-// Command cobra-serve runs the simulation service: a long-lived daemon that
-// accepts RunSpecs over HTTP, executes them on a bounded worker pool, and
-// memoizes results in a content-addressed cache keyed by the spec digest.
-//
-// Usage:
-//
-//	cobra-serve -addr :8080
-//	cobra-serve -addr 127.0.0.1:0 -workers 8 -queue 128 -cache-dir /var/cache/cobra
-//	cobra-serve -log-format json            # structured logs for collectors
-//	cobra-serve -version                    # build identity, then exit
-//	cobra-sim -design b2 -workload fib -insts 50000 -print-spec > run.json
-//	curl -s -H 'traceparent: 00-<32hex>-<16hex>-01' -d @run.json http://localhost:8080/v1/runs
-//	curl -s http://localhost:8080/v1/runs/sha256:<digest>
-//	curl -s http://localhost:8080/v1/runs/sha256:<digest>/trace > trace.json
-//
-// SIGINT/SIGTERM drain gracefully: the listener stops accepting, /healthz/ready
-// flips to 503, queued jobs run to completion (up to -drain-timeout), and the
-// process exits 0.
+// Command cobra-serve is `cobra serve` (internal/cli/serve.go) under its own name.
 package main
 
-import (
-	"context"
-	"flag"
-	"fmt"
-	"net"
-	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
-	"time"
+import "cobra/internal/cli"
 
-	"cobra/internal/cli"
-	"cobra/internal/obs"
-	"cobra/internal/serve"
-)
-
-func main() { cli.Main("cobra-serve", run) }
-
-func run() error {
-	base := cli.AddBaseFlags(flag.CommandLine)
-	var (
-		addr         = flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
-		workers      = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		queueLen     = flag.Int("queue", 64, "pending-job bound; a full queue answers 429")
-		cacheN       = flag.Int("cache", 256, "in-memory result cache entries")
-		cacheDir     = flag.String("cache-dir", "", "persist results in this directory (must exist; empty = memory only)")
-		journalPath  = flag.String("journal", "", "durable run-journal path (default <cache-dir>/journal.wal; accepted runs survive crashes and are re-executed on restart)")
-		jobRetries   = flag.Int("job-retries", 2, "automatic retries (with backoff) before a failed run lands in the failure FIFO (-1 = none)")
-		traceN       = flag.Int("traces", 256, "per-run request traces kept live for /v1/runs/{id}/trace")
-		jobTimeout   = flag.Duration("job-timeout", 0, "per-job wall-clock cap on top of each spec's own timeout (0 = none)")
-		drainTimeout = flag.Duration("drain-timeout", 60*time.Second, "how long shutdown waits for queued jobs before abandoning them")
-		quiet        = flag.Bool("quiet", false, "suppress the per-job log lines")
-	)
-	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof (profiles + runtime trace) on this address")
-	flightDump := flag.String("flight-dump", "", "write the flight-recorder JSON dump to this path on panic or SIGQUIT (default <cache-dir>/flight.json when -cache-dir is set)")
-	flag.Parse()
-	if exit, err := base.Handle("cobra-serve"); err != nil || exit {
-		return err
-	}
-	logger, err := base.Logger("cobra-serve")
-	if err != nil {
-		return err
-	}
-
-	// The flight recorder is armed by the logger above; wire its crash-dump
-	// destinations.  SIGQUIT dumps the ring (plus all goroutine stacks) and
-	// exits — the on-demand "what was the daemon just doing" lever.
-	if *flightDump == "" && *cacheDir != "" {
-		*flightDump = *cacheDir + "/flight.json"
-	}
-	if *flightDump != "" {
-		obs.SetFlightDumpPath(*flightDump)
-	}
-	uninstall := obs.InstallFlightSIGQUIT()
-	defer uninstall()
-
-	if *cacheDir != "" {
-		if st, err := os.Stat(*cacheDir); err != nil || !st.IsDir() {
-			return fmt.Errorf("-cache-dir %q is not a directory", *cacheDir)
-		}
-	}
-	jobLog := logger
-	if *quiet {
-		jobLog = cli.DiscardLogger()
-	}
-	retries := *jobRetries
-	if retries == 0 {
-		retries = -1 // flag 0 means "no retries"; Config 0 means "default"
-	}
-	srv, err := serve.New(serve.Config{
-		Workers:      *workers,
-		QueueLen:     *queueLen,
-		CacheEntries: *cacheN,
-		CacheDir:     *cacheDir,
-		JournalPath:  *journalPath,
-		JobRetries:   retries,
-		TraceEntries: *traceN,
-		JobTimeout:   *jobTimeout,
-		Log:          jobLog,
-	})
-	if err != nil {
-		return err
-	}
-	srv.Start()
-
-	if *pprofAddr != "" {
-		bound, closePprof, err := obs.ServePprof(*pprofAddr)
-		if err != nil {
-			return fmt.Errorf("pprof listener: %w", err)
-		}
-		defer closePprof() //nolint:errcheck
-		logger.Info("serving pprof", "url", fmt.Sprintf("http://%s/debug/pprof/", bound))
-	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.Serve(ln) }()
-	logger.Info("listening", "url", fmt.Sprintf("http://%s", ln.Addr()),
-		"build", obs.BuildInfo().String())
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	stop() // a second signal kills the process the default way
-
-	logger.Info("draining", "timeout", drainTimeout.String())
-	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := httpSrv.Shutdown(dctx); err != nil {
-		return fmt.Errorf("http shutdown: %w", err)
-	}
-	if err := srv.Shutdown(dctx); err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	logger.Info("drained cleanly")
-	return nil
-}
+func main() { cli.Main("serve") }

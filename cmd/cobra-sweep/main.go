@@ -1,279 +1,6 @@
-// Command cobra-sweep runs design-space sweeps and emits CSV — the
-// productivity story of the paper's Fig. 1 flow ("design feedback") made
-// scriptable.  It crosses a set of topologies with a set of workloads and,
-// optionally, host configurations, reporting accuracy, IPC, storage, area,
-// and energy per point.
-//
-// Usage:
-//
-//	cobra-sweep -workloads gcc,mcf,leela \
-//	    -topologies "BIM2;GTAG3 > BTB2 > BIM2;LOOP3 > TAGE3 > BTB2 > BIM2 > UBTB1"
-//	cobra-sweep -designs -workloads all -insts 500000 -host inorder
-//	cobra-sweep -tagesizes 512,1024,2048,4096 -workloads gcc -j 8
-//	cobra-sweep -designs -workloads all -keep-going -timeout 2m
-//	cobra-sweep -designs -workloads gcc,mcf -print-set > sweep.json
-//	cobra-sweep -set sweep.json
-//
-// The grid is a spec.Set — design axis crossed with workload axis over one
-// base spec — the same data model cobra-compose's sweep services run, with
-// its own content digest.  Every cell expands to a canonical RunSpec (what
-// cobra-sim -spec runs and cobra-serve caches), fanned out across -j worker
-// goroutines (default GOMAXPROCS); rows are emitted in grid order and are
-// bit-identical for every -j.  With -keep-going, a failing cell (panic,
-// timeout, bad config) is reported on stderr while every healthy cell still
-// emits its row; without it the first failure aborts the sweep.
+// Command cobra-sweep is `cobra sweep` (internal/cli/sweep.go) under its own name.
 package main
 
-import (
-	"encoding/csv"
-	"encoding/json"
-	"errors"
-	"flag"
-	"fmt"
-	"os"
-	"runtime"
-	"strconv"
-	"strings"
+import "cobra/internal/cli"
 
-	"cobra"
-	"cobra/internal/area"
-	"cobra/internal/cli"
-	"cobra/internal/runner"
-	"cobra/internal/spec"
-)
-
-func main() { cli.Main("cobra-sweep", run) }
-
-func run() error {
-	f := cli.AddRunFlags(flag.CommandLine,
-		cli.GWorkload|cli.GBudget|cli.GHost|cli.GGuard|cli.GTelemetry|cli.GProgress|cli.GDigest)
-	cli.SetDefault(flag.CommandLine, "insts", "300000")
-	var (
-		topologies = flag.String("topologies", "", "semicolon-separated topology strings")
-		designsF   = flag.Bool("designs", false, "sweep the three Table I designs")
-		tageSizes  = flag.String("tagesizes", "", "comma-separated TAGE row counts to sweep inside the TAGE-L topology")
-		workloadsF = flag.String("workloads", "", "comma-separated workloads, or 'all' for the SPECint proxies (overrides -workload)")
-		ghist      = flag.Uint("ghist", 64, "global history bits for -topologies points")
-		jobsN      = flag.Int("j", runtime.GOMAXPROCS(0), "parallel simulations (1 = serial; output identical for any value)")
-		keepGoing  = flag.Bool("keep-going", false, "report failed cells on stderr and keep sweeping instead of aborting")
-		setPath    = flag.String("set", "", "run the spec.Set JSON file at this path instead of building a grid from flags")
-		printSet   = flag.Bool("print-set", false, "print the grid's canonical spec.Set JSON to stdout and its digest to stderr, then exit without running")
-	)
-	flag.Parse()
-	if exit, err := f.Handle("cobra-sweep"); err != nil || exit {
-		return err
-	}
-
-	var (
-		set *spec.Set
-		err error
-	)
-	if *setPath != "" {
-		set, err = loadSet(*setPath)
-	} else {
-		set, err = buildSet(f, *designsF, *tageSizes, *topologies, *ghist, *workloadsF)
-	}
-	if err != nil {
-		return err
-	}
-	if err := set.Canonicalize(); err != nil {
-		return err
-	}
-	if *printSet {
-		data, err := json.MarshalIndent(set, "", "  ")
-		if err != nil {
-			return err
-		}
-		digest, err := set.Digest()
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(data))
-		fmt.Fprintln(os.Stderr, "digest:", digest)
-		return nil
-	}
-	specs, err := set.Expand()
-	if err != nil {
-		return err
-	}
-	if dw := f.DigestWriter(); dw != nil {
-		for _, s := range specs {
-			d, err := s.Digest()
-			if err != nil {
-				return err
-			}
-			cli.EmitDigest(dw, d)
-		}
-	}
-
-	met, closeTel, err := f.Telemetry("cobra-sweep")
-	if err != nil {
-		return err
-	}
-	defer closeTel()
-
-	// The workload axis is the innermost (fastest) index, so cells group into
-	// per-design rows of rowLen cells each.  Static metrics (storage, area)
-	// depend only on the design and are computed once per row, from its first
-	// cell.  A design whose statics fail (bad geometry) aborts the sweep
-	// unless -keep-going, which reports it once on stderr and drops its row
-	// while the rest of the grid still runs.
-	rowLen := 1
-	if n := len(set.Axes); n > 0 {
-		rowLen = len(set.Axes[n-1].Values)
-	}
-	type static struct {
-		kb   float64
-		arKU float64
-	}
-	nDesigns := len(specs) / rowLen
-	statics := make([]static, nDesigns)
-	okDesign := make([]bool, nDesigns)
-	skippedCells := 0
-	for di := 0; di < nDesigns; di++ {
-		p := specs[di*rowLen]
-		opt, err := p.Pipeline.Options()
-		if err == nil {
-			d := cobra.Design{Name: p.Design, Topology: p.Topology, Opt: opt}
-			var kb float64
-			if kb, err = d.StorageKB(); err == nil {
-				var bd cobra.Breakdown
-				if bd, err = cobra.PredictorArea(d); err == nil {
-					statics[di] = static{kb, bd.Total() / 1000}
-					okDesign[di] = true
-					continue
-				}
-			}
-		}
-		if !*keepGoing {
-			return err
-		}
-		fmt.Fprintln(os.Stderr, "cobra-sweep:", err)
-		skippedCells += rowLen
-	}
-	var (
-		run     []*spec.RunSpec
-		designI []int // run index -> design row
-	)
-	for i, s := range specs {
-		if okDesign[i/rowLen] {
-			run = append(run, s)
-			designI = append(designI, i/rowLen)
-		}
-	}
-
-	w := csv.NewWriter(os.Stdout)
-	defer w.Flush()
-	w.Write([]string{"design", "topology", "workload", "host",
-		"instructions", "cycles", "ipc", "mpki", "accuracy",
-		"bubble_frac", "storage_kb", "area_ku", "energy_eu_per_kinst"})
-
-	policy := runner.FailFast
-	if *keepGoing {
-		policy = runner.CollectAll
-	}
-	full, err := runner.RunSpecs(run, runner.Options{
-		Workers: *jobsN, Policy: policy, Timeout: *f.Timeout, Metrics: met,
-	})
-	var batch *runner.BatchError
-	if err != nil && !(errors.As(err, &batch) && *keepGoing) {
-		return err
-	}
-	failed := map[int]bool{}
-	if batch != nil {
-		for _, je := range batch.Errs {
-			failed[je.Index] = true
-			fmt.Fprintln(os.Stderr, "cobra-sweep:", je)
-		}
-	}
-	for i, r := range full {
-		if failed[i] {
-			continue
-		}
-		s, res := run[i], r.Outcome.Stats
-		energy := area.Energy(r.Outcome.Pipeline)
-		w.Write([]string{
-			s.Design, s.Topology, s.Workload, s.Host,
-			fmt.Sprint(res.Instructions), fmt.Sprint(res.Cycles),
-			fmt.Sprintf("%.4f", res.IPC()),
-			fmt.Sprintf("%.3f", res.MPKI()),
-			fmt.Sprintf("%.5f", res.Accuracy()),
-			fmt.Sprintf("%.4f", res.BubbleFrac()),
-			fmt.Sprintf("%.1f", statics[designI[i]].kb),
-			fmt.Sprintf("%.1f", statics[designI[i]].arKU),
-			fmt.Sprintf("%.0f", energy.PerKiloInst(res.Instructions)),
-		})
-	}
-	if n := len(failed) + skippedCells; n > 0 {
-		w.Flush()
-		return fmt.Errorf("%d of %d points failed (successful rows emitted above)",
-			n, len(specs))
-	}
-	return nil
-}
-
-// buildSet assembles the flag-described grid as a spec.Set: one design axis
-// (presets, TAGE sizes, or explicit topologies) crossed with one workload
-// axis over a base spec carrying the budget and host flags.
-func buildSet(f *cli.RunFlags, designsF bool, tageSizes, topologies string, ghist uint, workloadsF string) (*spec.Set, error) {
-	base := spec.RunSpec{
-		Seed:            *f.Seed,
-		Insts:           *f.Insts,
-		Warmup:          *f.Warmup,
-		Host:            *f.Host,
-		SerializedFetch: *f.Serialized,
-		SFB:             *f.SFB,
-		Paranoid:        *f.Paranoid,
-	}
-	var designs spec.Axis
-	switch {
-	case designsF:
-		designs = spec.Axis{Field: "design", Values: spec.PresetNames()}
-	case tageSizes != "":
-		designs.Field = "topology"
-		base.Pipeline.GHistBits = 64
-		for _, s := range strings.Split(tageSizes, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n <= 0 {
-				return nil, fmt.Errorf("bad -tagesizes entry %q", s)
-			}
-			designs.Values = append(designs.Values,
-				fmt.Sprintf("LOOP3 > TAGE3(%d) > BTB2 > BIM2 > UBTB1", n))
-			designs.Names = append(designs.Names, fmt.Sprintf("tage-l-%d", n))
-		}
-	case topologies != "":
-		designs.Field = "topology"
-		base.Pipeline.GHistBits = ghist
-		for i, topo := range strings.Split(topologies, ";") {
-			designs.Values = append(designs.Values, strings.TrimSpace(topo))
-			designs.Names = append(designs.Names, fmt.Sprintf("t%d", i))
-		}
-	default:
-		designs = spec.Axis{Field: "design", Values: spec.PresetNames()}
-	}
-
-	var ws []string
-	switch {
-	case workloadsF == "all":
-		ws = cobra.Workloads()
-	case workloadsF != "":
-		ws = strings.Split(workloadsF, ",")
-	default:
-		ws = []string{*f.Workload}
-	}
-
-	return &spec.Set{
-		Name: "cobra-sweep",
-		Base: base,
-		Axes: []spec.Axis{designs, {Field: "workload", Values: ws}},
-	}, nil
-}
-
-// loadSet reads and parses a spec.Set JSON file.
-func loadSet(path string) (*spec.Set, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return spec.ParseSet(data)
-}
+func main() { cli.Main("sweep") }

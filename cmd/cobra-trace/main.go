@@ -1,86 +1,6 @@
-// Command cobra-trace captures branch traces from workloads and runs the
-// trace-driven (ChampSim-style) evaluator over them — the §II-B software-
-// simulator methodology, provided so the modelling gap against the in-core
-// numbers is reproducible from the shell.
-//
-// Usage:
-//
-//	cobra-trace -capture -workload gcc -insts 2000000 -o gcc.cbrt
-//	cobra-trace -sim -design tage-l -i gcc.cbrt
-//	cobra-trace -sim -topology "GTAG3 > BTB2 > BIM2" -ghist 16 -i gcc.cbrt
-//	cobra-trace -capture -workload leela | cobra-trace -sim -design b2
+// Command cobra-trace is `cobra trace` (internal/cli/trace.go) under its own name.
 package main
 
-import (
-	"flag"
-	"fmt"
-	"os"
+import "cobra/internal/cli"
 
-	"cobra"
-	"cobra/internal/cli"
-)
-
-func main() { cli.Main("cobra-trace", run) }
-
-func run() error {
-	f := cli.AddRunFlags(flag.CommandLine,
-		cli.GDesign|cli.GWorkload|cli.GBudget|cli.GGuard)
-	cli.SetDefault(flag.CommandLine, "workload", "gcc")
-	var (
-		capture = flag.Bool("capture", false, "capture a branch trace")
-		sim     = flag.Bool("sim", false, "run the trace-driven evaluator")
-		outPath = flag.String("o", "", "output trace file (default stdout)")
-		inPath  = flag.String("i", "", "input trace file (default stdin)")
-	)
-	flag.Parse()
-	if exit, err := f.Handle("cobra-trace"); err != nil || exit {
-		return err
-	}
-	cli.ExitAfter("cobra-trace", *f.Timeout)
-	switch {
-	case *capture:
-		out := os.Stdout
-		if *outPath != "" {
-			fl, err := os.Create(*outPath)
-			if err != nil {
-				return err
-			}
-			defer fl.Close()
-			out = fl
-		}
-		n, err := cobra.CaptureTrace(out, *f.Workload, *f.Seed, *f.Insts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "cobra-trace: captured %d control-flow records from %s\n", n, *f.Workload)
-	case *sim:
-		in := os.Stdin
-		if *inPath != "" {
-			fl, err := os.Open(*inPath)
-			if err != nil {
-				return err
-			}
-			defer fl.Close()
-			in = fl
-		}
-		s, err := f.Spec()
-		if err != nil {
-			return err
-		}
-		opt, err := s.Pipeline.Options()
-		if err != nil {
-			return err
-		}
-		opt.Paranoid = opt.Paranoid || *f.Paranoid
-		d := cobra.Design{Name: s.Design, Topology: s.Topology, Opt: opt}
-		res, err := cobra.TraceSim(d, in)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("design=%s cfis=%d branches=%d mispredicts=%d accuracy=%.2f%% (idealized trace conditions)\n",
-			d.Name, res.CFIs, res.Branches, res.Mispredicts, res.Accuracy()*100)
-	default:
-		return fmt.Errorf("need -capture or -sim")
-	}
-	return nil
-}
+func main() { cli.Main("trace") }

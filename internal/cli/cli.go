@@ -1,388 +1,323 @@
-// Package cli is the shared flag surface of the cobra command-line tools.
-// Every tool used to re-invent the same wiring — design/topology selection,
-// instruction budgets, -paranoid, -timeout, the observability trio
-// (-metrics-addr, -pprof-addr, -progress), event capture — each with its own
-// drift.  Here the flags are declared once, grouped, and parsed straight
-// into the canonical spec.RunSpec, so "what a tool runs" and "what a server
-// is asked to run" are the same serializable object.
+// Package cli is the cobra command line: one dispatcher (Run) over ten
+// subcommands that share one flag surface.  Every subcommand used to
+// re-invent the same wiring — design/topology selection, instruction
+// budgets, -paranoid, -timeout, the observability trio (-metrics-addr,
+// -pprof-addr, -progress), event capture, the backend behind -server.  Here
+// the flags are one value, Config, declared once in groups and parsed
+// straight into the canonical spec.RunSpec, so "what a tool runs" and "what
+// a server is asked to run" are the same serializable object.
 package cli
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
 	"os"
+	"runtime"
 	"strings"
+	"sync"
 	"time"
 
-	"cobra/internal/backend"
 	"cobra/internal/client"
 	"cobra/internal/interval"
 	"cobra/internal/obs"
 	"cobra/internal/spec"
 )
 
-// Groups selects which flag groups a tool registers.
-type Groups uint
+// groups selects which shared flag groups a subcommand binds.
+type groups uint
 
 const (
-	// GDesign registers -design/-topology/-ghist/-policy.
-	GDesign Groups = 1 << iota
-	// GWorkload registers -workload.
-	GWorkload
-	// GBudget registers -insts/-warmup/-seed.
-	GBudget
-	// GHost registers -host/-serialized/-sfb.
-	GHost
-	// GGuard registers -paranoid/-timeout.
-	GGuard
-	// GFaults registers -faults/-fault-period/-fault-seed/-fault-comps.
-	GFaults
-	// GEvents registers -events/-events-buf/-top-branches.
-	GEvents
-	// GTelemetry registers -metrics-addr/-pprof-addr.
-	GTelemetry
-	// GProgress registers -progress (the periodic runner status line).
-	GProgress
-	// GServer registers -server (remote execution on a cobra-serve daemon).
-	GServer
-	// GDigest registers -print-digest (the shared digest=<sha256> provenance
-	// line every spec-expanding tool emits the same way).
-	GDigest
-	// GIntervals registers -intervals/-interval-insts/-sparkline (windowed
+	// gDesign binds -design/-topology/-ghist/-policy.
+	gDesign groups = 1 << iota
+	// gWorkload binds -workload.
+	gWorkload
+	// gBudget binds -insts/-warmup/-seed.
+	gBudget
+	// gHost binds -host/-serialized/-sfb.
+	gHost
+	// gGuard binds -paranoid/-timeout.
+	gGuard
+	// gFaults binds -faults/-fault-period/-fault-seed/-fault-comps.
+	gFaults
+	// gEvents binds -events/-events-buf/-top-branches.
+	gEvents
+	// gMetrics binds -metrics-addr.
+	gMetrics
+	// gPprof binds -pprof-addr.
+	gPprof
+	// gProgress binds -progress (the periodic runner status line).
+	gProgress
+	// gServer binds -server (remote execution on a cobra-serve daemon).
+	gServer
+	// gDigest binds -print-digest (one digest=<sha256> provenance line per
+	// executed run spec).
+	gDigest
+	// gIntervals binds -intervals/-interval-insts/-sparkline (windowed
 	// interval telemetry: time-resolved IPC/MPKI/provider counters).
-	GIntervals
+	gIntervals
+	// gJobs binds -j (parallel simulations).
+	gJobs
+
+	gTelemetry = gMetrics | gPprof
 )
 
-// RunFlags holds the registered run-shaping flags.  Fields for groups a tool
-// did not register stay nil and contribute their zero value to the spec.
-// The embedded Base (-log-format, -version) is always registered; call
-// Handle after flag.Parse to honor it.
-type RunFlags struct {
-	*Base
+// Config is the shared flag surface of every subcommand as one value.
+// DefaultConfig holds the defaults; a subcommand adjusts its copy before
+// binding (sweep's smaller -insts, trace's -workload gcc), then binds the
+// groups it uses.  Fields of groups a subcommand does not bind keep their
+// defaults.  -log-format and -version are bound for every subcommand.
+type Config struct {
+	LogFormat string
+	Version   bool
 
-	Design   *string
-	Topology *string
-	GHist    *uint
-	Policy   *string
+	Design   string
+	Topology string
+	GHist    uint
+	Policy   string
 
-	Workload *string
+	Workload string
 
-	Insts  *uint64
-	Warmup *uint64
-	Seed   *uint64
+	Insts  uint64
+	Warmup uint64
+	Seed   uint64
 
-	Host       *string
-	Serialized *bool
-	SFB        *bool
+	Host       string
+	Serialized bool
+	SFB        bool
 
-	Paranoid *bool
-	Timeout  *time.Duration
+	Paranoid bool
+	Timeout  time.Duration
 
-	Faults      *string
-	FaultPeriod *uint64
-	FaultSeed   *uint64
-	FaultComps  *string
+	Faults      string
+	FaultPeriod uint64
+	FaultSeed   uint64
+	FaultComps  string
 
-	Events      *string
-	EventsBuf   *int
-	TopBranches *int
+	Events      string
+	EventsBuf   int
+	TopBranches int
 
-	MetricsAddr *string
-	PprofAddr   *string
-	Progress    *time.Duration
+	MetricsAddr string
+	PprofAddr   string
+	Progress    time.Duration
 
-	Server      *string
-	PrintDigest *bool
+	Server      string
+	PrintDigest bool
 
-	Intervals     *string
-	IntervalInsts *uint64
-	Sparkline     *bool
+	Intervals     string
+	IntervalInsts uint64
+	Sparkline     bool
+
+	Jobs int
 }
 
-// AddRunFlags registers the selected groups on fs (pass flag.CommandLine for
-// a tool's top level) and returns the handle that later builds the RunSpec.
-func AddRunFlags(fs *flag.FlagSet, g Groups) *RunFlags {
-	f := &RunFlags{Base: AddBaseFlags(fs)}
-	if g&GDesign != 0 {
-		f.Design = fs.String("design", "tage-l", "paper design: tage-l, b2, tourney (ignored with -topology)")
-		f.Topology = fs.String("topology", "", "explicit topology string, e.g. \"GTAG3 > BTB2 > BIM2\"")
-		f.GHist = fs.Uint("ghist", 64, "global history bits (with -topology)")
-		f.Policy = fs.String("policy", "repair", "GHR policy: repair, replay, none (§VI-B)")
+// DefaultConfig returns the flag defaults every subcommand starts from.
+func DefaultConfig() Config {
+	return Config{
+		LogFormat: "text",
+		Design:    "tage-l",
+		GHist:     64,
+		Policy:    "repair",
+		Workload:  "dhrystone",
+		Insts:     spec.DefaultInsts,
+		Seed:      spec.DefaultSeed,
+		Host:      "boom",
+		FaultSeed: 1,
+		Jobs:      runtime.GOMAXPROCS(0),
 	}
-	if g&GWorkload != 0 {
-		f.Workload = fs.String("workload", "dhrystone", "workload name (SPECint proxy, dhrystone, coremark, or an ISA kernel)")
-	}
-	if g&GBudget != 0 {
-		f.Insts = fs.Uint64("insts", spec.DefaultInsts, "architectural instructions to simulate")
-		f.Warmup = fs.Uint64("warmup", 0, "instructions discarded before measurement")
-		f.Seed = fs.Uint64("seed", spec.DefaultSeed, "workload seed")
-	}
-	if g&GHost != 0 {
-		f.Host = fs.String("host", "boom", "host core: boom (Table II) or inorder (scalar)")
-		f.Serialized = fs.Bool("serialized", false, "serialize fetch behind branches (§II-A)")
-		f.SFB = fs.Bool("sfb", false, "enable short-forwards-branch predication (§VI-C)")
-	}
-	if g&GGuard != 0 {
-		f.Paranoid = fs.Bool("paranoid", false, "arm the pipeline invariant checker; violations fail the run")
-		f.Timeout = fs.Duration("timeout", 0, "abort after this wall-clock budget (0 = none)")
-	}
-	if g&GFaults != 0 {
-		f.Faults = fs.String("faults", "", "fault kinds to inject (comma-separated, or 'all'; empty = none)")
-		f.FaultPeriod = fs.Uint64("fault-period", 0, "mean fault-injection interval in opportunities (0 = off)")
-		f.FaultSeed = fs.Uint64("fault-seed", 1, "fault-injection decision-stream seed")
-		f.FaultComps = fs.String("fault-comps", "", "restrict injection to these component instances (comma-separated)")
-	}
-	if g&GEvents != 0 {
-		f.Events = fs.String("events", "", "capture the cycle-level event trace to this file (.json = Chrome trace_event for Perfetto, otherwise compact binary for cobra-events)")
-		f.EventsBuf = fs.Int("events-buf", 0, "event ring-buffer capacity (0 = default 65536; older events are dropped)")
-		f.TopBranches = fs.Int("top-branches", 0, "print the H2P table of the N hardest-to-predict branches")
-	}
-	if g&GTelemetry != 0 {
-		f.MetricsAddr = fs.String("metrics-addr", "", "serve live Prometheus-style metrics on this address (e.g. 127.0.0.1:9090)")
-		f.PprofAddr = fs.String("pprof-addr", "", "serve net/http/pprof (profiles + runtime trace) on this address")
-	}
-	if g&GProgress != 0 {
-		f.Progress = fs.Duration("progress", 0, "print a runner status line to stderr at this period (0 = off)")
-	}
-	if g&GServer != 0 {
-		f.Server = fs.String("server", "", "execute on the cobra-serve daemon at this URL instead of in-process (results are byte-identical; retries ride out restarts)")
-	}
-	if g&GDigest != 0 {
-		f.PrintDigest = fs.Bool("print-digest", false, "emit one digest=<sha256> provenance line per executed run spec on stderr (matches the run_digest in serve logs and the journal)")
-	}
-	if g&GIntervals != 0 {
-		f.Intervals = fs.String("intervals", "", "write windowed interval telemetry to this .ivl file (CBRAIVL1 binary; diff two with cobra-diff)")
-		f.IntervalInsts = fs.Uint64("interval-insts", 0, fmt.Sprintf("interval window size in instructions (0 = %d when -intervals or -sparkline turns sampling on)", interval.DefaultInsts))
-		f.Sparkline = fs.Bool("sparkline", false, "render per-window IPC and MPKI sparklines after the run")
-	}
-	return f
 }
 
-// ServerURL returns the -server flag's value ("" = run in-process).
-func (f *RunFlags) ServerURL() string { return str(f.Server) }
-
-// DigestWriter returns the sink -print-digest selects: stderr when the flag
-// is set, nil otherwise.  Tools hand it to whatever expands their run specs
-// so every digest=<sha256> line renders through EmitDigest's one format.
-func (f *RunFlags) DigestWriter() io.Writer {
-	if f.PrintDigest != nil && *f.PrintDigest {
-		return os.Stderr
+// bind registers -log-format, -version and the selected groups on fs, each
+// flag defaulting to c's current value and parsing into c.
+func (c *Config) bind(fs *flag.FlagSet, g groups) {
+	fs.StringVar(&c.LogFormat, "log-format", c.LogFormat, "diagnostic log format on stderr: text or json")
+	fs.BoolVar(&c.Version, "version", c.Version, "print build information and exit")
+	if g&gDesign != 0 {
+		fs.StringVar(&c.Design, "design", c.Design, "paper design: tage-l, b2, tourney (ignored with -topology)")
+		fs.StringVar(&c.Topology, "topology", c.Topology, "explicit topology string, e.g. \"GTAG3 > BTB2 > BIM2\"")
+		fs.UintVar(&c.GHist, "ghist", c.GHist, "global history bits (with -topology)")
+		fs.StringVar(&c.Policy, "policy", c.Policy, "GHR policy: repair, replay, none (§VI-B)")
 	}
-	return nil
+	if g&gWorkload != 0 {
+		fs.StringVar(&c.Workload, "workload", c.Workload, "workload name (SPECint proxy, dhrystone, coremark, or an ISA kernel)")
+	}
+	if g&gBudget != 0 {
+		fs.Uint64Var(&c.Insts, "insts", c.Insts, "architectural instructions to simulate")
+		fs.Uint64Var(&c.Warmup, "warmup", c.Warmup, "instructions discarded before measurement")
+		fs.Uint64Var(&c.Seed, "seed", c.Seed, "workload seed")
+	}
+	if g&gHost != 0 {
+		fs.StringVar(&c.Host, "host", c.Host, "host core: boom (Table II) or inorder (scalar)")
+		fs.BoolVar(&c.Serialized, "serialized", c.Serialized, "serialize fetch behind branches (§II-A)")
+		fs.BoolVar(&c.SFB, "sfb", c.SFB, "enable short-forwards-branch predication (§VI-C)")
+	}
+	if g&gGuard != 0 {
+		fs.BoolVar(&c.Paranoid, "paranoid", c.Paranoid, "arm the pipeline invariant checker; violations fail the run")
+		fs.DurationVar(&c.Timeout, "timeout", c.Timeout, "abort after this wall-clock budget (0 = none)")
+	}
+	if g&gFaults != 0 {
+		fs.StringVar(&c.Faults, "faults", c.Faults, "fault kinds to inject (comma-separated, or 'all'; empty = none)")
+		fs.Uint64Var(&c.FaultPeriod, "fault-period", c.FaultPeriod, "mean fault-injection interval in opportunities (0 = off)")
+		fs.Uint64Var(&c.FaultSeed, "fault-seed", c.FaultSeed, "fault-injection decision-stream seed")
+		fs.StringVar(&c.FaultComps, "fault-comps", c.FaultComps, "restrict injection to these component instances (comma-separated)")
+	}
+	if g&gEvents != 0 {
+		fs.StringVar(&c.Events, "events", c.Events, "capture the cycle-level event trace to this file (.json = Chrome trace_event for Perfetto, otherwise compact binary for cobra-events)")
+		fs.IntVar(&c.EventsBuf, "events-buf", c.EventsBuf, "event ring-buffer capacity (0 = default 65536; older events are dropped)")
+		fs.IntVar(&c.TopBranches, "top-branches", c.TopBranches, "print the H2P table of the N hardest-to-predict branches")
+	}
+	if g&gMetrics != 0 {
+		fs.StringVar(&c.MetricsAddr, "metrics-addr", c.MetricsAddr, "serve live Prometheus-style metrics on this address (e.g. 127.0.0.1:9090)")
+	}
+	if g&gPprof != 0 {
+		fs.StringVar(&c.PprofAddr, "pprof-addr", c.PprofAddr, "serve net/http/pprof (profiles + runtime trace) on this address")
+	}
+	if g&gProgress != 0 {
+		fs.DurationVar(&c.Progress, "progress", c.Progress, "print a runner status line to stderr at this period (0 = off)")
+	}
+	if g&gServer != 0 {
+		fs.StringVar(&c.Server, "server", c.Server, "execute on the cobra-serve daemon at this URL instead of in-process (results are byte-identical; retries ride out restarts)")
+	}
+	if g&gDigest != 0 {
+		fs.BoolVar(&c.PrintDigest, "print-digest", c.PrintDigest, "emit one digest=<sha256> provenance line per executed run spec on stderr (matches the run_digest in serve logs and the journal)")
+	}
+	if g&gIntervals != 0 {
+		fs.StringVar(&c.Intervals, "intervals", c.Intervals, "write windowed interval telemetry to this .ivl file (CBRAIVL1 binary; diff two with cobra-diff)")
+		fs.Uint64Var(&c.IntervalInsts, "interval-insts", c.IntervalInsts, fmt.Sprintf("interval window size in instructions (0 = %d when -intervals or -sparkline turns sampling on)", interval.DefaultInsts))
+		fs.BoolVar(&c.Sparkline, "sparkline", c.Sparkline, "render per-window IPC and MPKI sparklines after the run")
+	}
+	if g&gJobs != 0 {
+		fs.IntVar(&c.Jobs, "j", c.Jobs, "parallel simulations (1 = serial; output identical for any value)")
+	}
 }
 
-// EmitDigest writes the shared provenance line for one run spec digest —
-// the same digest=<sha256:...> key=value pair the serve logs and the run
-// journal carry, so a local invocation and a daemon's records grep alike.
-// A nil writer drops the line, letting callers pass DigestWriter() through
-// unconditionally.
-func EmitDigest(w io.Writer, digest string) {
-	if w == nil {
-		return
-	}
-	fmt.Fprintf(w, "digest=%s\n", digest)
-}
-
-// ResolveBackend turns the -server flag into the execution backend the tool
-// runs on: a backend.Remote for a non-empty URL (onProgress, when non-nil,
-// receives the daemon's live progress frames), a backend.Local over met
-// otherwise.  remote reports which way it went, for the few capabilities a
-// wire result cannot carry.
-func (f *RunFlags) ResolveBackend(tool string, met *obs.Metrics, onProgress func(client.Progress)) (be backend.Backend, remote bool, err error) {
-	url := f.ServerURL()
-	if url == "" {
-		return &backend.Local{Metrics: met}, false, nil
-	}
-	logger, err := f.Logger(tool)
-	if err != nil {
-		return nil, false, err
-	}
-	r, err := backend.NewRemote(client.Config{BaseURL: url, Log: logger, OnProgress: onProgress})
-	if err != nil {
-		return nil, false, err
-	}
-	return r, true, nil
-}
-
-// SetDefault overrides a registered flag's default before Parse — tools with
-// grid-shaped work (many points per invocation) use smaller per-point budgets
-// than the single-run tools.  Panics on an unknown flag or unparsable value:
-// both are programming errors in the tool, not user input.
-func SetDefault(fs *flag.FlagSet, name, value string) {
-	fl := fs.Lookup(name)
-	if fl == nil {
-		panic("cli: SetDefault on unregistered flag -" + name)
-	}
-	if err := fl.Value.Set(value); err != nil {
-		panic("cli: SetDefault(-" + name + ", " + value + "): " + err.Error())
-	}
-	fl.DefValue = value
-}
-
-func str(p *string) string {
-	if p == nil {
-		return ""
-	}
-	return *p
-}
-
-// Spec assembles the RunSpec the parsed flags describe: the Table I preset
-// named by -design (or the explicit -topology with -ghist/-policy applied),
-// the workload, budgets, host toggles, guard settings, fault plan, and
-// observer configuration.  It does not canonicalize; callers that need the
-// digest or defaults made explicit do that next.
-func (f *RunFlags) Spec() (*spec.RunSpec, error) {
+// Spec assembles the RunSpec the run-shaping flags describe: the Table I
+// preset named by -design (or the explicit -topology with -ghist/-policy
+// applied), the workload, budgets, host toggles, guard settings and fault
+// plan.  Output shaping (events, attribution, intervals) is shapeOutput's.
+// It does not canonicalize; callers that need the digest or defaults made
+// explicit do that next.
+func (c *Config) Spec() (*spec.RunSpec, error) {
 	s := &spec.RunSpec{}
-	if f.Design != nil {
-		if topo := str(f.Topology); topo != "" {
-			s.Design = "custom"
-			s.Topology = topo
-			if f.GHist != nil {
-				s.Pipeline.GHistBits = *f.GHist
-			}
-		} else {
-			d, err := Preset(*f.Design)
-			if err != nil {
-				return nil, err
-			}
-			*s = *d
+	if c.Topology != "" {
+		s.Design = "custom"
+		s.Topology = c.Topology
+		s.Pipeline.GHistBits = c.GHist
+	} else {
+		d, err := spec.Preset(c.Design)
+		if err != nil {
+			return nil, err
 		}
-		if f.Policy != nil {
-			switch *f.Policy {
-			case "repair", "replay", "none":
-				s.Pipeline.GHRPolicy = *f.Policy
-			default:
-				return nil, fmt.Errorf("unknown -policy %q (repair, replay, none)", *f.Policy)
-			}
-		}
+		*s = *d
 	}
-	if f.Workload != nil {
-		s.Workload = *f.Workload
+	switch c.Policy {
+	case "repair", "replay", "none":
+		s.Pipeline.GHRPolicy = c.Policy
+	default:
+		return nil, fmt.Errorf("unknown -policy %q (repair, replay, none)", c.Policy)
 	}
-	if f.Insts != nil {
-		s.Insts = *f.Insts
+	s.Workload = c.Workload
+	s.Insts, s.Warmup, s.Seed = c.Insts, c.Warmup, c.Seed
+	switch c.Host {
+	case "boom", "inorder":
+		s.Host = c.Host
+	default:
+		return nil, fmt.Errorf("unknown -host %q (boom, inorder)", c.Host)
 	}
-	if f.Warmup != nil {
-		s.Warmup = *f.Warmup
-	}
-	if f.Seed != nil {
-		s.Seed = *f.Seed
-	}
-	if f.Host != nil {
-		switch *f.Host {
-		case "boom", "inorder":
-			s.Host = *f.Host
-		default:
-			return nil, fmt.Errorf("unknown -host %q (boom, inorder)", *f.Host)
-		}
-		s.SerializedFetch = *f.Serialized
-		s.SFB = *f.SFB
-	}
-	if f.Paranoid != nil {
-		s.Paranoid = s.Paranoid || *f.Paranoid
-	}
-	if f.Timeout != nil {
-		s.SetTimeout(*f.Timeout)
-	}
-	if f.Faults != nil && (*f.Faults != "" || *f.FaultPeriod > 0) {
-		if *f.Faults == "" || *f.FaultPeriod == 0 {
+	s.SerializedFetch, s.SFB = c.Serialized, c.SFB
+	s.Paranoid = s.Paranoid || c.Paranoid
+	s.SetTimeout(c.Timeout)
+	if c.Faults != "" || c.FaultPeriod > 0 {
+		if c.Faults == "" || c.FaultPeriod == 0 {
 			return nil, fmt.Errorf("fault injection needs both -faults and -fault-period")
 		}
 		s.Faults = &spec.FaultPlan{
-			Seed:   *f.FaultSeed,
-			Period: *f.FaultPeriod,
-			Kinds:  strings.Split(*f.Faults, ","),
+			Seed:   c.FaultSeed,
+			Period: c.FaultPeriod,
+			Kinds:  strings.Split(c.Faults, ","),
 		}
-		if cs := str(f.FaultComps); cs != "" {
-			s.Faults.Components = strings.Split(cs, ",")
+		if c.FaultComps != "" {
+			s.Faults.Components = strings.Split(c.FaultComps, ",")
 		}
 	}
-	if f.Events != nil && *f.Events != "" {
-		s.Observe.Events = true
-		s.Observe.EventsBuf = *f.EventsBuf
-	}
-	if f.TopBranches != nil && *f.TopBranches > 0 {
-		s.Observe.Attribution = true
-	}
-	f.ApplyIntervals(s)
 	return s, nil
 }
 
-// ApplyIntervals stamps the interval-telemetry flags onto a spec: an explicit
-// -interval-insts sets the window size directly, while -intervals/-sparkline
-// without one turn sampling on at the default window.  Exported separately
-// from Spec so tools that load spec files (rather than build specs from
-// flags) can apply the same output-shaping overrides.
-func (f *RunFlags) ApplyIntervals(s *spec.RunSpec) {
-	if f.IntervalInsts != nil && *f.IntervalInsts > 0 {
-		s.Observe.IntervalInsts = *f.IntervalInsts
-	} else if s.Observe.IntervalInsts == 0 && (str(f.Intervals) != "" || f.Sparkline != nil && *f.Sparkline) {
+// shapeOutput stamps the output-shaping flags onto a spec, whether Spec
+// built it or it was loaded from a file: -events turns capture on (with
+// -events-buf when set), -top-branches turns attribution on, an explicit
+// -interval-insts sets the window size, and -intervals/-sparkline without
+// one turn sampling on at the default window.
+func (c *Config) shapeOutput(s *spec.RunSpec) {
+	if c.Events != "" {
+		s.Observe.Events = true
+		if c.EventsBuf != 0 {
+			s.Observe.EventsBuf = c.EventsBuf
+		}
+	}
+	if c.TopBranches > 0 {
+		s.Observe.Attribution = true
+	}
+	if c.IntervalInsts > 0 {
+		s.Observe.IntervalInsts = c.IntervalInsts
+	} else if s.Observe.IntervalInsts == 0 && (c.Intervals != "" || c.Sparkline) {
 		s.Observe.IntervalInsts = interval.DefaultInsts
 	}
 }
 
-// IntervalsPath returns the -intervals flag's value ("" = no .ivl output).
-func (f *RunFlags) IntervalsPath() string { return str(f.Intervals) }
-
-// WantSparkline reports whether -sparkline asked for terminal sparklines.
-func (f *RunFlags) WantSparkline() bool { return f.Sparkline != nil && *f.Sparkline }
-
-// Preset returns the named Table I design point as a spec (see spec.Preset).
-func Preset(name string) (*spec.RunSpec, error) { return spec.Preset(name) }
-
-// Telemetry wires the -metrics-addr/-pprof-addr/-progress flags: it creates
-// a metrics sink when anything needs one, starts the listeners and the
-// progress reporter, and returns the sink (possibly nil) and a closer that
-// stops them.  -progress prints the sink's status line to stderr at its
-// period; under -server the daemon runs the simulations, so no local line is
-// printed (the tool shows the daemon's per-run progress instead).  Endpoint
-// addresses are announced on stderr.
-func (f *RunFlags) Telemetry(tool string) (*obs.Metrics, func(), error) {
+// telemetry wires -metrics-addr/-pprof-addr/-progress: it creates a metrics
+// sink when anything needs one, starts the listeners and the progress
+// reporter, and returns the sink (possibly nil) and a closer that stops
+// them.  -progress prints the sink's status line to w at its period; under
+// -server the daemon runs the simulations, so no local line is printed.
+// Endpoint addresses are announced through log.
+func (c *Config) telemetry(log *slog.Logger, w io.Writer) (*obs.Metrics, func(), error) {
 	var (
 		met     *obs.Metrics
 		every   time.Duration
 		closers []func() error
 	)
 	closeAll := func() {
-		for _, c := range closers {
-			c() //nolint:errcheck
+		for _, stop := range closers {
+			stop() //nolint:errcheck
 		}
 	}
-	if f.Progress != nil && f.ServerURL() == "" {
-		every = *f.Progress
+	if c.Server == "" {
+		every = c.Progress
 	}
-	if every > 0 || str(f.MetricsAddr) != "" {
+	if every > 0 || c.MetricsAddr != "" {
 		met = obs.NewMetrics()
 	}
-	if addr := str(f.MetricsAddr); addr != "" {
-		bound, close, err := obs.ServeMetrics(addr, met)
+	if c.MetricsAddr != "" {
+		bound, close, err := obs.ServeMetrics(c.MetricsAddr, met)
 		if err != nil {
 			return nil, nil, fmt.Errorf("metrics listener: %w", err)
 		}
 		closers = append(closers, close)
-		slog.Info("serving metrics", "tool", tool, "url", "http://"+bound+"/metrics")
+		log.Info("serving metrics", "url", "http://"+bound+"/metrics")
 	}
-	if addr := str(f.PprofAddr); addr != "" {
-		bound, close, err := obs.ServePprof(addr)
+	if c.PprofAddr != "" {
+		bound, close, err := obs.ServePprof(c.PprofAddr)
 		if err != nil {
 			closeAll()
 			return nil, nil, fmt.Errorf("pprof listener: %w", err)
 		}
 		closers = append(closers, close)
-		slog.Info("serving pprof", "tool", tool, "url", "http://"+bound+"/debug/pprof/")
+		log.Info("serving pprof", "url", "http://"+bound+"/debug/pprof/")
 	}
 	if every > 0 {
-		closers = append(closers, reportProgress(met, every))
+		closers = append(closers, reportProgress(w, met, every))
 	}
 	return met, closeAll, nil
 }
 
-// reportProgress prints met's status line to stderr every period until the
+// reportProgress prints met's status line to w every period until the
 // returned stop func is called; stop returns once the reporter has exited,
 // so no line follows it.
-func reportProgress(met *obs.Metrics, every time.Duration) func() error {
+func reportProgress(w io.Writer, met *obs.Metrics, every time.Duration) func() error {
 	tick := time.NewTicker(every)
 	done, idle := make(chan struct{}), make(chan struct{})
 	go func() {
@@ -393,7 +328,7 @@ func reportProgress(met *obs.Metrics, every time.Duration) func() error {
 			case <-done:
 				return
 			case <-tick.C:
-				fmt.Fprintln(os.Stderr, met.ProgressLine())
+				fmt.Fprintln(w, met.ProgressLine())
 			}
 		}
 	}()
@@ -404,36 +339,76 @@ func reportProgress(met *obs.Metrics, every time.Duration) func() error {
 	}
 }
 
-// Main wraps a tool's entry point with the shared error convention
-// ("tool: error" on stderr, exit status 1) and the crash post-mortem: a
-// panic on the main goroutine dumps the flight recorder before the process
-// dies with the original panic.
-func Main(tool string, run func() error) {
-	defer obs.DumpFlightOnPanic()
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, tool+":", err)
-		os.Exit(1)
-	}
+// progressPrinter renders a daemon's client.Progress streams on w: one line
+// per phase transition of each run, tagged with a short digest prefix, so
+// the output stays readable piped into a log and unambiguous when grid
+// points run concurrently.
+type progressPrinter struct {
+	w    io.Writer
+	mu   sync.Mutex
+	seen map[string]string // digest -> last phase printed
 }
 
-// ExitAfter arms the hard wall-clock guard used by tools without a
-// cooperative cancellation path: after d the process reports the timeout and
-// exits non-zero.  A zero or negative d is a no-op.
-func ExitAfter(tool string, d time.Duration) {
-	if d <= 0 {
-		return
+func (p *progressPrinter) update(ev client.Progress) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if ev.Done || p.seen[ev.Digest] == ev.Phase {
+		return // the result that follows says it all
 	}
-	time.AfterFunc(d, func() {
-		fmt.Fprintf(os.Stderr, "%s: timeout after %v\n", tool, d)
-		os.Exit(1)
-	})
+	p.seen[ev.Digest] = ev.Phase
+	id := strings.TrimPrefix(ev.Digest, "sha256:")
+	if len(id) > 12 {
+		id = id[:12]
+	}
+	line := fmt.Sprintf("run %s: %s phase=%s", id, ev.Status, ev.Phase)
+	if ev.QueuePos > 0 {
+		line += fmt.Sprintf(" queue_pos=%d", ev.QueuePos)
+	}
+	if ev.Cycles > 0 {
+		line += fmt.Sprintf(" cycles=%d insts=%d", ev.Cycles, ev.Insts)
+		if ev.TargetInsts > 0 {
+			line += fmt.Sprintf("/%d", ev.TargetInsts)
+		}
+		if ev.InstsPerSec > 0 {
+			line += fmt.Sprintf(" (%.2gM insts/s)", ev.InstsPerSec/1e6)
+		}
+	}
+	if w := ev.Window; w != nil {
+		line += fmt.Sprintf(" window=%d ipc=%.3f mpki=%.2f", w.Index, w.IPC(), w.MPKI())
+	}
+	fmt.Fprintln(p.w, line)
 }
 
-// LoadSpec reads and parses a RunSpec JSON file.
-func LoadSpec(path string) (*spec.RunSpec, error) {
-	data, err := os.ReadFile(path)
+// printCanonical is -print-spec and -print-set: v's canonical JSON on
+// stdout, its digest on stderr.
+func printCanonical(stdout, stderr io.Writer, v interface{ Digest() (string, error) }) error {
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return spec.Parse(data)
+	digest, err := v.Digest()
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(stdout, string(data))
+	fmt.Fprintln(stderr, "digest:", digest)
+	return nil
+}
+
+// writeFile creates path, fills it with write, and closes it, reporting the
+// first error of the three: a failed Close loses data as surely as a failed
+// write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("writing %s: %w", path, err)
+	}
+	return nil
 }

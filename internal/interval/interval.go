@@ -9,8 +9,8 @@
 // Recorder is the uarch core's one telemetry sink — it also carries the
 // run's live progress and feeds the batch Prometheus counters — and closes
 // one Window per N instructions (quantized to the core's 8192-cycle flush
-// cadence, so sampling adds no new branches to the hot loop) into a
-// preallocated ring with zero steady-state allocations.  The windows serialize to the compact
+// cadence, so sampling adds no new branches to the hot loop) into a bounded
+// ring with zero steady-state allocations.  The windows serialize to the compact
 // CBRAIVL1 binary codec (codec.go), whose encoded bytes also define the
 // set's content hash — the determinism pin that makes interval files
 // comparable across parallelism levels and execution backends.

@@ -12,10 +12,11 @@ import (
 	"cobra/internal/stats"
 )
 
-// ringCap bounds the preallocated window ring.  At the default 100k-inst
-// window it covers a 409.6M-instruction measured region before the oldest
-// windows start dropping — far past every paper budget — while keeping the
-// recorder's footprint fixed.
+// ringCap bounds the window ring.  At the default 100k-inst window it covers
+// a 409.6M-instruction measured region before the oldest windows start
+// dropping — far past every paper budget — while bounding the recorder's
+// footprint.  The ring grows by append as windows close, so a short run
+// pays only for the windows it records.
 const ringCap = 4096
 
 // snap is the counter snapshot a window's deltas are taken against: the
@@ -47,8 +48,8 @@ type snap struct {
 // read atomics and lock only against window closes — never against the
 // fast path of Tick, which publishes two atomics and makes one comparison.
 //
-// Steady state allocates nothing: windows close into a preallocated ring
-// whose per-slot Providers slices are reused, the provider name table stops
+// Steady state allocates nothing: windows close into a ring that grows to
+// at most ringCap slots and then wraps, reusing each slot's Providers slice, the provider name table stops
 // growing once every sub-component has predicted, and the H2P map stops
 // growing once the program's branch PCs have all mispredicted at least once.
 // With windows off (a zero window size) there is no ring and no H2P map.
@@ -102,7 +103,6 @@ type Recorder struct {
 func NewRecorder(every uint64, met *obs.Metrics) *Recorder {
 	r := &Recorder{every: every, met: met}
 	if every > 0 {
-		r.ring = make([]Window, ringCap)
 		r.h2p = make(map[uint64]uint32, 1024)
 	}
 	r.nextBoundary = r.firstBoundary()
@@ -225,13 +225,20 @@ func (r *Recorder) close(cycle uint64, s *stats.Sim, overrides, squashes, repair
 		overrides:    overrides, squashes: squashes, repairs: repairs,
 	}
 
+	// The ring grows until it holds ringCap windows and only then wraps, so
+	// start stays 0 while len(r.ring) < ringCap.
 	r.mu.Lock()
 	var w *Window
-	if r.count == len(r.ring) {
+	switch {
+	case r.count == ringCap:
 		w = &r.ring[r.start]
 		r.start = (r.start + 1) % len(r.ring)
 		r.dropped++
-	} else {
+	case r.count == len(r.ring):
+		r.ring = append(r.ring, Window{})
+		w = &r.ring[r.count]
+		r.count++
+	default:
 		w = &r.ring[(r.start+r.count)%len(r.ring)]
 		r.count++
 	}

@@ -332,3 +332,19 @@ func TestRecorderReconcile(t *testing.T) {
 		t.Fatalf("cycle mismatch not reported: %v", err)
 	}
 }
+
+// TestRecorderRingGrowsOnDemand: a short windowed run pays for the windows
+// it closes, not for the full ring.
+func TestRecorderRingGrowsOnDemand(t *testing.T) {
+	d := newDriver(1000)
+	for i := 0; i < 5; i++ {
+		d.advance(1000)
+	}
+	d.r.Finish(d.cyc, &d.s, d.s.Instructions/10, d.s.Instructions/20, 0)
+	if n := len(d.r.Set().Windows); n != 5 {
+		t.Fatalf("recorded %d windows, want 5", n)
+	}
+	if c := cap(d.r.ring); c > 16 {
+		t.Fatalf("5-window run holds a ring of cap %d (ringCap %d)", c, ringCap)
+	}
+}
