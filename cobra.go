@@ -112,7 +112,7 @@ func WriteChromeTrace(w io.Writer, events []Event) error { return obs.WriteChrom
 func WriteBinaryEvents(w io.Writer, events []Event) error { return obs.WriteBinary(w, events) }
 
 // ReadBinaryEvents reads a compact binary event stream produced by
-// WriteBinaryEvents, validating its header and record framing.
+// WriteBinaryEvents, validating its magic, record framing and checksum.
 func ReadBinaryEvents(r io.Reader) ([]Event, error) { return obs.ReadBinary(r) }
 
 // ServeMetrics starts an HTTP listener on addr serving m's Prometheus text

@@ -196,8 +196,9 @@ func (c *Config) bind(fs *flag.FlagSet, g groups) {
 
 // Spec assembles the RunSpec the run-shaping flags describe: the Table I
 // preset named by -design (or the explicit -topology with -ghist/-policy
-// applied), the workload, budgets, host toggles, guard settings and fault
-// plan.  Output shaping (events, attribution, intervals) is shapeOutput's.
+// applied), the workload, budgets, host toggles and fault plan.  Guard
+// settings and output shaping (events, attribution, intervals) are
+// shapeOutput's.
 // It does not canonicalize; callers that need the digest or defaults made
 // explicit do that next.
 func (c *Config) Spec() (*spec.RunSpec, error) {
@@ -228,8 +229,6 @@ func (c *Config) Spec() (*spec.RunSpec, error) {
 		return nil, fmt.Errorf("unknown -host %q (boom, inorder)", c.Host)
 	}
 	s.SerializedFetch, s.SFB = c.Serialized, c.SFB
-	s.Paranoid = s.Paranoid || c.Paranoid
-	s.SetTimeout(c.Timeout)
 	if c.Faults != "" || c.FaultPeriod > 0 {
 		if c.Faults == "" || c.FaultPeriod == 0 {
 			return nil, fmt.Errorf("fault injection needs both -faults and -fault-period")
@@ -246,12 +245,17 @@ func (c *Config) Spec() (*spec.RunSpec, error) {
 	return s, nil
 }
 
-// shapeOutput stamps the output-shaping flags onto a spec, whether Spec
-// built it or it was loaded from a file: -events turns capture on (with
+// shapeOutput stamps the guard and output-shaping flags onto a spec,
+// whether Spec built it or it was loaded from a file: -paranoid arms the
+// checker, -timeout sets the budget, -events turns capture on (with
 // -events-buf when set), -top-branches turns attribution on, an explicit
 // -interval-insts sets the window size, and -intervals/-sparkline without
 // one turn sampling on at the default window.
 func (c *Config) shapeOutput(s *spec.RunSpec) {
+	s.Paranoid = s.Paranoid || c.Paranoid
+	if c.Timeout > 0 {
+		s.SetTimeout(c.Timeout)
+	}
 	if c.Events != "" {
 		s.Observe.Events = true
 		if c.EventsBuf != 0 {

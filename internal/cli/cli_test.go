@@ -279,3 +279,50 @@ func TestProgressReportsGrids(t *testing.T) {
 		t.Errorf("-progress printed no status line; stderr:\n%s", stderr)
 	}
 }
+
+// TestGuardFlagsReachLoadedSpecs: -paranoid and -timeout shape a spec read
+// from a file exactly as they shape one built from flags — for cobra diff's
+// spec operands, cobra sim -spec and cobra sweep -set alike.
+func TestGuardFlagsReachLoadedSpecs(t *testing.T) {
+	dir := t.TempDir()
+	small := filepath.Join(dir, "small.json")
+	if err := os.WriteFile(small, []byte(mustRun(t, "sim", "-print-spec", "-workload", "fib", "-insts", "5000")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	digest := func(args ...string) string {
+		t.Helper()
+		code, _, stderr := run(t, args...)
+		if code != 0 {
+			t.Fatalf("cobra %s: exit %d, stderr:\n%s", strings.Join(args, " "), code, stderr)
+		}
+		for _, line := range strings.Split(stderr, "\n") {
+			if strings.HasPrefix(line, "digest=") {
+				return line
+			}
+		}
+		t.Fatalf("cobra %s printed no digest:\n%s", strings.Join(args, " "), stderr)
+		return ""
+	}
+	if plain, paranoid := digest("diff", "-print-digest", small, small),
+		digest("diff", "-paranoid", "-print-digest", small, small); plain == paranoid {
+		t.Errorf("cobra diff -paranoid ran the same spec as without it (%s)", plain)
+	}
+
+	set := filepath.Join(dir, "set.json")
+	if err := os.WriteFile(set, []byte(mustRun(t, "sweep", "-print-set", "-workload", "fib", "-insts", "5000")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out := mustRun(t, "sweep", "-set", set, "-paranoid", "-print-set"); !strings.Contains(out, `"paranoid": true`) {
+		t.Errorf("cobra sweep -set -paranoid printed a set without paranoid:\n%s", out)
+	}
+
+	// About 3 s of simulation without the budget.
+	big := filepath.Join(dir, "big.json")
+	if err := os.WriteFile(big, []byte(mustRun(t, "sim", "-print-spec", "-workload", "gcc", "-insts", "2000000")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, _, stderr := run(t, "sim", "-spec", big, "-timeout", "50ms")
+	if code != 1 || !strings.Contains(stderr, context.DeadlineExceeded.Error()) {
+		t.Errorf("cobra sim -spec -timeout 50ms: exit %d, want 1 with a deadline-exceeded error; stderr:\n%s", code, stderr)
+	}
+}

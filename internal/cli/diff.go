@@ -2,6 +2,7 @@ package cli
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"cobra/internal/backend"
 	"cobra/internal/interval"
 	"cobra/internal/obs"
+	"cobra/internal/sealed"
 	"cobra/internal/spec"
 	"cobra/internal/stats"
 )
@@ -127,20 +129,19 @@ func resolve(e *env, arg string) (*side, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(data) >= 8 && string(data[:8]) == "CBRAIVL1" {
-		set, err := interval.Decode(data)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", arg, err)
-		}
+	set, err := interval.Decode(data)
+	if err == nil {
 		return &side{label: arg, set: set}, nil
+	}
+	if !errors.Is(err, sealed.ErrMagic) {
+		return nil, fmt.Errorf("%s: %w", arg, err)
 	}
 	s, err := spec.Parse(data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: not a CBRAIVL1 file and not a run spec: %w", arg, err)
 	}
-	if e.IntervalInsts > 0 {
-		s.Observe.IntervalInsts = e.IntervalInsts
-	} else if s.Observe.IntervalInsts == 0 {
+	e.shapeOutput(s)
+	if s.Observe.IntervalInsts == 0 {
 		s.Observe.IntervalInsts = interval.DefaultInsts
 	}
 	if err := s.Canonicalize(); err != nil {

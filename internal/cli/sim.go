@@ -32,7 +32,7 @@ import (
 // through the unified backend — byte-identical results either way, because
 // the spec digest pins the simulation.
 func simCmd(fs *flag.FlagSet, _ *Config) func(*env) error {
-	specPath := fs.String("spec", "", "run the RunSpec JSON file at this path (run-shaping flags are ignored; -events/-top-branches still apply)")
+	specPath := fs.String("spec", "", "run the RunSpec JSON file at this path (run-shaping flags are ignored; -paranoid/-timeout/-events/-top-branches still apply)")
 	printSpec := fs.Bool("print-spec", false, "print the canonical RunSpec JSON to stdout and its digest to stderr, then exit without running")
 	verbose := fs.Bool("v", false, "print extended counters")
 	return func(e *env) error {

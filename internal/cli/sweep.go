@@ -62,6 +62,7 @@ func sweepCmd(fs *flag.FlagSet, c *Config) func(*env) error {
 		if err != nil {
 			return err
 		}
+		e.shapeOutput(&set.Base)
 		if err := set.Canonicalize(); err != nil {
 			return err
 		}
@@ -189,7 +190,6 @@ func buildSet(c *Config, designsF bool, tageSizes, topologies, workloadsF string
 		Host:            c.Host,
 		SerializedFetch: c.Serialized,
 		SFB:             c.SFB,
-		Paranoid:        c.Paranoid,
 	}
 	var designs spec.Axis
 	switch {

@@ -163,6 +163,10 @@ type Result struct {
 // the signal to resubmit.
 var ErrNotFound = errors.New("client: run not found")
 
+// progressGrace bounds how long Run waits, after the poll sees a run done,
+// for the progress stream's terminal frame.
+const progressGrace = time.Second
+
 // RunError is a run the daemon executed and declared failed; retrying it
 // would recompute the same failure, so the client reports it as permanent.
 // Resources and Flight carry the daemon's post-mortem context when it sent
@@ -345,10 +349,11 @@ func (c *Client) Run(ctx context.Context, sp *spec.RunSpec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	var watchDone chan struct{}
 	if c.cfg.OnProgress != nil && st.Status != "done" && st.Status != "failed" {
 		wctx, cancel := context.WithCancel(ctx)
 		defer cancel()
-		watchDone := make(chan struct{})
+		watchDone = make(chan struct{})
 		go func() {
 			defer close(watchDone)
 			if werr := c.Watch(wctx, st.Digest, c.cfg.OnProgress); werr != nil && wctx.Err() == nil {
@@ -382,6 +387,16 @@ func (c *Client) Run(ctx context.Context, sp *spec.RunSpec) (*Result, error) {
 			return nil, err
 		}
 		st = next
+	}
+	if watchDone != nil {
+		// The poll can see done before the stream delivers its terminal
+		// frame; let the watcher finish (it returns on that frame) before
+		// the deferred cancel cuts it off.
+		select {
+		case <-watchDone:
+		case <-ctx.Done():
+		case <-time.After(progressGrace):
+		}
 	}
 	var res Result
 	if err := json.Unmarshal(st.Result, &res); err != nil {

@@ -349,6 +349,47 @@ func TestOnProgressEndToEnd(t *testing.T) {
 	}
 }
 
+// TestOnProgressSeesTerminalFrame: when the status poll sees done before
+// the progress stream has sent its terminal frame, Run still delivers that
+// frame to OnProgress before it returns.
+func TestOnProgressSeesTerminalFrame(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.Method == http.MethodPost:
+			w.WriteHeader(http.StatusAccepted)
+			fmt.Fprintf(w, `{"digest":%q,"status":"queued"}`, fakeDigest)
+		case strings.HasSuffix(r.URL.Path, "/progress"):
+			w.Header().Set("Content-Type", "text/event-stream")
+			fmt.Fprintf(w, "data: {\"digest\":%q,\"status\":\"running\",\"cycles\":1}\n\n", fakeDigest)
+			w.(http.Flusher).Flush()
+			time.Sleep(200 * time.Millisecond)
+			fmt.Fprintf(w, "data: {\"digest\":%q,\"status\":\"done\",\"cycles\":2,\"done\":true}\n\n", fakeDigest)
+		default:
+			fmt.Fprint(w, doneBody(fakeDigest))
+		}
+	}))
+	defer ts.Close()
+	var (
+		mu     sync.Mutex
+		frames []Progress
+	)
+	c := newClient(t, ts.URL, func(cfg *Config) {
+		cfg.OnProgress = func(p Progress) {
+			mu.Lock()
+			frames = append(frames, p)
+			mu.Unlock()
+		}
+	})
+	if _, err := c.Run(context.Background(), smallSpec(4)); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(frames) == 0 || !frames[len(frames)-1].Done {
+		t.Fatalf("OnProgress did not see the terminal frame: %+v", frames)
+	}
+}
+
 // TestWatchFallback: a server that answers /progress with plain JSON (no
 // SSE) still delivers exactly one snapshot to the callback.
 func TestWatchFallback(t *testing.T) {

@@ -4,15 +4,15 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"sort"
+
+	"cobra/internal/sealed"
 )
 
-// CBRAIVL1 interval-file layout (all integers unsigned varints unless
-// noted), the sibling of the CBRAEVT1 event format:
+// CBRAIVL1 interval-file body (all integers unsigned varints), inside the
+// sealed frame (magic "CBRAIVL1", body, CRC32 trailer):
 //
-//	magic    [8]byte  "CBRAIVL1"
 //	interval uvarint  window size in instructions
 //	dropped  uvarint  windows lost to ring overflow
 //	names    uvarint count, per name: uvarint length + raw bytes
@@ -24,14 +24,13 @@ import (
 //	         per window: uvarint cycle span, inst span, the 13 counters in
 //	         Window field order, provider count, then per provider:
 //	         uvarint name index, branches, mispredicts
-//	crc      uint32 LE, IEEE CRC32 of everything above
 //
 // Delta-encoding the monotone series keeps a thousand-window file in the
-// low kilobytes, and the trailing CRC makes truncation or bit corruption a
+// low kilobytes, and the frame's CRC makes truncation or bit corruption a
 // loud decode error rather than silently plausible telemetry.  The encoded
 // bytes double as the set's content identity: ContentHash is their sha256.
 
-var ivlMagic = [8]byte{'C', 'B', 'R', 'A', 'I', 'V', 'L', '1'}
+const magic = "CBRAIVL1"
 
 // Encode serializes the set in CBRAIVL1 form.  It fails if the windows are
 // not contiguous with sequential indices — the shape every Recorder and
@@ -53,7 +52,6 @@ func (s *Set) Encode() ([]byte, error) {
 	}
 
 	buf := make([]byte, 0, 64+64*len(s.Windows))
-	buf = append(buf, ivlMagic[:]...)
 	buf = binary.AppendUvarint(buf, s.IntervalInsts)
 	buf = binary.AppendUvarint(buf, s.Dropped)
 	buf = binary.AppendUvarint(buf, uint64(len(table)))
@@ -101,9 +99,7 @@ func (s *Set) Encode() ([]byte, error) {
 			buf = binary.AppendUvarint(buf, p.Mispredicts)
 		}
 	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf))
-	return append(buf, crc[:]...), nil
+	return sealed.Frame(magic, buf), nil
 }
 
 // ContentHash returns "sha256:<hex>" over the set's CBRAIVL1 encoding — the
@@ -126,28 +122,22 @@ type ivlReader struct {
 func (r *ivlReader) uvarint(what string) (uint64, error) {
 	v, n := binary.Uvarint(r.data[r.off:])
 	if n <= 0 {
-		return 0, fmt.Errorf("interval: truncated %s at offset %d", what, r.off)
+		return 0, fmt.Errorf("interval: truncated %s at body offset %d", what, r.off)
 	}
 	r.off += n
 	return v, nil
 }
 
 // Decode parses a CBRAIVL1 buffer, rejecting bad magic, checksum
-// mismatches, truncation, and implausible structure loudly.
+// mismatches, truncation, and implausible structure loudly.  A wrong magic
+// wraps sealed.ErrMagic, damage sealed.ErrCorrupt.
 func Decode(data []byte) (*Set, error) {
-	if len(data) < len(ivlMagic)+4 {
-		return nil, fmt.Errorf("interval: file too short (%d bytes)", len(data))
+	body, err := sealed.Unframe(data, magic)
+	if err != nil {
+		return nil, fmt.Errorf("interval: %w", err)
 	}
-	if [8]byte(data[:8]) != ivlMagic {
-		return nil, fmt.Errorf("interval: bad magic %q (not a cobra interval file)", data[:8])
-	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(tail); got != want {
-		return nil, fmt.Errorf("interval: checksum mismatch (file %08x, computed %08x): corrupt or truncated", want, got)
-	}
-	r := &ivlReader{data: body, off: 8}
+	r := &ivlReader{data: body}
 	s := &Set{}
-	var err error
 	if s.IntervalInsts, err = r.uvarint("interval size"); err != nil {
 		return nil, err
 	}
@@ -269,17 +259,4 @@ func WriteFile(path string, s *Set) error {
 		return err
 	}
 	return os.WriteFile(path, data, 0o644)
-}
-
-// ReadFile decodes the CBRAIVL1 file at path.
-func ReadFile(path string) (*Set, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	s, err := Decode(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
 }

@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"flag"
-	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"cobra/internal/sealed"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/golden files")
@@ -149,15 +150,6 @@ func TestCodecGolden(t *testing.T) {
 	}
 }
 
-// seal replaces the CRC32 footer so structural corruption tests reach the
-// parser instead of stopping at the checksum gate.
-func seal(data []byte) []byte {
-	body := data[:len(data)-4]
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(body))
-	return append(append([]byte(nil), body...), crc[:]...)
-}
-
 func encodeT(t *testing.T, s *Set) []byte {
 	t.Helper()
 	data, err := s.Encode()
@@ -201,7 +193,7 @@ func TestDecodeRejectsBitFlips(t *testing.T) {
 func TestDecodeRejectsTrailingBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	full := encodeT(t, randomSet(rng, 3))
-	bad := seal(append(full, 0xAA, 0xBB))
+	bad := sealed.Frame(magic, append(full[8:len(full)-4:len(full)-4], 0xAA, 0xBB))
 	if _, err := Decode(bad); err == nil || !strings.Contains(err.Error(), "trailing") {
 		t.Fatalf("err = %v, want trailing-bytes error", err)
 	}
@@ -210,12 +202,11 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 func TestDecodeRejectsImplausibleCounts(t *testing.T) {
 	// Hand-build a header claiming 2^40 windows; the CRC is valid, so only
 	// the structural bound rejects it.
-	buf := append([]byte(nil), ivlMagic[:]...)
-	buf = binary.AppendUvarint(buf, 100) // interval
-	buf = binary.AppendUvarint(buf, 0)   // dropped
-	buf = binary.AppendUvarint(buf, 0)   // names
+	buf := binary.AppendUvarint(nil, 100) // interval
+	buf = binary.AppendUvarint(buf, 0)    // dropped
+	buf = binary.AppendUvarint(buf, 0)    // names
 	buf = binary.AppendUvarint(buf, 1<<40)
-	bad := seal(append(buf, 0, 0, 0, 0))
+	bad := sealed.Frame(magic, buf)
 	if _, err := Decode(bad); err == nil || !strings.Contains(err.Error(), "implausible window count") {
 		t.Fatalf("err = %v, want implausible-window-count error", err)
 	}
@@ -230,28 +221,5 @@ func TestEncodeRejectsNonContiguous(t *testing.T) {
 	}
 	if s.ContentHash() != "" {
 		t.Fatal("ContentHash of an unencodable set should be empty")
-	}
-}
-
-func TestWriteReadFile(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	want := randomSet(rng, 5)
-	path := filepath.Join(t.TempDir(), "run.ivl")
-	if err := WriteFile(path, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Windows, want.Windows) {
-		t.Fatal("file round trip mismatch")
-	}
-	// Corrupt on disk: the read must fail loudly, naming the file.
-	data, _ := os.ReadFile(path)
-	data[len(data)/2] ^= 1
-	os.WriteFile(path, data, 0o644)
-	if _, err := ReadFile(path); err == nil || !strings.Contains(err.Error(), path) {
-		t.Fatalf("err = %v, want loud failure naming %s", err, path)
 	}
 }

@@ -9,11 +9,13 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"cobra/internal/sealed"
 )
 
 // FuzzDecode: Decode rejects bad input with an error, never a panic, and
 // whatever it accepts encodes back to a file that decodes to the same set.
-// With reseal set the CRC footer is recomputed first, so mutations reach the
+// With reseal set the frame's CRC trailer is recomputed first, so mutations reach the
 // structural parser instead of stopping at the checksum.
 func FuzzDecode(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "golden.ivl"))
@@ -38,8 +40,8 @@ func FuzzDecode(f *testing.F) {
 	// but re-encoded to a file whose windows outnumber its table.
 	f.Add([]byte("CBRAIVL100\x06\x040000\x040000\x0500000\x0500000\x0500000#00000000000000000000000000000000000\x04000000000000000000\x03\x0100\x0200\x0500000000000000000\x04\x0300\x0100\x0400\x02000000000000000\xea00\x02\x0400\x05000000000000000\x9000\x02\x0300\x04000000"), true)
 	f.Fuzz(func(t *testing.T, data []byte, reseal bool) {
-		if reseal && len(data) >= 4 {
-			data = seal(data)
+		if reseal && len(data) >= 12 {
+			data = sealed.Frame(string(data[:8]), data[8:len(data)-4])
 		}
 		s, err := Decode(data)
 		if err != nil {

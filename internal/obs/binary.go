@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"cobra/internal/sealed"
 )
 
-// Binary event-file layout (little endian), read back by cobra-events:
+// CBRAEVT2 event-file body (little endian), inside the sealed frame (magic
+// "CBRAEVT2", body, CRC32 trailer), read back by cobra events:
 //
-//	magic   [8]byte  "CBRAEVT1"
 //	nComp   uint32   component string-table size
 //	        per component: uint16 length + raw bytes
 //	nEvents uint64
@@ -20,16 +22,12 @@ import (
 // The fixed 40-byte record keeps a million-event trace at ~40 MB and makes
 // filtering by seek trivial for future tooling.
 
-var binaryMagic = [8]byte{'C', 'B', 'R', 'A', 'E', 'V', 'T', '1'}
+const eventMagic = "CBRAEVT2"
 
 const noComp = 0xFFFF
 
 // WriteBinary writes events in the compact binary format.
 func WriteBinary(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
-		return err
-	}
 	comps := map[string]uint16{}
 	var order []string
 	for _, ev := range events {
@@ -40,19 +38,24 @@ func WriteBinary(w io.Writer, events []Event) error {
 			if len(order) >= noComp {
 				return fmt.Errorf("obs: more than %d distinct components", noComp)
 			}
+			if len(ev.Comp) > 0xFFFF {
+				return fmt.Errorf("obs: component name too long (%d bytes)", len(ev.Comp))
+			}
 			comps[ev.Comp] = uint16(len(order))
 			order = append(order, ev.Comp)
 		}
 	}
+	fw, err := sealed.NewFrameWriter(w, eventMagic)
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(fw)
 	var u16 [2]byte
 	var u32 [4]byte
 	var u64 [8]byte
 	binary.LittleEndian.PutUint32(u32[:], uint32(len(order)))
 	bw.Write(u32[:])
 	for _, name := range order {
-		if len(name) > 0xFFFF {
-			return fmt.Errorf("obs: component name too long (%d bytes)", len(name))
-		}
 		binary.LittleEndian.PutUint16(u16[:], uint16(len(name)))
 		bw.Write(u16[:])
 		bw.WriteString(name)
@@ -79,19 +82,21 @@ func WriteBinary(w io.Writer, events []Event) error {
 			return err
 		}
 	}
-	return bw.Flush()
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	return fw.Close()
 }
 
-// ReadBinary reads an event file written by WriteBinary.
+// ReadBinary reads an event file written by WriteBinary.  Bytes after the
+// last event, or a trailer that does not match, fail it with an error
+// wrapping sealed.ErrCorrupt.
 func ReadBinary(r io.Reader) ([]Event, error) {
-	br := bufio.NewReader(r)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("obs: reading magic: %w", err)
+	fr, err := sealed.NewFrameReader(r, eventMagic)
+	if err != nil {
+		return nil, fmt.Errorf("obs: %w", err)
 	}
-	if magic != binaryMagic {
-		return nil, fmt.Errorf("obs: bad magic %q (not a cobra event file)", magic[:])
-	}
+	br := bufio.NewReader(fr)
 	var u16 [2]byte
 	var u32 [4]byte
 	var u64 [8]byte
@@ -147,6 +152,9 @@ func ReadBinary(r io.Reader) ([]Event, error) {
 			ev.Comp = comps[ci]
 		}
 		events = append(events, ev)
+	}
+	if err := sealed.ExpectEnd(br); err != nil {
+		return nil, fmt.Errorf("obs: after event %d: %w", n, err)
 	}
 	return events, nil
 }

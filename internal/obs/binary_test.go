@@ -2,10 +2,13 @@ package obs
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+
+	"cobra/internal/sealed"
 )
 
 // randomEvents builds a seeded pseudo-random event stream exercising every
@@ -104,8 +107,8 @@ func TestBinaryRejectsTruncation(t *testing.T) {
 // file that holds none is a truncation error, not a 45 GB preallocation
 // that kills the process.
 func TestBinaryHugeCountIsShortRead(t *testing.T) {
-	raw := "CBRAEVT1\x01\x00\x00\x00\x04\x0000000000\x00\x00\x00\x00"
-	if _, err := ReadBinary(strings.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "event 0") {
+	raw := sealed.Frame(eventMagic, []byte("\x01\x00\x00\x00\x04\x0000000000\x00\x00\x00\x00"))
+	if _, err := ReadBinary(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "event 0") {
 		t.Fatalf("err = %v, want a short read at event 0", err)
 	}
 }
@@ -115,11 +118,45 @@ func TestBinaryRejectsBadKind(t *testing.T) {
 	if err := WriteBinary(&buf, []Event{{Kind: KPredict, Comp: "X"}}); err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
-	// Header: magic(8) + nComp(4) + len(2)+"X"(1) + nEvents(8); kind is the
-	// first record byte.
-	raw[8+4+3+8] = 0xEE
-	if _, err := ReadBinary(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "invalid kind") {
+	body := buf.Bytes()[8 : buf.Len()-4]
+	// Body: nComp(4) + len(2)+"X"(1) + nEvents(8); kind is the first record
+	// byte.
+	body[4+3+8] = 0xEE
+	if _, err := ReadBinary(bytes.NewReader(sealed.Frame(eventMagic, body))); err == nil || !strings.Contains(err.Error(), "invalid kind") {
 		t.Fatalf("err = %v, want invalid-kind error", err)
+	}
+}
+
+// TestBinaryRejectsDamage: a flipped bit inside a record, or bytes after
+// the last record, is corruption the reader reports, not events it returns.
+func TestBinaryRejectsDamage(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, randomEvents(rand.New(rand.NewSource(9)), 30)); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	flipped := append([]byte(nil), full...)
+	flipped[len(full)-4-40+20] ^= 0x10 // the PC of the last record
+	trailing := append(append([]byte(nil), full...), "junk"...)
+	// Trailing bytes under a matching checksum: only the end check sees them.
+	resealed := sealed.Frame(eventMagic, append(full[8:len(full)-4:len(full)-4], 0))
+	for name, raw := range map[string][]byte{"flipped": flipped, "trailing": trailing, "resealed trailing": resealed} {
+		if _, err := ReadBinary(bytes.NewReader(raw)); !errors.Is(err, sealed.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want sealed.ErrCorrupt", name, err)
+		}
+	}
+}
+
+// TestBinaryRejectsOldVersion: a CBRAEVT1 file, which carried no checksum,
+// fails naming its version instead of being read unchecked.
+func TestBinaryRejectsOldVersion(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, randomEvents(rand.New(rand.NewSource(3)), 4)); err != nil {
+		t.Fatal(err)
+	}
+	old := append([]byte("CBRAEVT1"), buf.Bytes()[8:buf.Len()-4]...)
+	_, err := ReadBinary(bytes.NewReader(old))
+	if !errors.Is(err, sealed.ErrMagic) || !strings.Contains(err.Error(), `"CBRAEVT1": another format or an unsupported version`) {
+		t.Fatalf("err = %v, want unsupported version CBRAEVT1", err)
 	}
 }

@@ -1,7 +1,9 @@
-// Package sealed owns the files the repository must trust on the way back
-// in: the cobra-serve result cache, the cobra-compose fleet cache and the
-// compacted serve journal.  Publish replaces a file atomically; Seal, Open
-// and Read add and check an integrity footer, quarantining what fails.
+// Package sealed owns the bytes the repository must trust on the way back
+// in.  For the cobra-serve result cache, the cobra-compose fleet cache and
+// the compacted serve journal, Publish replaces a file atomically and Seal,
+// Open and Read add and check an integrity footer, quarantining what fails.
+// For the binary formats (interval files, event files, branch traces), the
+// frame in frame.go adds and checks a magic and a checksum trailer.
 package sealed
 
 import (
@@ -14,8 +16,8 @@ import (
 	"path/filepath"
 )
 
-// ErrCorrupt marks an entry that failed verification.
-var ErrCorrupt = errors.New("corrupt entry")
+// ErrCorrupt marks an entry or a frame that failed verification.
+var ErrCorrupt = errors.New("corrupt data")
 
 // The footer is "\n" + footerMagic + 64 lowercase hex digits of the
 // payload's sha256 + "\n".  It is a stored format: changing it orphans every

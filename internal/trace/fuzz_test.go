@@ -6,12 +6,15 @@ import (
 	"reflect"
 	"testing"
 
+	"cobra/internal/sealed"
 	"cobra/internal/workloads"
 )
 
 // FuzzReader: NewReader and Read reject bad input with an error, never a
 // panic, and a stream read cleanly to EOF rewrites to one that reads back
-// the same records.
+// the same records.  With reseal set the frame's CRC trailer is recomputed
+// first, so mutations reach the record parser instead of stopping at the
+// checksum.
 func FuzzReader(f *testing.F) {
 	prog, err := workloads.Get("dhrystone")
 	if err != nil {
@@ -21,11 +24,16 @@ func FuzzReader(f *testing.F) {
 	if _, err := Capture(&captured, prog, 1, 500); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(captured.Bytes())
-	f.Add([]byte(magic))
-	f.Add([]byte(magic + "\x02\x80\x20\x80\x40"))
-	f.Add([]byte("NOPE!!"))
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add(captured.Bytes(), false)
+	f.Add(captured.Bytes()[:captured.Len()/2], true)
+	f.Add(sealed.Frame(magic, nil), false)
+	f.Add(sealed.Frame(magic, []byte("\x02\x80\x20\x80\x40")), false)
+	f.Add([]byte("CBRT1\n\x02\x80\x20\x80\x40"), true)
+	f.Add([]byte("NOPE!!"), false)
+	f.Fuzz(func(t *testing.T, data []byte, reseal bool) {
+		if reseal && len(data) >= 12 {
+			data = sealed.Frame(string(data[:8]), data[8:len(data)-4])
+		}
 		recs, err := readAll(bytes.NewReader(data))
 		if err != nil {
 			return
@@ -40,7 +48,7 @@ func FuzzReader(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		if err := w.Flush(); err != nil {
+		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
 		back, err := readAll(&buf)

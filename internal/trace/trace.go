@@ -15,11 +15,11 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 
 	"cobra/internal/program"
+	"cobra/internal/sealed"
 )
 
 // Record is one retired control-flow instruction.
@@ -30,21 +30,25 @@ type Record struct {
 	Target uint64
 }
 
-const magic = "CBRT1\n"
+// A CBRATRC2 trace is a stream of records inside the sealed frame (magic
+// "CBRATRC2", records, CRC32 trailer), so a trace cut anywhere, even at a
+// record boundary, fails to read instead of ending early.
+const magic = "CBRATRC2"
 
 // Writer streams records to a binary trace.
 type Writer struct {
+	fw    *sealed.FrameWriter
 	w     *bufio.Writer
 	count uint64
 }
 
 // NewWriter starts a trace stream.
 func NewWriter(w io.Writer) (*Writer, error) {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
+	fw, err := sealed.NewFrameWriter(w, magic)
+	if err != nil {
 		return nil, err
 	}
-	return &Writer{w: bw}, nil
+	return &Writer{fw: fw, w: bufio.NewWriter(fw)}, nil
 }
 
 // Write appends one record (varint-packed: flags+kind, pc, target).
@@ -69,32 +73,39 @@ func (t *Writer) Write(r Record) error {
 // Count returns the number of records written.
 func (t *Writer) Count() uint64 { return t.count }
 
-// Flush finishes the stream.
-func (t *Writer) Flush() error { return t.w.Flush() }
+// Close finishes the stream with the checksum trailer; it does not close
+// the underlying writer.
+func (t *Writer) Close() error {
+	if err := t.w.Flush(); err != nil {
+		return err
+	}
+	return t.fw.Close()
+}
 
 // Reader consumes a binary trace.
 type Reader struct {
 	r *bufio.Reader
 }
 
-// NewReader validates the header and returns a reader.
+// NewReader validates the magic and returns a reader.
 func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("trace: short header: %w", err)
+	fr, err := sealed.NewFrameReader(r, magic)
+	if err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
 	}
-	if string(head) != magic {
-		return nil, errors.New("trace: bad magic")
-	}
-	return &Reader{r: br}, nil
+	return &Reader{r: bufio.NewReader(fr)}, nil
 }
 
-// Read returns the next record or io.EOF.
+// Read returns the next record, or io.EOF once the last record has been
+// read and the trailer matches.  A damaged or cut trace is an error
+// wrapping sealed.ErrCorrupt.
 func (t *Reader) Read() (Record, error) {
 	head, err := t.r.ReadByte()
-	if err != nil {
+	if err == io.EOF {
 		return Record{}, err
+	}
+	if err != nil {
+		return Record{}, fmt.Errorf("trace: %w", err)
 	}
 	// Only control-flow instructions are traced (see Capture).
 	kind := program.Kind(head >> 1)
@@ -136,5 +147,5 @@ func Capture(w io.Writer, prog *program.Program, seed uint64, n uint64) (uint64,
 			return tw.Count(), err
 		}
 	}
-	return tw.Count(), tw.Flush()
+	return tw.Count(), tw.Close()
 }

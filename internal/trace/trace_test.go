@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"cobra/internal/compose"
 	"cobra/internal/pred"
 	"cobra/internal/program"
+	"cobra/internal/sealed"
 	"cobra/internal/workloads"
 )
 
@@ -29,7 +31,7 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Flush(); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if w.Count() != uint64(len(recs)) {
@@ -66,13 +68,61 @@ func TestBadMagic(t *testing.T) {
 // instruction is damage, not a branch to simulate.
 func TestReadRejectsInvalidKind(t *testing.T) {
 	for _, head := range []byte{byte(program.KindOp) << 1, byte(program.KindIndirect+1) << 1, 0xFF} {
-		r, err := NewReader(bytes.NewBufferString(magic + string([]byte{head, 0x10, 0x20})))
+		r, err := NewReader(bytes.NewReader(sealed.Frame(magic, []byte{head, 0x10, 0x20})))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := r.Read(); err == nil || !strings.Contains(err.Error(), "invalid record kind") {
 			t.Errorf("head %#x: err = %v, want invalid record kind", head, err)
 		}
+	}
+}
+
+// TestReadRejectsDamage: a trace cut at a record boundary, cut inside its
+// trailer, or with a flipped bit fails with sealed.ErrCorrupt instead of
+// reading back a plausible prefix.
+func TestReadRejectsDamage(t *testing.T) {
+	prog, err := workloads.Get("dhrystone")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var full bytes.Buffer
+	n, err := Capture(&full, prog, 1, 20000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Find the byte offset after the first n/2 records by writing them alone.
+	recs, err := readAll(bytes.NewReader(full.Bytes()))
+	if err != nil || uint64(len(recs)) != n {
+		t.Fatalf("read %d of %d records: %v", len(recs), n, err)
+	}
+	var half bytes.Buffer
+	w, _ := NewWriter(&half)
+	for _, r := range recs[:n/2] {
+		w.Write(r)
+	}
+	w.Close()
+	boundary := half.Len() - 4
+	data := full.Bytes()
+	flipped := append([]byte(nil), data...)
+	flipped[len(data)/2] ^= 0x01
+	for name, raw := range map[string][]byte{
+		"cut at a record boundary": data[:boundary],
+		"cut inside the trailer":   data[:len(data)-3],
+		"flipped bit":              flipped,
+	} {
+		if _, err := readAll(bytes.NewReader(raw)); !errors.Is(err, sealed.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want sealed.ErrCorrupt", name, err)
+		}
+	}
+}
+
+// TestReadRejectsOldVersion: a CBRT1 trace, which carried no checksum,
+// fails naming its version instead of being read unchecked.
+func TestReadRejectsOldVersion(t *testing.T) {
+	_, err := NewReader(strings.NewReader("CBRT1\n\x02\x80\x20\x80\x40"))
+	if !errors.Is(err, sealed.ErrMagic) || !strings.Contains(err.Error(), `bad magic "CBRT1\n`) || !strings.Contains(err.Error(), "unsupported version") {
+		t.Fatalf("err = %v, want unsupported version CBRT1", err)
 	}
 }
 
