@@ -11,6 +11,8 @@
 // GTAG index/tag functions.
 package bitutil
 
+import "math/bits"
+
 // Mask returns a value with the low n bits set. n must be in [0, 64].
 func Mask(n uint) uint64 {
 	if n >= 64 {
@@ -26,11 +28,10 @@ func Bits(v uint64, lo, n uint) uint64 {
 
 // Clog2 returns ceil(log2(n)) for n >= 1, and 0 for n <= 1.
 func Clog2(n int) uint {
-	var b uint
-	for v := n - 1; v > 0; v >>= 1 {
-		b++
+	if n <= 1 {
+		return 0
 	}
-	return b
+	return uint(bits.Len(uint(n - 1)))
 }
 
 // IsPow2 reports whether n is a positive power of two.

@@ -46,6 +46,20 @@ func TestClog2(t *testing.T) {
 			t.Errorf("Clog2(%d) = %d, want %d", c.n, got, c.want)
 		}
 	}
+	for n := -2; n <= 1<<20; n++ {
+		if got, want := Clog2(n), clog2Loop(n); got != want {
+			t.Fatalf("Clog2(%d) = %d, want %d", n, got, want)
+		}
+	}
+}
+
+// clog2Loop is the shift loop Clog2 replaced, kept as its reference.
+func clog2Loop(n int) uint {
+	var b uint
+	for v := n - 1; v > 0; v >>= 1 {
+		b++
+	}
+	return b
 }
 
 func TestIsPow2(t *testing.T) {

@@ -318,7 +318,8 @@ func (b *BTB) Tick(cycle uint64) {
 
 // Mems exposes the backing memories for the energy model.
 func (b *BTB) Mems() []*sram.Mem {
-	out := append([]*sram.Mem{}, b.tags...)
+	out := make([]*sram.Mem, 0, len(b.tags)+len(b.banks))
+	out = append(out, b.tags...)
 	return append(out, b.banks...)
 }
 

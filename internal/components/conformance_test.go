@@ -6,6 +6,7 @@ import (
 
 	"cobra/internal/history"
 	"cobra/internal/pred"
+	"cobra/internal/sram"
 )
 
 // conformance drives one registered component through the COBRA interface
@@ -123,16 +124,178 @@ func conformance(t *testing.T, name string) {
 	}
 }
 
+// libraryComponents names one instance of every registered component.
+var libraryComponents = []string{
+	"UBTB1", "BIM2", "GBIM2", "LBIM2", "GSEL2", "PBIM2",
+	"BTB2", "GTAG3", "PHT3", "TAGE3", "LOOP3", "PERC3", "SCOR3", "ITGT3",
+	"GEHL3", "YAGS3", "GSKEW3", "TOURNEY3",
+}
+
+// TestLibraryCoversRegistry keeps libraryComponents in step with the
+// registry, so the suites below cover every registered component.
+func TestLibraryCoversRegistry(t *testing.T) {
+	listed := map[string]bool{}
+	for _, n := range libraryComponents {
+		base, _, _, err := ParseNodeName(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		listed[base] = true
+	}
+	for _, base := range Registered() {
+		if !listed[base] {
+			t.Errorf("registered component %s is missing from libraryComponents", base)
+		}
+	}
+}
+
 // TestConformanceAllRegistered runs the contract suite over every library
-// component (skipping the test-only fakes other packages may register).
+// component (the tournament's two inputs are covered with correct arity).
 func TestConformanceAllRegistered(t *testing.T) {
-	for _, name := range []string{
-		"UBTB1", "BIM2", "GBIM2", "LBIM2", "GSEL2", "PBIM2",
-		"BTB2", "GTAG3", "PHT3", "TAGE3", "LOOP3", "PERC3", "SCOR3", "ITGT3",
-		"GEHL3", "YAGS3", "GSKEW3",
-	} {
+	for _, name := range libraryComponents {
 		t.Run(name, func(t *testing.T) { conformance(t, name) })
 	}
-	// The tournament needs two inputs; it is covered with correct arity.
-	t.Run("TOURNEY3", func(t *testing.T) { conformance(t, "TOURNEY3") })
+}
+
+func build(t *testing.T, name string) pred.Subcomponent {
+	t.Helper()
+	c, err := Build(Env{Cfg: pred.DefaultConfig(), Global: history.NewGlobal(128), ID: 7}, name)
+	if err != nil {
+		t.Fatalf("build %s: %v", name, err)
+	}
+	return c
+}
+
+// ownedMems returns every *sram.Mem reachable from v's fields, in field
+// order, each once.
+func ownedMems(v reflect.Value) []uintptr {
+	memType := reflect.TypeOf((*sram.Mem)(nil))
+	seen := map[uintptr]bool{}
+	var out []uintptr
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			if v.IsNil() || seen[v.Pointer()] {
+				return
+			}
+			seen[v.Pointer()] = true
+			if v.Type() == memType {
+				out = append(out, v.Pointer())
+				return
+			}
+			walk(v.Elem())
+		case reflect.Interface:
+			if !v.IsNil() {
+				walk(v.Elem())
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i))
+			}
+		case reflect.Slice, reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i))
+			}
+		}
+	}
+	walk(v)
+	return out
+}
+
+// TestMemsMatchBudget pins what the pipeline clock and the energy model
+// rely on: a component that owns SRAM exposes every memory through Mems(),
+// and Mems() is exactly what Budget().Mems charges, in order.  A component
+// without Mems() must own no sram.Mem (its budget then charges arrays it
+// models outside package sram).
+func TestMemsMatchBudget(t *testing.T) {
+	for _, name := range libraryComponents {
+		t.Run(name, func(t *testing.T) {
+			c := build(t, name)
+			owned := ownedMems(reflect.ValueOf(c))
+			mp, ok := c.(interface{ Mems() []*sram.Mem })
+			if !ok {
+				if len(owned) != 0 {
+					t.Fatalf("owns %d sram.Mem but has no Mems()", len(owned))
+				}
+				return
+			}
+			mems := mp.Mems()
+			exposed := map[uintptr]bool{}
+			var specs []sram.Spec
+			for _, m := range mems {
+				exposed[reflect.ValueOf(m).Pointer()] = true
+				specs = append(specs, m.Spec())
+			}
+			if len(exposed) != len(mems) {
+				t.Errorf("Mems() lists a memory twice")
+			}
+			for _, p := range owned {
+				if !exposed[p] {
+					t.Errorf("owns an sram.Mem that Mems() does not expose")
+				}
+			}
+			if len(owned) != len(mems) {
+				t.Errorf("Mems() returns %d memories, component owns %d", len(mems), len(owned))
+			}
+			if got := c.Budget().Mems; !reflect.DeepEqual(specs, got) {
+				t.Errorf("Mems() specs differ from Budget().Mems:\n mems   %v\n budget %v", specs, got)
+			}
+		})
+	}
+}
+
+// TestEventsReadOnly pins that the four event signals leave the shared
+// payload untouched: the composer fills one pred.Event per operation and
+// hands it to every node in turn, changing only Meta.
+func TestEventsReadOnly(t *testing.T) {
+	cfg := pred.DefaultConfig()
+	for _, name := range libraryComponents {
+		t.Run(name, func(t *testing.T) {
+			c := build(t, name)
+			in := make([]pred.Packet, c.NumInputs())
+			for i := range in {
+				in[i] = make(pred.Packet, cfg.FetchWidth)
+				in[i][0] = pred.Pred{DirValid: true, Taken: true, DirProvider: 9}
+			}
+			graw := []uint64{0xF0F0_1234, 0x0F0F_5678}
+			q := &pred.Query{PC: 0x1000, GHist: graw[0], GRaw: graw, LHist: 0x35, Path: 0x9A, In: in}
+			meta := append([]uint64(nil), c.Predict(q).Meta...)
+
+			slots := make([]pred.SlotInfo, cfg.FetchWidth)
+			slots[0] = pred.SlotInfo{Valid: true, IsBranch: true, PC: 0x1000, Taken: false, PredTaken: true, Mispredicted: true}
+			slots[1] = pred.SlotInfo{Valid: true, IsCall: true, PC: 0x1004, Taken: true, Target: 0x4000}
+			slots[3] = pred.SlotInfo{Valid: true, IsIndir: true, PC: 0x100c, Taken: true, Target: 0x8000}
+			ev := &pred.Event{Cycle: 11, PC: 0x1000, GHist: graw[0], GRaw: graw,
+				LHist: 0x35, Path: 0x9A, Meta: meta, Slots: slots}
+			want := *ev
+			wantRaw := append([]uint64(nil), graw...)
+			wantSlots := append([]pred.SlotInfo(nil), slots...)
+
+			for _, sig := range []struct {
+				name string
+				f    func(*pred.Event)
+			}{{"Fire", c.Fire}, {"Repair", c.Repair}, {"Mispredict", c.Mispredict}, {"Update", c.Update}} {
+				for i := 0; i < 3; i++ {
+					sig.f(ev)
+				}
+				if ev.Cycle != want.Cycle || ev.PC != want.PC || ev.GHist != want.GHist ||
+					ev.LHist != want.LHist || ev.Path != want.Path {
+					t.Fatalf("%s changed a scalar field: got %+v", sig.name, *ev)
+				}
+				if len(ev.GRaw) != len(want.GRaw) || cap(ev.GRaw) != cap(want.GRaw) || &ev.GRaw[0] != &want.GRaw[0] {
+					t.Fatalf("%s replaced GRaw", sig.name)
+				}
+				if !reflect.DeepEqual(ev.GRaw, wantRaw) {
+					t.Fatalf("%s wrote GRaw: %#x, want %#x", sig.name, ev.GRaw, wantRaw)
+				}
+				if len(ev.Slots) != len(want.Slots) || cap(ev.Slots) != cap(want.Slots) || &ev.Slots[0] != &want.Slots[0] {
+					t.Fatalf("%s replaced Slots", sig.name)
+				}
+				if !reflect.DeepEqual(ev.Slots, wantSlots) {
+					t.Fatalf("%s wrote Slots:\n got %+v\nwant %+v", sig.name, ev.Slots, wantSlots)
+				}
+			}
+		})
+	}
 }

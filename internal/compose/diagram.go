@@ -38,7 +38,7 @@ func Diagram(p *Pipeline) string {
 	// One row per component, slowest (most powerful) first: reverse topo
 	// order puts the root (final prediction provider) at the top, matching
 	// the paper's figures.
-	rows := make([]*pnode, len(p.nodes))
+	rows := make([]pnode, len(p.nodes))
 	copy(rows, p.nodes)
 	sort.SliceStable(rows, func(i, j int) bool { return rows[i].lat > rows[j].lat })
 	for _, n := range rows {

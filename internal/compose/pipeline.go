@@ -64,7 +64,9 @@ type Options struct {
 	// Wrap, when non-nil, decorates every instantiated sub-component before
 	// it is wired into the pipeline (after validation).  The hook is how the
 	// fault-injection layer (internal/faults) interposes on component signal
-	// traffic without the composer importing it.
+	// traffic without the composer importing it.  A decorator must forward
+	// Mems() (and UsesLocalHistory) so the pipeline clock reaches the
+	// wrapped component's memories.
 	Wrap func(pred.Subcomponent) pred.Subcomponent
 
 	// Observer, when non-nil, receives a typed obs.Event for every pipeline
@@ -129,7 +131,7 @@ type Pipeline struct {
 	Opt  Options
 	Topo *Topology
 
-	nodes   []*pnode
+	nodes   []pnode
 	rootIdx int
 	depth   int
 
@@ -168,6 +170,12 @@ type Pipeline struct {
 	// which the conformance suite's alloc pins police indirectly.
 	q  pred.Query
 	ev pred.Event
+
+	// clock is the tick word every SRAM of the pipeline counts port use
+	// against (see sram.Mem.Attach); Tick advances it when the cycle
+	// changes, and cycle is the cycle it last saw.
+	clock uint64
+	cycle uint64
 }
 
 // Resolution is the outcome of resolving one branch slot.
@@ -224,7 +232,7 @@ func New(cfg pred.Config, topo *Topology, opt Options) (*Pipeline, error) {
 			return nil, fmt.Errorf("compose: %s accepts %d predict_in edges, topology provides %d",
 				n.Name, comp.NumInputs(), len(n.Inputs))
 		}
-		pn := &pnode{comp: comp, name: n.Name, lat: comp.Latency(), primary: -1}
+		pn := pnode{comp: comp, name: n.Name, lat: comp.Latency(), primary: -1}
 		for _, in := range n.Inputs {
 			pn.inputs = append(pn.inputs, index[in])
 		}
@@ -244,6 +252,7 @@ func New(cfg pred.Config, topo *Topology, opt Options) (*Pipeline, error) {
 	if usesLocal {
 		p.Local = history.NewLocal(opt.LocalEntries, opt.LocalHistBits, cfg.PktOff())
 	}
+	p.attachClock()
 	p.hf = newHistoryFile(opt.HFEntries, cfg.FetchWidth)
 	p.zeroPkt = make(pred.Packet, cfg.FetchWidth)
 	p.planStages()
@@ -305,13 +314,34 @@ func (p *Pipeline) Components() []pred.Subcomponent {
 	return out
 }
 
-// Tick advances all component SRAM port accounting to cycle.
-func (p *Pipeline) Tick(cycle uint64) {
+// attachClock points every memory of the pipeline — each component's
+// Mems() and the local-history table — at the pipeline's clock word, so
+// Tick reaches them all with one store.  A component (or Options.Wrap
+// decorator) must expose every memory it owns through Mems(); the
+// components' conformance suite checks that.
+func (p *Pipeline) attachClock() {
 	for _, n := range p.nodes {
-		n.comp.Tick(cycle)
+		if mp, ok := n.comp.(interface{ Mems() []*sram.Mem }); ok {
+			for _, m := range mp.Mems() {
+				m.Attach(&p.clock)
+			}
+		}
 	}
 	if p.Local != nil {
-		p.Local.Tick(cycle)
+		for _, m := range p.Local.Mems() {
+			m.Attach(&p.clock)
+		}
+	}
+}
+
+// Tick advances the SRAM port accounting of every component to cycle.
+// The memories share the pipeline's clock word and restart their
+// per-cycle counts on their next access, so no component is called;
+// pred.Subcomponent.Tick is left to components driven without a pipeline.
+func (p *Pipeline) Tick(cycle uint64) {
+	if cycle != p.cycle {
+		p.cycle = cycle
+		p.clock++
 	}
 }
 
@@ -451,7 +481,7 @@ func (p *Pipeline) Predict(cycle uint64, pc uint64) (*Entry, []pred.Packet) {
 			overlayInto(op.dst, p.ovl[ni], op.prim)
 			continue
 		}
-		n := p.nodes[ni]
+		n := &p.nodes[ni]
 		q := &p.q
 		q.Cycle, q.PC = cycle, e.PC
 		q.GHist, q.GRaw, q.LHist, q.Path = 0, nil, 0, 0
@@ -520,13 +550,14 @@ func (p *Pipeline) Predict(cycle uint64, pc uint64) (*Entry, []pred.Packet) {
 }
 
 // event fills the pipeline's reusable §III-E event payload for entry e and
-// node ni and returns it.  The payload is valid only for the duration of
-// the one component call it is handed to.
-func (p *Pipeline) event(cycle uint64, e *Entry, ni int) *pred.Event {
+// returns it; the caller sets Meta to each node's metadata before handing
+// it on.  Components treat the payload as read-only (the conformance suite
+// checks it), so one fill serves every node of an operation.
+func (p *Pipeline) event(cycle uint64, e *Entry) *pred.Event {
 	ev := &p.ev
 	ev.Cycle, ev.PC = cycle, e.PC
 	ev.GHist, ev.GRaw, ev.LHist, ev.Path = e.ghistLow, e.preSnap.Hist(), e.lhist, e.path
-	ev.Meta, ev.Slots = e.metas[ni], e.Slots
+	ev.Slots = e.Slots
 	return ev
 }
 
@@ -573,8 +604,11 @@ func (p *Pipeline) fire(cycle uint64, e *Entry, shiftGlobal bool) {
 	if shiftGlobal && e.CfiIdx >= 0 && e.Slots[e.CfiIdx].Valid && e.Slots[e.CfiIdx].Taken {
 		p.PathH.Shift(e.NextPC, p.Cfg.InstOff())
 	}
-	for ni, n := range p.nodes {
-		n.comp.Fire(p.event(cycle, e, ni))
+	ev := p.event(cycle, e)
+	for ni := range p.nodes {
+		n := &p.nodes[ni]
+		ev.Meta = e.metas[ni]
+		n.comp.Fire(ev)
 		if p.obsv != nil {
 			p.emit(obs.KFire, cycle, e, n.name, e.CfiIdx, 0, obs.MetaSum(e.metas[ni]))
 		}
@@ -590,8 +624,11 @@ func (p *Pipeline) unfire(cycle uint64, e *Entry) {
 	if !e.fired {
 		return
 	}
-	for ni, n := range p.nodes {
-		n.comp.Repair(p.event(cycle, e, ni))
+	ev := p.event(cycle, e)
+	for ni := range p.nodes {
+		n := &p.nodes[ni]
+		ev.Meta = e.metas[ni]
+		n.comp.Repair(ev)
 		if p.obsv != nil {
 			p.emit(obs.KRepair, cycle, e, n.name, e.CfiIdx, 0, obs.MetaSum(e.metas[ni]))
 		}
@@ -711,8 +748,11 @@ func (p *Pipeline) Resolve(cycle uint64, e *Entry, slot int, taken bool, target 
 		e.NextPC = s.PC + uint64(p.Cfg.InstBytes)
 	}
 	p.fire(cycle, e, true)
-	for ni, n := range p.nodes {
-		n.comp.Mispredict(p.event(cycle, e, ni))
+	ev := p.event(cycle, e)
+	for ni := range p.nodes {
+		n := &p.nodes[ni]
+		ev.Meta = e.metas[ni]
+		n.comp.Mispredict(ev)
 		if p.obsv != nil {
 			p.emit(obs.KMispredict, cycle, e, n.name, slot, 0, obs.MetaSum(e.metas[ni]))
 		}
@@ -736,8 +776,11 @@ func (p *Pipeline) Commit(cycle uint64, e *Entry) {
 	if p.hf.oldest() != e {
 		panic("compose: Commit on non-oldest history file entry")
 	}
-	for ni, n := range p.nodes {
-		n.comp.Update(p.event(cycle, e, ni))
+	ev := p.event(cycle, e)
+	for ni := range p.nodes {
+		n := &p.nodes[ni]
+		ev.Meta = e.metas[ni]
+		n.comp.Update(ev)
 		if p.obsv != nil {
 			p.emit(obs.KUpdate, cycle, e, n.name, e.CfiIdx, 0, obs.MetaSum(e.metas[ni]))
 		}

@@ -77,6 +77,9 @@ func (l *Local) Restore(pc uint64, val uint64) {
 // Tick advances the backing memory's port accounting.
 func (l *Local) Tick(cycle uint64) { l.mem.Tick(cycle) }
 
+// Mems exposes the backing memory (port accounting, energy).
+func (l *Local) Mems() []*sram.Mem { return []*sram.Mem{l.mem} }
+
 // Reset clears the table.
 func (l *Local) Reset() { l.mem.Reset() }
 

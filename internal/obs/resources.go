@@ -19,7 +19,10 @@ type Resources struct {
 	CPUUserMS float64 `json:"cpu_user_ms"`
 	// GCCPUMS is CPU milliseconds the garbage collector consumed.
 	GCCPUMS float64 `json:"gc_cpu_ms"`
-	// AllocBytes / AllocObjects are heap allocation totals.
+	// AllocBytes / AllocObjects are heap allocation totals.  The runtime
+	// counts allocations served from a P's cached span only once that span
+	// is refilled or flushed (at the latest, the next GC), so a total may
+	// lag the allocations made just before Stop by up to a span per P.
 	AllocBytes   uint64 `json:"alloc_bytes"`
 	AllocObjects uint64 `json:"alloc_objects"`
 	// PeakHeapDeltaBytes is the largest observed growth of live heap bytes

@@ -242,7 +242,13 @@ type Subcomponent interface {
 
 	// Reset returns the component to power-on state.
 	Reset()
-	// Tick advances SRAM port accounting to the given cycle.
+	// Tick advances the SRAM port accounting of a component driven on its
+	// own (unit tests, harnesses) to the given cycle.  The composer does
+	// not call it: compose.New attaches every memory the component
+	// exposes through Mems() to the pipeline's clock, so a component that
+	// owns SRAM must list all of it there.  The method stays because the
+	// benchmark's component wrapper forwards it; removing it waits for a
+	// change to the benchmark.
 	Tick(cycle uint64)
 	// Budget reports the component's storage for the area model.
 	Budget() sram.Budget

@@ -13,9 +13,21 @@
 //     simulator hides);
 //   - storage and area roll up mechanically into the Fig. 8/9 area model
 //     (package internal/area) from the same parameters the RTL would use.
+//
+// Port use is counted per clock tick.  A Mem reads its tick from a clock
+// word: its own, which Tick advances, or one shared by every memory of a
+// composed pipeline (Attach), which the pipeline advances once per cycle.
+// Read and Write compare the word with the tick they last saw and restart
+// the per-cycle counts when it has moved, so advancing the clock costs one
+// store however many memories share it.  Row counts are powers of two, as
+// the RTL's index bits imply, and rows are addressed by masking the index.
 package sram
 
-import "fmt"
+import (
+	"fmt"
+
+	"cobra/internal/bitutil"
+)
 
 // Spec describes one synchronous memory.
 type Spec struct {
@@ -70,9 +82,17 @@ func (b Budget) Add(o Budget) Budget {
 type Mem struct {
 	spec   Spec
 	rows   []uint64
-	cycle  uint64
+	mask   int     // Entries-1: rows are addressed by idx & mask
+	wmask  uint64  // low Width bits: what a row stores of a written value
+	clock  *uint64 // the tick port use is counted in: &own, or an attached clock
+	seen   uint64  // *clock when reads/writes were last restarted
 	reads  int
 	writes int
+
+	// own is the clock of a memory no pipeline is attached to; last is the
+	// cycle Tick last saw, so that Tick advances own only on a new cycle.
+	own  uint64
+	last uint64
 
 	// Stats for the energy/port-pressure report.
 	TotalReads  uint64
@@ -89,27 +109,51 @@ type Mem struct {
 	MaxWritesPerCycle int
 }
 
-// New allocates a memory conforming to spec.
+// New allocates a memory conforming to spec.  Entries must be a power of
+// two.
 func New(spec Spec) *Mem {
-	if spec.Entries <= 0 || spec.Width <= 0 {
-		panic(fmt.Sprintf("sram: invalid spec %v", spec))
+	if !bitutil.IsPow2(spec.Entries) || spec.Width <= 0 {
+		panic(fmt.Sprintf("sram: invalid spec %v (entries must be a power of two)", spec))
 	}
-	return &Mem{spec: spec, rows: make([]uint64, spec.Entries)}
+	m := &Mem{spec: spec, rows: make([]uint64, spec.Entries), mask: spec.Entries - 1,
+		wmask: bitutil.Mask(uint(spec.Width))}
+	m.clock = &m.own
+	return m
 }
 
 // Spec returns the memory's specification.
 func (m *Mem) Spec() Spec { return m.spec }
 
-// Tick advances the memory to a new cycle, resetting port usage.
+// Attach makes the memory count port use against clock instead of its own
+// Tick: every change of *clock starts a new cycle.  A composed pipeline
+// attaches all its memories to one clock word, which it increments on each
+// new cycle, so per-cycle accounting needs no per-memory call.
+func (m *Mem) Attach(clock *uint64) {
+	m.clock = clock
+	m.seen = *clock
+}
+
+// Tick advances the memory's own clock to a new cycle, resetting port
+// usage.  It has no effect on a memory attached to a shared clock.
 func (m *Mem) Tick(cycle uint64) {
-	if cycle != m.cycle {
-		m.cycle = cycle
+	if cycle != m.last {
+		m.last = cycle
+		m.own++
+	}
+}
+
+// sync restarts the per-cycle port counts if the clock moved since the
+// last access.
+func (m *Mem) sync() {
+	if c := *m.clock; c != m.seen {
+		m.seen = c
 		m.reads, m.writes = 0, 0
 	}
 }
 
 // Read returns row idx, consuming one read port in the current cycle.
 func (m *Mem) Read(idx int) uint64 {
+	m.sync()
 	m.reads++
 	m.TotalReads++
 	if m.reads > m.MaxReadsPerCycle {
@@ -118,12 +162,13 @@ func (m *Mem) Read(idx int) uint64 {
 	if m.CheckPorts && m.reads > m.spec.ReadPorts {
 		panic(fmt.Sprintf("sram: %s exceeded %d read ports in one cycle", m.spec.Name, m.spec.ReadPorts))
 	}
-	return m.rows[idx%m.spec.Entries]
+	return m.rows[idx&m.mask]
 }
 
 // Write stores v (masked to the row width) at row idx, consuming one write
 // port in the current cycle.
 func (m *Mem) Write(idx int, v uint64) {
+	m.sync()
 	m.writes++
 	m.TotalWrites++
 	if m.writes > m.MaxWritesPerCycle {
@@ -132,22 +177,16 @@ func (m *Mem) Write(idx int, v uint64) {
 	if m.CheckPorts && m.writes > m.spec.WritePorts {
 		panic(fmt.Sprintf("sram: %s exceeded %d write ports in one cycle", m.spec.Name, m.spec.WritePorts))
 	}
-	if m.spec.Width < 64 {
-		v &= (uint64(1) << uint(m.spec.Width)) - 1
-	}
-	m.rows[idx%m.spec.Entries] = v
+	m.rows[idx&m.mask] = v & m.wmask
 }
 
 // Peek reads row idx without consuming a port (for tests and debug dumps).
-func (m *Mem) Peek(idx int) uint64 { return m.rows[idx%m.spec.Entries] }
+func (m *Mem) Peek(idx int) uint64 { return m.rows[idx&m.mask] }
 
 // Poke writes row idx without consuming a port (for tests and repair paths
 // that model flop-based restore).
 func (m *Mem) Poke(idx int, v uint64) {
-	if m.spec.Width < 64 {
-		v &= (uint64(1) << uint(m.spec.Width)) - 1
-	}
-	m.rows[idx%m.spec.Entries] = v
+	m.rows[idx&m.mask] = v & m.wmask
 }
 
 // Reset zeroes the memory contents and statistics.

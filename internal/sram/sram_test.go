@@ -59,12 +59,56 @@ func TestMemReadWrite(t *testing.T) {
 	}
 }
 
+// TestMemIndexWraps pins that masking addresses the same row as the
+// modulo it replaced, for indices past Entries, on all four accessors.
 func TestMemIndexWraps(t *testing.T) {
-	m := New(spec())
-	m.Poke(16+3, 2)
-	if m.Peek(3) != 2 {
-		t.Error("index must wrap modulo entries")
+	m := New(Spec{Name: "w", Entries: 64, Width: 16, ReadPorts: 1, WritePorts: 1})
+	for _, idx := range []int{19, 64, 65, 127, 128 + 5, 1<<20 + 9, 1<<40 + 63} {
+		row := idx % 64
+		m.Tick(uint64(idx))
+		m.Write(idx, uint64(idx)&0xffff)
+		if got := m.Peek(row); got != uint64(idx)&0xffff {
+			t.Errorf("Write(%d) landed elsewhere: row %d = %#x", idx, row, got)
+		}
+		m.Poke(idx, 0x5a)
+		if got := m.Read(row); got != 0x5a {
+			t.Errorf("Poke(%d): row %d = %#x, want 0x5a", idx, row, got)
+		}
+		m.Poke(row, 0xa5)
+		if got := m.Peek(idx); got != 0xa5 {
+			t.Errorf("Peek(%d) = %#x, want row %d's 0xa5", idx, got, row)
+		}
+		m.Tick(uint64(idx) + 1)
+		if got := m.Read(idx); got != 0xa5 {
+			t.Errorf("Read(%d) = %#x, want row %d's 0xa5", idx, got, row)
+		}
 	}
+}
+
+// TestAttachedClock checks that memories sharing a clock word restart their
+// per-cycle port counts when the word changes, and that their own Tick no
+// longer does.
+func TestAttachedClock(t *testing.T) {
+	var clock uint64
+	a, b := New(spec()), New(spec())
+	a.CheckPorts, b.CheckPorts = true, true
+	a.Attach(&clock)
+	b.Attach(&clock)
+	a.Read(0)
+	b.Write(0, 1)
+	clock++
+	a.Read(0) // must not panic: the shared clock moved
+	b.Write(0, 1)
+	a.Tick(99) // an attached memory ignores its own clock
+	if a.MaxReadsPerCycle != 1 || b.MaxWritesPerCycle != 1 {
+		t.Fatalf("max per cycle = %d reads, %d writes; want 1, 1", a.MaxReadsPerCycle, b.MaxWritesPerCycle)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("expected port-overuse panic: Tick must not start a cycle for an attached memory")
+		}
+	}()
+	a.Read(0)
 }
 
 func TestPortCheckPanics(t *testing.T) {
@@ -104,6 +148,9 @@ func TestTickResetsPortUse(t *testing.T) {
 	m.Tick(2)
 	m.Read(0) // must not panic: new cycle
 	m.Write(0, 1)
+	m.Tick(3)
+	m.Tick(2)
+	m.Read(0) // must not panic: a revisited cycle is a new one too
 }
 
 func TestResetClearsEverything(t *testing.T) {
@@ -132,10 +179,14 @@ func TestWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestNewPanicsOnBadSpec(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for zero-entry spec")
-		}
-	}()
-	New(Spec{Name: "bad", Entries: 0, Width: 2})
+	for _, n := range []int{0, 3, 1000} { // rows must be a power of two
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New with %d rows did not panic", n)
+				}
+			}()
+			New(Spec{Name: "bad", Entries: n, Width: 2, ReadPorts: 1, WritePorts: 1})
+		}()
+	}
 }
