@@ -62,12 +62,12 @@ func (r EnergyReport) PerKiloInst(insts uint64) float64 {
 func Energy(p *compose.Pipeline) EnergyReport {
 	var rep EnergyReport
 	for _, comp := range p.Components() {
-		mp, ok := comp.(interface{ Mems() []*sram.Mem })
-		if !ok {
-			continue
+		mems := comp.Mems()
+		if len(mems) == 0 {
+			continue // flop-based, or SRAM modelled outside package sram
 		}
 		it := EnergyItem{Name: comp.Name()}
-		for _, m := range mp.Mems() {
+		for _, m := range mems {
 			e := accessEnergy(m.Spec())
 			it.Reads += m.TotalReads
 			it.Writes += m.TotalWrites

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -129,8 +130,9 @@ type ScenarioResult struct {
 	Cycles      uint64 `json:"cycles"`
 	Mispredicts uint64 `json:"mispredicts"`
 
-	// Allocation rate (machine-independent up to runtime-version noise;
-	// Compare gates it with tolerance).
+	// Allocation rate: the fewest mallocs of any measured repetition.
+	// Runtime activity adds a few allocations run to run, and the count
+	// drifts across Go releases, so Compare gates it with tolerance.
 	Mallocs         uint64  `json:"mallocs"`
 	MallocsPerKInst float64 `json:"mallocs_per_kinst"`
 
@@ -218,8 +220,10 @@ func Run(cfg Config) (*Report, error) {
 
 // RunScenario measures one scenario: an unmeasured warm-up repetition (to
 // populate the workload memo and geometry cache), then cfg.reps() measured
-// repetitions whose deterministic counters must agree exactly and whose
-// median wall time is reported.
+// repetitions whose deterministic counters must agree exactly.  It reports
+// the median wall time and the fewest mallocs of any repetition: runtime
+// activity (GC, scheduler) only ever adds allocations to a repetition, so
+// the minimum is the scenario's own count.
 func RunScenario(sc Scenario, cfg Config) (ScenarioResult, error) {
 	opt := runner.Options{Workers: cfg.Workers}
 	exec := func() (insts, cycles, misp uint64, wall time.Duration, mallocs uint64, err error) {
@@ -269,7 +273,7 @@ func RunScenario(sc Scenario, cfg Config) (ScenarioResult, error) {
 	}
 	wall := median(walls)
 	out.WallNSMedian = wall.Nanoseconds()
-	out.Mallocs = medianU64(allocs)
+	out.Mallocs = slices.Min(allocs)
 	if out.Insts > 0 {
 		out.MallocsPerKInst = float64(out.Mallocs) / float64(out.Insts) * 1000
 		out.InstsPerSec = float64(out.Insts) / wall.Seconds()
@@ -406,12 +410,6 @@ func allocsOf(f func()) uint64 {
 
 func median(xs []time.Duration) time.Duration {
 	s := append([]time.Duration(nil), xs...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[len(s)/2]
-}
-
-func medianU64(xs []uint64) uint64 {
-	s := append([]uint64(nil), xs...)
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 	return s[len(s)/2]
 }

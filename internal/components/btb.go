@@ -18,15 +18,13 @@ import (
 // predict_in, passing the direction through untouched (Fig. 3).
 type BTB struct {
 	pred.NopEvents
-	name    string
-	id      pred.Provider
-	latency int
-	cfg     pred.Config
+	component
 	sets    int
 	ways    int
 	idxBits uint
 	tagBits uint
 
+	// Views of the component's memory list: the tags first, then the banks.
 	tags  []*sram.Mem // one per way: valid + tag
 	banks []*sram.Mem // [way*FetchWidth + slot]: kind(3) + target(btbTargetBits)
 	repl  []uint8     // round-robin allocation pointer per set
@@ -81,49 +79,38 @@ func NewBTB(cfg pred.Config, p BTBParams) *BTB {
 		p.Latency = 2
 	}
 	b := &BTB{
-		name:    p.Name,
-		id:      p.ID,
-		latency: p.Latency,
-		cfg:     cfg,
-		sets:    sets,
-		ways:    p.Ways,
-		idxBits: bitutil.Clog2(sets),
-		tagBits: p.TagBits,
-		repl:    make([]uint8, sets),
-		scratch: make(pred.Packet, cfg.FetchWidth),
+		component: newComponent(cfg, p.Name, p.ID, p.Latency, p.Ways*(1+cfg.FetchWidth)),
+		sets:      sets,
+		ways:      p.Ways,
+		idxBits:   bitutil.Clog2(sets),
+		tagBits:   p.TagBits,
+		repl:      make([]uint8, sets),
+		scratch:   make(pred.Packet, cfg.FetchWidth),
 	}
 	for w := 0; w < p.Ways; w++ {
-		b.tags = append(b.tags, sram.New(sram.Spec{
+		b.newMem(sram.Spec{
 			Name:       p.Name + "_tag",
 			Entries:    sets,
 			Width:      int(p.TagBits) + 1, // +valid
 			ReadPorts:  1,
 			WritePorts: 1,
-		}))
-		for s := 0; s < cfg.FetchWidth; s++ {
-			b.banks = append(b.banks, sram.New(sram.Spec{
-				Name:       p.Name + "_tgt",
-				Entries:    sets,
-				Width:      3 + btbTargetBits,
-				ReadPorts:  1,
-				WritePorts: 1,
-			}))
-		}
+		})
 	}
+	for i := 0; i < p.Ways*cfg.FetchWidth; i++ {
+		b.newMem(sram.Spec{
+			Name:       p.Name + "_tgt",
+			Entries:    sets,
+			Width:      3 + btbTargetBits,
+			ReadPorts:  1,
+			WritePorts: 1,
+		})
+	}
+	b.tags, b.banks = b.mems[:p.Ways:p.Ways], b.mems[p.Ways:]
 	return b
 }
 
-// Name implements pred.Subcomponent.
-func (b *BTB) Name() string { return b.name }
-
-// Latency implements pred.Subcomponent.
-func (b *BTB) Latency() int { return b.latency }
-
 // MetaWords implements pred.Subcomponent: word 0 = hit flag + way.
 func (b *BTB) MetaWords() int { return 1 }
-
-// NumInputs implements pred.Subcomponent.
-func (b *BTB) NumInputs() int { return 1 }
 
 func (b *BTB) index(pc uint64) int {
 	return int(bitutil.MixPC(pc, b.cfg.PktOff(), b.idxBits))
@@ -295,43 +282,16 @@ func (b *BTB) Mispredict(e *pred.Event) { b.Update(e) }
 
 // Reset implements pred.Subcomponent.
 func (b *BTB) Reset() {
-	for _, m := range b.tags {
-		m.Reset()
-	}
-	for _, m := range b.banks {
-		m.Reset()
-	}
+	b.component.Reset()
 	for i := range b.repl {
 		b.repl[i] = 0
 	}
 }
 
-// Tick implements pred.Subcomponent.
-func (b *BTB) Tick(cycle uint64) {
-	for _, m := range b.tags {
-		m.Tick(cycle)
-	}
-	for _, m := range b.banks {
-		m.Tick(cycle)
-	}
-}
-
-// Mems exposes the backing memories for the energy model.
-func (b *BTB) Mems() []*sram.Mem {
-	out := make([]*sram.Mem, 0, len(b.tags)+len(b.banks))
-	out = append(out, b.tags...)
-	return append(out, b.banks...)
-}
-
-// Budget implements pred.Subcomponent.
+// Budget implements pred.Subcomponent: the memories plus the replacement
+// pointers.
 func (b *BTB) Budget() sram.Budget {
-	var bg sram.Budget
-	for _, m := range b.tags {
-		bg.Mems = append(bg.Mems, m.Spec())
-	}
-	for _, m := range b.banks {
-		bg.Mems = append(bg.Mems, m.Spec())
-	}
+	bg := b.component.Budget()
 	bg.FlopBits = len(b.repl) * 8
 	return bg
 }

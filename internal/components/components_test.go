@@ -1,6 +1,8 @@
 package components
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"cobra/internal/history"
@@ -425,6 +427,46 @@ func TestRegistryErrors(t *testing.T) {
 	}
 	if _, err := Build(env(), "123"); err == nil {
 		t.Error("all-digit name must error")
+	}
+}
+
+// TestRegistryRejectsShortHistory: every kind that folds global history
+// refuses a register one bit shorter than its longest history, naming the
+// bits it needs, and builds on a register of exactly that length.
+func TestRegistryRejectsShortHistory(t *testing.T) {
+	for _, tc := range []struct {
+		node string
+		need uint
+	}{
+		{"TAGE3", 64}, {"GEHL3", 48}, {"ITGT3", 32}, {"GTAG3", 16}, {"PHT3", 16},
+	} {
+		t.Run(tc.node, func(t *testing.T) {
+			short := Env{Cfg: pred.DefaultConfig(), Global: history.NewGlobal(tc.need - 1)}
+			_, err := Build(short, tc.node)
+			if err == nil {
+				t.Fatalf("built on a %d-bit history register", tc.need-1)
+			}
+			want := fmt.Sprintf("%s needs %d history bits but the global history register has %d (set Options.GHistBits >= %d)",
+				tc.node, tc.need, tc.need-1, tc.need)
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not contain %q", err, want)
+			}
+			exact := Env{Cfg: pred.DefaultConfig(), Global: history.NewGlobal(tc.need)}
+			if _, err := Build(exact, tc.node); err != nil {
+				t.Errorf("on a %d-bit register: %v", tc.need, err)
+			}
+		})
+	}
+}
+
+func TestFloorPow2(t *testing.T) {
+	for _, tc := range []struct{ n, lo, want int }{
+		{0, 64, 64}, {63, 64, 64}, {64, 64, 64}, {127, 64, 64}, {128, 64, 128},
+		{1000, 64, 512}, {1024, 64, 1024}, {1365, 64, 1024},
+	} {
+		if got := floorPow2(tc.n, tc.lo); got != tc.want {
+			t.Errorf("floorPow2(%d, %d) = %d, want %d", tc.n, tc.lo, got, tc.want)
+		}
 	}
 }
 

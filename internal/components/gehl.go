@@ -19,10 +19,7 @@ import (
 // no second read (§III-D).
 type GEHL struct {
 	pred.NopEvents
-	name    string
-	id      pred.Provider
-	latency int
-	cfg     pred.Config
+	component
 
 	tables []*gehlTable
 	theta  int32
@@ -66,7 +63,7 @@ func NewGEHL(cfg pred.Config, g *history.Global, p GEHLParams) *GEHL {
 	if p.Latency < 1 {
 		p.Latency = 3
 	}
-	t := &GEHL{name: p.Name, id: p.ID, latency: p.Latency, cfg: cfg,
+	t := &GEHL{component: newComponent(cfg, p.Name, p.ID, p.Latency, len(p.TableEntries)),
 		theta: int32(2*len(p.TableEntries) + 1)}
 	for i := range p.TableEntries {
 		if !bitutil.IsPow2(p.TableEntries[i]) {
@@ -77,7 +74,7 @@ func NewGEHL(cfg pred.Config, g *history.Global, p GEHLParams) *GEHL {
 		if tb.histLen > 0 {
 			tb.fold = g.NewFold(tb.histLen, idxBits)
 		}
-		tb.mem = sram.New(sram.Spec{
+		tb.mem = t.newMem(sram.Spec{
 			Name:       p.Name + "_t",
 			Entries:    p.TableEntries[i],
 			Width:      gehlCtrBits,
@@ -89,18 +86,9 @@ func NewGEHL(cfg pred.Config, g *history.Global, p GEHLParams) *GEHL {
 	return t
 }
 
-// Name implements pred.Subcomponent.
-func (t *GEHL) Name() string { return t.name }
-
-// Latency implements pred.Subcomponent.
-func (t *GEHL) Latency() int { return t.latency }
-
 // MetaWords implements pred.Subcomponent: word 0 packs sum sign+magnitude;
 // then one word per table packing index|counter.
 func (t *GEHL) MetaWords() int { return 1 + len(t.tables) }
-
-// NumInputs implements pred.Subcomponent.
-func (t *GEHL) NumInputs() int { return 1 }
 
 func (tb *gehlTable) index(cfg pred.Config, pc uint64) uint64 {
 	pcPart := bitutil.MixPC(pc, cfg.PktOff(), tb.idxBits)
@@ -208,34 +196,16 @@ func (t *GEHL) Mispredict(e *pred.Event) { t.Update(e) }
 
 // Reset implements pred.Subcomponent.
 func (t *GEHL) Reset() {
-	for _, tb := range t.tables {
-		tb.mem.Reset()
-	}
+	t.component.Reset()
 	t.theta = int32(2*len(t.tables) + 1)
 	t.tc = 0
 }
 
-// Tick implements pred.Subcomponent.
-func (t *GEHL) Tick(cycle uint64) {
-	for _, tb := range t.tables {
-		tb.mem.Tick(cycle)
-	}
-}
-
-// Mems exposes the backing memories for the energy model.
-func (t *GEHL) Mems() []*sram.Mem {
-	out := make([]*sram.Mem, len(t.tables))
-	for i, tb := range t.tables {
-		out[i] = tb.mem
-	}
-	return out
-}
-
-// Budget implements pred.Subcomponent.
+// Budget implements pred.Subcomponent: the tables plus the folded-history
+// registers and the threshold state.
 func (t *GEHL) Budget() sram.Budget {
-	var bg sram.Budget
+	bg := t.component.Budget()
 	for _, tb := range t.tables {
-		bg.Mems = append(bg.Mems, tb.mem.Spec())
 		if tb.fold != nil {
 			bg.FlopBits += int(tb.fold.Width())
 		}

@@ -1,8 +1,6 @@
 package components
 
 import (
-	"fmt"
-
 	"cobra/internal/bitutil"
 	"cobra/internal/pred"
 	"cobra/internal/sram"
@@ -20,10 +18,7 @@ import (
 // a correct prediction; all banks train on a mispredict.
 type GSkew struct {
 	pred.NopEvents
-	name    string
-	id      pred.Provider
-	latency int
-	cfg     pred.Config
+	component
 	idxBits uint
 	histLen uint
 	banks   [3]*sram.Mem
@@ -56,16 +51,13 @@ func NewGSkew(cfg pred.Config, p GSkewParams) *GSkew {
 		p.Latency = 3
 	}
 	g := &GSkew{
-		name:    p.Name,
-		id:      p.ID,
-		latency: p.Latency,
-		cfg:     cfg,
-		idxBits: bitutil.Clog2(p.Rows),
-		histLen: p.HistLen,
-		scratch: make(pred.Packet, cfg.FetchWidth),
+		component: newComponent(cfg, p.Name, p.ID, p.Latency, 3),
+		idxBits:   bitutil.Clog2(p.Rows),
+		histLen:   p.HistLen,
+		scratch:   make(pred.Packet, cfg.FetchWidth),
 	}
 	for b := range g.banks {
-		g.banks[b] = sram.New(sram.Spec{
+		g.banks[b] = g.newMem(sram.Spec{
 			Name:       p.Name + "_bank",
 			Entries:    p.Rows,
 			Width:      cfg.FetchWidth * 2,
@@ -76,17 +68,8 @@ func NewGSkew(cfg pred.Config, p GSkewParams) *GSkew {
 	return g
 }
 
-// Name implements pred.Subcomponent.
-func (g *GSkew) Name() string { return g.name }
-
-// Latency implements pred.Subcomponent.
-func (g *GSkew) Latency() int { return g.latency }
-
 // MetaWords implements pred.Subcomponent: one row+index word per bank.
 func (g *GSkew) MetaWords() int { return 3 }
-
-// NumInputs implements pred.Subcomponent.
-func (g *GSkew) NumInputs() int { return 1 }
 
 // skewed indexing: three distinct mixes of (pc, hist) — the skewing
 // functions decorrelate conflict aliases across banks.
@@ -173,32 +156,6 @@ func (g *GSkew) Update(e *pred.Event) {
 // Mispredict trains immediately (§III-E fast path).
 func (g *GSkew) Mispredict(e *pred.Event) { g.Update(e) }
 
-// Reset implements pred.Subcomponent.
-func (g *GSkew) Reset() {
-	for _, b := range g.banks {
-		b.Reset()
-	}
-}
-
-// Tick implements pred.Subcomponent.
-func (g *GSkew) Tick(cycle uint64) {
-	for _, b := range g.banks {
-		b.Tick(cycle)
-	}
-}
-
-// Mems exposes the backing memories for the energy model.
-func (g *GSkew) Mems() []*sram.Mem { return g.banks[:] }
-
-// Budget implements pred.Subcomponent.
-func (g *GSkew) Budget() sram.Budget {
-	var bg sram.Budget
-	for _, b := range g.banks {
-		bg.Mems = append(bg.Mems, b.Spec())
-	}
-	return bg
-}
-
 var _ pred.Subcomponent = (*GSkew)(nil)
 
 func init() {
@@ -208,11 +165,8 @@ func init() {
 		if latency > 0 {
 			p.Latency = latency
 		}
-		for _, hl := range p.HistLens {
-			if hl > env.Global.Len() {
-				return nil, fmt.Errorf("components: %s needs %d history bits but the global history register has %d",
-					name, hl, env.Global.Len())
-			}
+		if err := needHistory(env, name, p.HistLens...); err != nil {
+			return nil, err
 		}
 		return NewGEHL(env.Cfg, env.Global, p), nil
 	})

@@ -19,10 +19,7 @@ import (
 // The metadata stores the read row so update needs no second read port.
 type GTAG struct {
 	pred.NopEvents
-	name    string
-	id      pred.Provider
-	latency int
-	cfg     pred.Config
+	component
 	idxBits uint
 	tagBits uint
 	ctrBits uint
@@ -64,41 +61,30 @@ func NewGTAG(cfg pred.Config, g *history.Global, p GTAGParams) *GTAG {
 	}
 	idxBits := bitutil.Clog2(p.Entries)
 	ctrBits := uint(2)
-	return &GTAG{
-		name:    p.Name,
-		id:      p.ID,
-		latency: p.Latency,
-		cfg:     cfg,
-		idxBits: idxBits,
-		tagBits: p.TagBits,
-		ctrBits: ctrBits,
-		histLen: p.HistLen,
-		idxFold: g.NewFold(p.HistLen, idxBits),
-		tagFold: g.NewFold(p.HistLen, p.TagBits),
-		mem: sram.New(sram.Spec{
-			Name:       p.Name,
-			Entries:    p.Entries,
-			Width:      int(p.TagBits) + 1 + cfg.FetchWidth*int(ctrBits),
-			ReadPorts:  1,
-			WritePorts: 1,
-		}),
-		scratch: make(pred.Packet, cfg.FetchWidth),
+	t := &GTAG{
+		component: newComponent(cfg, p.Name, p.ID, p.Latency, 1),
+		idxBits:   idxBits,
+		tagBits:   p.TagBits,
+		ctrBits:   ctrBits,
+		histLen:   p.HistLen,
+		idxFold:   g.NewFold(p.HistLen, idxBits),
+		tagFold:   g.NewFold(p.HistLen, p.TagBits),
+		scratch:   make(pred.Packet, cfg.FetchWidth),
 	}
+	t.mem = t.newMem(sram.Spec{
+		Name:       p.Name,
+		Entries:    p.Entries,
+		Width:      int(p.TagBits) + 1 + cfg.FetchWidth*int(ctrBits),
+		ReadPorts:  1,
+		WritePorts: 1,
+	})
+	return t
 }
-
-// Name implements pred.Subcomponent.
-func (g *GTAG) Name() string { return g.name }
-
-// Latency implements pred.Subcomponent.
-func (g *GTAG) Latency() int { return g.latency }
 
 // MetaWords implements pred.Subcomponent: word 0 = row | hit<<63; word 1 =
 // index | tag<<32 (regenerating them at commit time would need the
 // predict-time folds, which have moved on).
 func (g *GTAG) MetaWords() int { return 2 }
-
-// NumInputs implements pred.Subcomponent.
-func (g *GTAG) NumInputs() int { return 1 }
 
 func (g *GTAG) index(pc uint64) uint64 {
 	return (bitutil.MixPC(pc, g.cfg.PktOff(), g.idxBits) ^ g.idxFold.Fold()) & bitutil.Mask(g.idxBits)
@@ -203,21 +189,12 @@ func (g *GTAG) Update(e *pred.Event) {
 	g.mem.Write(idx, fresh)
 }
 
-// Reset implements pred.Subcomponent.
-func (g *GTAG) Reset() { g.mem.Reset() }
-
-// Tick implements pred.Subcomponent.
-func (g *GTAG) Tick(cycle uint64) { g.mem.Tick(cycle) }
-
-// Mems exposes the backing memories for the energy model.
-func (g *GTAG) Mems() []*sram.Mem { return []*sram.Mem{g.mem} }
-
-// Budget implements pred.Subcomponent.
+// Budget implements pred.Subcomponent: the table plus its folded-history
+// registers.
 func (g *GTAG) Budget() sram.Budget {
-	return sram.Budget{
-		Mems:     []sram.Spec{g.mem.Spec()},
-		FlopBits: int(g.idxFold.Width() + g.tagFold.Width()),
-	}
+	bg := g.component.Budget()
+	bg.FlopBits = int(g.idxFold.Width() + g.tagFold.Width())
+	return bg
 }
 
 var _ pred.Subcomponent = (*GTAG)(nil)

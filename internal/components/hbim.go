@@ -8,8 +8,15 @@
 // Every component implements pred.Subcomponent.  Components are superscalar
 // where the hardware would be (counter tables and BTBs read one row holding
 // one entry per fetch-packet slot), and single-prediction where the paper
-// says that is natural (loop, perceptron).  All tables are sram.Mem backed
-// so storage and port pressure roll up into the area model.
+// says that is natural (loop, perceptron).
+//
+// Every component embeds one component struct, which holds its name,
+// provider ID, latency and fetch geometry and declares its storage once:
+// each sram.Mem is allocated through newMem, and that one list serves
+// Mems (the pipeline clock and the energy model), Tick, Reset and Budget,
+// so port pressure and the area model see the same tables.  The loop
+// predictor and the perceptron are the exceptions: their Budget charges
+// an SRAM they model as Go slices, which no sram.Mem counts.
 package components
 
 import (
@@ -57,10 +64,7 @@ func (s IndexSource) String() string {
 // read at predict time so update needs no second read port (§III-D).
 type HBIM struct {
 	pred.NopEvents
-	name    string
-	id      pred.Provider
-	latency int
-	cfg     pred.Config
+	component
 	source  IndexSource
 	ctrBits uint
 	idxBits uint
@@ -97,37 +101,26 @@ func NewHBIM(cfg pred.Config, p HBIMParams) *HBIM {
 	if p.Source != IndexPC && p.HistLen == 0 {
 		p.HistLen = idxBits
 	}
-	return &HBIM{
-		name:    p.Name,
-		id:      p.ID,
-		latency: p.Latency,
-		cfg:     cfg,
-		source:  p.Source,
-		ctrBits: p.CtrBits,
-		idxBits: idxBits,
-		histLen: p.HistLen,
-		mem: sram.New(sram.Spec{
-			Name:       p.Name,
-			Entries:    p.Entries,
-			Width:      cfg.FetchWidth * int(p.CtrBits),
-			ReadPorts:  1,
-			WritePorts: 1,
-		}),
-		scratch: make(pred.Packet, cfg.FetchWidth),
+	h := &HBIM{
+		component: newComponent(cfg, p.Name, p.ID, p.Latency, 1),
+		source:    p.Source,
+		ctrBits:   p.CtrBits,
+		idxBits:   idxBits,
+		histLen:   p.HistLen,
+		scratch:   make(pred.Packet, cfg.FetchWidth),
 	}
+	h.mem = h.newMem(sram.Spec{
+		Name:       p.Name,
+		Entries:    p.Entries,
+		Width:      cfg.FetchWidth * int(p.CtrBits),
+		ReadPorts:  1,
+		WritePorts: 1,
+	})
+	return h
 }
-
-// Name implements pred.Subcomponent.
-func (h *HBIM) Name() string { return h.name }
-
-// Latency implements pred.Subcomponent.
-func (h *HBIM) Latency() int { return h.latency }
 
 // MetaWords implements pred.Subcomponent: one word packs the row counters.
 func (h *HBIM) MetaWords() int { return 1 }
-
-// NumInputs implements pred.Subcomponent.
-func (h *HBIM) NumInputs() int { return 1 }
 
 // Source returns the configured index source.
 func (h *HBIM) Source() IndexSource { return h.source }
@@ -209,19 +202,5 @@ func (h *HBIM) Update(e *pred.Event) {
 		h.mem.Write(idx, row)
 	}
 }
-
-// Reset implements pred.Subcomponent.
-func (h *HBIM) Reset() { h.mem.Reset() }
-
-// Tick implements pred.Subcomponent.
-func (h *HBIM) Tick(cycle uint64) { h.mem.Tick(cycle) }
-
-// Budget implements pred.Subcomponent.
-func (h *HBIM) Budget() sram.Budget {
-	return sram.Budget{Mems: []sram.Spec{h.mem.Spec()}}
-}
-
-// Mems exposes the backing memories for the energy model.
-func (h *HBIM) Mems() []*sram.Mem { return []*sram.Mem{h.mem} }
 
 var _ pred.Subcomponent = (*HBIM)(nil)

@@ -1,8 +1,6 @@
 package components
 
 import (
-	"fmt"
-
 	"cobra/internal/bitutil"
 	"cobra/internal/history"
 	"cobra/internal/pred"
@@ -22,11 +20,8 @@ import (
 // exactly what history-tagged target tables capture.
 type ITTAGE struct {
 	pred.NopEvents
-	name    string
-	id      pred.Provider
-	latency int
-	cfg     pred.Config
-	tables  []*itTable
+	component
+	tables []*itTable
 }
 
 type itTable struct {
@@ -71,7 +66,7 @@ func NewITTAGE(cfg pred.Config, g *history.Global, p ITTAGEParams) *ITTAGE {
 	if p.Latency < 1 {
 		p.Latency = 3
 	}
-	t := &ITTAGE{name: p.Name, id: p.ID, latency: p.Latency, cfg: cfg}
+	t := &ITTAGE{component: newComponent(cfg, p.Name, p.ID, p.Latency, len(p.TableEntries))}
 	slotBits := bitutil.Clog2(cfg.FetchWidth)
 	if slotBits == 0 {
 		slotBits = 1
@@ -87,7 +82,7 @@ func NewITTAGE(cfg pred.Config, g *history.Global, p ITTAGEParams) *ITTAGE {
 			histLen: p.HistLens[i],
 			idxFold: g.NewFold(p.HistLens[i], idxBits),
 			tagFold: g.NewFold(p.HistLens[i], p.TagBits[i]),
-			mem: sram.New(sram.Spec{
+			mem: t.newMem(sram.Spec{
 				Name:       p.Name + "_t",
 				Entries:    p.TableEntries[i],
 				Width:      int(p.TagBits[i]) + 1 + 2 + int(slotBits) + btbTargetBits,
@@ -99,18 +94,9 @@ func NewITTAGE(cfg pred.Config, g *history.Global, p ITTAGEParams) *ITTAGE {
 	return t
 }
 
-// Name implements pred.Subcomponent.
-func (t *ITTAGE) Name() string { return t.name }
-
-// Latency implements pred.Subcomponent.
-func (t *ITTAGE) Latency() int { return t.latency }
-
 // MetaWords implements pred.Subcomponent: provider index plus per-table
 // index|tag words.
 func (t *ITTAGE) MetaWords() int { return 1 + len(t.tables) }
-
-// NumInputs implements pred.Subcomponent.
-func (t *ITTAGE) NumInputs() int { return 1 }
 
 func (tb *itTable) index(cfg pred.Config, pc uint64) uint64 {
 	return (bitutil.MixPC(pc, cfg.PktOff(), tb.idxBits) ^ tb.idxFold.Fold()) & bitutil.Mask(tb.idxBits)
@@ -249,34 +235,11 @@ func (t *ITTAGE) Update(e *pred.Event) {
 // Mispredict gives a fast training path on indirect target misses.
 func (t *ITTAGE) Mispredict(e *pred.Event) { t.Update(e) }
 
-// Reset implements pred.Subcomponent.
-func (t *ITTAGE) Reset() {
-	for _, tb := range t.tables {
-		tb.mem.Reset()
-	}
-}
-
-// Tick implements pred.Subcomponent.
-func (t *ITTAGE) Tick(cycle uint64) {
-	for _, tb := range t.tables {
-		tb.mem.Tick(cycle)
-	}
-}
-
-// Mems exposes the backing memories for the energy model.
-func (t *ITTAGE) Mems() []*sram.Mem {
-	out := make([]*sram.Mem, len(t.tables))
-	for i, tb := range t.tables {
-		out[i] = tb.mem
-	}
-	return out
-}
-
-// Budget implements pred.Subcomponent.
+// Budget implements pred.Subcomponent: the tables plus the folded-history
+// registers.
 func (t *ITTAGE) Budget() sram.Budget {
-	var bg sram.Budget
+	bg := t.component.Budget()
 	for _, tb := range t.tables {
-		bg.Mems = append(bg.Mems, tb.mem.Spec())
 		bg.FlopBits += int(tb.idxFold.Width() + tb.tagFold.Width())
 	}
 	return bg
@@ -291,19 +254,12 @@ func init() {
 		if latency > 0 {
 			p.Latency = latency
 		}
-		for _, hl := range p.HistLens {
-			if hl > env.Global.Len() {
-				return nil, fmt.Errorf("components: %s needs %d history bits but the global history register has %d",
-					name, hl, env.Global.Len())
-			}
+		if err := needHistory(env, name, p.HistLens...); err != nil {
+			return nil, err
 		}
 		if size > 0 {
 			for i := range p.TableEntries {
-				v := 64
-				for v*2 <= size/len(p.TableEntries) {
-					v *= 2
-				}
-				p.TableEntries[i] = v
+				p.TableEntries[i] = floorPow2(size/len(p.TableEntries), 64)
 			}
 		}
 		return NewITTAGE(env.Cfg, env.Global, p), nil

@@ -25,10 +25,7 @@ import (
 // them exactly — "track the contents of its counter entries such that it can
 // restore those entries during the repair phase" (§III-G.5).
 type Loop struct {
-	name    string
-	id      pred.Provider
-	latency int
-	cfg     pred.Config
+	component
 	idxBits uint
 	tagBits uint
 	entries []loopEntry
@@ -74,29 +71,17 @@ func NewLoop(cfg pred.Config, p LoopParams) *Loop {
 		p.Latency = 3
 	}
 	return &Loop{
-		name:    p.Name,
-		id:      p.ID,
-		latency: p.Latency,
-		cfg:     cfg,
-		idxBits: bitutil.Clog2(p.Entries),
-		tagBits: p.TagBits,
-		entries: make([]loopEntry, p.Entries),
-		scratch: make(pred.Packet, cfg.FetchWidth),
+		component: newComponent(cfg, p.Name, p.ID, p.Latency, 0),
+		idxBits:   bitutil.Clog2(p.Entries),
+		tagBits:   p.TagBits,
+		entries:   make([]loopEntry, p.Entries),
+		scratch:   make(pred.Packet, cfg.FetchWidth),
 	}
 }
-
-// Name implements pred.Subcomponent.
-func (l *Loop) Name() string { return l.name }
-
-// Latency implements pred.Subcomponent.
-func (l *Loop) Latency() int { return l.latency }
 
 // MetaWords implements pred.Subcomponent: word 0 = packed pre-fire entry
 // snapshot + slot + hit.
 func (l *Loop) MetaWords() int { return 1 }
-
-// NumInputs implements pred.Subcomponent.
-func (l *Loop) NumInputs() int { return 1 }
 
 // index hashes the *branch* PC (slot-granular, not packet-granular: a loop
 // predictor tracks an individual branch).
@@ -296,10 +281,8 @@ func (l *Loop) Reset() {
 	}
 }
 
-// Tick implements pred.Subcomponent (flop-based).
-func (l *Loop) Tick(uint64) {}
-
-// Budget implements pred.Subcomponent.
+// Budget implements pred.Subcomponent: the entry table is charged as one
+// SRAM, though it is modelled as a Go slice rather than an sram.Mem.
 func (l *Loop) Budget() sram.Budget {
 	per := int(l.tagBits) + 3*loopCntBits + loopConfBits + 1 + 1
 	return sram.Budget{Mems: []sram.Spec{{

@@ -18,10 +18,7 @@ import (
 // product's inputs.
 type Perceptron struct {
 	pred.NopEvents
-	name    string
-	id      pred.Provider
-	latency int
-	cfg     pred.Config
+	component
 	idxBits uint
 	histLen uint
 	theta   int32
@@ -56,30 +53,18 @@ func NewPerceptron(cfg pred.Config, p PerceptronParams) *Perceptron {
 		w[i] = make([]int8, p.HistLen+1)
 	}
 	return &Perceptron{
-		name:    p.Name,
-		id:      p.ID,
-		latency: p.Latency,
-		cfg:     cfg,
-		idxBits: bitutil.Clog2(p.Entries),
-		histLen: p.HistLen,
-		theta:   int32(1.93*float64(p.HistLen) + 14), // Jiménez's threshold
-		weights: w,
-		scratch: make(pred.Packet, cfg.FetchWidth),
+		component: newComponent(cfg, p.Name, p.ID, p.Latency, 0),
+		idxBits:   bitutil.Clog2(p.Entries),
+		histLen:   p.HistLen,
+		theta:     int32(1.93*float64(p.HistLen) + 14), // Jiménez's threshold
+		weights:   w,
+		scratch:   make(pred.Packet, cfg.FetchWidth),
 	}
 }
-
-// Name implements pred.Subcomponent.
-func (p *Perceptron) Name() string { return p.name }
-
-// Latency implements pred.Subcomponent.
-func (p *Perceptron) Latency() int { return p.latency }
 
 // MetaWords implements pred.Subcomponent: word 0 = index | |sum|<<24 |
 // signs/flags.
 func (p *Perceptron) MetaWords() int { return 1 }
-
-// NumInputs implements pred.Subcomponent.
-func (p *Perceptron) NumInputs() int { return 1 }
 
 func (p *Perceptron) index(pc uint64) int {
 	return int(bitutil.MixPC(pc, p.cfg.PktOff(), p.idxBits))
@@ -167,10 +152,8 @@ func (p *Perceptron) Reset() {
 	}
 }
 
-// Tick implements pred.Subcomponent.
-func (p *Perceptron) Tick(uint64) {}
-
-// Budget implements pred.Subcomponent: 7-bit weights.
+// Budget implements pred.Subcomponent: the 7-bit weights are charged as
+// one SRAM, though they are modelled as Go slices rather than an sram.Mem.
 func (p *Perceptron) Budget() sram.Budget {
 	return sram.Budget{Mems: []sram.Spec{{
 		Name:       p.name,

@@ -84,6 +84,30 @@ func Build(env Env, nodeName string) (c pred.Subcomponent, err error) {
 	return f(env, nodeName, latency, size)
 }
 
+// needHistory checks that the global history register covers the longest
+// of the history lengths a component folds.
+func needHistory(env Env, name string, lens ...uint) error {
+	var need uint
+	for _, hl := range lens {
+		need = max(need, hl)
+	}
+	if have := env.Global.Len(); need > have {
+		return fmt.Errorf("components: %s needs %d history bits but the global history register has %d (set Options.GHistBits >= %d)",
+			name, need, have, need)
+	}
+	return nil
+}
+
+// floorPow2 rounds n down to a power of two, but not below lo (itself a
+// power of two): how a "(size)" argument scales a component's tables.
+func floorPow2(n, lo int) int {
+	v := lo
+	for v*2 <= n {
+		v *= 2
+	}
+	return v
+}
+
 // ParseNodeName splits "LOOP3(256)" into base "LOOP", latency 3, size 256.
 // A missing latency digit yields 0 (factory default); a missing size yields
 // 0.
@@ -170,9 +194,8 @@ func init() {
 			if size == 0 {
 				size = 512 // 2K counters at FetchWidth=4
 			}
-			if env.Global.Len() < 16 {
-				return nil, fmt.Errorf("components: %s needs 16 history bits but the global history register has %d",
-					name, env.Global.Len())
+			if err := needHistory(env, name, 16); err != nil {
+				return nil, err
 			}
 			return NewGTAG(env.Cfg, env.Global, GTAGParams{
 				Name: name, ID: env.ID, Latency: latency, Entries: size,
@@ -202,11 +225,8 @@ func init() {
 		if latency > 0 {
 			p.Latency = latency
 		}
-		for _, hl := range p.HistLens {
-			if hl > env.Global.Len() {
-				return nil, fmt.Errorf("components: %s needs %d history bits but the global history register has %d (set Options.GHistBits >= %d)",
-					name, hl, env.Global.Len(), hl)
-			}
+		if err := needHistory(env, name, p.HistLens...); err != nil {
+			return nil, err
 		}
 		if size > 0 {
 			// Scale table sizes uniformly toward the requested total rows.
@@ -215,16 +235,7 @@ func init() {
 				total += e
 			}
 			for i := range p.TableEntries {
-				scaled := p.TableEntries[i] * size / total
-				if scaled < 64 {
-					scaled = 64
-				}
-				// Round down to a power of two.
-				v := 64
-				for v*2 <= scaled {
-					v *= 2
-				}
-				p.TableEntries[i] = v
+				p.TableEntries[i] = floorPow2(p.TableEntries[i]*size/total, 64)
 			}
 		}
 		return NewTAGE(env.Cfg, env.Global, p), nil

@@ -15,10 +15,7 @@ import (
 // confident and disagrees, it inverts the incoming direction.
 type StatCorrector struct {
 	pred.NopEvents
-	name    string
-	id      pred.Provider
-	latency int
-	cfg     pred.Config
+	component
 	idxBits uint
 	histLen uint
 	thresh  int8
@@ -48,36 +45,25 @@ func NewStatCorrector(cfg pred.Config, p StatCorrectorParams) *StatCorrector {
 	if p.Latency < 1 {
 		p.Latency = 3
 	}
-	return &StatCorrector{
-		name:    p.Name,
-		id:      p.ID,
-		latency: p.Latency,
-		cfg:     cfg,
-		idxBits: bitutil.Clog2(p.Entries),
-		histLen: p.HistLen,
-		thresh:  10,
-		mem: sram.New(sram.Spec{
-			Name:       p.Name,
-			Entries:    p.Entries,
-			Width:      6 * cfg.FetchWidth,
-			ReadPorts:  1,
-			WritePorts: 1,
-		}),
-		scratch: make(pred.Packet, cfg.FetchWidth),
+	c := &StatCorrector{
+		component: newComponent(cfg, p.Name, p.ID, p.Latency, 1),
+		idxBits:   bitutil.Clog2(p.Entries),
+		histLen:   p.HistLen,
+		thresh:    10,
+		scratch:   make(pred.Packet, cfg.FetchWidth),
 	}
+	c.mem = c.newMem(sram.Spec{
+		Name:       p.Name,
+		Entries:    p.Entries,
+		Width:      6 * cfg.FetchWidth,
+		ReadPorts:  1,
+		WritePorts: 1,
+	})
+	return c
 }
-
-// Name implements pred.Subcomponent.
-func (c *StatCorrector) Name() string { return c.name }
-
-// Latency implements pred.Subcomponent.
-func (c *StatCorrector) Latency() int { return c.latency }
 
 // MetaWords implements pred.Subcomponent: row + index + incoming directions.
 func (c *StatCorrector) MetaWords() int { return 2 }
-
-// NumInputs implements pred.Subcomponent.
-func (c *StatCorrector) NumInputs() int { return 1 }
 
 func (c *StatCorrector) index(pc, ghist uint64) int {
 	pcPart := bitutil.MixPC(pc, c.cfg.PktOff(), c.idxBits)
@@ -177,20 +163,6 @@ func satAddBound(a, d, bound int8) int8 {
 		return -bound - 1
 	}
 	return int8(s)
-}
-
-// Reset implements pred.Subcomponent.
-func (c *StatCorrector) Reset() { c.mem.Reset() }
-
-// Tick implements pred.Subcomponent.
-func (c *StatCorrector) Tick(cycle uint64) { c.mem.Tick(cycle) }
-
-// Mems exposes the backing memories for the energy model.
-func (c *StatCorrector) Mems() []*sram.Mem { return []*sram.Mem{c.mem} }
-
-// Budget implements pred.Subcomponent.
-func (c *StatCorrector) Budget() sram.Budget {
-	return sram.Budget{Mems: []sram.Spec{c.mem.Spec()}}
 }
 
 var _ pred.Subcomponent = (*StatCorrector)(nil)

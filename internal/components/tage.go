@@ -25,10 +25,7 @@ import (
 // paper says the metadata field exists for.
 type TAGE struct {
 	pred.NopEvents
-	name    string
-	id      pred.Provider
-	latency int
-	cfg     pred.Config
+	component
 
 	tables []*tageTable
 	// Allocation randomness: a deterministic LFSR, as hardware would use.
@@ -93,10 +90,7 @@ func NewTAGE(cfg pred.Config, g *history.Global, p TAGEParams) *TAGE {
 		p.Latency = 3
 	}
 	t := &TAGE{
-		name:      p.Name,
-		id:        p.ID,
-		latency:   p.Latency,
-		cfg:       cfg,
+		component: newComponent(cfg, p.Name, p.ID, p.Latency, len(p.TableEntries)),
 		lfsr:      0xACE1,
 		uDecayMax: 1 << 18,
 	}
@@ -114,7 +108,7 @@ func NewTAGE(cfg pred.Config, g *history.Global, p TAGEParams) *TAGE {
 			idxFold:  g.NewFold(hl, idxBits),
 			tagFold:  g.NewFold(hl, tb),
 			tag2Fold: g.NewFold(hl, tb-1),
-			mem: sram.New(sram.Spec{
+			mem: t.newMem(sram.Spec{
 				Name:       p.Name + "_t",
 				Entries:    entries,
 				Width:      rowBits,
@@ -129,18 +123,9 @@ func NewTAGE(cfg pred.Config, g *history.Global, p TAGEParams) *TAGE {
 	return t
 }
 
-// Name implements pred.Subcomponent.
-func (t *TAGE) Name() string { return t.name }
-
-// Latency implements pred.Subcomponent.
-func (t *TAGE) Latency() int { return t.latency }
-
 // MetaWords implements pred.Subcomponent: [provider|alt|flags, provider row,
 // alt row, then one word per table packing index|tag].
 func (t *TAGE) MetaWords() int { return 3 + len(t.tables) }
-
-// NumInputs implements pred.Subcomponent.
-func (t *TAGE) NumInputs() int { return 1 }
 
 // NumTables returns the number of tagged tables (for reports).
 func (t *TAGE) NumTables() int { return len(t.tables) }
@@ -382,36 +367,18 @@ func (t *TAGE) decayTick() {
 
 // Reset implements pred.Subcomponent.
 func (t *TAGE) Reset() {
-	for _, tb := range t.tables {
-		tb.mem.Reset()
-	}
+	t.component.Reset()
 	t.lfsr = 0xACE1
 	t.uDecayCtr = 0
 	t.useAltCtr = 0
 	t.numUpdates = 0
 }
 
-// Tick implements pred.Subcomponent.
-func (t *TAGE) Tick(cycle uint64) {
-	for _, tb := range t.tables {
-		tb.mem.Tick(cycle)
-	}
-}
-
-// Mems exposes the backing memories for the energy model.
-func (t *TAGE) Mems() []*sram.Mem {
-	out := make([]*sram.Mem, len(t.tables))
-	for i, tb := range t.tables {
-		out[i] = tb.mem
-	}
-	return out
-}
-
-// Budget implements pred.Subcomponent.
+// Budget implements pred.Subcomponent: the tables plus the folded-history
+// registers and the allocation state.
 func (t *TAGE) Budget() sram.Budget {
-	var bg sram.Budget
+	bg := t.component.Budget()
 	for _, tb := range t.tables {
-		bg.Mems = append(bg.Mems, tb.mem.Spec())
 		bg.FlopBits += int(tb.idxFold.Width() + tb.tagFold.Width() + tb.tag2Fold.Width())
 	}
 	bg.FlopBits += 32 + 8 // lfsr + useAlt

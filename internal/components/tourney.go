@@ -19,10 +19,7 @@ import (
 // right, without re-querying the sub-predictors.
 type Tourney struct {
 	pred.NopEvents
-	name    string
-	id      pred.Provider
-	latency int
-	cfg     pred.Config
+	component
 	idxBits uint
 	histLen uint
 	mem     *sram.Mem
@@ -52,29 +49,21 @@ func NewTourney(cfg pred.Config, p TourneyParams) *Tourney {
 	if p.HistLen == 0 {
 		p.HistLen = idxBits
 	}
-	return &Tourney{
-		name:    p.Name,
-		id:      p.ID,
-		latency: p.Latency,
-		cfg:     cfg,
-		idxBits: idxBits,
-		histLen: p.HistLen,
-		mem: sram.New(sram.Spec{
-			Name:       p.Name,
-			Entries:    p.Entries,
-			Width:      2,
-			ReadPorts:  1,
-			WritePorts: 1,
-		}),
-		scratch: make(pred.Packet, cfg.FetchWidth),
+	t := &Tourney{
+		component: newComponent(cfg, p.Name, p.ID, p.Latency, 1),
+		idxBits:   idxBits,
+		histLen:   p.HistLen,
+		scratch:   make(pred.Packet, cfg.FetchWidth),
 	}
+	t.mem = t.newMem(sram.Spec{
+		Name:       p.Name,
+		Entries:    p.Entries,
+		Width:      2,
+		ReadPorts:  1,
+		WritePorts: 1,
+	})
+	return t
 }
-
-// Name implements pred.Subcomponent.
-func (t *Tourney) Name() string { return t.name }
-
-// Latency implements pred.Subcomponent.
-func (t *Tourney) Latency() int { return t.latency }
 
 // MetaWords implements pred.Subcomponent: word 0 packs the selector counter
 // and index; word 1 packs per-slot input directions/valids.
@@ -187,20 +176,6 @@ func (t *Tourney) Update(e *pred.Event) {
 	if dirty {
 		t.mem.Write(idx, uint64(ctr))
 	}
-}
-
-// Reset implements pred.Subcomponent.
-func (t *Tourney) Reset() { t.mem.Reset() }
-
-// Tick implements pred.Subcomponent.
-func (t *Tourney) Tick(cycle uint64) { t.mem.Tick(cycle) }
-
-// Mems exposes the backing memories for the energy model.
-func (t *Tourney) Mems() []*sram.Mem { return []*sram.Mem{t.mem} }
-
-// Budget implements pred.Subcomponent.
-func (t *Tourney) Budget() sram.Budget {
-	return sram.Budget{Mems: []sram.Spec{t.mem.Spec()}}
 }
 
 var _ pred.Subcomponent = (*Tourney)(nil)

@@ -17,10 +17,7 @@ import (
 // TAGE-L topology places it lowest in the ordering so any 2- or 3-cycle
 // component can override it.
 type UBTB struct {
-	name    string
-	id      pred.Provider
-	latency int
-	cfg     pred.Config
+	component
 	tagBits uint
 
 	entries []ubtbEntry
@@ -57,28 +54,16 @@ func NewUBTB(cfg pred.Config, p UBTBParams) *UBTB {
 		p.TagBits = 28
 	}
 	return &UBTB{
-		name:    p.Name,
-		id:      p.ID,
-		latency: 1,
-		cfg:     cfg,
-		tagBits: p.TagBits,
-		entries: make([]ubtbEntry, p.Entries),
-		lru:     make([]uint32, p.Entries),
-		scratch: make(pred.Packet, cfg.FetchWidth),
+		component: newComponent(cfg, p.Name, p.ID, 1, 0), // latency 1 is its point
+		tagBits:   p.TagBits,
+		entries:   make([]ubtbEntry, p.Entries),
+		lru:       make([]uint32, p.Entries),
+		scratch:   make(pred.Packet, cfg.FetchWidth),
 	}
 }
 
-// Name implements pred.Subcomponent.
-func (u *UBTB) Name() string { return u.name }
-
-// Latency implements pred.Subcomponent: always 1 (that is its point).
-func (u *UBTB) Latency() int { return u.latency }
-
 // MetaWords implements pred.Subcomponent: hit flag + entry index.
 func (u *UBTB) MetaWords() int { return 1 }
-
-// NumInputs implements pred.Subcomponent.
-func (u *UBTB) NumInputs() int { return 1 }
 
 func (u *UBTB) tagOf(pc uint64) uint64 {
 	return (pc >> u.cfg.PktOff()) & bitutil.Mask(u.tagBits)
@@ -213,9 +198,6 @@ func (u *UBTB) Reset() {
 	}
 	u.clock = 0
 }
-
-// Tick implements pred.Subcomponent (flop-based structure: nothing to do).
-func (u *UBTB) Tick(uint64) {}
 
 // Budget implements pred.Subcomponent: fully associative structures are
 // flop/CAM based.

@@ -17,10 +17,7 @@ import (
 // Metadata carries the choice row and both exception lookups (§III-D).
 type YAGS struct {
 	pred.NopEvents
-	name    string
-	id      pred.Provider
-	latency int
-	cfg     pred.Config
+	component
 	idxBits uint
 	excBits uint
 	tagBits uint
@@ -65,8 +62,23 @@ func NewYAGS(cfg pred.Config, p YAGSParams) *YAGS {
 	if p.Latency < 1 {
 		p.Latency = 3
 	}
+	y := &YAGS{
+		component: newComponent(cfg, p.Name, p.ID, p.Latency, 3),
+		idxBits:   bitutil.Clog2(p.ChoiceRows),
+		excBits:   bitutil.Clog2(p.ExcEntries),
+		tagBits:   p.TagBits,
+		histLen:   p.HistLen,
+		scratch:   make(pred.Packet, cfg.FetchWidth),
+	}
+	y.choice = y.newMem(sram.Spec{
+		Name:       p.Name + "_choice",
+		Entries:    p.ChoiceRows,
+		Width:      cfg.FetchWidth * 2,
+		ReadPorts:  1,
+		WritePorts: 1,
+	})
 	mk := func(n string) *sram.Mem {
-		return sram.New(sram.Spec{
+		return y.newMem(sram.Spec{
 			Name:       n,
 			Entries:    p.ExcEntries,
 			Width:      int(p.TagBits) + 1 + 2, // tag + valid + 2-bit ctr
@@ -74,39 +86,13 @@ func NewYAGS(cfg pred.Config, p YAGSParams) *YAGS {
 			WritePorts: 1,
 		})
 	}
-	return &YAGS{
-		name:    p.Name,
-		id:      p.ID,
-		latency: p.Latency,
-		cfg:     cfg,
-		idxBits: bitutil.Clog2(p.ChoiceRows),
-		excBits: bitutil.Clog2(p.ExcEntries),
-		tagBits: p.TagBits,
-		histLen: p.HistLen,
-		choice: sram.New(sram.Spec{
-			Name:       p.Name + "_choice",
-			Entries:    p.ChoiceRows,
-			Width:      cfg.FetchWidth * 2,
-			ReadPorts:  1,
-			WritePorts: 1,
-		}),
-		tCache:  mk(p.Name + "_t"),
-		ntCache: mk(p.Name + "_nt"),
-		scratch: make(pred.Packet, cfg.FetchWidth),
-	}
+	y.tCache = mk(p.Name + "_t")
+	y.ntCache = mk(p.Name + "_nt")
+	return y
 }
-
-// Name implements pred.Subcomponent.
-func (y *YAGS) Name() string { return y.name }
-
-// Latency implements pred.Subcomponent.
-func (y *YAGS) Latency() int { return y.latency }
 
 // MetaWords implements pred.Subcomponent: choice row, exception rows.
 func (y *YAGS) MetaWords() int { return 3 }
-
-// NumInputs implements pred.Subcomponent.
-func (y *YAGS) NumInputs() int { return 1 }
 
 func (y *YAGS) choiceIdx(pc uint64) int {
 	return int(bitutil.MixPC(pc, y.cfg.PktOff(), y.idxBits))
@@ -236,27 +222,5 @@ func (y *YAGS) Update(e *pred.Event) {
 
 // Mispredict trains immediately (§III-E fast path).
 func (y *YAGS) Mispredict(e *pred.Event) { y.Update(e) }
-
-// Reset implements pred.Subcomponent.
-func (y *YAGS) Reset() {
-	y.choice.Reset()
-	y.tCache.Reset()
-	y.ntCache.Reset()
-}
-
-// Tick implements pred.Subcomponent.
-func (y *YAGS) Tick(cycle uint64) {
-	y.choice.Tick(cycle)
-	y.tCache.Tick(cycle)
-	y.ntCache.Tick(cycle)
-}
-
-// Mems exposes the backing memories for the energy model.
-func (y *YAGS) Mems() []*sram.Mem { return []*sram.Mem{y.choice, y.tCache, y.ntCache} }
-
-// Budget implements pred.Subcomponent.
-func (y *YAGS) Budget() sram.Budget {
-	return sram.Budget{Mems: []sram.Spec{y.choice.Spec(), y.tCache.Spec(), y.ntCache.Spec()}}
-}
 
 var _ pred.Subcomponent = (*YAGS)(nil)

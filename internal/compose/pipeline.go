@@ -64,9 +64,7 @@ type Options struct {
 	// Wrap, when non-nil, decorates every instantiated sub-component before
 	// it is wired into the pipeline (after validation).  The hook is how the
 	// fault-injection layer (internal/faults) interposes on component signal
-	// traffic without the composer importing it.  A decorator must forward
-	// Mems() (and UsesLocalHistory) so the pipeline clock reaches the
-	// wrapped component's memories.
+	// traffic without the composer importing it.
 	Wrap func(pred.Subcomponent) pred.Subcomponent
 
 	// Observer, when non-nil, receives a typed obs.Event for every pipeline
@@ -244,7 +242,7 @@ func New(cfg pred.Config, topo *Topology, opt Options) (*Pipeline, error) {
 		if pn.lat > p.depth {
 			p.depth = pn.lat
 		}
-		if lu, ok := comp.(interface{ UsesLocalHistory() bool }); ok && lu.UsesLocalHistory() {
+		if comp.UsesLocalHistory() {
 			usesLocal = true
 		}
 	}
@@ -316,15 +314,11 @@ func (p *Pipeline) Components() []pred.Subcomponent {
 
 // attachClock points every memory of the pipeline — each component's
 // Mems() and the local-history table — at the pipeline's clock word, so
-// Tick reaches them all with one store.  A component (or Options.Wrap
-// decorator) must expose every memory it owns through Mems(); the
-// components' conformance suite checks that.
+// Tick reaches them all with one store.
 func (p *Pipeline) attachClock() {
 	for _, n := range p.nodes {
-		if mp, ok := n.comp.(interface{ Mems() []*sram.Mem }); ok {
-			for _, m := range mp.Mems() {
-				m.Attach(&p.clock)
-			}
+		for _, m := range n.comp.Mems() {
+			m.Attach(&p.clock)
 		}
 	}
 	if p.Local != nil {

@@ -36,6 +36,9 @@ func (f *fakeComp) Latency() int   { return f.lat }
 func (f *fakeComp) MetaWords() int { return 1 }
 func (f *fakeComp) NumInputs() int { return 1 }
 
+func (f *fakeComp) UsesLocalHistory() bool { return false }
+func (f *fakeComp) Mems() []*sram.Mem      { return nil }
+
 func (f *fakeComp) Predict(q *pred.Query) pred.Response {
 	fakeCtl.ghist[f.name] = q.GHist
 	overlay := make(pred.Packet, f.cfg.FetchWidth)

@@ -1,10 +1,6 @@
 package compose
 
-import (
-	"testing"
-
-	"cobra/internal/sram"
-)
+import "testing"
 
 // TestPortDiscipline audits the §III-D claim: with the metadata round-trip,
 // every counter-table-class memory sustains full throughput — one predict
@@ -24,11 +20,7 @@ func TestPortDiscipline(t *testing.T) {
 	} {
 		p := mustPipeline(t, topo, Options{GHistBits: 64})
 		for _, comp := range p.Components() {
-			mp, ok := comp.(interface{ Mems() []*sram.Mem })
-			if !ok {
-				continue
-			}
-			for _, m := range mp.Mems() {
+			for _, m := range comp.Mems() {
 				m.CheckPorts = true
 			}
 		}
@@ -60,11 +52,7 @@ func TestPortDiscipline(t *testing.T) {
 		}
 		// Confirm the audit had teeth: the memories saw real traffic.
 		for _, comp := range p.Components() {
-			mp, ok := comp.(interface{ Mems() []*sram.Mem })
-			if !ok {
-				continue
-			}
-			for _, m := range mp.Mems() {
+			for _, m := range comp.Mems() {
 				if m.TotalReads == 0 {
 					t.Errorf("%s: %s never read; audit vacuous", topo, m.Spec().Name)
 				}
@@ -77,12 +65,7 @@ func TestPortDiscipline(t *testing.T) {
 // port pressure for the area report instead of panicking.
 func TestPortPressureReported(t *testing.T) {
 	p := mustPipeline(t, "BIM2", Options{})
-	var mem *sram.Mem
-	for _, comp := range p.Components() {
-		if mp, ok := comp.(interface{ Mems() []*sram.Mem }); ok {
-			mem = mp.Mems()[0]
-		}
-	}
+	mem := p.Components()[0].Mems()[0]
 	// Two predicts in the same tick: 2 reads on a 1R memory — tolerated,
 	// recorded.
 	p.Tick(1)

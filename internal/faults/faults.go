@@ -238,9 +238,8 @@ func splitmix(x uint64) uint64 {
 }
 
 // Injector wraps one component instance and injects the plan's faults into
-// its signal traffic.  It implements pred.Subcomponent and forwards the
-// optional interfaces the composer and area model probe for
-// (UsesLocalHistory, Mems).
+// its signal traffic.  It implements pred.Subcomponent; identity, storage
+// and the local-history need are the wrapped component's.
 type Injector struct {
 	inner  pred.Subcomponent
 	kinds  Kind
@@ -307,21 +306,11 @@ func (in *Injector) Budget() sram.Budget { return in.inner.Budget() }
 // Tick implements pred.Subcomponent.
 func (in *Injector) Tick(cycle uint64) { in.inner.Tick(cycle) }
 
-// UsesLocalHistory forwards the composer's local-history probe.
-func (in *Injector) UsesLocalHistory() bool {
-	if lu, ok := in.inner.(interface{ UsesLocalHistory() bool }); ok {
-		return lu.UsesLocalHistory()
-	}
-	return false
-}
+// UsesLocalHistory implements pred.Subcomponent.
+func (in *Injector) UsesLocalHistory() bool { return in.inner.UsesLocalHistory() }
 
-// Mems forwards the energy model's access-counter probe.
-func (in *Injector) Mems() []*sram.Mem {
-	if mp, ok := in.inner.(interface{ Mems() []*sram.Mem }); ok {
-		return mp.Mems()
-	}
-	return nil
-}
+// Mems implements pred.Subcomponent.
+func (in *Injector) Mems() []*sram.Mem { return in.inner.Mems() }
 
 // Reset implements pred.Subcomponent: the wrapped component returns to
 // power-on state and the decision stream rewinds so the fault schedule

@@ -2,11 +2,14 @@ package faults_test
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"cobra/internal/components"
 	"cobra/internal/compose"
 	"cobra/internal/faults"
+	"cobra/internal/history"
 	"cobra/internal/pred"
 	"cobra/internal/program"
 	"cobra/internal/uarch"
@@ -113,6 +116,44 @@ func TestScopedWrap(t *testing.T) {
 	runWithPlan(t, off, true)
 	if n := len(off.Injectors()); n != 0 {
 		t.Fatalf("period-0 plan wrapped %d components, want 0", n)
+	}
+}
+
+// TestInjectorForwardsStorage: a wrapped component exposes the inner
+// component's memories (same pointers, same order) and its local-history
+// need, so the pipeline clock, the energy model and the composer's
+// local-history provider see through the injector.
+func TestInjectorForwardsStorage(t *testing.T) {
+	plan := &faults.Plan{Seed: 1, Period: 64, Kinds: faults.AllKinds}
+	env := components.Env{Cfg: pred.DefaultConfig(), Global: history.NewGlobal(128)}
+	withMems, withLocal := 0, 0
+	for _, base := range components.Registered() {
+		t.Run(base, func(t *testing.T) {
+			inner, err := components.Build(env, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := plan.Wrap(inner)
+			if _, ok := w.(*faults.Injector); !ok {
+				t.Fatalf("Wrap returned %T, want *faults.Injector", w)
+			}
+			if got, want := w.Mems(), inner.Mems(); !slices.Equal(got, want) {
+				t.Errorf("Mems() = %p, inner has %p", got, want)
+			}
+			if got, want := w.UsesLocalHistory(), inner.UsesLocalHistory(); got != want {
+				t.Errorf("UsesLocalHistory() = %v, inner says %v", got, want)
+			}
+			if len(inner.Mems()) > 0 {
+				withMems++
+			}
+			if inner.UsesLocalHistory() {
+				withLocal++
+			}
+		})
+	}
+	if withMems == 0 || withLocal == 0 {
+		t.Errorf("sweep covered %d components with memories and %d with local history; both must be nonzero",
+			withMems, withLocal)
 	}
 }
 

@@ -213,7 +213,9 @@ func (e *Event) BranchSlot() int {
 // Subcomponent is the COBRA sub-component interface.  Implementations are
 // sequential hardware models: Predict must not mutate prediction state
 // (reads may be counted against SRAM ports); all learning happens in the
-// event methods.
+// event methods.  Storage is part of the contract: Mems lists every SRAM
+// the component owns, and a decorator must forward it (and
+// UsesLocalHistory) to the component it wraps.
 type Subcomponent interface {
 	// Name identifies the component instance in topologies and reports.
 	Name() string
@@ -226,6 +228,9 @@ type Subcomponent interface {
 	// (0 for leaves, 1 for augmenting/overriding components, 2+ for
 	// arbitration schemes such as the tournament selector, §III-F).
 	NumInputs() int
+	// UsesLocalHistory reports whether the composer must generate a local
+	// history provider for the component (§IV-B.3).
+	UsesLocalHistory() bool
 
 	// Predict is the predict signal: begin generating a prediction for the
 	// fetch PC in q.  The returned overlay takes effect at stage Latency().
@@ -242,13 +247,16 @@ type Subcomponent interface {
 
 	// Reset returns the component to power-on state.
 	Reset()
+	// Mems returns every SRAM the component owns, in a fixed order (nil
+	// for flop-based components).  compose.New attaches them to the
+	// pipeline's clock and the energy model reads their access counters,
+	// so a memory missing here escapes port accounting.
+	Mems() []*sram.Mem
 	// Tick advances the SRAM port accounting of a component driven on its
 	// own (unit tests, harnesses) to the given cycle.  The composer does
-	// not call it: compose.New attaches every memory the component
-	// exposes through Mems() to the pipeline's clock, so a component that
-	// owns SRAM must list all of it there.  The method stays because the
-	// benchmark's component wrapper forwards it; removing it waits for a
-	// change to the benchmark.
+	// not call it: the pipeline clock reaches every memory listed by Mems.
+	// The method stays because the benchmark's component wrapper forwards
+	// it; removing it waits for a change to the benchmark.
 	Tick(cycle uint64)
 	// Budget reports the component's storage for the area model.
 	Budget() sram.Budget

@@ -154,6 +154,8 @@ func (f *fakeComp) Name() string            { return f.name }
 func (f *fakeComp) Latency() int            { return f.latency }
 func (f *fakeComp) MetaWords() int          { return f.meta }
 func (f *fakeComp) NumInputs() int          { return f.inputs }
+func (f *fakeComp) UsesLocalHistory() bool  { return false }
+func (f *fakeComp) Mems() []*sram.Mem       { return nil }
 func (f *fakeComp) Predict(*Query) Response { return Response{} }
 func (f *fakeComp) Update(*Event)           {}
 func (f *fakeComp) Reset()                  {}

@@ -38,9 +38,7 @@ func portLines(design, mode string, p *compose.Pipeline) []string {
 		}
 	}
 	for _, c := range p.Components() {
-		if mp, ok := c.(interface{ Mems() []*sram.Mem }); ok {
-			add(c.Name(), mp.Mems())
-		}
+		add(c.Name(), c.Mems())
 	}
 	if p.Local != nil {
 		add("local", p.Local.Mems())
