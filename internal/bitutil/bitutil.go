@@ -26,6 +26,12 @@ func Bits(v uint64, lo, n uint) uint64 {
 	return (v >> lo) & Mask(n)
 }
 
+// SetBits returns v with bits [lo, lo+n) replaced by the low n bits of x,
+// the inverse of Bits.
+func SetBits(v uint64, lo, n uint, x uint64) uint64 {
+	return v&^(Mask(n)<<lo) | (x&Mask(n))<<lo
+}
+
 // Clog2 returns ceil(log2(n)) for n >= 1, and 0 for n <= 1.
 func Clog2(n int) uint {
 	if n <= 1 {
@@ -125,4 +131,13 @@ func SatDecS(c int8, bound int8) int8 {
 		return c - 1
 	}
 	return c
+}
+
+// CtrUpdateS moves a signed saturating counter with the given bound up or
+// down by one, the signed counterpart of CtrUpdate.
+func CtrUpdateS(c int8, up bool, bound int8) int8 {
+	if up {
+		return SatIncS(c, bound)
+	}
+	return SatDecS(c, bound)
 }

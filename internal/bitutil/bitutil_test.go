@@ -34,6 +34,18 @@ func TestBits(t *testing.T) {
 	if got := Bits(^uint64(0), 60, 8); got != 0xf {
 		t.Errorf("Bits(max,60,8) = %#x, want 0xf", got)
 	}
+	// SetBits round-trips through Bits, drops the value's high bits, and
+	// leaves the neighbouring fields unchanged.
+	const v = 0x0123_4567_89ab_cdef
+	for _, lo := range []uint{0, 4, 13, 58} {
+		got := SetBits(v, lo, 6, 0x1e5)
+		if f := Bits(got, lo, 6); f != 0x25 {
+			t.Errorf("Bits(SetBits(v,%d,6,0x1e5),%d,6) = %#x, want 0x25", lo, lo, f)
+		}
+		if keep := ^(Mask(6) << lo); got&keep != v&keep {
+			t.Errorf("SetBits(v,%d,6,…) changed bits outside the field: %#x", lo, got)
+		}
+	}
 }
 
 func TestClog2(t *testing.T) {
@@ -117,6 +129,19 @@ func TestSatCounters(t *testing.T) {
 	}
 	if !CtrWeak(1, 2) || !CtrWeak(2, 2) || CtrWeak(0, 2) || CtrWeak(3, 2) {
 		t.Error("CtrWeak wrong for 2-bit counter")
+	}
+	s := int8(0)
+	for i := 0; i < 10; i++ {
+		s = CtrUpdateS(s, true, 7)
+	}
+	if s != 7 {
+		t.Errorf("saturated signed counter = %d, want 7", s)
+	}
+	for i := 0; i < 20; i++ {
+		s = CtrUpdateS(s, false, 7)
+	}
+	if s != -8 {
+		t.Errorf("decremented signed counter = %d, want -8", s)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 // for conditional branches it augments whatever direction arrives on
 // predict_in, passing the direction through untouched (Fig. 3).
 type BTB struct {
-	pred.NopEvents
 	component
 	sets    int
 	ways    int
@@ -28,9 +27,6 @@ type BTB struct {
 	tags  []*sram.Mem // one per way: valid + tag
 	banks []*sram.Mem // [way*FetchWidth + slot]: kind(3) + target(btbTargetBits)
 	repl  []uint8     // round-robin allocation pointer per set
-
-	scratch pred.Packet
-	metaBuf [1]uint64
 }
 
 // CFI kinds stored in BTB entries.
@@ -79,13 +75,13 @@ func NewBTB(cfg pred.Config, p BTBParams) *BTB {
 		p.Latency = 2
 	}
 	b := &BTB{
-		component: newComponent(cfg, p.Name, p.ID, p.Latency, p.Ways*(1+cfg.FetchWidth)),
+		// One metadata word: hit flag | way<<1.
+		component: newComponent(cfg, p.Name, p.ID, p.Latency, p.Ways*(1+cfg.FetchWidth), 1),
 		sets:      sets,
 		ways:      p.Ways,
 		idxBits:   bitutil.Clog2(sets),
 		tagBits:   p.TagBits,
 		repl:      make([]uint8, sets),
-		scratch:   make(pred.Packet, cfg.FetchWidth),
 	}
 	for w := 0; w < p.Ways; w++ {
 		b.newMem(sram.Spec{
@@ -108,9 +104,6 @@ func NewBTB(cfg pred.Config, p BTBParams) *BTB {
 	b.tags, b.banks = b.mems[:p.Ways:p.Ways], b.mems[p.Ways:]
 	return b
 }
-
-// MetaWords implements pred.Subcomponent: word 0 = hit flag + way.
-func (b *BTB) MetaWords() int { return 1 }
 
 func (b *BTB) index(pc uint64) int {
 	return int(bitutil.MixPC(pc, b.cfg.PktOff(), b.idxBits))
@@ -170,11 +163,7 @@ func (b *BTB) lookup(pc uint64) int {
 func (b *BTB) Predict(q *pred.Query) pred.Response {
 	way := b.lookup(q.PC)
 	idx := b.index(q.PC)
-	meta := uint64(0)
-	overlay := b.scratch
-	for i := range overlay {
-		overlay[i] = pred.Pred{}
-	}
+	overlay, meta := b.response()
 	readWay := way
 	if readWay < 0 {
 		readWay = 0 // the RTL reads data in parallel with tags; model the port
@@ -205,10 +194,9 @@ func (b *BTB) Predict(q *pred.Query) pred.Response {
 		overlay[i] = p
 	}
 	if way >= 0 {
-		meta = 1 | uint64(way)<<1
+		meta[0] = 1 | uint64(way)<<1
 	}
-	b.metaBuf[0] = meta
-	return pred.Response{Overlay: overlay, Meta: b.metaBuf[:]}
+	return pred.Response{Overlay: overlay, Meta: meta}
 }
 
 // Update implements pred.Subcomponent: learn targets of committed taken

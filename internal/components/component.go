@@ -5,11 +5,13 @@ import (
 	"cobra/internal/sram"
 )
 
-// component is the identity and storage every library component shares.
-// Each component embeds one by value and allocates its SRAM through newMem,
-// so the memory list is declared once and serves the pipeline clock
-// (Mems), the area model (Budget), Tick and Reset alike.  A component
-// overrides only what differs: extra reset state, flop bits, inputs, or
+// component is the identity, storage and response buffers every library
+// component shares.  Each component embeds one by value and allocates its
+// SRAM through newMem, so the memory list is declared once and serves the
+// pipeline clock (Mems), the area model (Budget), Tick and Reset alike.
+// Predict fills the overlay packet and metadata words that response hands
+// it, so MetaWords is declared once too.  A component overrides only what
+// differs: the events it uses, extra reset state, flop bits, inputs, or
 // storage it models outside package sram.
 type component struct {
 	name    string
@@ -17,16 +19,29 @@ type component struct {
 	latency int
 	cfg     pred.Config
 	mems    []*sram.Mem // in registration order
+	overlay pred.Packet // FetchWidth slots
+	meta    []uint64
 }
 
 // newComponent returns the shared part of a component that will own nmems
-// memories, sizing the memory list once.
-func newComponent(cfg pred.Config, name string, id pred.Provider, latency, nmems int) component {
-	c := component{name: name, id: id, latency: latency, cfg: cfg}
+// memories and answer with metaWords metadata words, sizing the memory list
+// and both response buffers once.
+func newComponent(cfg pred.Config, name string, id pred.Provider, latency, nmems, metaWords int) component {
+	c := component{name: name, id: id, latency: latency, cfg: cfg,
+		overlay: make(pred.Packet, cfg.FetchWidth), meta: make([]uint64, metaWords)}
 	if nmems > 0 {
 		c.mems = make([]*sram.Mem, 0, nmems)
 	}
 	return c
+}
+
+// response clears the overlay packet and the metadata words and hands them
+// to Predict to fill.  The composer is done with both before it calls
+// Predict again, so one pair serves every prediction without allocating.
+func (c *component) response() (pred.Packet, []uint64) {
+	clear(c.overlay)
+	clear(c.meta)
+	return c.overlay, c.meta
 }
 
 // newMem allocates a memory and registers it with the component.
@@ -45,8 +60,21 @@ func (c *component) Latency() int { return c.latency }
 // NumInputs implements pred.Subcomponent: one predict_in edge.
 func (c *component) NumInputs() int { return 1 }
 
+// MetaWords implements pred.Subcomponent.
+func (c *component) MetaWords() int { return len(c.meta) }
+
 // UsesLocalHistory implements pred.Subcomponent.
 func (c *component) UsesLocalHistory() bool { return false }
+
+// Fire implements pred.Subcomponent: no speculative state to advance.
+func (c *component) Fire(*pred.Event) {}
+
+// Mispredict implements pred.Subcomponent: no fast update; training waits
+// for Update at commit (§III-E).
+func (c *component) Mispredict(*pred.Event) {}
+
+// Repair implements pred.Subcomponent: no speculative state to restore.
+func (c *component) Repair(*pred.Event) {}
 
 // Mems implements pred.Subcomponent.
 func (c *component) Mems() []*sram.Mem { return c.mems }

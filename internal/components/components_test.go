@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"cobra/internal/bitutil"
 	"cobra/internal/history"
 	"cobra/internal/pred"
 )
@@ -595,9 +596,9 @@ func TestStatCorrectorLearnsToInvert(t *testing.T) {
 
 func TestStatCorrectorCounterRoundTrip(t *testing.T) {
 	for v := int8(-32); v <= 31; v++ {
-		row := scSet(0, 2, v)
+		row := bitutil.SetBits(0, 2*6, 6, uint64(uint8(v)))
 		if got := scGet(row, 2); got != v {
-			t.Fatalf("scSet/scGet(%d) = %d", v, got)
+			t.Fatalf("SetBits/scGet(%d) = %d", v, got)
 		}
 	}
 }

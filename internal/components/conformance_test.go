@@ -242,32 +242,39 @@ func TestMemsMatchBudget(t *testing.T) {
 	}
 }
 
+// probe returns a query for c with every history input set, and the event
+// for its prediction: a mispredicted branch, a taken call and a taken
+// indirect jump, carrying the metadata c answered with.
+func probe(c pred.Subcomponent) (*pred.Query, *pred.Event) {
+	cfg := pred.DefaultConfig()
+	in := make([]pred.Packet, c.NumInputs())
+	for i := range in {
+		in[i] = make(pred.Packet, cfg.FetchWidth)
+		in[i][0] = pred.Pred{DirValid: true, Taken: true, DirProvider: 9}
+	}
+	graw := []uint64{0xF0F0_1234, 0x0F0F_5678}
+	q := &pred.Query{PC: 0x1000, GHist: graw[0], GRaw: graw, LHist: 0x35, Path: 0x9A, In: in}
+	meta := append([]uint64(nil), c.Predict(q).Meta...)
+
+	slots := make([]pred.SlotInfo, cfg.FetchWidth)
+	slots[0] = pred.SlotInfo{Valid: true, IsBranch: true, PC: 0x1000, Taken: false, PredTaken: true, Mispredicted: true}
+	slots[1] = pred.SlotInfo{Valid: true, IsCall: true, PC: 0x1004, Taken: true, Target: 0x4000}
+	slots[3] = pred.SlotInfo{Valid: true, IsIndir: true, PC: 0x100c, Taken: true, Target: 0x8000}
+	return q, &pred.Event{Cycle: 11, PC: 0x1000, GHist: graw[0], GRaw: graw,
+		LHist: 0x35, Path: 0x9A, Meta: meta, Slots: slots}
+}
+
 // TestEventsReadOnly pins that the four event signals leave the shared
 // payload untouched: the composer fills one pred.Event per operation and
 // hands it to every node in turn, changing only Meta.
 func TestEventsReadOnly(t *testing.T) {
-	cfg := pred.DefaultConfig()
 	for _, name := range libraryComponents {
 		t.Run(name, func(t *testing.T) {
 			c := build(t, name)
-			in := make([]pred.Packet, c.NumInputs())
-			for i := range in {
-				in[i] = make(pred.Packet, cfg.FetchWidth)
-				in[i][0] = pred.Pred{DirValid: true, Taken: true, DirProvider: 9}
-			}
-			graw := []uint64{0xF0F0_1234, 0x0F0F_5678}
-			q := &pred.Query{PC: 0x1000, GHist: graw[0], GRaw: graw, LHist: 0x35, Path: 0x9A, In: in}
-			meta := append([]uint64(nil), c.Predict(q).Meta...)
-
-			slots := make([]pred.SlotInfo, cfg.FetchWidth)
-			slots[0] = pred.SlotInfo{Valid: true, IsBranch: true, PC: 0x1000, Taken: false, PredTaken: true, Mispredicted: true}
-			slots[1] = pred.SlotInfo{Valid: true, IsCall: true, PC: 0x1004, Taken: true, Target: 0x4000}
-			slots[3] = pred.SlotInfo{Valid: true, IsIndir: true, PC: 0x100c, Taken: true, Target: 0x8000}
-			ev := &pred.Event{Cycle: 11, PC: 0x1000, GHist: graw[0], GRaw: graw,
-				LHist: 0x35, Path: 0x9A, Meta: meta, Slots: slots}
+			_, ev := probe(c)
 			want := *ev
-			wantRaw := append([]uint64(nil), graw...)
-			wantSlots := append([]pred.SlotInfo(nil), slots...)
+			wantRaw := append([]uint64(nil), ev.GRaw...)
+			wantSlots := append([]pred.SlotInfo(nil), ev.Slots...)
 
 			for _, sig := range []struct {
 				name string
@@ -291,6 +298,33 @@ func TestEventsReadOnly(t *testing.T) {
 				}
 				if !reflect.DeepEqual(ev.Slots, wantSlots) {
 					t.Fatalf("%s wrote Slots:\n got %+v\nwant %+v", sig.name, ev.Slots, wantSlots)
+				}
+			}
+		})
+	}
+}
+
+// TestComponentAllocs pins that a warmed component predicts and handles
+// every event without allocating.  The composer calls Predict once per
+// component per fetch and the events once per branch, so one allocation
+// here breaks the zero steady-state allocations of any design using it.
+func TestComponentAllocs(t *testing.T) {
+	for _, name := range libraryComponents {
+		t.Run(name, func(t *testing.T) {
+			c := build(t, name)
+			q, ev := probe(c)
+			for _, op := range []struct {
+				name string
+				f    func()
+			}{
+				{"Predict", func() { c.Predict(q) }},
+				{"Fire", func() { c.Fire(ev) }},
+				{"Update", func() { c.Update(ev) }},
+				{"Mispredict", func() { c.Mispredict(ev) }},
+				{"Repair", func() { c.Repair(ev) }},
+			} {
+				if n := testing.AllocsPerRun(100, op.f); n != 0 {
+					t.Errorf("%s: %v allocations per call, want 0", op.name, n)
 				}
 			}
 		})

@@ -18,7 +18,6 @@ import (
 // carries the per-table indices and counters so commit-time training needs
 // no second read (§III-D).
 type GEHL struct {
-	pred.NopEvents
 	component
 
 	tables []*gehlTable
@@ -33,7 +32,10 @@ type gehlTable struct {
 	mem     *sram.Mem // 4-bit signed counters, two's complement in 4 bits
 }
 
-const gehlCtrBits = 4
+const (
+	gehlCtrBits = 4
+	gehlCtrMax  = 7 // the counters span [-8, 7]
+)
 
 // GEHLParams configures a GEHL instance.
 type GEHLParams struct {
@@ -63,7 +65,9 @@ func NewGEHL(cfg pred.Config, g *history.Global, p GEHLParams) *GEHL {
 	if p.Latency < 1 {
 		p.Latency = 3
 	}
-	t := &GEHL{component: newComponent(cfg, p.Name, p.ID, p.Latency, len(p.TableEntries)),
+	// Metadata: word 0 packs the sum's magnitude | taken<<62, then one word
+	// per table packing index | counter<<32.
+	t := &GEHL{component: newComponent(cfg, p.Name, p.ID, p.Latency, len(p.TableEntries), 1+len(p.TableEntries)),
 		theta: int32(2*len(p.TableEntries) + 1)}
 	for i := range p.TableEntries {
 		if !bitutil.IsPow2(p.TableEntries[i]) {
@@ -86,10 +90,6 @@ func NewGEHL(cfg pred.Config, g *history.Global, p GEHLParams) *GEHL {
 	return t
 }
 
-// MetaWords implements pred.Subcomponent: word 0 packs sum sign+magnitude;
-// then one word per table packing index|counter.
-func (t *GEHL) MetaWords() int { return 1 + len(t.tables) }
-
 func (tb *gehlTable) index(cfg pred.Config, pc uint64) uint64 {
 	pcPart := bitutil.MixPC(pc, cfg.PktOff(), tb.idxBits)
 	if tb.fold == nil {
@@ -99,22 +99,11 @@ func (tb *gehlTable) index(cfg pred.Config, pc uint64) uint64 {
 }
 
 func gehlGet(raw uint64) int8 { return int8(uint8(raw)<<4) >> 4 } // sign-extend 4 bits
-func gehlPut(v int8) uint64   { return uint64(uint8(v)) & 0xF }
-func gehlSat(v int8, d int8) int8 {
-	s := v + d
-	if s > 7 {
-		return 7
-	}
-	if s < -8 {
-		return -8
-	}
-	return s
-}
 
 // Predict implements pred.Subcomponent: sign of the counter sum, one
 // direction for the whole packet.
 func (t *GEHL) Predict(q *pred.Query) pred.Response {
-	meta := make([]uint64, t.MetaWords())
+	overlay, meta := t.response()
 	var sum int32
 	for i, tb := range t.tables {
 		idx := tb.index(t.cfg, q.PC)
@@ -132,7 +121,6 @@ func (t *GEHL) Predict(q *pred.Query) pred.Response {
 	if taken {
 		meta[0] |= 1 << 62
 	}
-	overlay := make(pred.Packet, t.cfg.FetchWidth)
 	for i := range overlay {
 		overlay[i] = pred.Pred{DirValid: true, Taken: taken, DirProvider: t.id}
 	}
@@ -159,14 +147,10 @@ func (t *GEHL) Update(e *pred.Event) {
 	if correct && mag > t.theta {
 		return
 	}
-	d := int8(-1)
-	if outcome {
-		d = 1
-	}
 	for i, tb := range t.tables {
 		idx := int(e.Meta[1+i] & bitutil.Mask(32))
-		c := gehlGet(e.Meta[1+i] >> 32)
-		tb.mem.Write(idx, gehlPut(gehlSat(c, d)))
+		c := bitutil.CtrUpdateS(gehlGet(e.Meta[1+i]>>32), outcome, gehlCtrMax)
+		tb.mem.Write(idx, bitutil.SetBits(0, 0, gehlCtrBits, uint64(uint8(c))))
 	}
 	// Adaptive threshold (O-GEHL): mispredicts push theta up, low-margin
 	// correct predictions push it down.

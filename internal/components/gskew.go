@@ -17,14 +17,10 @@ import (
 // (§III-D), with the EV8 partial-update rule: only agreeing banks train on
 // a correct prediction; all banks train on a mispredict.
 type GSkew struct {
-	pred.NopEvents
 	component
 	idxBits uint
 	histLen uint
 	banks   [3]*sram.Mem
-
-	scratch pred.Packet
-	metaBuf [3]uint64
 }
 
 // GSkewParams configures a GSkew instance.
@@ -51,10 +47,10 @@ func NewGSkew(cfg pred.Config, p GSkewParams) *GSkew {
 		p.Latency = 3
 	}
 	g := &GSkew{
-		component: newComponent(cfg, p.Name, p.ID, p.Latency, 3),
+		// One metadata word per bank: row | index<<32.
+		component: newComponent(cfg, p.Name, p.ID, p.Latency, 3, 3),
 		idxBits:   bitutil.Clog2(p.Rows),
 		histLen:   p.HistLen,
-		scratch:   make(pred.Packet, cfg.FetchWidth),
 	}
 	for b := range g.banks {
 		g.banks[b] = g.newMem(sram.Spec{
@@ -67,9 +63,6 @@ func NewGSkew(cfg pred.Config, p GSkewParams) *GSkew {
 	}
 	return g
 }
-
-// MetaWords implements pred.Subcomponent: one row+index word per bank.
-func (g *GSkew) MetaWords() int { return 3 }
 
 // skewed indexing: three distinct mixes of (pc, hist) — the skewing
 // functions decorrelate conflict aliases across banks.
@@ -90,13 +83,13 @@ func (g *GSkew) index(bank int, pc, ghist uint64) int {
 
 // Predict implements pred.Subcomponent: per-slot majority of the banks.
 func (g *GSkew) Predict(q *pred.Query) pred.Response {
+	overlay, meta := g.response()
 	var rows [3]uint64
 	for b := range g.banks {
 		idx := g.index(b, q.PC, q.GHist)
 		rows[b] = g.banks[b].Read(idx)
-		g.metaBuf[b] = rows[b] | uint64(idx)<<32
+		meta[b] = rows[b] | uint64(idx)<<32
 	}
-	overlay := g.scratch
 	for i := 0; i < g.cfg.FetchWidth; i++ {
 		votes := 0
 		for b := range rows {
@@ -106,7 +99,7 @@ func (g *GSkew) Predict(q *pred.Query) pred.Response {
 		}
 		overlay[i] = pred.Pred{DirValid: true, Taken: votes >= 2, DirProvider: g.id}
 	}
-	return pred.Response{Overlay: overlay, Meta: g.metaBuf[:]}
+	return pred.Response{Overlay: overlay, Meta: meta}
 }
 
 // Update implements pred.Subcomponent with the EV8 partial-update rule.
@@ -141,7 +134,7 @@ func (g *GSkew) Update(e *pred.Event) {
 			}
 			nc := bitutil.CtrUpdate(ctr[b], s.Taken, 2)
 			if nc != ctr[b] {
-				rows[b] = rows[b]&^(uint64(3)<<sh) | uint64(nc)<<sh
+				rows[b] = bitutil.SetBits(rows[b], sh, 2, uint64(nc))
 				dirty[b] = true
 			}
 		}

@@ -18,7 +18,6 @@ import (
 // delayed commit-time updates" (§III-E), so it uses only the update signal.
 // The metadata stores the read row so update needs no second read port.
 type GTAG struct {
-	pred.NopEvents
 	component
 	idxBits uint
 	tagBits uint
@@ -28,9 +27,6 @@ type GTAG struct {
 	idxFold *bitutil.FoldedHistory
 	tagFold *bitutil.FoldedHistory
 	mem     *sram.Mem // per row: tag | valid | counters
-
-	scratch pred.Packet
-	metaBuf [2]uint64
 }
 
 // GTAGParams configures a GTAG instance.
@@ -62,14 +58,16 @@ func NewGTAG(cfg pred.Config, g *history.Global, p GTAGParams) *GTAG {
 	idxBits := bitutil.Clog2(p.Entries)
 	ctrBits := uint(2)
 	t := &GTAG{
-		component: newComponent(cfg, p.Name, p.ID, p.Latency, 1),
+		// Two metadata words: row | hit<<63, then index | tag<<32
+		// (regenerating them at commit time would need the predict-time
+		// folds, which have moved on).
+		component: newComponent(cfg, p.Name, p.ID, p.Latency, 1, 2),
 		idxBits:   idxBits,
 		tagBits:   p.TagBits,
 		ctrBits:   ctrBits,
 		histLen:   p.HistLen,
 		idxFold:   g.NewFold(p.HistLen, idxBits),
 		tagFold:   g.NewFold(p.HistLen, p.TagBits),
-		scratch:   make(pred.Packet, cfg.FetchWidth),
 	}
 	t.mem = t.newMem(sram.Spec{
 		Name:       p.Name,
@@ -80,11 +78,6 @@ func NewGTAG(cfg pred.Config, g *history.Global, p GTAGParams) *GTAG {
 	})
 	return t
 }
-
-// MetaWords implements pred.Subcomponent: word 0 = row | hit<<63; word 1 =
-// index | tag<<32 (regenerating them at commit time would need the
-// predict-time folds, which have moved on).
-func (g *GTAG) MetaWords() int { return 2 }
 
 func (g *GTAG) index(pc uint64) uint64 {
 	return (bitutil.MixPC(pc, g.cfg.PktOff(), g.idxBits) ^ g.idxFold.Fold()) & bitutil.Mask(g.idxBits)
@@ -101,21 +94,12 @@ func (g *GTAG) rowCtr(row uint64, slot int) uint8 {
 	return uint8(bitutil.Bits(row, g.ctrShift(slot), g.ctrBits))
 }
 
-func (g *GTAG) setRowCtr(row uint64, slot int, c uint8) uint64 {
-	sh := g.ctrShift(slot)
-	row &^= bitutil.Mask(g.ctrBits) << sh
-	return row | (uint64(c)&bitutil.Mask(g.ctrBits))<<sh
-}
-
 // Predict implements pred.Subcomponent.
 func (g *GTAG) Predict(q *pred.Query) pred.Response {
 	idx, tag := g.index(q.PC), g.tag(q.PC)
 	row := g.mem.Read(int(idx))
 	hit := g.rowValid(row) && g.rowTag(row) == tag
-	overlay := g.scratch
-	for i := range overlay {
-		overlay[i] = pred.Pred{}
-	}
+	overlay, meta := g.response()
 	if hit {
 		for i := 0; i < g.cfg.FetchWidth; i++ {
 			overlay[i] = pred.Pred{
@@ -125,13 +109,12 @@ func (g *GTAG) Predict(q *pred.Query) pred.Response {
 			}
 		}
 	}
-	meta0 := row
+	meta[0] = row
 	if hit {
-		meta0 |= 1 << 63
+		meta[0] |= 1 << 63
 	}
-	g.metaBuf[0] = meta0
-	g.metaBuf[1] = idx | tag<<32
-	return pred.Response{Overlay: overlay, Meta: g.metaBuf[:]}
+	meta[1] = idx | tag<<32
+	return pred.Response{Overlay: overlay, Meta: meta}
 }
 
 // Mispredict implements pred.Subcomponent: fast allocation/training at
@@ -165,7 +148,7 @@ func (g *GTAG) Update(e *pred.Event) {
 				continue
 			}
 			c := bitutil.CtrUpdate(g.rowCtr(row, i), s.Taken, g.ctrBits)
-			row = g.setRowCtr(row, i, c)
+			row = bitutil.SetBits(row, g.ctrShift(i), g.ctrBits, uint64(c))
 		}
 		g.mem.Write(idx, row)
 		return
@@ -184,7 +167,7 @@ func (g *GTAG) Update(e *pred.Event) {
 		if s.Valid && s.IsBranch && s.Taken {
 			c = weak
 		}
-		fresh = g.setRowCtr(fresh, i, c)
+		fresh = bitutil.SetBits(fresh, g.ctrShift(i), g.ctrBits, uint64(c))
 	}
 	g.mem.Write(idx, fresh)
 }

@@ -16,7 +16,10 @@
 // Mems (the pipeline clock and the energy model), Tick, Reset and Budget,
 // so port pressure and the area model see the same tables.  The loop
 // predictor and the perceptron are the exceptions: their Budget charges
-// an SRAM they model as Go slices, which no sram.Mem counts.
+// an SRAM they model as Go slices, which no sram.Mem counts.  The struct
+// also owns the response: one overlay packet and one metadata slice, sized
+// once, which Predict fills and reuses (so MetaWords is their length), and
+// no-op Fire, Mispredict and Repair for the events a component ignores.
 package components
 
 import (
@@ -63,16 +66,12 @@ func (s IndexSource) String() string {
 // onto a single counter (§III-C).  The metadata field stores the counters
 // read at predict time so update needs no second read port (§III-D).
 type HBIM struct {
-	pred.NopEvents
 	component
 	source  IndexSource
 	ctrBits uint
 	idxBits uint
 	histLen uint // history bits consumed (Global/Local/GSelect/Path sources)
 	mem     *sram.Mem
-
-	scratch pred.Packet // reused overlay buffer (fully rewritten per predict)
-	metaBuf [1]uint64
 }
 
 // HBIMParams configures an HBIM instance.
@@ -102,12 +101,12 @@ func NewHBIM(cfg pred.Config, p HBIMParams) *HBIM {
 		p.HistLen = idxBits
 	}
 	h := &HBIM{
-		component: newComponent(cfg, p.Name, p.ID, p.Latency, 1),
+		// One metadata word: the row's counters.
+		component: newComponent(cfg, p.Name, p.ID, p.Latency, 1, 1),
 		source:    p.Source,
 		ctrBits:   p.CtrBits,
 		idxBits:   idxBits,
 		histLen:   p.HistLen,
-		scratch:   make(pred.Packet, cfg.FetchWidth),
 	}
 	h.mem = h.newMem(sram.Spec{
 		Name:       p.Name,
@@ -118,9 +117,6 @@ func NewHBIM(cfg pred.Config, p HBIMParams) *HBIM {
 	})
 	return h
 }
-
-// MetaWords implements pred.Subcomponent: one word packs the row counters.
-func (h *HBIM) MetaWords() int { return 1 }
 
 // Source returns the configured index source.
 func (h *HBIM) Source() IndexSource { return h.source }
@@ -154,18 +150,12 @@ func (h *HBIM) ctrAt(row uint64, slot int) uint8 {
 	return uint8(bitutil.Bits(row, uint(slot)*h.ctrBits, h.ctrBits))
 }
 
-func (h *HBIM) setCtr(row uint64, slot int, c uint8) uint64 {
-	sh := uint(slot) * h.ctrBits
-	row &^= bitutil.Mask(h.ctrBits) << sh
-	return row | (uint64(c)&bitutil.Mask(h.ctrBits))<<sh
-}
-
 // Predict implements pred.Subcomponent: an untagged table provides a base
 // direction for every slot of the packet (§III-F).
 func (h *HBIM) Predict(q *pred.Query) pred.Response {
 	idx := h.index(q.PC, q.GHist, q.LHist, q.Path)
 	row := h.mem.Read(idx)
-	overlay := h.scratch
+	overlay, meta := h.response()
 	for i := 0; i < h.cfg.FetchWidth; i++ {
 		overlay[i] = pred.Pred{
 			DirValid:    true,
@@ -173,8 +163,8 @@ func (h *HBIM) Predict(q *pred.Query) pred.Response {
 			DirProvider: h.id,
 		}
 	}
-	h.metaBuf[0] = row
-	return pred.Response{Overlay: overlay, Meta: h.metaBuf[:]}
+	meta[0] = row
+	return pred.Response{Overlay: overlay, Meta: meta}
 }
 
 // Mispredict implements pred.Subcomponent: the "fast" immediate update of
@@ -195,7 +185,7 @@ func (h *HBIM) Update(e *pred.Event) {
 			continue
 		}
 		c := bitutil.CtrUpdate(h.ctrAt(row, i), s.Taken, h.ctrBits)
-		row = h.setCtr(row, i, c)
+		row = bitutil.SetBits(row, uint(i)*h.ctrBits, h.ctrBits, uint64(c))
 		dirty = true
 	}
 	if dirty {

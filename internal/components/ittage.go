@@ -19,7 +19,6 @@ import (
 // and dense switch statements change targets with context, which is
 // exactly what history-tagged target tables capture.
 type ITTAGE struct {
-	pred.NopEvents
 	component
 	tables []*itTable
 }
@@ -66,7 +65,9 @@ func NewITTAGE(cfg pred.Config, g *history.Global, p ITTAGEParams) *ITTAGE {
 	if p.Latency < 1 {
 		p.Latency = 3
 	}
-	t := &ITTAGE{component: newComponent(cfg, p.Name, p.ID, p.Latency, len(p.TableEntries))}
+	// Metadata: the provider table + 1, then one word per table packing
+	// index | tag<<32.
+	t := &ITTAGE{component: newComponent(cfg, p.Name, p.ID, p.Latency, len(p.TableEntries), 1+len(p.TableEntries))}
 	slotBits := bitutil.Clog2(cfg.FetchWidth)
 	if slotBits == 0 {
 		slotBits = 1
@@ -93,10 +94,6 @@ func NewITTAGE(cfg pred.Config, g *history.Global, p ITTAGEParams) *ITTAGE {
 	}
 	return t
 }
-
-// MetaWords implements pred.Subcomponent: provider index plus per-table
-// index|tag words.
-func (t *ITTAGE) MetaWords() int { return 1 + len(t.tables) }
 
 func (tb *itTable) index(cfg pred.Config, pc uint64) uint64 {
 	return (bitutil.MixPC(pc, cfg.PktOff(), tb.idxBits) ^ tb.idxFold.Fold()) & bitutil.Mask(tb.idxBits)
@@ -145,8 +142,7 @@ func (tb *itTable) pack(cfg pred.Config, base uint64, tag uint64, conf uint8, sl
 // Predict implements pred.Subcomponent: the longest-history hit provides a
 // target-only override for its trained slot.
 func (t *ITTAGE) Predict(q *pred.Query) pred.Response {
-	meta := make([]uint64, t.MetaWords())
-	overlay := make(pred.Packet, t.cfg.FetchWidth)
+	overlay, meta := t.response()
 	provider := -1
 	var pSlot int
 	var pTarget uint64
@@ -226,8 +222,7 @@ func (t *ITTAGE) Update(e *pred.Event) {
 		if conf == 0 {
 			tb.mem.Write(idx, tb.pack(t.cfg, e.PC, tg, 1, slot, s.Target))
 		} else {
-			tb.mem.Write(idx, row&^(uint64(3)<<(tb.tagBits+1))|
-				uint64(conf-1)<<(tb.tagBits+1)) // decay
+			tb.mem.Write(idx, bitutil.SetBits(row, tb.tagBits+1, 2, uint64(conf-1))) // decay
 		}
 	}
 }

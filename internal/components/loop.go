@@ -29,9 +29,6 @@ type Loop struct {
 	idxBits uint
 	tagBits uint
 	entries []loopEntry
-
-	scratch pred.Packet
-	metaBuf [1]uint64
 }
 
 type loopEntry struct {
@@ -71,17 +68,14 @@ func NewLoop(cfg pred.Config, p LoopParams) *Loop {
 		p.Latency = 3
 	}
 	return &Loop{
-		component: newComponent(cfg, p.Name, p.ID, p.Latency, 0),
+		// One metadata word: the packed pre-fire entry snapshot | slot<<56 |
+		// hit<<60.
+		component: newComponent(cfg, p.Name, p.ID, p.Latency, 0, 1),
 		idxBits:   bitutil.Clog2(p.Entries),
 		tagBits:   p.TagBits,
 		entries:   make([]loopEntry, p.Entries),
-		scratch:   make(pred.Packet, cfg.FetchWidth),
 	}
 }
-
-// MetaWords implements pred.Subcomponent: word 0 = packed pre-fire entry
-// snapshot + slot + hit.
-func (l *Loop) MetaWords() int { return 1 }
 
 // index hashes the *branch* PC (slot-granular, not packet-granular: a loop
 // predictor tracks an individual branch).
@@ -136,14 +130,10 @@ func (l *Loop) findSlot(pc uint64) (slot, idx int, hit bool) {
 // Predict implements pred.Subcomponent.
 func (l *Loop) Predict(q *pred.Query) pred.Response {
 	slot, idx, hit := l.findSlot(q.PC)
-	meta := uint64(0)
-	overlay := l.scratch
-	for i := range overlay {
-		overlay[i] = pred.Pred{}
-	}
+	overlay, meta := l.response()
 	if hit {
 		e := l.entries[idx]
-		meta = packEntry(e) | uint64(slot)<<56 | 1<<60
+		meta[0] = packEntry(e) | uint64(slot)<<56 | 1<<60
 		if e.conf == loopConfMax && e.trip > 0 {
 			exit := e.specCnt+1 >= e.trip
 			taken := e.dir
@@ -157,8 +147,7 @@ func (l *Loop) Predict(q *pred.Query) pred.Response {
 			}
 		}
 	}
-	l.metaBuf[0] = meta
-	return pred.Response{Overlay: overlay, Meta: l.metaBuf[:]}
+	return pred.Response{Overlay: overlay, Meta: meta}
 }
 
 // Fire implements pred.Subcomponent: the loop predictor "is updated at query

@@ -17,16 +17,15 @@ import (
 // computed sum so the update can retrain without recomputing the dot
 // product's inputs.
 type Perceptron struct {
-	pred.NopEvents
 	component
 	idxBits uint
 	histLen uint
 	theta   int32
 	weights [][]int8 // [row][histLen+1], weights[_][0] = bias
-
-	scratch pred.Packet
-	metaBuf [1]uint64
 }
+
+// perceptronWeightMax bounds the 7-bit signed weights to [-64, 63].
+const perceptronWeightMax = 63
 
 // PerceptronParams configures a perceptron predictor.
 type PerceptronParams struct {
@@ -53,18 +52,14 @@ func NewPerceptron(cfg pred.Config, p PerceptronParams) *Perceptron {
 		w[i] = make([]int8, p.HistLen+1)
 	}
 	return &Perceptron{
-		component: newComponent(cfg, p.Name, p.ID, p.Latency, 0),
+		// One metadata word: index | |sum|<<24 | taken<<62.
+		component: newComponent(cfg, p.Name, p.ID, p.Latency, 0, 1),
 		idxBits:   bitutil.Clog2(p.Entries),
 		histLen:   p.HistLen,
 		theta:     int32(1.93*float64(p.HistLen) + 14), // Jiménez's threshold
 		weights:   w,
-		scratch:   make(pred.Packet, cfg.FetchWidth),
 	}
 }
-
-// MetaWords implements pred.Subcomponent: word 0 = index | |sum|<<24 |
-// signs/flags.
-func (p *Perceptron) MetaWords() int { return 1 }
 
 func (p *Perceptron) index(pc uint64) int {
 	return int(bitutil.MixPC(pc, p.cfg.PktOff(), p.idxBits))
@@ -88,7 +83,7 @@ func (p *Perceptron) Predict(q *pred.Query) pred.Response {
 	idx := p.index(q.PC)
 	sum := p.dot(idx, q.GHist)
 	taken := sum >= 0
-	overlay := p.scratch
+	overlay, meta := p.response()
 	for i := range overlay {
 		overlay[i] = pred.Pred{DirValid: true, Taken: taken, DirProvider: p.id}
 	}
@@ -96,12 +91,11 @@ func (p *Perceptron) Predict(q *pred.Query) pred.Response {
 	if mag < 0 {
 		mag = -mag
 	}
-	meta := uint64(idx) | uint64(uint32(mag))<<24
+	meta[0] = uint64(idx) | uint64(uint32(mag))<<24
 	if taken {
-		meta |= 1 << 62
+		meta[0] |= 1 << 62
 	}
-	p.metaBuf[0] = meta
-	return pred.Response{Overlay: overlay, Meta: p.metaBuf[:]}
+	return pred.Response{Overlay: overlay, Meta: meta}
 }
 
 // Update implements pred.Subcomponent: perceptron learning rule at commit.
@@ -117,30 +111,12 @@ func (p *Perceptron) Update(e *pred.Event) {
 			continue // confident and correct: no training
 		}
 		w := p.weights[idx]
-		t := int8(-1)
-		if s.Taken {
-			t = 1
-		}
-		w[0] = satAdd8(w[0], t)
+		w[0] = bitutil.CtrUpdateS(w[0], s.Taken, perceptronWeightMax)
 		for i := uint(0); i < p.histLen; i++ {
-			x := int8(-1)
-			if e.GHist>>i&1 == 1 {
-				x = 1
-			}
-			w[i+1] = satAdd8(w[i+1], t*x)
+			// Move toward agreement of the outcome with the history bit.
+			w[i+1] = bitutil.CtrUpdateS(w[i+1], s.Taken == (e.GHist>>i&1 == 1), perceptronWeightMax)
 		}
 	}
-}
-
-func satAdd8(a, d int8) int8 {
-	s := int16(a) + int16(d)
-	if s > 63 {
-		return 63
-	}
-	if s < -64 {
-		return -64
-	}
-	return int8(s)
 }
 
 // Reset implements pred.Subcomponent.

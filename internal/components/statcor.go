@@ -14,15 +14,11 @@ import (
 // whether that prediction is statistically wrong; when its signed counter is
 // confident and disagrees, it inverts the incoming direction.
 type StatCorrector struct {
-	pred.NopEvents
 	component
 	idxBits uint
 	histLen uint
 	thresh  int8
 	mem     *sram.Mem // signed 6-bit counters, offset-binary storage
-
-	scratch pred.Packet
-	metaBuf [2]uint64
 }
 
 // StatCorrectorParams configures a statistical corrector.
@@ -46,11 +42,11 @@ func NewStatCorrector(cfg pred.Config, p StatCorrectorParams) *StatCorrector {
 		p.Latency = 3
 	}
 	c := &StatCorrector{
-		component: newComponent(cfg, p.Name, p.ID, p.Latency, 1),
+		// Two metadata words: the row, then index | incoming directions<<32.
+		component: newComponent(cfg, p.Name, p.ID, p.Latency, 1, 2),
 		idxBits:   bitutil.Clog2(p.Entries),
 		histLen:   p.HistLen,
 		thresh:    10,
-		scratch:   make(pred.Packet, cfg.FetchWidth),
 	}
 	c.mem = c.newMem(sram.Spec{
 		Name:       p.Name,
@@ -61,9 +57,6 @@ func NewStatCorrector(cfg pred.Config, p StatCorrectorParams) *StatCorrector {
 	})
 	return c
 }
-
-// MetaWords implements pred.Subcomponent: row + index + incoming directions.
-func (c *StatCorrector) MetaWords() int { return 2 }
 
 func (c *StatCorrector) index(pc, ghist uint64) int {
 	pcPart := bitutil.MixPC(pc, c.cfg.PktOff(), c.idxBits)
@@ -78,21 +71,12 @@ func scGet(row uint64, slot int) int8 {
 	return int8(raw<<2) >> 2 // sign-extend 6 bits
 }
 
-func scSet(row uint64, slot int, v int8) uint64 {
-	sh := uint(slot) * 6
-	row &^= bitutil.Mask(6) << sh
-	return row | uint64(uint8(v)&0x3f)<<sh
-}
-
 // Predict implements pred.Subcomponent: invert incoming directions the
 // corrector strongly distrusts.
 func (c *StatCorrector) Predict(q *pred.Query) pred.Response {
 	idx := c.index(q.PC, q.GHist)
 	row := c.mem.Read(idx)
-	overlay := c.scratch
-	for i := range overlay {
-		overlay[i] = pred.Pred{}
-	}
+	overlay, meta := c.response()
 	var in pred.Packet
 	if len(q.In) > 0 {
 		in = q.In[0]
@@ -121,9 +105,9 @@ func (c *StatCorrector) Predict(q *pred.Query) pred.Response {
 			}
 		}
 	}
-	c.metaBuf[0] = row
-	c.metaBuf[1] = uint64(idx) | inDirs<<32
-	return pred.Response{Overlay: overlay, Meta: c.metaBuf[:]}
+	meta[0] = row
+	meta[1] = uint64(idx) | inDirs<<32
+	return pred.Response{Overlay: overlay, Meta: meta}
 }
 
 // Update implements pred.Subcomponent: per-slot agreement training.
@@ -140,29 +124,13 @@ func (c *StatCorrector) Update(e *pred.Event) {
 			continue // no incoming direction at predict time
 		}
 		inTaken := inDirs>>(2*i)&2 == 2
-		ctr := scGet(row, i)
-		if inTaken == s.Taken {
-			ctr = satAddBound(ctr, 1, 31)
-		} else {
-			ctr = satAddBound(ctr, -1, 31)
-		}
-		row = scSet(row, i, ctr)
+		ctr := bitutil.CtrUpdateS(scGet(row, i), inTaken == s.Taken, 31)
+		row = bitutil.SetBits(row, uint(i)*6, 6, uint64(uint8(ctr)))
 		dirty = true
 	}
 	if dirty {
 		c.mem.Write(idx, row)
 	}
-}
-
-func satAddBound(a, d, bound int8) int8 {
-	s := int16(a) + int16(d)
-	if s > int16(bound) {
-		return bound
-	}
-	if s < int16(-bound-1) {
-		return -bound - 1
-	}
-	return int8(s)
 }
 
 var _ pred.Subcomponent = (*StatCorrector)(nil)

@@ -24,7 +24,6 @@ import (
 // tags of every table, and the provider row — the exact bookkeeping the
 // paper says the metadata field exists for.
 type TAGE struct {
-	pred.NopEvents
 	component
 
 	tables []*tageTable
@@ -36,9 +35,6 @@ type TAGE struct {
 	uDecayMax  int
 	useAltCtr  int8 // "use alt on newly allocated" counter, [-8, 7]
 	numUpdates uint64
-
-	scratch pred.Packet
-	metaBuf []uint64
 }
 
 type tageTable struct {
@@ -90,7 +86,9 @@ func NewTAGE(cfg pred.Config, g *history.Global, p TAGEParams) *TAGE {
 		p.Latency = 3
 	}
 	t := &TAGE{
-		component: newComponent(cfg, p.Name, p.ID, p.Latency, len(p.TableEntries)),
+		// Metadata: [provider|alt|flags, provider row, alt row, then one
+		// word per table packing index|tag].
+		component: newComponent(cfg, p.Name, p.ID, p.Latency, len(p.TableEntries), 3+len(p.TableEntries)),
 		lfsr:      0xACE1,
 		uDecayMax: 1 << 18,
 	}
@@ -118,14 +116,8 @@ func NewTAGE(cfg pred.Config, g *history.Global, p TAGEParams) *TAGE {
 		}
 		t.tables = append(t.tables, tbl)
 	}
-	t.scratch = make(pred.Packet, cfg.FetchWidth)
-	t.metaBuf = make([]uint64, t.MetaWords())
 	return t
 }
-
-// MetaWords implements pred.Subcomponent: [provider|alt|flags, provider row,
-// alt row, then one word per table packing index|tag].
-func (t *TAGE) MetaWords() int { return 3 + len(t.tables) }
 
 // NumTables returns the number of tagged tables (for reports).
 func (t *TAGE) NumTables() int { return len(t.tables) }
@@ -146,24 +138,12 @@ func (tb *tageTable) rowTag(row uint64) uint64 { return row & bitutil.Mask(tb.ta
 func (tb *tageTable) rowU(row uint64) uint8 {
 	return uint8(bitutil.Bits(row, tb.tagBits, tageUBits))
 }
-func (tb *tageTable) setRowU(row uint64, u uint8) uint64 {
-	row &^= bitutil.Mask(tageUBits) << tb.tagBits
-	return row | uint64(u&3)<<tb.tagBits
-}
 func (tb *tageTable) ctrShift(slot int) uint {
 	return tb.tagBits + tageUBits + uint(slot)*tageCtrBits
 }
 func (tb *tageTable) rowCtr(row uint64, slot int) uint8 {
 	return uint8(bitutil.Bits(row, tb.ctrShift(slot), tageCtrBits))
 }
-func (tb *tageTable) setRowCtr(row uint64, slot int, c uint8) uint64 {
-	sh := tb.ctrShift(slot)
-	row &^= bitutil.Mask(tageCtrBits) << sh
-	return row | uint64(c&7)<<sh
-}
-
-// tageWeak reports a weak (just-allocated strength) counter.
-func tageWeak(c uint8) bool { return c == 3 || c == 4 }
 
 // A valid entry is indicated by a nonzero tag; tag 0 is reserved empty.
 // The tag hash is remapped so real tag 0 becomes 1.
@@ -177,10 +157,7 @@ func (tb *tageTable) liveTag(cfg pred.Config, pc uint64) uint64 {
 
 // Predict implements pred.Subcomponent.
 func (t *TAGE) Predict(q *pred.Query) pred.Response {
-	meta := t.metaBuf
-	for i := range meta {
-		meta[i] = 0
-	}
+	overlay, meta := t.response()
 	provider, alt := -1, -1
 	var provRow, altRow uint64
 	for i, tb := range t.tables {
@@ -193,10 +170,6 @@ func (t *TAGE) Predict(q *pred.Query) pred.Response {
 			provider, provRow = i, row
 		}
 	}
-	overlay := t.scratch
-	for i := range overlay {
-		overlay[i] = pred.Pred{}
-	}
 	flags := uint64(0)
 	if provider >= 0 {
 		tb := t.tables[provider]
@@ -206,7 +179,7 @@ func (t *TAGE) Predict(q *pred.Query) pred.Response {
 		newlyAlloc := tb.rowU(provRow) == 0
 		for i := 0; i < t.cfg.FetchWidth; i++ {
 			c := tb.rowCtr(provRow, i)
-			if newlyAlloc && tageWeak(c) && t.useAltCtr >= 0 {
+			if newlyAlloc && bitutil.CtrWeak(c, tageCtrBits) && t.useAltCtr >= 0 {
 				if alt >= 0 {
 					atb := t.tables[alt]
 					overlay[i] = pred.Pred{
@@ -276,7 +249,7 @@ func (t *TAGE) updateSlot(e *pred.Event, slot int, s pred.SlotInfo, provider, al
 			altPred = s.PredTaken
 		}
 		// Train the provider counter.
-		*provRow = tb.setRowCtr(*provRow, slot, bitutil.CtrUpdate(c, outcome, tageCtrBits))
+		*provRow = bitutil.SetBits(*provRow, tb.ctrShift(slot), tageCtrBits, uint64(bitutil.CtrUpdate(c, outcome, tageCtrBits)))
 		// Usefulness: provider differs from alternate and was right/wrong.
 		if provPred != altPred {
 			u := tb.rowU(*provRow)
@@ -285,14 +258,10 @@ func (t *TAGE) updateSlot(e *pred.Event, slot int, s pred.SlotInfo, provider, al
 			} else {
 				u = bitutil.SatDec(u, tageUBits)
 			}
-			*provRow = tb.setRowU(*provRow, u)
+			*provRow = bitutil.SetBits(*provRow, tb.tagBits, tageUBits, uint64(u))
 			// Track whether "use alt on newly allocated" would have helped.
-			if tb.rowU(*provRow) == 0 && tageWeak(c) {
-				if altPred == outcome {
-					t.useAltCtr = bitutil.SatIncS(t.useAltCtr, 7)
-				} else {
-					t.useAltCtr = bitutil.SatDecS(t.useAltCtr, 7)
-				}
+			if tb.rowU(*provRow) == 0 && bitutil.CtrWeak(c, tageCtrBits) {
+				t.useAltCtr = bitutil.CtrUpdateS(t.useAltCtr, altPred == outcome, 7)
 			}
 		}
 		// Allocate on a provider miss only.
@@ -338,7 +307,7 @@ func (t *TAGE) allocate(e *pred.Event, slot int, outcome bool, provider int) {
 			} else if sl == slot {
 				c = 3
 			}
-			fresh = tb.setRowCtr(fresh, sl, c)
+			fresh = bitutil.SetBits(fresh, tb.ctrShift(sl), tageCtrBits, uint64(c))
 		}
 		tb.mem.Write(idx, fresh)
 		return
@@ -359,7 +328,7 @@ func (t *TAGE) decayTick() {
 			row := tb.mem.Peek(i)
 			u := tb.rowU(row)
 			if u > 0 {
-				tb.mem.Poke(i, tb.setRowU(row, u>>1))
+				tb.mem.Poke(i, bitutil.SetBits(row, tb.tagBits, tageUBits, uint64(u>>1)))
 			}
 		}
 	}

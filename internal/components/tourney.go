@@ -18,14 +18,10 @@ import (
 // back via metadata so the selector can train toward whichever side was
 // right, without re-querying the sub-predictors.
 type Tourney struct {
-	pred.NopEvents
 	component
 	idxBits uint
 	histLen uint
 	mem     *sram.Mem
-
-	scratch pred.Packet
-	metaBuf [2]uint64
 }
 
 // TourneyParams configures a tournament selector.
@@ -50,10 +46,11 @@ func NewTourney(cfg pred.Config, p TourneyParams) *Tourney {
 		p.HistLen = idxBits
 	}
 	t := &Tourney{
-		component: newComponent(cfg, p.Name, p.ID, p.Latency, 1),
+		// Two metadata words: counter | index<<8, then the inputs' per-slot
+		// valid/direction bits.
+		component: newComponent(cfg, p.Name, p.ID, p.Latency, 1, 2),
 		idxBits:   idxBits,
 		histLen:   p.HistLen,
-		scratch:   make(pred.Packet, cfg.FetchWidth),
 	}
 	t.mem = t.newMem(sram.Spec{
 		Name:       p.Name,
@@ -64,10 +61,6 @@ func NewTourney(cfg pred.Config, p TourneyParams) *Tourney {
 	})
 	return t
 }
-
-// MetaWords implements pred.Subcomponent: word 0 packs the selector counter
-// and index; word 1 packs per-slot input directions/valids.
-func (t *Tourney) MetaWords() int { return 2 }
 
 // NumInputs implements pred.Subcomponent: an arbitration scheme (§III-F).
 func (t *Tourney) NumInputs() int { return 2 }
@@ -85,10 +78,7 @@ func (t *Tourney) Predict(q *pred.Query) pred.Response {
 	idx := t.index(q.PC, q.GHist)
 	ctr := uint8(t.mem.Read(idx))
 	useOne := bitutil.CtrTaken(ctr, 2)
-	overlay := t.scratch
-	for i := range overlay {
-		overlay[i] = pred.Pred{}
-	}
+	overlay, meta := t.response()
 
 	var in0, in1 pred.Packet
 	if len(q.In) > 0 {
@@ -147,9 +137,9 @@ func (t *Tourney) Predict(q *pred.Query) pred.Response {
 			overlay[i].Kind = p0.Kind
 		}
 	}
-	t.metaBuf[0] = uint64(ctr) | uint64(idx)<<8
-	t.metaBuf[1] = slotMeta
-	return pred.Response{Overlay: overlay, Meta: t.metaBuf[:]}
+	meta[0] = uint64(ctr) | uint64(idx)<<8
+	meta[1] = slotMeta
+	return pred.Response{Overlay: overlay, Meta: meta}
 }
 
 // Update implements pred.Subcomponent: train the selector toward whichever

@@ -23,9 +23,6 @@ type UBTB struct {
 	entries []ubtbEntry
 	lru     []uint32 // last-touch stamps for replacement
 	clock   uint32
-
-	scratch pred.Packet
-	metaBuf [1]uint64
 }
 
 type ubtbEntry struct {
@@ -54,16 +51,13 @@ func NewUBTB(cfg pred.Config, p UBTBParams) *UBTB {
 		p.TagBits = 28
 	}
 	return &UBTB{
-		component: newComponent(cfg, p.Name, p.ID, 1, 0), // latency 1 is its point
+		// Latency 1 is its point.  One metadata word: hit flag | entry<<1.
+		component: newComponent(cfg, p.Name, p.ID, 1, 0, 1),
 		tagBits:   p.TagBits,
 		entries:   make([]ubtbEntry, p.Entries),
 		lru:       make([]uint32, p.Entries),
-		scratch:   make(pred.Packet, cfg.FetchWidth),
 	}
 }
-
-// MetaWords implements pred.Subcomponent: hit flag + entry index.
-func (u *UBTB) MetaWords() int { return 1 }
 
 func (u *UBTB) tagOf(pc uint64) uint64 {
 	return (pc >> u.cfg.PktOff()) & bitutil.Mask(u.tagBits)
@@ -83,17 +77,13 @@ func (u *UBTB) find(pc uint64) int {
 // never sees history inputs; the composer hands it zeroed history and this
 // implementation reads only q.PC.
 func (u *UBTB) Predict(q *pred.Query) pred.Response {
-	overlay := u.scratch
-	for s := range overlay {
-		overlay[s] = pred.Pred{}
-	}
+	overlay, meta := u.response()
 	i := u.find(q.PC)
-	meta := uint64(0)
 	if i >= 0 {
 		u.clock++
 		u.lru[i] = u.clock
 		e := u.entries[i]
-		meta = 1 | uint64(i)<<1
+		meta[0] = 1 | uint64(i)<<1
 		if int(e.slot) < u.cfg.FetchWidth && bitutil.CtrTaken(e.hyst, 2) {
 			overlay[e.slot] = pred.Pred{
 				DirValid:    true,
@@ -107,16 +97,8 @@ func (u *UBTB) Predict(q *pred.Query) pred.Response {
 			}
 		}
 	}
-	u.metaBuf[0] = meta
-	return pred.Response{Overlay: overlay, Meta: u.metaBuf[:]}
+	return pred.Response{Overlay: overlay, Meta: meta}
 }
-
-// Fire implements pred.Subcomponent (unused: the uBTB keeps no speculative
-// state).
-func (u *UBTB) Fire(*pred.Event) {}
-
-// Repair implements pred.Subcomponent (nothing to repair).
-func (u *UBTB) Repair(*pred.Event) {}
 
 // Mispredict gives the uBTB an immediate correction, keeping the
 // single-cycle path fresh after redirects.

@@ -16,7 +16,6 @@ import (
 // the choice table speaks; exception-cache hits override the bias per slot.
 // Metadata carries the choice row and both exception lookups (§III-D).
 type YAGS struct {
-	pred.NopEvents
 	component
 	idxBits uint
 	excBits uint
@@ -26,9 +25,6 @@ type YAGS struct {
 	choice  *sram.Mem // FetchWidth 2-bit counters per row
 	tCache  *sram.Mem // exceptions for not-taken-biased branches (predict taken)
 	ntCache *sram.Mem // exceptions for taken-biased branches (predict not-taken)
-
-	scratch pred.Packet
-	metaBuf [3]uint64
 }
 
 // YAGSParams configures a YAGS instance.
@@ -63,12 +59,13 @@ func NewYAGS(cfg pred.Config, p YAGSParams) *YAGS {
 		p.Latency = 3
 	}
 	y := &YAGS{
-		component: newComponent(cfg, p.Name, p.ID, p.Latency, 3),
+		// Three metadata words: the choice row and both exception rows, each
+		// row | index<<32.
+		component: newComponent(cfg, p.Name, p.ID, p.Latency, 3, 3),
 		idxBits:   bitutil.Clog2(p.ChoiceRows),
 		excBits:   bitutil.Clog2(p.ExcEntries),
 		tagBits:   p.TagBits,
 		histLen:   p.HistLen,
-		scratch:   make(pred.Packet, cfg.FetchWidth),
 	}
 	y.choice = y.newMem(sram.Spec{
 		Name:       p.Name + "_choice",
@@ -90,9 +87,6 @@ func NewYAGS(cfg pred.Config, p YAGSParams) *YAGS {
 	y.ntCache = mk(p.Name + "_nt")
 	return y
 }
-
-// MetaWords implements pred.Subcomponent: choice row, exception rows.
-func (y *YAGS) MetaWords() int { return 3 }
 
 func (y *YAGS) choiceIdx(pc uint64) int {
 	return int(bitutil.MixPC(pc, y.cfg.PktOff(), y.idxBits))
@@ -127,10 +121,7 @@ func (y *YAGS) excPack(tag uint64, ctr uint8) uint64 {
 func (y *YAGS) Predict(q *pred.Query) pred.Response {
 	cIdx := y.choiceIdx(q.PC)
 	cRow := y.choice.Read(cIdx)
-	overlay := y.scratch
-	for i := range overlay {
-		overlay[i] = pred.Pred{}
-	}
+	overlay, meta := y.response()
 	// One exception lookup per cache per cycle, keyed on the packet base
 	// slot; the lookup serves the slot whose bias matches the cache side.
 	tIdx := y.excIdx(q.PC, q.GHist)
@@ -153,10 +144,10 @@ func (y *YAGS) Predict(q *pred.Query) pred.Response {
 		}
 		overlay[i] = pred.Pred{DirValid: true, Taken: taken, DirProvider: y.id}
 	}
-	y.metaBuf[0] = cRow | uint64(cIdx)<<32
-	y.metaBuf[1] = tRow | uint64(tIdx)<<32
-	y.metaBuf[2] = ntRow | uint64(ntIdx)<<32
-	return pred.Response{Overlay: overlay, Meta: y.metaBuf[:]}
+	meta[0] = cRow | uint64(cIdx)<<32
+	meta[1] = tRow | uint64(tIdx)<<32
+	meta[2] = ntRow | uint64(ntIdx)<<32
+	return pred.Response{Overlay: overlay, Meta: meta}
 }
 
 // Update implements pred.Subcomponent: train the choice bias; on a bias
@@ -212,7 +203,7 @@ func (y *YAGS) Update(e *pred.Event) {
 		// The choice table trains except when the exception covered a
 		// deviation correctly (the YAGS partial-update rule).
 		nc := bitutil.CtrUpdate(c, s.Taken, 2)
-		cRow = cRow&^(uint64(3)<<sh) | uint64(nc)<<sh
+		cRow = bitutil.SetBits(cRow, sh, 2, uint64(nc))
 		dirty = true
 	}
 	if dirty {

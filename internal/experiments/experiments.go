@@ -75,21 +75,25 @@ func (c Config) Defaults() Config {
 	return c
 }
 
-// design mirrors the facade's Table I design points (duplicated here to
-// keep internal packages independent of the root package).
+// design is one design point of an experiment's grid.
 type design struct {
 	name string
 	topo string
 	opt  compose.Options
 }
 
+// designs returns the Table I design points from spec.Preset, in the
+// paper's order (tourney, b2, tage-l).
 func designs() []design {
-	return []design{
-		{"tourney", "TOURNEY3 > [GBIM2 > BTB2, LBIM2]",
-			compose.Options{GHistBits: 32, LocalEntries: 256, LocalHistBits: 32}},
-		{"b2", "GTAG3 > BTB2 > BIM2", compose.Options{GHistBits: 16}},
-		{"tage-l", "LOOP3 > TAGE3 > BTB2 > BIM2 > UBTB1", compose.Options{GHistBits: 64}},
+	var ds []design
+	for _, name := range spec.PresetNames() {
+		p, err := spec.Preset(name)
+		must(err)
+		opt, err := p.Pipeline.Options()
+		must(err)
+		ds = append(ds, design{name, p.Topology, opt})
 	}
+	return ds
 }
 
 // failure carries an experiment's failure (a failed grid point, a bad

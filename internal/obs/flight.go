@@ -61,9 +61,10 @@ const DefaultFlightCap = 1024
 // FlightRecorder is the bounded ring.  All methods are safe for concurrent
 // use and valid on a nil receiver.
 type FlightRecorder struct {
-	mu   sync.Mutex
-	ring []FlightRecord
-	next uint64 // total records ever appended == seq of the next record
+	capacity int // fixed at construction, so Cap needs no lock
+	mu       sync.Mutex
+	ring     []FlightRecord
+	next     uint64 // total records ever appended == seq of the next record
 }
 
 // NewFlightRecorder returns a recorder holding the most recent capacity
@@ -72,7 +73,7 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = DefaultFlightCap
 	}
-	return &FlightRecorder{ring: make([]FlightRecord, 0, capacity)}
+	return &FlightRecorder{capacity: capacity, ring: make([]FlightRecord, 0, capacity)}
 }
 
 // Record appends one record, overwriting the oldest when the ring is full.
@@ -83,10 +84,10 @@ func (f *FlightRecorder) Record(level, source, msg, attrs string) {
 	now := time.Now().UnixMicro()
 	f.mu.Lock()
 	rec := FlightRecord{Seq: f.next, TimeUS: now, Level: level, Source: source, Msg: msg, Attrs: attrs}
-	if len(f.ring) < cap(f.ring) {
+	if len(f.ring) < f.capacity {
 		f.ring = append(f.ring, rec)
 	} else {
-		f.ring[int(f.next)%cap(f.ring)] = rec
+		f.ring[int(f.next)%f.capacity] = rec
 	}
 	f.next++
 	f.mu.Unlock()
@@ -108,7 +109,7 @@ func (f *FlightRecorder) Cap() int {
 	if f == nil {
 		return 0
 	}
-	return cap(f.ring)
+	return f.capacity
 }
 
 // Snapshot returns the retained records oldest-first, sequence numbers
@@ -120,10 +121,10 @@ func (f *FlightRecorder) Snapshot() []FlightRecord {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	out := make([]FlightRecord, 0, len(f.ring))
-	if len(f.ring) < cap(f.ring) || f.next == uint64(len(f.ring)) {
+	if len(f.ring) < f.capacity || f.next == uint64(len(f.ring)) {
 		return append(out, f.ring...)
 	}
-	head := int(f.next) % cap(f.ring) // oldest retained record's slot
+	head := int(f.next) % f.capacity // oldest retained record's slot
 	out = append(out, f.ring[head:]...)
 	out = append(out, f.ring[:head]...)
 	return out

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -105,6 +106,40 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 	}
 	if len(f.Snapshot()) != 64 {
 		t.Fatalf("snapshot len = %d, want 64", len(f.Snapshot()))
+	}
+}
+
+// TestFlightRecorderCapConcurrent reads the capacity while records are
+// appended, as /statusz does while jobs log; run under -race it proves Cap
+// and WriteJSON do not race with Record.  The ring never fills, so every
+// Record grows it.
+func TestFlightRecorderCapConcurrent(t *testing.T) {
+	const n = 2000
+	f := NewFlightRecorder(4 * n)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			f.Record("INFO", "w", "concurrent", "")
+		}
+	}()
+	for i := 0; ; i++ {
+		select {
+		case <-done:
+			if f.Cap() != 4*n || f.Total() != n {
+				t.Fatalf("cap %d total %d, want %d and %d", f.Cap(), f.Total(), 4*n, n)
+			}
+			return
+		default:
+		}
+		if f.Cap() != 4*n {
+			t.Fatalf("Cap() = %d while recording, want %d", f.Cap(), 4*n)
+		}
+		if i%64 == 0 {
+			if err := f.WriteJSON(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -281,17 +281,3 @@ func Validate(s Subcomponent) error {
 	}
 	return nil
 }
-
-// NopEvents provides no-op implementations of the event methods for
-// components that ignore a subset of the five signals (§III-E: components
-// "may choose to use and ignore arbitrary subsets").
-type NopEvents struct{}
-
-// Fire implements Subcomponent.
-func (NopEvents) Fire(*Event) {}
-
-// Mispredict implements Subcomponent.
-func (NopEvents) Mispredict(*Event) {}
-
-// Repair implements Subcomponent.
-func (NopEvents) Repair(*Event) {}

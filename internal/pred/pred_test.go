@@ -143,7 +143,6 @@ func TestEventBranchSlot(t *testing.T) {
 }
 
 type fakeComp struct {
-	NopEvents
 	name    string
 	latency int
 	meta    int
@@ -157,6 +156,9 @@ func (f *fakeComp) NumInputs() int          { return f.inputs }
 func (f *fakeComp) UsesLocalHistory() bool  { return false }
 func (f *fakeComp) Mems() []*sram.Mem       { return nil }
 func (f *fakeComp) Predict(*Query) Response { return Response{} }
+func (f *fakeComp) Fire(*Event)             {}
+func (f *fakeComp) Mispredict(*Event)       {}
+func (f *fakeComp) Repair(*Event)           {}
 func (f *fakeComp) Update(*Event)           {}
 func (f *fakeComp) Reset()                  {}
 func (f *fakeComp) Tick(uint64)             {}

@@ -105,12 +105,6 @@ type Core struct {
 
 	S stats.Sim
 
-	// OnCommitBranch, when set, is called for every committed conditional
-	// branch with its PC, resolved direction, whether it mispredicted, and
-	// the sub-component that provided the direction — a diagnostics hook for
-	// per-branch and per-provider accuracy studies.
-	OnCommitBranch func(pc uint64, taken, misp bool, provider string)
-
 	cycle     uint64
 	cycleBase uint64 // subtracted from cycle counts (warmup discard)
 	instSeq   uint64
@@ -620,9 +614,6 @@ func (c *Core) commit() {
 						prov = "(default-nt)"
 					}
 					c.S.AddProviderHit(prov)
-					if c.OnCommitBranch != nil {
-						c.OnCommitBranch(f.pc, f.step.Taken, r.misp, prov)
-					}
 					if r.misp {
 						c.S.Mispredicts++
 						if r.dirMisp {
