@@ -12,7 +12,9 @@
 // per spec digest, so -compare gates them exactly across machines.
 // Allocation rates get fractional headroom (-tol) for toolchain drift, and
 // wall-clock throughput is gated only when -timing-tol is set explicitly —
-// shared hosts are too noisy for timing gates by default.
+// shared hosts are too noisy for timing gates by default.  Each report
+// records the host's slowdown on a fixed reference kernel, and -compare
+// prints every scenario's wall delta divided by the two reports' factors.
 package main
 
 import (
@@ -93,6 +95,9 @@ func main() {
 	}
 
 	if old != nil {
+		for _, line := range bench.ScaledWallDeltas(old, r) {
+			fmt.Fprintf(os.Stderr, "cobra-bench: %s\n", line)
+		}
 		regs := bench.Compare(old, r, bench.CompareOptions{AllocTol: *tol, TimingTol: *timingTol})
 		if len(regs) > 0 {
 			fmt.Fprintf(os.Stderr, "cobra-bench: %d regression(s) vs %s:\n", len(regs), *compare)

@@ -176,6 +176,11 @@ type Report struct {
 	GOARCH        string `json:"goarch"`
 	GOMAXPROCS    int    `json:"gomaxprocs"`
 	Workers       int    `json:"workers"`
+	// HostSlowdown is the median slowdown of a fixed reference kernel
+	// timed between scenarios (see calibrate.go): 1 is the calibration
+	// host at full speed, 2 half that.  Reports written before it was
+	// recorded read 0, and their wall times compare unscaled.
+	HostSlowdown float64 `json:"host_slowdown,omitempty"`
 
 	Scenarios []ScenarioResult `json:"scenarios"`
 	HotLoop   []HotLoopResult  `json:"hot_loop"`
@@ -195,6 +200,8 @@ func Run(cfg Config) (*Report, error) {
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
 		Workers:       cfg.Workers,
 	}
+	host := newHostClock()
+	host.sample()
 	for _, sc := range Scenarios(cfg.Quick) {
 		cfg.logf("scenario %s (%d specs, %d reps)", sc.Name, len(sc.Specs), cfg.reps())
 		res, err := RunScenario(sc, cfg)
@@ -202,7 +209,10 @@ func Run(cfg Config) (*Report, error) {
 			return nil, fmt.Errorf("bench: scenario %s: %w", sc.Name, err)
 		}
 		r.Scenarios = append(r.Scenarios, res)
+		host.sample()
 	}
+	r.HostSlowdown = host.slowdown()
+	cfg.logf("host slowdown %.2f", r.HostSlowdown)
 	cfg.logf("hot-loop budgets")
 	hl, err := HotLoop(cfg)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"cobra/internal/runner"
@@ -100,7 +101,7 @@ func TestReportRoundTrip(t *testing.T) {
 	r := &Report{
 		Schema: Schema, SchemaVersion: SchemaVersion,
 		GoVersion: runtime.Version(), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
-		GOMAXPROCS: 1, Workers: 1,
+		GOMAXPROCS: 1, Workers: 1, HostSlowdown: 1.25,
 		Scenarios: []ScenarioResult{{Name: "x", Specs: 1, Reps: 1, Insts: 10, Cycles: 20}},
 		HotLoop:   []HotLoopResult{{Design: "x", SteadyAllocsPerOp: 0}},
 		Runner:    &RunnerResult{GOMAXPROCS: 1, Jobs: 1, SerialWallNS: 5, SpeedupValid: false},
@@ -181,6 +182,46 @@ func TestCompareGates(t *testing.T) {
 				t.Errorf("regressions=%v, want regression=%v (%v)", regs, tc.want, regs)
 			}
 		})
+	}
+}
+
+// TestScaledWallDeltas checks the host-scaled wall deltas -compare prints:
+// each report's wall time is divided by its own slowdown, and a report
+// without the factor (every one before it was recorded) prints none.
+func TestScaledWallDeltas(t *testing.T) {
+	rep := func(slow float64, wallMS int64) *Report {
+		return &Report{HostSlowdown: slow, Scenarios: []ScenarioResult{{Name: "s", WallNSMedian: wallMS * 1e6}}}
+	}
+	// Twice the wall on a host twice as slow is no change in the code.
+	got := ScaledWallDeltas(rep(1, 100), rep(2, 200))
+	if len(got) != 1 || !strings.Contains(got[0], "(+100.0%), host-scaled +0.0%") {
+		t.Errorf("scaled deltas = %q", got)
+	}
+	if got := ScaledWallDeltas(rep(0, 100), rep(2, 200)); got != nil {
+		t.Errorf("report without a host factor printed %q", got)
+	}
+	old, err := ReadFile("../../BENCH_20.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if old.HostSlowdown != 0 || ScaledWallDeltas(old, rep(1, 1)) != nil {
+		t.Errorf("BENCH_20.json predates the host factor, read %v", old.HostSlowdown)
+	}
+}
+
+// TestHostClock checks that the reference kernel yields a positive median
+// slowdown and allocates nothing per run once built.
+func TestHostClock(t *testing.T) {
+	h := newHostClock()
+	if h.slowdown() != 1 {
+		t.Errorf("slowdown before any sample = %v, want 1", h.slowdown())
+	}
+	h.sample()
+	if len(h.samples) != hostSamplesPerPoint || h.slowdown() <= 0 {
+		t.Errorf("samples %v, slowdown %v", h.samples, h.slowdown())
+	}
+	if a := testing.AllocsPerRun(2, func() { h.ref.run(1000) }); a != 0 {
+		t.Errorf("reference kernel allocates %v per run", a)
 	}
 }
 

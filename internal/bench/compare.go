@@ -103,3 +103,32 @@ func Compare(old, new *Report, opt CompareOptions) []string {
 	}
 	return regs
 }
+
+// ScaledWallDeltas returns one line per scenario both reports contain: the
+// median wall time old → new, raw and divided by each report's
+// HostSlowdown, so a host that ran slower for one report does not read as a
+// regression of the code.  It returns nil when either report lacks the
+// factor.  The lines are informational; Compare gates timing only behind
+// TimingTol.
+func ScaledWallDeltas(old, new *Report) []string {
+	if old.HostSlowdown <= 0 || new.HostSlowdown <= 0 {
+		return nil
+	}
+	newSc := map[string]ScenarioResult{}
+	for _, s := range new.Scenarios {
+		newSc[s.Name] = s
+	}
+	var out []string
+	for _, o := range old.Scenarios {
+		n, ok := newSc[o.Name]
+		if !ok || o.WallNSMedian <= 0 {
+			continue
+		}
+		raw := float64(n.WallNSMedian) / float64(o.WallNSMedian)
+		scaled := raw * old.HostSlowdown / new.HostSlowdown
+		out = append(out, fmt.Sprintf("scenario %s: wall %.1f → %.1f ms (%+.1f%%), host-scaled %+.1f%% (host slowdown %.2f → %.2f)",
+			o.Name, float64(o.WallNSMedian)/1e6, float64(n.WallNSMedian)/1e6, (raw-1)*100, (scaled-1)*100,
+			old.HostSlowdown, new.HostSlowdown))
+	}
+	return out
+}

@@ -49,16 +49,7 @@ func IsPow2(n int) bool {
 // (which are constant within a fetch packet) and XOR-folding the remainder.
 // This mirrors the PC hashing used by the RTL counter tables.
 func MixPC(pc uint64, instOffset, idxBits uint) uint64 {
-	v := pc >> instOffset
-	if idxBits == 0 {
-		return 0
-	}
-	var out uint64
-	for v != 0 {
-		out ^= v & Mask(idxBits)
-		v >>= idxBits
-	}
-	return out
+	return XorFold(pc>>instOffset, idxBits)
 }
 
 // XorFold folds v down to n bits by repeated XOR of n-bit chunks.
@@ -66,9 +57,10 @@ func XorFold(v uint64, n uint) uint64 {
 	if n == 0 {
 		return 0
 	}
+	m := Mask(n)
 	var out uint64
 	for v != 0 {
-		out ^= v & Mask(n)
+		out ^= v & m
 		v >>= n
 	}
 	return out

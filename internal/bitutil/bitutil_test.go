@@ -110,6 +110,37 @@ func TestXorFoldWidth(t *testing.T) {
 	}
 }
 
+// xorFoldRef is the per-chunk loop MixPC and XorFold were written as, with
+// the chunk mask recomputed every iteration: the reference the hoisted-mask
+// kernels are pinned against.
+func xorFoldRef(v uint64, n uint) uint64 {
+	if n == 0 {
+		return 0
+	}
+	var out uint64
+	for v != 0 {
+		out ^= v & Mask(n)
+		v >>= n
+	}
+	return out
+}
+
+func TestXorFoldMatchesChunkLoop(t *testing.T) {
+	vals := []uint64{0, 1, 0x80001230, 0xdeadbeefcafef00d, ^uint64(0), 1 << 63, 0x0123456789abcdef}
+	for _, tc := range []struct{ off, n uint }{
+		{0, 0}, {0, 1}, {2, 7}, {4, 10}, {4, 12}, {3, 13}, {0, 31}, {2, 32}, {1, 63}, {0, 64},
+	} {
+		for _, v := range vals {
+			if got, want := XorFold(v, tc.n), xorFoldRef(v, tc.n); got != want {
+				t.Errorf("XorFold(%#x, %d) = %#x, want %#x", v, tc.n, got, want)
+			}
+			if got, want := MixPC(v, tc.off, tc.n), xorFoldRef(v>>tc.off, tc.n); got != want {
+				t.Errorf("MixPC(%#x, %d, %d) = %#x, want %#x", v, tc.off, tc.n, got, want)
+			}
+		}
+	}
+}
+
 func TestSatCounters(t *testing.T) {
 	c := uint8(0)
 	for i := 0; i < 10; i++ {

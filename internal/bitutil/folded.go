@@ -11,9 +11,10 @@ package bitutil
 // property tests.
 type FoldedHistory struct {
 	folded   uint64
-	histLen  uint // number of history bits covered
-	width    uint // output width in bits
-	outPoint uint // bit position within the fold where the oldest bit leaves
+	histLen  uint   // number of history bits covered
+	width    uint   // output width in bits
+	mask     uint64 // Mask(width)
+	outPoint uint   // bit position within the fold where the oldest bit leaves
 }
 
 // NewFoldedHistory returns a folded history covering histLen bits of history
@@ -26,6 +27,7 @@ func NewFoldedHistory(histLen, width uint) *FoldedHistory {
 	return &FoldedHistory{
 		histLen:  histLen,
 		width:    width,
+		mask:     Mask(width),
 		outPoint: histLen % width,
 	}
 }
@@ -40,24 +42,27 @@ func (f *FoldedHistory) HistLen() uint { return f.histLen }
 func (f *FoldedHistory) Fold() uint64 { return f.folded }
 
 // Update shifts newBit into the history and oldBit (the bit that is histLen
-// positions old, i.e. the one leaving the window) out, maintaining the fold.
+// positions old, i.e. the one leaving the window) out, maintaining the fold:
+// rotate left by one within width, then the new bit enters at position 0
+// and the old bit leaves at outPoint.  Both positions lie inside the width,
+// so one mask after the rotate suffices, and the bits are XORed in without
+// branching on them.
 func (f *FoldedHistory) Update(newBit, oldBit bool) {
 	if f.histLen == 0 {
 		return
 	}
 	h := f.folded
-	// Rotate left by one within width.
-	h = (h << 1) | (h >> (f.width - 1))
-	h &= Mask(f.width)
-	// New bit enters at position 0.
-	if newBit {
-		h ^= 1
+	h = (h<<1 | h>>(f.width-1)) & f.mask
+	f.folded = h ^ b2u(newBit) ^ b2u(oldBit)<<f.outPoint
+}
+
+// b2u is 1 for true and 0 for false; the compiler turns it into a flag
+// move, not a branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
 	}
-	// Old bit leaves at outPoint.
-	if oldBit {
-		h ^= 1 << f.outPoint
-	}
-	f.folded = h & Mask(f.width)
+	return 0
 }
 
 // Set recomputes the fold from a full history vector (bit 0 = most recent).
@@ -67,7 +72,7 @@ func (f *FoldedHistory) Set(hist []uint64) {
 }
 
 // SetRaw directly restores a previously captured fold value.
-func (f *FoldedHistory) SetRaw(v uint64) { f.folded = v & Mask(f.width) }
+func (f *FoldedHistory) SetRaw(v uint64) { f.folded = v & f.mask }
 
 // FoldBits computes the non-incremental fold of the low histLen bits of
 // hist (bit 0 of hist[0] = most recent outcome) down to width bits: the

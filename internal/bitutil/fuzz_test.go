@@ -11,7 +11,10 @@ import "testing"
 //  2. shifting the history bit-by-bit through FoldedHistory.Update lands on
 //     exactly the packed fold of the final window;
 //  3. snapshot/restore round-trips: SetRaw(Fold()) and Set(hist) both
-//     reproduce the live fold.
+//     reproduce the live fold;
+//  4. after a further random shift sequence from that state, the
+//     branch-free Update equals the branching reference updateRef and the
+//     packed fold of the shifted window.
 func FuzzFoldedHistory(f *testing.F) {
 	f.Add(uint16(64), uint8(12), []byte{0xde, 0xad, 0xbe, 0xef})
 	f.Add(uint16(0), uint8(1), []byte{})
@@ -79,7 +82,45 @@ func FuzzFoldedHistory(f *testing.F) {
 		if fh.Fold() != packed {
 			t.Fatalf("Set(hist) = %#x, want %#x", fh.Fold(), packed)
 		}
+
+		// Property 4: shift the fuzz bytes in, bit by bit, through Update
+		// and through the reference, over a copy of the history (its words
+		// hold at least the histLen-bit window).
+		live := append([]uint64(nil), hist...)
+		slow := fh.Fold()
+		for i := 0; i < 8*len(raw); i++ {
+			newBit := raw[i/8]>>(i%8)&1 == 1
+			oldBit := HistBit(live, histLen-1)
+			fh.Update(newBit, oldBit)
+			slow = updateRef(slow, histLen, width, newBit, oldBit)
+			shiftIn(live, newBit)
+			if fh.Fold() != slow {
+				t.Fatalf("shift %d: Update = %#x, reference = %#x (histLen=%d width=%d)",
+					i, fh.Fold(), slow, histLen, width)
+			}
+		}
+		if want := FoldBits(live, histLen, width); fh.Fold() != want {
+			t.Fatalf("after %d shifts: Update = %#x, FoldBits = %#x", 8*len(raw), fh.Fold(), want)
+		}
 	})
+}
+
+// updateRef is FoldedHistory.Update as first written, branching on each bit
+// and masking after every step: the reference the branch-free kernel is
+// fuzzed against.
+func updateRef(h uint64, histLen, width uint, newBit, oldBit bool) uint64 {
+	if histLen == 0 {
+		return h
+	}
+	h = (h << 1) | (h >> (width - 1))
+	h &= Mask(width)
+	if newBit {
+		h ^= 1
+	}
+	if oldBit {
+		h ^= 1 << (histLen % width)
+	}
+	return h & Mask(width)
 }
 
 // FuzzChunkBits pins the word-boundary extraction primitive against a

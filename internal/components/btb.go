@@ -147,9 +147,9 @@ func btbKindToPred(kind int) pred.CFIKind {
 	return pred.KindNone
 }
 
-// lookup probes all ways; returns hit way or -1.
-func (b *BTB) lookup(pc uint64) int {
-	idx, tag := b.index(pc), b.tag(pc)
+// lookup probes all ways of set idx (b.index(pc)); returns hit way or -1.
+func (b *BTB) lookup(idx int, pc uint64) int {
+	tag := b.tag(pc)
 	for w := 0; w < b.ways; w++ {
 		t := b.tags[w].Read(idx)
 		if t&1 == 1 && t>>1 == tag {
@@ -161,8 +161,8 @@ func (b *BTB) lookup(pc uint64) int {
 
 // Predict implements pred.Subcomponent.
 func (b *BTB) Predict(q *pred.Query) pred.Response {
-	way := b.lookup(q.PC)
 	idx := b.index(q.PC)
+	way := b.lookup(idx, q.PC)
 	overlay, meta := b.response()
 	readWay := way
 	if readWay < 0 {

@@ -88,12 +88,22 @@ func newHistoryFile(entries, fetchWidth int) *historyFile {
 	return hf
 }
 
+// at maps an age position i (0 = oldest, i < len(ring)) to its ring index:
+// one conditional wrap instead of a division.
+func (hf *historyFile) at(i int) int {
+	j := hf.head + i
+	if j >= len(hf.ring) {
+		j -= len(hf.ring)
+	}
+	return j
+}
+
 func (hf *historyFile) full() bool  { return hf.count == len(hf.ring) }
 func (hf *historyFile) empty() bool { return hf.count == 0 }
 
 // alloc claims the next entry (caller must have checked full()).
 func (hf *historyFile) alloc() *Entry {
-	idx := (hf.head + hf.count) % len(hf.ring)
+	idx := hf.at(hf.count)
 	hf.count++
 	hf.seq++
 	e := &hf.ring[idx]
@@ -124,7 +134,7 @@ func (hf *historyFile) youngest() *Entry {
 	if hf.empty() {
 		return nil
 	}
-	return &hf.ring[(hf.head+hf.count-1)%len(hf.ring)]
+	return &hf.ring[hf.at(hf.count-1)]
 }
 
 // dequeue retires the oldest entry.
@@ -133,7 +143,7 @@ func (hf *historyFile) dequeue() {
 		panic("compose: dequeue from empty history file")
 	}
 	hf.ring[hf.head].valid = false
-	hf.head = (hf.head + 1) % len(hf.ring)
+	hf.head = hf.at(1)
 	hf.count--
 }
 
@@ -142,8 +152,7 @@ func (hf *historyFile) popYoungest() {
 	if hf.empty() {
 		panic("compose: pop from empty history file")
 	}
-	idx := (hf.head + hf.count - 1) % len(hf.ring)
-	hf.ring[idx].valid = false
+	hf.ring[hf.at(hf.count-1)].valid = false
 	hf.count--
 }
 
@@ -151,8 +160,7 @@ func (hf *historyFile) popYoungest() {
 // calling f on each.
 func (hf *historyFile) youngerThan(e *Entry, f func(*Entry)) {
 	for i := hf.count - 1; i >= 0; i-- {
-		idx := (hf.head + i) % len(hf.ring)
-		y := &hf.ring[idx]
+		y := &hf.ring[hf.at(i)]
 		if y.seq <= e.seq {
 			return
 		}
@@ -164,8 +172,7 @@ func (hf *historyFile) youngerThan(e *Entry, f func(*Entry)) {
 // direction of the paper's forwards-walk).
 func (hf *historyFile) forwardFrom(e *Entry, f func(*Entry)) {
 	for i := 0; i < hf.count; i++ {
-		idx := (hf.head + i) % len(hf.ring)
-		y := &hf.ring[idx]
+		y := &hf.ring[hf.at(i)]
 		if y.seq <= e.seq {
 			continue
 		}
@@ -177,8 +184,7 @@ func (hf *historyFile) forwardFrom(e *Entry, f func(*Entry)) {
 func (hf *historyFile) countYoungerThan(e *Entry) int {
 	n := 0
 	for i := 0; i < hf.count; i++ {
-		idx := (hf.head + i) % len(hf.ring)
-		if hf.ring[idx].seq > e.seq {
+		if hf.ring[hf.at(i)].seq > e.seq {
 			n++
 		}
 	}

@@ -1,6 +1,9 @@
 package compose
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func newHF(n int) *historyFile { return newHistoryFile(n, 4) }
 
@@ -127,5 +130,54 @@ func TestEntryRecycleClearsState(t *testing.T) {
 	}
 	if e2.CfiIdx != -1 {
 		t.Error("CfiIdx not reset")
+	}
+}
+
+// TestHistoryFileWrapsAtOddSizes drives rings whose size is not a power of
+// two through random alloc/dequeue/pop traffic against a modular-arithmetic
+// model: every allocation lands on (head+count) mod size, and oldest,
+// youngest and the walks follow the model's age order.
+func TestHistoryFileWrapsAtOddSizes(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for _, n := range []int{5, 33} {
+		hf := newHF(n)
+		head := 0
+		var live []*Entry // oldest first
+		for step := 0; step < 20*n; step++ {
+			switch op := rng.Intn(3); {
+			case op == 0 && !hf.full() || hf.empty():
+				want := (head + len(live)) % n
+				e := hf.alloc()
+				if e.idx != want {
+					t.Fatalf("size %d: alloc at ring %d, want %d", n, e.idx, want)
+				}
+				live = append(live, e)
+			case op == 1:
+				hf.dequeue()
+				live, head = live[1:], (head+1)%n
+			default:
+				hf.popYoungest()
+				live = live[:len(live)-1]
+			}
+			if hf.count != len(live) || hf.head != head {
+				t.Fatalf("size %d: count/head %d/%d, want %d/%d", n, hf.count, hf.head, len(live), head)
+			}
+			if len(live) == 0 {
+				continue
+			}
+			if hf.oldest() != live[0] || hf.youngest() != live[len(live)-1] {
+				t.Fatalf("size %d step %d: oldest/youngest off the model", n, step)
+			}
+			var fwd []*Entry
+			hf.forwardFrom(live[0], func(e *Entry) { fwd = append(fwd, e) })
+			if len(fwd) != len(live)-1 || hf.countYoungerThan(live[0]) != len(live)-1 {
+				t.Fatalf("size %d step %d: walk saw %d younger entries, want %d", n, step, len(fwd), len(live)-1)
+			}
+			for i, e := range fwd {
+				if e != live[i+1] {
+					t.Fatalf("size %d step %d: forward walk out of age order", n, step)
+				}
+			}
+		}
 	}
 }

@@ -158,8 +158,7 @@ type Pipeline struct {
 	final   []pred.Packet // per stage: the root's packet (owned or aliased)
 	ovl     []pred.Packet // per node: the raw overlay it returned this query
 	zeroPkt pred.Packet   // read-only all-empty packet
-	metaOff []int         // per node: offset into the per-entry meta arena
-	metaTot int
+	metaOff []int         // per node: offset into the per-entry meta arena; [len(nodes)] is its size
 
 	// q and ev are the reusable signal payloads handed to sub-components
 	// (passing a pointer into an interface method would otherwise heap-
@@ -255,10 +254,9 @@ func New(cfg pred.Config, topo *Topology, opt Options) (*Pipeline, error) {
 	p.zeroPkt = make(pred.Packet, cfg.FetchWidth)
 	p.planStages()
 	p.ovl = make([]pred.Packet, len(p.nodes))
-	p.metaOff = make([]int, len(p.nodes))
+	p.metaOff = make([]int, len(p.nodes)+1)
 	for i, n := range p.nodes {
-		p.metaOff[i] = p.metaTot
-		p.metaTot += n.comp.MetaWords()
+		p.metaOff[i+1] = p.metaOff[i] + n.comp.MetaWords()
 	}
 	p.paranoid = opt.Paranoid
 	p.obsv = opt.Observer
@@ -349,10 +347,27 @@ func (p *Pipeline) InFlight() int { return p.hf.count }
 // Oldest returns the oldest in-flight entry (commit candidate), or nil.
 func (p *Pipeline) Oldest() *Entry { return p.hf.oldest() }
 
-// overlayInto writes over[i] applied on base[i] into dst (no allocation).
+// overlayInto writes over[i] applied on base[i] into dst (no allocation):
+// the per-slot pred.Pred.OverlayOn, done in place.  Each slot is copied from
+// base and then only over's valid field groups are patched through pointers,
+// in OverlayOn's order, so no slot is built in a temporary first.  dst must
+// not alias over.
 func overlayInto(dst, over, base pred.Packet) {
 	for i := range dst {
-		dst[i] = over[i].OverlayOn(base[i])
+		d, o := &dst[i], &over[i]
+		*d = base[i]
+		if o.DirValid {
+			d.DirValid, d.Taken, d.DirProvider = true, o.Taken, o.DirProvider
+		}
+		if o.TgtValid {
+			d.TgtValid, d.Target, d.TgtProvider = true, o.Target, o.TgtProvider
+		}
+		if o.IsCFI {
+			d.IsCFI = true
+		}
+		if o.Kind != pred.KindNone {
+			d.Kind = o.Kind
+		}
 	}
 }
 
@@ -459,10 +474,14 @@ func (p *Pipeline) Predict(cycle uint64, pc uint64) (*Entry, []pred.Packet) {
 		e.lhist = p.Local.Read(e.PC)
 	}
 	if e.metas == nil {
+		// The entry's metadata arena and each node's view of it, built once:
+		// a view is re-sliced only for a component that answers with a
+		// different word count than it declared.
+		e.metaBuf = make([]uint64, p.metaOff[len(p.nodes)])
 		e.metas = make([][]uint64, len(p.nodes))
-	}
-	if e.metaBuf == nil {
-		e.metaBuf = make([]uint64, p.metaTot)
+		for ni := range e.metas {
+			e.metas[ni] = e.metaBuf[p.metaOff[ni]:p.metaOff[ni+1]]
+		}
 	}
 
 	graw := e.preSnap.Hist()
@@ -490,10 +509,16 @@ func (p *Pipeline) Predict(cycle uint64, pc uint64) (*Entry, []pred.Packet) {
 		q.In = op.in
 		resp := n.comp.Predict(q)
 		// Persist the metadata in the entry's arena (components may reuse
-		// their returned buffers on the next predict).
-		dst := e.metaBuf[p.metaOff[ni] : p.metaOff[ni]+len(resp.Meta)]
-		copy(dst, resp.Meta)
-		e.metas[ni] = dst
+		// their returned buffers on the next predict).  A word loop, not
+		// copy: the few words do not pay for a runtime call.
+		dst := e.metas[ni]
+		if len(dst) != len(resp.Meta) {
+			dst = e.metaBuf[p.metaOff[ni] : p.metaOff[ni]+len(resp.Meta)]
+			e.metas[ni] = dst
+		}
+		for j := range dst {
+			dst[j] = resp.Meta[j]
+		}
 		p.ovl[ni] = resp.Overlay
 		overlayInto(op.dst, resp.Overlay, op.prim)
 		if p.obsv != nil {
@@ -506,8 +531,11 @@ func (p *Pipeline) Predict(cycle uint64, pc uint64) (*Entry, []pred.Packet) {
 			e.stages[d] = make(pred.Packet, p.Cfg.FetchWidth)
 		}
 	}
-	for d := 1; d <= p.depth; d++ {
-		copy(e.stages[d-1], p.final[d-1])
+	for d, st := range e.stages { // element loops too: a few slots per stage
+		src := p.final[d]
+		for i := range st {
+			st[i] = src[i]
+		}
 	}
 	if p.trackOps {
 		// Snapshot every node's raw overlay opinion per slot (the ovl

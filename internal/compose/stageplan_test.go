@@ -33,7 +33,7 @@ func referencePredict(p *Pipeline, cycle, pc uint64) (*Entry, []pred.Packet) {
 		e.metas = make([][]uint64, len(p.nodes))
 	}
 	if e.metaBuf == nil {
-		e.metaBuf = make([]uint64, p.metaTot)
+		e.metaBuf = make([]uint64, p.metaOff[len(p.nodes)])
 	}
 	outs := make([][]pred.Packet, len(p.nodes))
 	for ni := range outs {
@@ -66,12 +66,12 @@ func referencePredict(p *Pipeline, cycle, pc uint64) (*Entry, []pred.Packet) {
 				copy(dst, resp.Meta)
 				e.metas[ni] = dst
 				ovl[ni] = resp.Overlay
-				overlayInto(outs[ni][d-1], resp.Overlay, prim)
+				overlayRef(outs[ni][d-1], resp.Overlay, prim)
 				if p.obsv != nil {
 					p.emit(obs.KPredict, cycle, e, n.name, -1, n.lat, obs.MetaSum(dst))
 				}
 			default:
-				overlayInto(outs[ni][d-1], ovl[ni], prim)
+				overlayRef(outs[ni][d-1], ovl[ni], prim)
 			}
 		}
 	}
@@ -87,6 +87,53 @@ func referencePredict(p *Pipeline, cycle, pc uint64) (*Entry, []pred.Packet) {
 		p.checkInvariants("Predict", cycle)
 	}
 	return e, e.stages
+}
+
+// overlayRef is the per-slot pred.Pred.OverlayOn that overlayInto performs
+// in place: the reference its field-group patching is pinned against.
+func overlayRef(dst, over, base pred.Packet) {
+	for i := range dst {
+		dst[i] = over[i].OverlayOn(base[i])
+	}
+}
+
+// TestOverlayIntoMatchesOverlayOn pins overlayInto to the per-slot
+// OverlayOn over random packets: every combination of DirValid, TgtValid,
+// IsCFI and Kind in the overlay, with random payload fields on both sides.
+func TestOverlayIntoMatchesOverlayOn(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	randPred := func() pred.Pred {
+		return pred.Pred{
+			DirValid: rng.Intn(2) == 0, Taken: rng.Intn(2) == 0,
+			TgtValid: rng.Intn(2) == 0, Target: rng.Uint64(),
+			IsCFI: rng.Intn(2) == 0, Kind: pred.CFIKind(rng.Intn(int(pred.KindIndirect) + 1)),
+			DirProvider: pred.Provider(rng.Intn(1 << 16)), TgtProvider: pred.Provider(rng.Intn(1 << 16)),
+		}
+	}
+	const width = 4
+	var combos []pred.Pred
+	for bits := 0; bits < 8; bits++ {
+		for k := pred.KindNone; k <= pred.KindIndirect; k++ {
+			o := randPred()
+			o.DirValid, o.TgtValid, o.IsCFI, o.Kind = bits&1 != 0, bits&2 != 0, bits&4 != 0, k
+			combos = append(combos, o)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		over, base := make(pred.Packet, width), make(pred.Packet, width)
+		for s := range over {
+			over[s], base[s] = combos[(i*width+s)%len(combos)], randPred()
+		}
+		got, want := make(pred.Packet, width), make(pred.Packet, width)
+		for s := range got {
+			got[s] = randPred() // stale contents must not leak through
+		}
+		overlayInto(got, over, base)
+		overlayRef(want, over, base)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("overlayInto(%+v over %+v) = %+v, want %+v", over, base, got, want)
+		}
+	}
 }
 
 // TestStagePlanMatchesReference runs random topologies as two identical

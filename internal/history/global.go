@@ -23,12 +23,21 @@ import (
 type Global struct {
 	length uint
 	hist   []uint64 // bit 0 of word 0 = most recent outcome
-	folds  []*bitutil.FoldedHistory
+	folds  []fold
 
 	// SpecShifts counts speculative shifts since reset (for reports).
 	SpecShifts uint64
 	// Restores counts snapshot restores (repair events).
 	Restores uint64
+}
+
+// fold is an attached folded register plus where its outgoing bit lives:
+// bit shift of hist[word] is the history bit of age HistLen()-1, the one
+// that leaves the fold's window on the next shift.
+type fold struct {
+	*bitutil.FoldedHistory
+	word  int
+	shift uint
 }
 
 // NewGlobal returns a global history register of length bits.
@@ -50,15 +59,15 @@ func (g *Global) NewFold(histLen, width uint) *bitutil.FoldedHistory {
 		panic("history: fold longer than global history register")
 	}
 	f := bitutil.NewFoldedHistory(histLen, width)
-	g.folds = append(g.folds, f)
+	age := max(histLen, 1) - 1 // a zero-length fold ignores its outgoing bit
+	g.folds = append(g.folds, fold{f, int(age / 64), age % 64})
 	return f
 }
 
 // Shift speculatively inserts one branch outcome (most-recent position).
 func (g *Global) Shift(taken bool) {
 	for _, f := range g.folds {
-		old := bitutil.HistBit(g.hist, f.HistLen()-1)
-		f.Update(taken, old)
+		f.Update(taken, g.hist[f.word]>>f.shift&1 != 0)
 	}
 	carry := uint64(0)
 	if taken {

@@ -1,6 +1,10 @@
 package pred
 
-import "cobra/internal/bitutil"
+import (
+	"math/bits"
+
+	"cobra/internal/bitutil"
+)
 
 // Config captures the fetch geometry every sub-component and the composer
 // agree on: how many instruction slots a fetch packet holds and how wide an
@@ -16,13 +20,14 @@ type Config struct {
 func DefaultConfig() Config { return Config{FetchWidth: 4, InstBytes: 4} }
 
 // InstOff is log2(InstBytes): the PC bits constant within an instruction.
-func (c Config) InstOff() uint { return bitutil.Clog2(c.InstBytes) }
+// Valid geometry is a power of two, so the log is the trailing-zero count.
+func (c Config) InstOff() uint { return uint(bits.TrailingZeros(uint(c.InstBytes))) }
 
 // PktBytes is the fetch packet size in bytes.
 func (c Config) PktBytes() int { return c.FetchWidth * c.InstBytes }
 
 // PktOff is log2(PktBytes): the PC bits constant within a fetch packet.
-func (c Config) PktOff() uint { return bitutil.Clog2(c.PktBytes()) }
+func (c Config) PktOff() uint { return uint(bits.TrailingZeros(uint(c.PktBytes()))) }
 
 // PacketBase aligns pc down to its fetch packet base.
 func (c Config) PacketBase(pc uint64) uint64 {

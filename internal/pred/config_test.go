@@ -1,6 +1,10 @@
 package pred
 
-import "testing"
+import (
+	"testing"
+
+	"cobra/internal/bitutil"
+)
 
 func TestDefaultConfigGeometry(t *testing.T) {
 	c := DefaultConfig()
@@ -45,6 +49,25 @@ func TestWideConfigGeometry(t *testing.T) {
 	}
 	if c.SlotOf(c.SlotPC(0x2000, 7)) != 7 {
 		t.Error("wide slot round trip failed")
+	}
+}
+
+// TestOffsetsMatchClog2 pins the trailing-zero InstOff and PktOff to
+// Clog2 for every valid geometry up to 64 slots of 64 bytes.
+func TestOffsetsMatchClog2(t *testing.T) {
+	for fw := 1; fw <= 64; fw *= 2 {
+		for ib := 1; ib <= 64; ib *= 2 {
+			c := Config{FetchWidth: fw, InstBytes: ib}
+			if !c.Valid() {
+				t.Fatalf("%+v should be valid", c)
+			}
+			if got, want := c.InstOff(), bitutil.Clog2(ib); got != want {
+				t.Errorf("%+v: InstOff = %d, Clog2 = %d", c, got, want)
+			}
+			if got, want := c.PktOff(), bitutil.Clog2(fw*ib); got != want {
+				t.Errorf("%+v: PktOff = %d, Clog2 = %d", c, got, want)
+			}
+		}
 	}
 }
 

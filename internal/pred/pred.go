@@ -128,19 +128,6 @@ func (pk Packet) Clone() Packet {
 	return out
 }
 
-// OverlayOn applies each slot of pk over base, returning a new packet.
-func (pk Packet) OverlayOn(base Packet) Packet {
-	out := make(Packet, len(pk))
-	for i := range pk {
-		var b Pred
-		if i < len(base) {
-			b = base[i]
-		}
-		out[i] = pk[i].OverlayOn(b)
-	}
-	return out
-}
-
 // Query carries everything a sub-component may consult at predict time.
 type Query struct {
 	Cycle uint64

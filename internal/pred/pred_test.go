@@ -99,26 +99,6 @@ func TestOverlayAssociativity(t *testing.T) {
 	}
 }
 
-func TestPacketOverlay(t *testing.T) {
-	base := Packet{{DirValid: true, Taken: false}, {}}
-	over := Packet{{}, {DirValid: true, Taken: true, DirProvider: loop}}
-	got := over.OverlayOn(base)
-	if got[0] != base[0] {
-		t.Errorf("slot 0 must pass through: %+v", got[0])
-	}
-	if !got[1].Taken || got[1].DirProvider != loop {
-		t.Errorf("slot 1 must be overridden: %+v", got[1])
-	}
-}
-
-func TestPacketOverlayLengthMismatch(t *testing.T) {
-	over := Packet{{DirValid: true, Taken: true}, {DirValid: true}}
-	got := over.OverlayOn(Packet{}) // shorter base
-	if len(got) != 2 || !got[0].Taken {
-		t.Errorf("overlay on short base: %+v", got)
-	}
-}
-
 func TestPacketClone(t *testing.T) {
 	p := Packet{{DirValid: true}}
 	q := p.Clone()

@@ -323,7 +323,7 @@ func (c *Core) dispatch() {
 		if isStore && c.stqUsed >= c.cfg.STQEntries {
 			return
 		}
-		idx := (c.robHead + c.robCount) % len(c.rob)
+		idx := c.robIdx(c.robCount)
 		r := &c.rob[idx]
 		*r = robE{valid: true, fb: *f, iq: iq}
 		if f.inst != nil {
@@ -677,7 +677,7 @@ func (c *Core) commit() {
 			c.rasHead++
 		}
 		r.valid = false
-		c.robHead = (c.robHead + 1) % len(c.rob)
+		c.robHead = c.robIdx(1)
 		c.robCount--
 	}
 }
