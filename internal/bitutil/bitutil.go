@@ -45,23 +45,39 @@ func IsPow2(n int) bool {
 	return n > 0 && n&(n-1) == 0
 }
 
-// MixPC folds a fetch PC down to idxBits, discarding the low instOffset bits
-// (which are constant within a fetch packet) and XOR-folding the remainder.
-// This mirrors the PC hashing used by the RTL counter tables.
-func MixPC(pc uint64, instOffset, idxBits uint) uint64 {
-	return XorFold(pc>>instOffset, idxBits)
+// XorFold folds v down to n bits by repeated XOR of n-bit chunks.  A table
+// that folds with one width on every lookup keeps a Folder instead.
+func XorFold(v uint64, n uint) uint64 {
+	return NewFolder(0, n).Fold(v)
 }
 
-// XorFold folds v down to n bits by repeated XOR of n-bit chunks.
-func XorFold(v uint64, n uint) uint64 {
-	if n == 0 {
-		return 0
+// Folder folds a table's index or tag input with its operands fixed when
+// the table is built: the low bits dropped first (a fetch PC's offset
+// within its packet, constant for every slot, as the RTL counter tables
+// hash it), and the fold width with its chunk mask, so a lookup computes
+// no mask.  Fold(v) == XorFold(v>>shift, width).
+type Folder struct {
+	shift uint   // low bits of v dropped before folding
+	width uint   // chunk width; 64 for width 0, so the loop stops at once
+	mask  uint64 // Mask(width): 0 for width 0, so the fold is 0
+}
+
+// NewFolder returns the fold of v>>shift down to width bits.
+func NewFolder(shift, width uint) Folder {
+	if width == 0 {
+		return Folder{shift: shift, width: 64}
 	}
-	m := Mask(n)
+	return Folder{shift: shift, width: width, mask: Mask(width)}
+}
+
+// Fold XOR-folds v>>shift down to the folder's width, one chunk per
+// iteration: a PC of a few chunks takes a few iterations.
+func (f Folder) Fold(v uint64) uint64 {
+	v >>= f.shift
 	var out uint64
 	for v != 0 {
-		out ^= v & m
-		v >>= n
+		out ^= v & f.mask
+		v >>= f.width
 	}
 	return out
 }
@@ -100,6 +116,39 @@ func CtrUpdate(c uint8, taken bool, w uint) uint8 {
 // CtrTaken interprets the MSB of a w-bit counter as the taken prediction.
 func CtrTaken(c uint8, w uint) bool {
 	return uint64(c) >= (Mask(w)+1)/2
+}
+
+// CtrWidth is a w-bit saturating counter's width with its maximum and
+// taken threshold computed once, for a width that is a table parameter:
+// Taken and Update agree with CtrTaken and CtrUpdate.
+type CtrWidth struct {
+	max  uint64 // Mask(w)
+	half uint64 // (Mask(w)+1)/2, the lowest taken value
+}
+
+// NewCtrWidth returns the counter width w.
+func NewCtrWidth(w uint) CtrWidth {
+	return CtrWidth{max: Mask(w), half: (Mask(w) + 1) / 2}
+}
+
+// Mask is Mask(w), the counter's field mask in a packed row.
+func (w CtrWidth) Mask() uint64 { return w.max }
+
+// Taken is CtrTaken(c, w).
+func (w CtrWidth) Taken(c uint8) bool { return uint64(c) >= w.half }
+
+// Update is CtrUpdate(c, taken, w).
+func (w CtrWidth) Update(c uint8, taken bool) uint8 {
+	if taken {
+		if uint64(c) < w.max {
+			return c + 1
+		}
+		return c
+	}
+	if c > 0 {
+		return c - 1
+	}
+	return c
 }
 
 // CtrWeak reports whether the counter is in one of its two weak states.

@@ -87,13 +87,12 @@ func TestIsPow2(t *testing.T) {
 	}
 }
 
-func TestMixPCStableWithinPacket(t *testing.T) {
-	// PCs that differ only in the instruction-offset bits must map to the
-	// same index (they belong to the same fetch packet).
+func TestFolderStableWithinPacket(t *testing.T) {
+	f := NewFolder(4, 10)
 	base := uint64(0x80001230)
-	for off := uint64(0); off < 16; off += 2 {
-		if MixPC(base+off, 4, 10) != MixPC(base, 4, 10) {
-			t.Fatalf("MixPC differs within fetch packet at offset %d", off)
+	for off := uint64(0); off < 16; off++ {
+		if f.Fold(base+off) != f.Fold(base) {
+			t.Fatalf("Fold differs within fetch packet at offset %d", off)
 		}
 	}
 }
@@ -110,9 +109,9 @@ func TestXorFoldWidth(t *testing.T) {
 	}
 }
 
-// xorFoldRef is the per-chunk loop MixPC and XorFold were written as, with
-// the chunk mask recomputed every iteration: the reference the hoisted-mask
-// kernels are pinned against.
+// xorFoldRef is the per-chunk loop XorFold and the PC hash were written
+// as, with the chunk mask recomputed every iteration: the reference the
+// hoisted-mask kernels are pinned against.
 func xorFoldRef(v uint64, n uint) uint64 {
 	if n == 0 {
 		return 0
@@ -134,8 +133,31 @@ func TestXorFoldMatchesChunkLoop(t *testing.T) {
 			if got, want := XorFold(v, tc.n), xorFoldRef(v, tc.n); got != want {
 				t.Errorf("XorFold(%#x, %d) = %#x, want %#x", v, tc.n, got, want)
 			}
-			if got, want := MixPC(v, tc.off, tc.n), xorFoldRef(v>>tc.off, tc.n); got != want {
-				t.Errorf("MixPC(%#x, %d, %d) = %#x, want %#x", v, tc.off, tc.n, got, want)
+			if got, want := NewFolder(tc.off, tc.n).Fold(v), xorFoldRef(v>>tc.off, tc.n); got != want {
+				t.Errorf("NewFolder(%d, %d).Fold(%#x) = %#x, want %#x", tc.off, tc.n, v, got, want)
+			}
+		}
+	}
+}
+
+// TestFolderEveryWidth pins Folder to the chunk loop for every width and
+// a range of shifts, over values of every magnitude.
+func TestFolderEveryWidth(t *testing.T) {
+	vals := []uint64{0, 1, ^uint64(0), 1 << 63}
+	x := uint64(0x9E3779B97F4A7C15)
+	for i := 0; i < 64; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		vals = append(vals, x, x>>i, 1<<i|1)
+	}
+	for n := uint(0); n <= 65; n++ {
+		for _, off := range []uint{0, 1, 2, 4, 6, 13, 40, 63, 64, 70} {
+			f := NewFolder(off, n)
+			for _, v := range vals {
+				if got, want := f.Fold(v), xorFoldRef(v>>off, n); got != want {
+					t.Fatalf("NewFolder(%d, %d).Fold(%#x) = %#x, want %#x", off, n, v, got, want)
+				}
 			}
 		}
 	}
@@ -173,6 +195,28 @@ func TestSatCounters(t *testing.T) {
 	}
 	if s != -8 {
 		t.Errorf("decremented signed counter = %d, want -8", s)
+	}
+}
+
+// TestCtrWidthMatchesFunctions pins CtrWidth to CtrTaken and CtrUpdate for
+// every counter value of every width a uint8 counter can hold, and past it.
+func TestCtrWidthMatchesFunctions(t *testing.T) {
+	for w := uint(1); w <= 9; w++ {
+		cw := NewCtrWidth(w)
+		if cw.Mask() != Mask(w) {
+			t.Errorf("w=%d: Mask = %#x", w, cw.Mask())
+		}
+		for c := 0; c < 256; c++ {
+			v := uint8(c)
+			if got, want := cw.Taken(v), CtrTaken(v, w); got != want {
+				t.Errorf("w=%d c=%d: Taken = %v, want %v", w, c, got, want)
+			}
+			for _, tk := range []bool{false, true} {
+				if got, want := cw.Update(v, tk), CtrUpdate(v, tk, w); got != want {
+					t.Errorf("w=%d c=%d taken=%v: Update = %d, want %d", w, c, tk, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -18,10 +18,13 @@ import (
 // predict_in, passing the direction through untouched (Fig. 3).
 type BTB struct {
 	component
-	sets    int
-	ways    int
-	idxBits uint
-	tagBits uint
+	sets int
+	ways int
+
+	// Index and tag fields, fixed at construction.
+	idxHash  bitutil.Folder // packet PC folded to idxBits
+	tagShift uint           // PC bits below the tag: packet offset + idxBits
+	tagMask  uint64         // Mask(tagBits)
 
 	// Views of the component's memory list: the tags first, then the banks.
 	tags  []*sram.Mem // one per way: valid + tag
@@ -74,13 +77,15 @@ func NewBTB(cfg pred.Config, p BTBParams) *BTB {
 	if p.Latency < 1 {
 		p.Latency = 2
 	}
+	idxBits := bitutil.Clog2(sets)
 	b := &BTB{
 		// One metadata word: hit flag | way<<1.
 		component: newComponent(cfg, p.Name, p.ID, p.Latency, p.Ways*(1+cfg.FetchWidth), 1),
 		sets:      sets,
 		ways:      p.Ways,
-		idxBits:   bitutil.Clog2(sets),
-		tagBits:   p.TagBits,
+		idxHash:   bitutil.NewFolder(cfg.PktOff(), idxBits),
+		tagShift:  cfg.PktOff() + idxBits,
+		tagMask:   bitutil.Mask(p.TagBits),
 		repl:      make([]uint8, sets),
 	}
 	for w := 0; w < p.Ways; w++ {
@@ -106,11 +111,11 @@ func NewBTB(cfg pred.Config, p BTBParams) *BTB {
 }
 
 func (b *BTB) index(pc uint64) int {
-	return int(bitutil.MixPC(pc, b.cfg.PktOff(), b.idxBits))
+	return int(b.idxHash.Fold(pc))
 }
 
 func (b *BTB) tag(pc uint64) uint64 {
-	return (pc >> (b.cfg.PktOff() + b.idxBits)) & bitutil.Mask(b.tagBits)
+	return pc >> b.tagShift & b.tagMask
 }
 
 func (b *BTB) bank(way, slot int) *sram.Mem {
@@ -159,7 +164,8 @@ func (b *BTB) lookup(idx int, pc uint64) int {
 	return -1
 }
 
-// Predict implements pred.Subcomponent.
+// Predict implements pred.Subcomponent.  It writes every overlay slot
+// (the zero Pred passes through) and its metadata word.
 func (b *BTB) Predict(q *pred.Query) pred.Response {
 	idx := b.index(q.PC)
 	way := b.lookup(idx, q.PC)
@@ -168,31 +174,34 @@ func (b *BTB) Predict(q *pred.Query) pred.Response {
 	if readWay < 0 {
 		readWay = 0 // the RTL reads data in parallel with tags; model the port
 	}
-	for i := 0; i < b.cfg.FetchWidth; i++ {
+	for i := range overlay {
 		field := b.bank(readWay, i).Read(idx)
-		if way < 0 {
-			continue
+		kind, target := btbKindNone, uint64(0)
+		if way >= 0 {
+			kind, target = b.unpack(q.PC, field)
 		}
-		kind, target := b.unpack(q.PC, field)
-		if kind == btbKindNone {
-			continue
-		}
-		p := pred.Pred{
-			TgtValid:    true,
-			Target:      target,
-			TgtProvider: b.id,
-			IsCFI:       true,
-			Kind:        btbKindToPred(kind),
-		}
-		// Unconditional control flow is always taken; the BTB can assert
-		// that.  Conditional branches keep the incoming direction.
-		if kind != btbKindBranch {
-			p.DirValid = true
-			p.Taken = true
-			p.DirProvider = b.id
+		var p pred.Pred // a miss or an empty slot passes through
+		if kind != btbKindNone {
+			p = pred.Pred{
+				TgtValid:    true,
+				Target:      target,
+				TgtProvider: b.id,
+				IsCFI:       true,
+				Kind:        btbKindToPred(kind),
+			}
+			// Unconditional control flow is always taken; the BTB can
+			// assert that.  Conditional branches keep the incoming
+			// direction.
+			if kind != btbKindBranch {
+				p.DirValid = true
+				p.Taken = true
+				p.DirProvider = b.id
+			}
 		}
 		overlay[i] = p
 	}
+	// hit flag | way<<1; a miss is 0.
+	meta[0] = 0
 	if way >= 0 {
 		meta[0] = 1 | uint64(way)<<1
 	}
@@ -205,7 +214,8 @@ func (b *BTB) Predict(q *pred.Query) pred.Response {
 func (b *BTB) Update(e *pred.Event) {
 	idx, tag := b.index(e.PC), b.tag(e.PC)
 	anyTaken := false
-	for _, s := range e.Slots {
+	for i := range e.Slots {
+		s := &e.Slots[i]
 		if s.Valid && s.Taken && (s.IsBranch || s.IsJump || s.IsCall || s.IsRet || s.IsIndir) {
 			anyTaken = true
 		}
@@ -234,7 +244,8 @@ func (b *BTB) Update(e *pred.Event) {
 			b.bank(way, s).Poke(idx, 0)
 		}
 	}
-	for i, s := range e.Slots {
+	for i := range e.Slots {
+		s := &e.Slots[i]
 		if !s.Valid || i >= b.cfg.FetchWidth {
 			continue
 		}

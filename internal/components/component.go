@@ -1,6 +1,7 @@
 package components
 
 import (
+	"cobra/internal/bitutil"
 	"cobra/internal/pred"
 	"cobra/internal/sram"
 )
@@ -9,10 +10,10 @@ import (
 // component shares.  Each component embeds one by value and allocates its
 // SRAM through newMem, so the memory list is declared once and serves the
 // pipeline clock (Mems), the area model (Budget), Tick and Reset alike.
-// Predict fills the overlay packet and metadata words that response hands
-// it, so MetaWords is declared once too.  A component overrides only what
-// differs: the events it uses, extra reset state, flop bits, inputs, or
-// storage it models outside package sram.
+// Predict writes the whole overlay packet and every metadata word that
+// response hands it, so MetaWords is declared once too.  A component
+// overrides only what differs: the events it uses, extra reset state, flop
+// bits, inputs, or storage it models outside package sram.
 type component struct {
 	name    string
 	id      pred.Provider
@@ -35,13 +36,36 @@ func newComponent(cfg pred.Config, name string, id pred.Provider, latency, nmems
 	return c
 }
 
-// response clears the overlay packet and the metadata words and hands them
-// to Predict to fill.  The composer is done with both before it calls
-// Predict again, so one pair serves every prediction without allocating.
+// response hands Predict the overlay packet and the metadata words.  The
+// composer is done with both before it calls Predict again, so one pair
+// serves every prediction without allocating.  They still hold the last
+// response: Predict writes every overlay slot, the zero pred.Pred where it
+// passes predict_in through, and every metadata word, so nothing is
+// cleared first.
 func (c *component) response() (pred.Packet, []uint64) {
-	clear(c.overlay)
-	clear(c.meta)
 	return c.overlay, c.meta
+}
+
+// pcHistIndex is the gshare-style row index several tables share: the
+// fetch PC and the low bits of a history, each XOR-folded to the index
+// width and XORed together, with its folds and mask fixed when the table is
+// built.
+type pcHistIndex struct {
+	pc, hist bitutil.Folder // PC>>pcShift and history, folded to idxBits
+	histMask uint64         // Mask(histLen)
+}
+
+func newPCHistIndex(pcShift, idxBits, histLen uint) pcHistIndex {
+	return pcHistIndex{
+		pc:       bitutil.NewFolder(pcShift, idxBits),
+		hist:     bitutil.NewFolder(0, idxBits),
+		histMask: bitutil.Mask(histLen),
+	}
+}
+
+// of returns the row for pc and hist; both folds fit idxBits.
+func (x pcHistIndex) of(pc, hist uint64) int {
+	return int(x.pc.Fold(pc) ^ x.hist.Fold(hist&x.histMask))
 }
 
 // newMem allocates a memory and registers it with the component.

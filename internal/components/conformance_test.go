@@ -330,3 +330,126 @@ func TestComponentAllocs(t *testing.T) {
 		})
 	}
 }
+
+// responder is the response buffers a library component hands Predict.
+type responder interface {
+	response() (pred.Packet, []uint64)
+}
+
+// TestPredictWritesWholeResponse pins the contract that lets response skip
+// clearing its buffers: Predict writes every overlay slot and every
+// metadata word.  Two instances of each component run the same scripted
+// mix of predictions and events over a moving global history; before each
+// Predict one of them has its overlay and metadata filled with garbage.
+// Their responses must be equal throughout, and the script must make the
+// component assert some slot, so hits are compared as well as misses.
+func TestPredictWritesWholeResponse(t *testing.T) {
+	cfg := pred.DefaultConfig()
+	for _, name := range libraryComponents {
+		t.Run(name, func(t *testing.T) {
+			var inst [2]pred.Subcomponent
+			var glob [2]*history.Global
+			for k := range inst {
+				glob[k] = history.NewGlobal(128)
+				c, err := Build(Env{Cfg: cfg, Global: glob[k], ID: 7}, name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				inst[k] = c
+			}
+			dirty, ok := inst[1].(responder)
+			if !ok {
+				t.Fatalf("%T does not embed component", inst[1])
+			}
+			in := make([]pred.Packet, inst[0].NumInputs())
+			for i := range in {
+				in[i] = make(pred.Packet, cfg.FetchWidth)
+			}
+			rng := uint64(0x9E3779B97F4A7C15)
+			next := func() uint64 {
+				rng ^= rng << 13
+				rng ^= rng >> 7
+				rng ^= rng << 17
+				return rng
+			}
+			asserted := false
+			slots := make([]pred.SlotInfo, cfg.FetchWidth)
+			iter := map[uint64]int{}
+			for step := 0; step < 3000; step++ {
+				r := next()
+				pc := 0x4000 + (r%8)*16 // a few hot packets, so tables hit
+				graw := glob[0].Raw()
+				// The packet's branch, in slot 0, is a loop branch taken
+				// three times in four; the inputs' opinions on it are
+				// always wrong in half of the packets, so a corrector
+				// learns to invert them.
+				iter[pc]++
+				taken := iter[pc]%4 != 0
+				for i := range in {
+					for s := range in[i] {
+						v := next()
+						in[i][s] = pred.Pred{DirValid: v&1 == 1, Taken: v&2 == 2, DirProvider: 9,
+							TgtValid: v&4 == 4, Target: 0x8000 + v>>48, IsCFI: v&8 == 8, Kind: pred.KindBranch}
+					}
+					if pc&16 == 0 {
+						in[i][0] = pred.Pred{DirValid: true, Taken: !taken, DirProvider: 9}
+					}
+				}
+				q := &pred.Query{Cycle: uint64(step), PC: pc, GHist: graw[0], GRaw: graw,
+					LHist: r >> 20 & 0xFF, Path: r >> 40 & 0xFFFF, In: in}
+
+				overlay, meta := dirty.response()
+				for s := range overlay {
+					g := next()
+					overlay[s] = pred.Pred{DirValid: true, Taken: g&1 == 1, TgtValid: true, Target: g,
+						IsCFI: true, Kind: pred.CFIKind(g % 6), DirProvider: pred.Provider(g >> 8), TgtProvider: pred.Provider(g >> 24)}
+				}
+				for w := range meta {
+					meta[w] = next()
+				}
+				var resp [2]pred.Response
+				for k, c := range inst {
+					resp[k] = c.Predict(q)
+				}
+				if !reflect.DeepEqual(resp[0].Overlay, resp[1].Overlay) {
+					t.Fatalf("step %d: overlay over garbage differs:\n got %+v\nwant %+v", step, resp[1].Overlay, resp[0].Overlay)
+				}
+				if !reflect.DeepEqual(resp[0].Meta, resp[1].Meta) {
+					t.Fatalf("step %d: metadata over garbage differs:\n got %#x\nwant %#x", step, resp[1].Meta, resp[0].Meta)
+				}
+				for _, p := range resp[0].Overlay {
+					asserted = asserted || p != pred.Pred{}
+				}
+
+				// Resolve the packet: the branch in slot 0, a call in slot
+				// 1 and an indirect jump in slot 3 whose target follows the
+				// history.
+				ov := resp[0].Overlay
+				predTaken := ov[0].DirValid && ov[0].Taken
+				target := 0xA000 + (graw[0]&3)*0x40
+				clear(slots)
+				slots[0] = pred.SlotInfo{Valid: true, IsBranch: true, PC: pc, Taken: taken, PredTaken: predTaken,
+					Mispredicted: taken != predTaken, Target: pc + 64}
+				slots[1] = pred.SlotInfo{Valid: r&16 == 16, IsCall: true, PC: pc + 4, Taken: true, Target: 0x9000}
+				slots[3] = pred.SlotInfo{Valid: true, IsIndir: true, PC: pc + 12, Taken: true, Target: target,
+					Mispredicted: !ov[3].TgtValid || ov[3].Target != target}
+				for k, c := range inst {
+					ev := &pred.Event{Cycle: uint64(step), PC: pc, GHist: graw[0], GRaw: glob[k].Raw(),
+						LHist: q.LHist, Path: q.Path, Meta: append([]uint64(nil), resp[k].Meta...), Slots: slots}
+					c.Fire(ev)
+					if slots[0].Mispredicted || slots[3].Mispredicted {
+						c.Mispredict(ev)
+					}
+					c.Update(ev)
+				}
+				// The history repeats, so history-indexed rows train.
+				for k := range glob {
+					glob[k].Shift(step%3 != 0)
+				}
+			}
+			if !asserted {
+				t.Errorf("the script never made %s assert a slot", name)
+			}
+		})
+	}
+}

@@ -26,10 +26,9 @@ type GEHL struct {
 }
 
 type gehlTable struct {
-	idxBits uint
-	histLen uint
 	fold    *bitutil.FoldedHistory
-	mem     *sram.Mem // 4-bit signed counters, two's complement in 4 bits
+	mem     *sram.Mem      // 4-bit signed counters, two's complement in 4 bits
+	idxHash bitutil.Folder // packet PC folded to idxBits
 }
 
 const (
@@ -74,9 +73,9 @@ func NewGEHL(cfg pred.Config, g *history.Global, p GEHLParams) *GEHL {
 			panic("components: GEHL table entries must be powers of two")
 		}
 		idxBits := bitutil.Clog2(p.TableEntries[i])
-		tb := &gehlTable{idxBits: idxBits, histLen: p.HistLens[i]}
-		if tb.histLen > 0 {
-			tb.fold = g.NewFold(tb.histLen, idxBits)
+		tb := &gehlTable{idxHash: bitutil.NewFolder(cfg.PktOff(), idxBits)}
+		if hl := p.HistLens[i]; hl > 0 {
+			tb.fold = g.NewFold(hl, idxBits)
 		}
 		tb.mem = t.newMem(sram.Spec{
 			Name:       p.Name + "_t",
@@ -90,12 +89,13 @@ func NewGEHL(cfg pred.Config, g *history.Global, p GEHLParams) *GEHL {
 	return t
 }
 
-func (tb *gehlTable) index(cfg pred.Config, pc uint64) uint64 {
-	pcPart := bitutil.MixPC(pc, cfg.PktOff(), tb.idxBits)
+// index hashes the fetch PC with the table's folded history, if it has
+// one; both fit idxBits.
+func (tb *gehlTable) index(pc uint64) uint64 {
 	if tb.fold == nil {
-		return pcPart & bitutil.Mask(tb.idxBits)
+		return tb.idxHash.Fold(pc)
 	}
-	return (pcPart ^ tb.fold.Fold()) & bitutil.Mask(tb.idxBits)
+	return tb.idxHash.Fold(pc) ^ tb.fold.Fold()
 }
 
 func gehlGet(raw uint64) int8 { return int8(uint8(raw)<<4) >> 4 } // sign-extend 4 bits
@@ -106,7 +106,7 @@ func (t *GEHL) Predict(q *pred.Query) pred.Response {
 	overlay, meta := t.response()
 	var sum int32
 	for i, tb := range t.tables {
-		idx := tb.index(t.cfg, q.PC)
+		idx := tb.index(q.PC)
 		raw := tb.mem.Read(int(idx))
 		c := gehlGet(raw)
 		sum += 2*int32(c) + 1 // the standard GEHL centering

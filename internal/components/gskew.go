@@ -18,9 +18,8 @@ import (
 // a correct prediction; all banks train on a mispredict.
 type GSkew struct {
 	component
-	idxBits uint
-	histLen uint
-	banks   [3]*sram.Mem
+	banks [3]*sram.Mem
+	idx   pcHistIndex // the PC and history folds the skewing functions mix
 }
 
 // GSkewParams configures a GSkew instance.
@@ -49,8 +48,7 @@ func NewGSkew(cfg pred.Config, p GSkewParams) *GSkew {
 	g := &GSkew{
 		// One metadata word per bank: row | index<<32.
 		component: newComponent(cfg, p.Name, p.ID, p.Latency, 3, 3),
-		idxBits:   bitutil.Clog2(p.Rows),
-		histLen:   p.HistLen,
+		idx:       newPCHistIndex(cfg.PktOff(), bitutil.Clog2(p.Rows), p.HistLen),
 	}
 	for b := range g.banks {
 		g.banks[b] = g.newMem(sram.Spec{
@@ -67,18 +65,16 @@ func NewGSkew(cfg pred.Config, p GSkewParams) *GSkew {
 // skewed indexing: three distinct mixes of (pc, hist) — the skewing
 // functions decorrelate conflict aliases across banks.
 func (g *GSkew) index(bank int, pc, ghist uint64) int {
-	pcPart := bitutil.MixPC(pc, g.cfg.PktOff(), g.idxBits)
-	h := ghist & bitutil.Mask(g.histLen)
-	var v uint64
+	pcPart := g.idx.pc.Fold(pc)
+	h := ghist & g.idx.histMask
+	// Every term fits idxBits.
 	switch bank {
 	case 0:
-		v = pcPart ^ bitutil.XorFold(h, g.idxBits)
+		return int(pcPart ^ g.idx.hist.Fold(h))
 	case 1:
-		v = pcPart ^ bitutil.XorFold(h*0x9E37, g.idxBits) ^ pcPart>>3
-	default:
-		v = bitutil.XorFold(h^pcPart<<2, g.idxBits) ^ pcPart>>1
+		return int(pcPart ^ g.idx.hist.Fold(h*0x9E37) ^ pcPart>>3)
 	}
-	return int(v & bitutil.Mask(g.idxBits))
+	return int(g.idx.hist.Fold(h^pcPart<<2) ^ pcPart>>1)
 }
 
 // Predict implements pred.Subcomponent: per-slot majority of the banks.
@@ -111,7 +107,8 @@ func (g *GSkew) Update(e *pred.Event) {
 		rows[b] = e.Meta[b] & bitutil.Mask(32)
 		idxs[b] = int(e.Meta[b] >> 32)
 	}
-	for i, s := range e.Slots {
+	for i := range e.Slots {
+		s := &e.Slots[i]
 		if !s.Valid || !s.IsBranch || i >= g.cfg.FetchWidth {
 			continue
 		}

@@ -19,15 +19,20 @@ import (
 // The metadata stores the read row so update needs no second read port.
 type GTAG struct {
 	component
-	idxBits uint
 	tagBits uint
-	ctrBits uint
-	histLen uint
 
 	idxFold *bitutil.FoldedHistory
 	tagFold *bitutil.FoldedHistory
 	mem     *sram.Mem // per row: tag | valid | counters
+
+	// Index, tag and row fields, fixed at construction.
+	idxHash bitutil.Folder // packet PC folded to idxBits
+	tagHash bitutil.Folder // packet PC above the index folded to tagBits
+	tagMask uint64         // Mask(tagBits)
 }
+
+// gtagCtrBits is the width of each slot's counter.
+const gtagCtrBits = 2
 
 // GTAGParams configures a GTAG instance.
 type GTAGParams struct {
@@ -56,58 +61,62 @@ func NewGTAG(cfg pred.Config, g *history.Global, p GTAGParams) *GTAG {
 		p.Latency = 3
 	}
 	idxBits := bitutil.Clog2(p.Entries)
-	ctrBits := uint(2)
 	t := &GTAG{
 		// Two metadata words: row | hit<<63, then index | tag<<32
 		// (regenerating them at commit time would need the predict-time
 		// folds, which have moved on).
 		component: newComponent(cfg, p.Name, p.ID, p.Latency, 1, 2),
-		idxBits:   idxBits,
 		tagBits:   p.TagBits,
-		ctrBits:   ctrBits,
-		histLen:   p.HistLen,
 		idxFold:   g.NewFold(p.HistLen, idxBits),
 		tagFold:   g.NewFold(p.HistLen, p.TagBits),
+		idxHash:   bitutil.NewFolder(cfg.PktOff(), idxBits),
+		tagHash:   bitutil.NewFolder(cfg.PktOff()+idxBits, p.TagBits),
+		tagMask:   bitutil.Mask(p.TagBits),
 	}
 	t.mem = t.newMem(sram.Spec{
 		Name:       p.Name,
 		Entries:    p.Entries,
-		Width:      int(p.TagBits) + 1 + cfg.FetchWidth*int(ctrBits),
+		Width:      int(p.TagBits) + 1 + cfg.FetchWidth*gtagCtrBits,
 		ReadPorts:  1,
 		WritePorts: 1,
 	})
 	return t
 }
 
+// index and tag hash the fetch PC with the folded histories; every part
+// fits the field, so neither needs a mask.
 func (g *GTAG) index(pc uint64) uint64 {
-	return (bitutil.MixPC(pc, g.cfg.PktOff(), g.idxBits) ^ g.idxFold.Fold()) & bitutil.Mask(g.idxBits)
+	return g.idxHash.Fold(pc) ^ g.idxFold.Fold()
 }
 
 func (g *GTAG) tag(pc uint64) uint64 {
-	return (bitutil.MixPC(pc>>g.idxBits, g.cfg.PktOff(), g.tagBits) ^ g.tagFold.Fold()) & bitutil.Mask(g.tagBits)
+	return g.tagHash.Fold(pc) ^ g.tagFold.Fold()
 }
 
-func (g *GTAG) rowTag(row uint64) uint64 { return row & bitutil.Mask(g.tagBits) }
+func (g *GTAG) rowTag(row uint64) uint64 { return row & g.tagMask }
 func (g *GTAG) rowValid(row uint64) bool { return row>>g.tagBits&1 == 1 }
-func (g *GTAG) ctrShift(slot int) uint   { return g.tagBits + 1 + uint(slot)*g.ctrBits }
+func (g *GTAG) ctrShift(slot int) uint   { return g.tagBits + 1 + uint(slot)*gtagCtrBits }
 func (g *GTAG) rowCtr(row uint64, slot int) uint8 {
-	return uint8(bitutil.Bits(row, g.ctrShift(slot), g.ctrBits))
+	return uint8(bitutil.Bits(row, g.ctrShift(slot), gtagCtrBits))
 }
 
-// Predict implements pred.Subcomponent.
+// Predict implements pred.Subcomponent.  It writes every overlay slot
+// (a miss passes predict_in through) and both metadata words.
 func (g *GTAG) Predict(q *pred.Query) pred.Response {
 	idx, tag := g.index(q.PC), g.tag(q.PC)
 	row := g.mem.Read(int(idx))
 	hit := g.rowValid(row) && g.rowTag(row) == tag
 	overlay, meta := g.response()
-	if hit {
-		for i := 0; i < g.cfg.FetchWidth; i++ {
-			overlay[i] = pred.Pred{
+	for i := range overlay {
+		var p pred.Pred
+		if hit {
+			p = pred.Pred{
 				DirValid:    true,
-				Taken:       bitutil.CtrTaken(g.rowCtr(row, i), g.ctrBits),
+				Taken:       bitutil.CtrTaken(g.rowCtr(row, i), gtagCtrBits),
 				DirProvider: g.id,
 			}
 		}
+		overlay[i] = p
 	}
 	meta[0] = row
 	if hit {
@@ -131,7 +140,8 @@ func (g *GTAG) Update(e *pred.Event) {
 	tag := e.Meta[1] >> 32
 
 	anyBranch, anyMispred := false, false
-	for _, s := range e.Slots {
+	for i := range e.Slots {
+		s := &e.Slots[i]
 		if s.Valid && s.IsBranch {
 			anyBranch = true
 			if s.Mispredicted {
@@ -143,12 +153,13 @@ func (g *GTAG) Update(e *pred.Event) {
 		return
 	}
 	if hit {
-		for i, s := range e.Slots {
+		for i := range e.Slots {
+			s := &e.Slots[i]
 			if !s.Valid || !s.IsBranch || i >= g.cfg.FetchWidth {
 				continue
 			}
-			c := bitutil.CtrUpdate(g.rowCtr(row, i), s.Taken, g.ctrBits)
-			row = bitutil.SetBits(row, g.ctrShift(i), g.ctrBits, uint64(c))
+			c := bitutil.CtrUpdate(g.rowCtr(row, i), s.Taken, gtagCtrBits)
+			row = bitutil.SetBits(row, g.ctrShift(i), gtagCtrBits, uint64(c))
 		}
 		g.mem.Write(idx, row)
 		return
@@ -158,8 +169,9 @@ func (g *GTAG) Update(e *pred.Event) {
 	}
 	// Allocate: fresh row with weak counters matching the outcomes.
 	fresh := tag | 1<<g.tagBits
-	weak := uint8((bitutil.Mask(g.ctrBits) + 1) / 2) // weakly taken
-	for i, s := range e.Slots {
+	weak := uint8((bitutil.Mask(gtagCtrBits) + 1) / 2) // weakly taken
+	for i := range e.Slots {
+		s := &e.Slots[i]
 		if i >= g.cfg.FetchWidth {
 			break
 		}
@@ -167,7 +179,7 @@ func (g *GTAG) Update(e *pred.Event) {
 		if s.Valid && s.IsBranch && s.Taken {
 			c = weak
 		}
-		fresh = bitutil.SetBits(fresh, g.ctrShift(i), g.ctrBits, uint64(c))
+		fresh = bitutil.SetBits(fresh, g.ctrShift(i), gtagCtrBits, uint64(c))
 	}
 	g.mem.Write(idx, fresh)
 }

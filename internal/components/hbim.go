@@ -18,7 +18,8 @@
 // predictor and the perceptron are the exceptions: their Budget charges
 // an SRAM they model as Go slices, which no sram.Mem counts.  The struct
 // also owns the response: one overlay packet and one metadata slice, sized
-// once, which Predict fills and reuses (so MetaWords is their length), and
+// once, which every Predict writes in full, pass-through slots as the zero
+// Pred, and reuses without clearing (so MetaWords is their length), and
 // no-op Fire, Mispredict and Repair for the events a component ignores.
 package components
 
@@ -69,9 +70,14 @@ type HBIM struct {
 	component
 	source  IndexSource
 	ctrBits uint
-	idxBits uint
-	histLen uint // history bits consumed (Global/Local/GSelect/Path sources)
 	mem     *sram.Mem
+
+	// Index and row fields, fixed at construction.
+	idx    pcHistIndex
+	half   uint   // GSelect: PC bits below the history bits
+	loMask uint64 // GSelect: Mask(half)
+	hiMask uint64 // GSelect: Mask(idxBits-half)
+	ctr    bitutil.CtrWidth
 }
 
 // HBIMParams configures an HBIM instance.
@@ -105,8 +111,11 @@ func NewHBIM(cfg pred.Config, p HBIMParams) *HBIM {
 		component: newComponent(cfg, p.Name, p.ID, p.Latency, 1, 1),
 		source:    p.Source,
 		ctrBits:   p.CtrBits,
-		idxBits:   idxBits,
-		histLen:   p.HistLen,
+		idx:       newPCHistIndex(cfg.PktOff(), idxBits, p.HistLen),
+		half:      idxBits / 2,
+		loMask:    bitutil.Mask(idxBits / 2),
+		hiMask:    bitutil.Mask(idxBits - idxBits/2),
+		ctr:       bitutil.NewCtrWidth(p.CtrBits),
 	}
 	h.mem = h.newMem(sram.Spec{
 		Name:       p.Name,
@@ -126,28 +135,22 @@ func (h *HBIM) Source() IndexSource { return h.source }
 func (h *HBIM) UsesLocalHistory() bool { return h.source == IndexLocal }
 
 func (h *HBIM) index(pc, ghist, lhist, path uint64) int {
-	pcPart := bitutil.MixPC(pc, h.cfg.PktOff(), h.idxBits)
-	var idx uint64
 	switch h.source {
-	case IndexPC:
-		idx = pcPart
 	case IndexGlobal:
-		idx = pcPart ^ bitutil.XorFold(ghist&bitutil.Mask(h.histLen), h.idxBits)
+		return h.idx.of(pc, ghist)
 	case IndexLocal:
-		idx = pcPart ^ bitutil.XorFold(lhist&bitutil.Mask(h.histLen), h.idxBits)
+		return h.idx.of(pc, lhist)
 	case IndexGSelect:
 		// Concatenate: low half PC, high half history.
-		half := h.idxBits / 2
-		idx = (pcPart & bitutil.Mask(half)) |
-			((ghist & bitutil.Mask(h.idxBits-half)) << half)
+		return int(h.idx.pc.Fold(pc)&h.loMask | (ghist&h.hiMask)<<h.half)
 	case IndexPath:
-		idx = pcPart ^ bitutil.XorFold(path&bitutil.Mask(h.histLen), h.idxBits)
+		return h.idx.of(pc, path)
 	}
-	return int(idx & bitutil.Mask(h.idxBits))
+	return int(h.idx.pc.Fold(pc))
 }
 
 func (h *HBIM) ctrAt(row uint64, slot int) uint8 {
-	return uint8(bitutil.Bits(row, uint(slot)*h.ctrBits, h.ctrBits))
+	return uint8(row >> (uint(slot) * h.ctrBits) & h.ctr.Mask())
 }
 
 // Predict implements pred.Subcomponent: an untagged table provides a base
@@ -159,7 +162,7 @@ func (h *HBIM) Predict(q *pred.Query) pred.Response {
 	for i := 0; i < h.cfg.FetchWidth; i++ {
 		overlay[i] = pred.Pred{
 			DirValid:    true,
-			Taken:       bitutil.CtrTaken(h.ctrAt(row, i), h.ctrBits),
+			Taken:       h.ctr.Taken(h.ctrAt(row, i)),
 			DirProvider: h.id,
 		}
 	}
@@ -180,12 +183,14 @@ func (h *HBIM) Update(e *pred.Event) {
 	idx := h.index(e.PC, e.GHist, e.LHist, e.Path)
 	row := e.Meta[0]
 	dirty := false
-	for i, s := range e.Slots {
+	for i := range e.Slots {
+		s := &e.Slots[i]
 		if !s.Valid || !s.IsBranch || i >= h.cfg.FetchWidth {
 			continue
 		}
-		c := bitutil.CtrUpdate(h.ctrAt(row, i), s.Taken, h.ctrBits)
-		row = bitutil.SetBits(row, uint(i)*h.ctrBits, h.ctrBits, uint64(c))
+		c := h.ctr.Update(h.ctrAt(row, i), s.Taken)
+		lo := uint(i) * h.ctrBits
+		row = row&^(h.ctr.Mask()<<lo) | uint64(c)<<lo
 		dirty = true
 	}
 	if dirty {

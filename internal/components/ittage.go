@@ -24,11 +24,13 @@ type ITTAGE struct {
 }
 
 type itTable struct {
-	idxBits uint
-	tagBits uint
-	histLen uint
-	idxFold *bitutil.FoldedHistory
-	tagFold *bitutil.FoldedHistory
+	tagBits  uint
+	slotBits uint // width of the row's slot field
+	idxFold  *bitutil.FoldedHistory
+	tagFold  *bitutil.FoldedHistory
+	idxHash  bitutil.Folder // packet PC folded to idxBits
+	tagHash  bitutil.Folder // PC>>3 folded to tagBits
+	tagMask  uint64         // Mask(tagBits)
 	// Row: tag | valid | conf(2) | slot(2..) | target(btbTargetBits, packet-
 	// relative like the BTB).
 	mem *sram.Mem
@@ -78,11 +80,13 @@ func NewITTAGE(cfg pred.Config, g *history.Global, p ITTAGEParams) *ITTAGE {
 		}
 		idxBits := bitutil.Clog2(p.TableEntries[i])
 		t.tables = append(t.tables, &itTable{
-			idxBits: idxBits,
-			tagBits: p.TagBits[i],
-			histLen: p.HistLens[i],
-			idxFold: g.NewFold(p.HistLens[i], idxBits),
-			tagFold: g.NewFold(p.HistLens[i], p.TagBits[i]),
+			tagBits:  p.TagBits[i],
+			slotBits: slotBits,
+			idxFold:  g.NewFold(p.HistLens[i], idxBits),
+			tagFold:  g.NewFold(p.HistLens[i], p.TagBits[i]),
+			idxHash:  bitutil.NewFolder(cfg.PktOff(), idxBits),
+			tagHash:  bitutil.NewFolder(cfg.PktOff(), p.TagBits[i]),
+			tagMask:  bitutil.Mask(p.TagBits[i]),
 			mem: t.newMem(sram.Spec{
 				Name:       p.Name + "_t",
 				Entries:    p.TableEntries[i],
@@ -95,12 +99,14 @@ func NewITTAGE(cfg pred.Config, g *history.Global, p ITTAGEParams) *ITTAGE {
 	return t
 }
 
-func (tb *itTable) index(cfg pred.Config, pc uint64) uint64 {
-	return (bitutil.MixPC(pc, cfg.PktOff(), tb.idxBits) ^ tb.idxFold.Fold()) & bitutil.Mask(tb.idxBits)
+// index and tag hash the fetch PC with the folded histories; every part
+// fits the field, so neither needs a mask.
+func (tb *itTable) index(pc uint64) uint64 {
+	return tb.idxHash.Fold(pc) ^ tb.idxFold.Fold()
 }
 
-func (tb *itTable) tag(cfg pred.Config, pc uint64) uint64 {
-	tg := (bitutil.MixPC(pc>>3, cfg.PktOff(), tb.tagBits) ^ tb.tagFold.Fold()) & bitutil.Mask(tb.tagBits)
+func (tb *itTable) tag(pc uint64) uint64 {
+	tg := tb.tagHash.Fold(pc>>3) ^ tb.tagFold.Fold()
 	if tg == 0 {
 		tg = 1
 	}
@@ -108,16 +114,12 @@ func (tb *itTable) tag(cfg pred.Config, pc uint64) uint64 {
 }
 
 func (tb *itTable) unpack(cfg pred.Config, base, row uint64) (tag uint64, conf uint8, slot int, target uint64) {
-	tag = row & bitutil.Mask(tb.tagBits)
+	tag = row & tb.tagMask
 	rest := row >> tb.tagBits
 	valid := rest & 1
 	conf = uint8(rest >> 1 & 3)
-	slotBits := bitutil.Clog2(cfg.FetchWidth)
-	if slotBits == 0 {
-		slotBits = 1
-	}
-	slot = int(rest >> 3 & bitutil.Mask(slotBits))
-	off := int64(rest>>(3+slotBits)) << (64 - btbTargetBits) >> (64 - btbTargetBits)
+	slot = int(rest >> 3 & bitutil.Mask(tb.slotBits))
+	off := int64(rest>>(3+tb.slotBits)) << (64 - btbTargetBits) >> (64 - btbTargetBits)
 	target = uint64(int64(cfg.PacketBase(base)) + off<<cfg.InstOff())
 	if valid == 0 {
 		tag = 0
@@ -126,10 +128,7 @@ func (tb *itTable) unpack(cfg pred.Config, base, row uint64) (tag uint64, conf u
 }
 
 func (tb *itTable) pack(cfg pred.Config, base uint64, tag uint64, conf uint8, slot int, target uint64) uint64 {
-	slotBits := bitutil.Clog2(cfg.FetchWidth)
-	if slotBits == 0 {
-		slotBits = 1
-	}
+	slotBits := tb.slotBits
 	off := (int64(target) - int64(cfg.PacketBase(base))) >> cfg.InstOff()
 	row := tag
 	row |= 1 << tb.tagBits // valid
@@ -140,7 +139,8 @@ func (tb *itTable) pack(cfg pred.Config, base uint64, tag uint64, conf uint8, sl
 }
 
 // Predict implements pred.Subcomponent: the longest-history hit provides a
-// target-only override for its trained slot.
+// target-only override for its trained slot.  Every overlay slot and
+// metadata word is written.
 func (t *ITTAGE) Predict(q *pred.Query) pred.Response {
 	overlay, meta := t.response()
 	provider := -1
@@ -148,8 +148,8 @@ func (t *ITTAGE) Predict(q *pred.Query) pred.Response {
 	var pTarget uint64
 	var pConf uint8
 	for i, tb := range t.tables {
-		idx := tb.index(t.cfg, q.PC)
-		tg := tb.tag(t.cfg, q.PC)
+		idx := tb.index(q.PC)
+		tg := tb.tag(q.PC)
 		row := tb.mem.Read(int(idx))
 		meta[1+i] = idx | tg<<32
 		rTag, conf, slot, target := tb.unpack(t.cfg, q.PC, row)
@@ -157,14 +157,21 @@ func (t *ITTAGE) Predict(q *pred.Query) pred.Response {
 			provider, pSlot, pTarget, pConf = i, slot, target, conf
 		}
 	}
-	if provider >= 0 && pConf >= 1 && pSlot < t.cfg.FetchWidth {
-		overlay[pSlot] = pred.Pred{
-			TgtValid:    true,
-			Target:      pTarget,
-			TgtProvider: t.id,
-			IsCFI:       true,
-			Kind:        pred.KindIndirect,
+	if provider < 0 || pConf < 1 {
+		pSlot = -1 // no override: every slot passes through
+	}
+	for i := range overlay {
+		var p pred.Pred
+		if i == pSlot {
+			p = pred.Pred{
+				TgtValid:    true,
+				Target:      pTarget,
+				TgtProvider: t.id,
+				IsCFI:       true,
+				Kind:        pred.KindIndirect,
+			}
 		}
+		overlay[i] = p
 	}
 	meta[0] = uint64(uint8(provider + 1))
 	return pred.Response{Overlay: overlay, Meta: meta}

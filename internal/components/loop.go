@@ -26,9 +26,13 @@ import (
 // restore those entries during the repair phase" (§III-G.5).
 type Loop struct {
 	component
-	idxBits uint
 	tagBits uint
 	entries []loopEntry
+
+	// Index and tag fields, fixed at construction.
+	idxHash  bitutil.Folder // branch PC folded to idxBits
+	tagShift uint           // PC bits below the tag: instruction offset + idxBits
+	tagMask  uint64         // Mask(tagBits)
 }
 
 type loopEntry struct {
@@ -67,24 +71,27 @@ func NewLoop(cfg pred.Config, p LoopParams) *Loop {
 	if p.Latency < 1 {
 		p.Latency = 3
 	}
+	idxBits := bitutil.Clog2(p.Entries)
 	return &Loop{
 		// One metadata word: the packed pre-fire entry snapshot | slot<<56 |
 		// hit<<60.
 		component: newComponent(cfg, p.Name, p.ID, p.Latency, 0, 1),
-		idxBits:   bitutil.Clog2(p.Entries),
 		tagBits:   p.TagBits,
 		entries:   make([]loopEntry, p.Entries),
+		idxHash:   bitutil.NewFolder(cfg.InstOff(), idxBits),
+		tagShift:  cfg.InstOff() + idxBits,
+		tagMask:   bitutil.Mask(p.TagBits),
 	}
 }
 
 // index hashes the *branch* PC (slot-granular, not packet-granular: a loop
 // predictor tracks an individual branch).
 func (l *Loop) index(brPC uint64) int {
-	return int(bitutil.MixPC(brPC, l.cfg.InstOff(), l.idxBits))
+	return int(l.idxHash.Fold(brPC))
 }
 
 func (l *Loop) tagOf(brPC uint64) uint64 {
-	return (brPC >> (l.cfg.InstOff() + l.idxBits)) & bitutil.Mask(l.tagBits)
+	return brPC >> l.tagShift & l.tagMask
 }
 
 // packEntry packs an entry snapshot into a metadata word.
@@ -127,10 +134,13 @@ func (l *Loop) findSlot(pc uint64) (slot, idx int, hit bool) {
 	return 0, 0, false
 }
 
-// Predict implements pred.Subcomponent.
+// Predict implements pred.Subcomponent.  It writes every overlay slot
+// (all but a confident hit's slot pass through) and its metadata word.
 func (l *Loop) Predict(q *pred.Query) pred.Response {
 	slot, idx, hit := l.findSlot(q.PC)
 	overlay, meta := l.response()
+	var p pred.Pred // the hit slot's prediction, once confident
+	meta[0] = 0
 	if hit {
 		e := l.entries[idx]
 		meta[0] = packEntry(e) | uint64(slot)<<56 | 1<<60
@@ -140,12 +150,19 @@ func (l *Loop) Predict(q *pred.Query) pred.Response {
 			if exit {
 				taken = !e.dir
 			}
-			overlay[slot] = pred.Pred{
+			p = pred.Pred{
 				DirValid:    true,
 				Taken:       taken,
 				DirProvider: l.id,
 			}
 		}
+	}
+	for i := range overlay {
+		var o pred.Pred
+		if i == slot {
+			o = p
+		}
+		overlay[i] = o
 	}
 	return pred.Response{Overlay: overlay, Meta: meta}
 }
@@ -208,7 +225,8 @@ func (l *Loop) Update(e *pred.Event) {
 }
 
 func (l *Loop) train(e *pred.Event, misp bool) {
-	for slot, s := range e.Slots {
+	for slot := range e.Slots {
+		s := &e.Slots[slot]
 		if !s.Valid || !s.IsBranch || slot >= l.cfg.FetchWidth {
 			continue
 		}

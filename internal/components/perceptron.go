@@ -18,10 +18,10 @@ import (
 // product's inputs.
 type Perceptron struct {
 	component
-	idxBits uint
 	histLen uint
 	theta   int32
-	weights [][]int8 // [row][histLen+1], weights[_][0] = bias
+	weights [][]int8       // [row][histLen+1], weights[_][0] = bias
+	idxHash bitutil.Folder // packet PC folded to idxBits
 }
 
 // perceptronWeightMax bounds the 7-bit signed weights to [-64, 63].
@@ -54,15 +54,15 @@ func NewPerceptron(cfg pred.Config, p PerceptronParams) *Perceptron {
 	return &Perceptron{
 		// One metadata word: index | |sum|<<24 | taken<<62.
 		component: newComponent(cfg, p.Name, p.ID, p.Latency, 0, 1),
-		idxBits:   bitutil.Clog2(p.Entries),
 		histLen:   p.HistLen,
 		theta:     int32(1.93*float64(p.HistLen) + 14), // Jiménez's threshold
 		weights:   w,
+		idxHash:   bitutil.NewFolder(cfg.PktOff(), bitutil.Clog2(p.Entries)),
 	}
 }
 
 func (p *Perceptron) index(pc uint64) int {
-	return int(bitutil.MixPC(pc, p.cfg.PktOff(), p.idxBits))
+	return int(p.idxHash.Fold(pc))
 }
 
 func (p *Perceptron) dot(idx int, ghist uint64) int32 {
@@ -103,7 +103,8 @@ func (p *Perceptron) Update(e *pred.Event) {
 	idx := int(e.Meta[0] & bitutil.Mask(24))
 	mag := int32(uint32(e.Meta[0] >> 24 & bitutil.Mask(32)))
 	predTaken := e.Meta[0]>>62&1 == 1
-	for _, s := range e.Slots {
+	for i := range e.Slots {
+		s := &e.Slots[i]
 		if !s.Valid || !s.IsBranch {
 			continue
 		}

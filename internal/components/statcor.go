@@ -15,10 +15,9 @@ import (
 // confident and disagrees, it inverts the incoming direction.
 type StatCorrector struct {
 	component
-	idxBits uint
-	histLen uint
-	thresh  int8
-	mem     *sram.Mem // signed 6-bit counters, offset-binary storage
+	thresh int8
+	mem    *sram.Mem // signed 6-bit counters, offset-binary storage
+	idx    pcHistIndex
 }
 
 // StatCorrectorParams configures a statistical corrector.
@@ -44,9 +43,8 @@ func NewStatCorrector(cfg pred.Config, p StatCorrectorParams) *StatCorrector {
 	c := &StatCorrector{
 		// Two metadata words: the row, then index | incoming directions<<32.
 		component: newComponent(cfg, p.Name, p.ID, p.Latency, 1, 2),
-		idxBits:   bitutil.Clog2(p.Entries),
-		histLen:   p.HistLen,
 		thresh:    10,
+		idx:       newPCHistIndex(cfg.PktOff(), bitutil.Clog2(p.Entries), p.HistLen),
 	}
 	c.mem = c.newMem(sram.Spec{
 		Name:       p.Name,
@@ -58,11 +56,7 @@ func NewStatCorrector(cfg pred.Config, p StatCorrectorParams) *StatCorrector {
 	return c
 }
 
-func (c *StatCorrector) index(pc, ghist uint64) int {
-	pcPart := bitutil.MixPC(pc, c.cfg.PktOff(), c.idxBits)
-	h := bitutil.XorFold(ghist&bitutil.Mask(c.histLen), c.idxBits)
-	return int((pcPart ^ h) & bitutil.Mask(c.idxBits))
-}
+func (c *StatCorrector) index(pc, ghist uint64) int { return c.idx.of(pc, ghist) }
 
 // Counters are 6-bit two's complement so a freshly zeroed row decodes to
 // the neutral state (no inversion), not to strong disagreement.
@@ -72,7 +66,8 @@ func scGet(row uint64, slot int) int8 {
 }
 
 // Predict implements pred.Subcomponent: invert incoming directions the
-// corrector strongly distrusts.
+// corrector strongly distrusts.  Every overlay slot and both metadata words
+// are written.
 func (c *StatCorrector) Predict(q *pred.Query) pred.Response {
 	idx := c.index(q.PC, q.GHist)
 	row := c.mem.Read(idx)
@@ -87,23 +82,24 @@ func (c *StatCorrector) Predict(q *pred.Query) pred.Response {
 		if i < len(in) {
 			p = in[i]
 		}
-		if !p.DirValid {
-			continue
-		}
-		inDirs |= 1 << uint(2*i)
-		if p.Taken {
-			inDirs |= 2 << uint(2*i)
-		}
-		ctr := scGet(row, i)
-		// The counter tracks agreement with the incoming prediction: deeply
-		// negative means "incoming direction is usually wrong here".
-		if ctr <= -c.thresh {
-			overlay[i] = pred.Pred{
-				DirValid:    true,
-				Taken:       !p.Taken,
-				DirProvider: c.id,
+		var o pred.Pred // agreement, or no incoming direction: pass through
+		if p.DirValid {
+			inDirs |= 1 << uint(2*i)
+			if p.Taken {
+				inDirs |= 2 << uint(2*i)
+			}
+			// The counter tracks agreement with the incoming prediction:
+			// deeply negative means "incoming direction is usually wrong
+			// here".
+			if scGet(row, i) <= -c.thresh {
+				o = pred.Pred{
+					DirValid:    true,
+					Taken:       !p.Taken,
+					DirProvider: c.id,
+				}
 			}
 		}
+		overlay[i] = o
 	}
 	meta[0] = row
 	meta[1] = uint64(idx) | inDirs<<32
@@ -116,7 +112,8 @@ func (c *StatCorrector) Update(e *pred.Event) {
 	idx := int(e.Meta[1] & bitutil.Mask(32))
 	inDirs := e.Meta[1] >> 32
 	dirty := false
-	for i, s := range e.Slots {
+	for i := range e.Slots {
+		s := &e.Slots[i]
 		if !s.Valid || !s.IsBranch || i >= c.cfg.FetchWidth {
 			continue
 		}

@@ -38,9 +38,11 @@ type TAGE struct {
 }
 
 type tageTable struct {
-	idxBits  uint
 	tagBits  uint
-	histLen  uint
+	idxHash  bitutil.Folder // packet PC folded to idxBits
+	tagHash  bitutil.Folder // PC>>2 folded to tagBits
+	tagMask  uint64         // Mask(tagBits)
+	ctrLo    uint           // shift of slot 0's counter: tagBits + tageUBits
 	idxFold  *bitutil.FoldedHistory
 	tagFold  *bitutil.FoldedHistory
 	tag2Fold *bitutil.FoldedHistory // second fold defeats tag aliasing
@@ -100,9 +102,11 @@ func NewTAGE(cfg pred.Config, g *history.Global, p TAGEParams) *TAGE {
 		idxBits := bitutil.Clog2(entries)
 		rowBits := int(tb) + tageUBits + cfg.FetchWidth*tageCtrBits
 		tbl := &tageTable{
-			idxBits:  idxBits,
 			tagBits:  tb,
-			histLen:  hl,
+			idxHash:  bitutil.NewFolder(cfg.PktOff(), idxBits),
+			tagHash:  bitutil.NewFolder(cfg.PktOff(), tb),
+			tagMask:  bitutil.Mask(tb),
+			ctrLo:    tb + tageUBits,
 			idxFold:  g.NewFold(hl, idxBits),
 			tagFold:  g.NewFold(hl, tb),
 			tag2Fold: g.NewFold(hl, tb-1),
@@ -122,47 +126,49 @@ func NewTAGE(cfg pred.Config, g *history.Global, p TAGEParams) *TAGE {
 // NumTables returns the number of tagged tables (for reports).
 func (t *TAGE) NumTables() int { return len(t.tables) }
 
-func (tb *tageTable) index(cfg pred.Config, pc uint64) uint64 {
-	pcPart := bitutil.MixPC(pc, cfg.PktOff(), tb.idxBits)
-	return (pcPart ^ tb.idxFold.Fold()) & bitutil.Mask(tb.idxBits)
+// index and tag hash the fetch PC with the table's folded histories.
+// Every term fits the field (the tag's second fold is one bit narrower
+// than the tag, shifted up one), so neither needs a mask.
+func (tb *tageTable) index(pc uint64) uint64 {
+	return tb.idxHash.Fold(pc) ^ tb.idxFold.Fold()
 }
 
-func (tb *tageTable) tag(cfg pred.Config, pc uint64) uint64 {
-	pcPart := bitutil.MixPC(pc>>2, cfg.PktOff(), tb.tagBits)
-	return (pcPart ^ tb.tagFold.Fold() ^ (tb.tag2Fold.Fold() << 1)) & bitutil.Mask(tb.tagBits)
+func (tb *tageTable) tag(pc uint64) uint64 {
+	return tb.tagHash.Fold(pc>>2) ^ tb.tagFold.Fold() ^ tb.tag2Fold.Fold()<<1
 }
 
 // Row layout: [tag][u][ctr0..ctrW-1], counters offset-binary (0..7, taken
 // when >= 4).
-func (tb *tageTable) rowTag(row uint64) uint64 { return row & bitutil.Mask(tb.tagBits) }
+func (tb *tageTable) rowTag(row uint64) uint64 { return row & tb.tagMask }
 func (tb *tageTable) rowU(row uint64) uint8 {
-	return uint8(bitutil.Bits(row, tb.tagBits, tageUBits))
+	return uint8(row >> tb.tagBits & (1<<tageUBits - 1))
 }
 func (tb *tageTable) ctrShift(slot int) uint {
-	return tb.tagBits + tageUBits + uint(slot)*tageCtrBits
+	return tb.ctrLo + uint(slot)*tageCtrBits
 }
 func (tb *tageTable) rowCtr(row uint64, slot int) uint8 {
-	return uint8(bitutil.Bits(row, tb.ctrShift(slot), tageCtrBits))
+	return uint8(row >> tb.ctrShift(slot) & (1<<tageCtrBits - 1))
 }
 
 // A valid entry is indicated by a nonzero tag; tag 0 is reserved empty.
 // The tag hash is remapped so real tag 0 becomes 1.
-func (tb *tageTable) liveTag(cfg pred.Config, pc uint64) uint64 {
-	tg := tb.tag(cfg, pc)
+func (tb *tageTable) liveTag(pc uint64) uint64 {
+	tg := tb.tag(pc)
 	if tg == 0 {
 		tg = 1
 	}
 	return tg
 }
 
-// Predict implements pred.Subcomponent.
+// Predict implements pred.Subcomponent.  It writes every overlay slot
+// (the zero Pred passes through) and every metadata word.
 func (t *TAGE) Predict(q *pred.Query) pred.Response {
 	overlay, meta := t.response()
 	provider, alt := -1, -1
 	var provRow, altRow uint64
 	for i, tb := range t.tables {
-		idx := tb.index(t.cfg, q.PC)
-		tg := tb.liveTag(t.cfg, q.PC)
+		idx := tb.index(q.PC)
+		tg := tb.liveTag(q.PC)
 		row := tb.mem.Read(int(idx))
 		meta[3+i] = idx | tg<<32
 		if tb.rowTag(row) == tg {
@@ -170,46 +176,37 @@ func (t *TAGE) Predict(q *pred.Query) pred.Response {
 			provider, provRow = i, row
 		}
 	}
-	flags := uint64(0)
+	// flags: 1 for a provider hit, and bit 24+i for each asserted slot i.
+	var flags uint64
+	var tb *tageTable
+	newlyAlloc := false
 	if provider >= 0 {
-		tb := t.tables[provider]
+		flags = 1
+		tb = t.tables[provider]
 		// "Use alternate on newly allocated": if the provider entry is weak
 		// and not yet proven useful, prefer the alternate prediction (here:
 		// pass through, letting the alt table's overlay or predict_in win).
-		newlyAlloc := tb.rowU(provRow) == 0
-		for i := 0; i < t.cfg.FetchWidth; i++ {
+		newlyAlloc = tb.rowU(provRow) == 0
+	}
+	for i := range overlay {
+		var p pred.Pred // no opinion: pass through to predict_in
+		if tb != nil {
 			c := tb.rowCtr(provRow, i)
-			if newlyAlloc && bitutil.CtrWeak(c, tageCtrBits) && t.useAltCtr >= 0 {
-				if alt >= 0 {
-					atb := t.tables[alt]
-					overlay[i] = pred.Pred{
-						DirValid:    true,
-						Taken:       bitutil.CtrTaken(atb.rowCtr(altRow, i), tageCtrBits),
-						DirProvider: t.id,
-					}
-				}
-				// else: pass through to predict_in (the base predictor).
-				continue
-			}
-			overlay[i] = pred.Pred{
-				DirValid:    true,
-				Taken:       bitutil.CtrTaken(c, tageCtrBits),
-				DirProvider: t.id,
+			if !newlyAlloc || !bitutil.CtrWeak(c, tageCtrBits) || t.useAltCtr < 0 {
+				p = pred.Pred{DirValid: true, Taken: bitutil.CtrTaken(c, tageCtrBits), DirProvider: t.id}
+			} else if alt >= 0 {
+				ac := t.tables[alt].rowCtr(altRow, i)
+				p = pred.Pred{DirValid: true, Taken: bitutil.CtrTaken(ac, tageCtrBits), DirProvider: t.id}
 			}
 		}
-		flags = 1
+		overlay[i] = p
+		if p.DirValid {
+			flags |= 1 << uint(24+i)
+		}
 	}
 	meta[0] = flags | uint64(uint8(provider+1))<<8 | uint64(uint8(alt+1))<<16
 	meta[1] = provRow
 	meta[2] = altRow
-	// Record which slots we actually asserted (bit i set = asserted).
-	var asserted uint64
-	for i := range overlay {
-		if overlay[i].DirValid {
-			asserted |= 1 << uint(24+i)
-		}
-	}
-	meta[0] |= asserted
 	return pred.Response{Overlay: overlay, Meta: meta}
 }
 
@@ -221,7 +218,8 @@ func (t *TAGE) Update(e *pred.Event) {
 	provRow, altRow := e.Meta[1], e.Meta[2]
 	t.numUpdates++
 
-	for slot, s := range e.Slots {
+	for slot := range e.Slots {
+		s := &e.Slots[slot]
 		if !s.Valid || !s.IsBranch || slot >= t.cfg.FetchWidth {
 			continue
 		}
@@ -234,7 +232,7 @@ func (t *TAGE) Update(e *pred.Event) {
 	}
 }
 
-func (t *TAGE) updateSlot(e *pred.Event, slot int, s pred.SlotInfo, provider, alt int, provRow *uint64, altRow uint64) {
+func (t *TAGE) updateSlot(e *pred.Event, slot int, s *pred.SlotInfo, provider, alt int, provRow *uint64, altRow uint64) {
 	outcome := s.Taken
 	if provider >= 0 {
 		tb := t.tables[provider]

@@ -19,9 +19,8 @@ import (
 // right, without re-querying the sub-predictors.
 type Tourney struct {
 	component
-	idxBits uint
-	histLen uint
-	mem     *sram.Mem
+	mem *sram.Mem
+	idx pcHistIndex
 }
 
 // TourneyParams configures a tournament selector.
@@ -49,8 +48,7 @@ func NewTourney(cfg pred.Config, p TourneyParams) *Tourney {
 		// Two metadata words: counter | index<<8, then the inputs' per-slot
 		// valid/direction bits.
 		component: newComponent(cfg, p.Name, p.ID, p.Latency, 1, 2),
-		idxBits:   idxBits,
-		histLen:   p.HistLen,
+		idx:       newPCHistIndex(cfg.PktOff(), idxBits, p.HistLen),
 	}
 	t.mem = t.newMem(sram.Spec{
 		Name:       p.Name,
@@ -65,15 +63,12 @@ func NewTourney(cfg pred.Config, p TourneyParams) *Tourney {
 // NumInputs implements pred.Subcomponent: an arbitration scheme (§III-F).
 func (t *Tourney) NumInputs() int { return 2 }
 
-func (t *Tourney) index(pc, ghist uint64) int {
-	pcPart := bitutil.MixPC(pc, t.cfg.PktOff(), t.idxBits)
-	h := bitutil.XorFold(ghist&bitutil.Mask(t.histLen), t.idxBits)
-	return int((pcPart ^ h) & bitutil.Mask(t.idxBits))
-}
+func (t *Tourney) index(pc, ghist uint64) int { return t.idx.of(pc, ghist) }
 
 // Predict implements pred.Subcomponent: choose per slot between the two
 // inputs' directions.  Slots where only one input has an opinion use that
-// opinion; slots where neither does pass through.
+// opinion; slots where neither does pass through.  Every overlay slot and
+// both metadata words are written.
 func (t *Tourney) Predict(q *pred.Query) pred.Response {
 	idx := t.index(q.PC, q.GHist)
 	ctr := uint8(t.mem.Read(idx))
@@ -116,8 +111,9 @@ func (t *Tourney) Predict(q *pred.Query) pred.Response {
 		if (useOne && p1.DirValid) || !p0.DirValid {
 			chosen = p1
 		}
+		var o pred.Pred
 		if chosen.DirValid {
-			overlay[i] = pred.Pred{
+			o = pred.Pred{
 				DirValid:    true,
 				Taken:       chosen.Taken,
 				DirProvider: t.id,
@@ -128,14 +124,15 @@ func (t *Tourney) Predict(q *pred.Query) pred.Response {
 		// Targets (and CFI kind knowledge) pass through from input 0's
 		// chain — the selector only arbitrates directions.
 		if p0.TgtValid {
-			overlay[i].TgtValid = true
-			overlay[i].Target = p0.Target
-			overlay[i].TgtProvider = p0.TgtProvider
+			o.TgtValid = true
+			o.Target = p0.Target
+			o.TgtProvider = p0.TgtProvider
 		}
 		if p0.IsCFI {
-			overlay[i].IsCFI = true
-			overlay[i].Kind = p0.Kind
+			o.IsCFI = true
+			o.Kind = p0.Kind
 		}
+		overlay[i] = o
 	}
 	meta[0] = uint64(ctr) | uint64(idx)<<8
 	meta[1] = slotMeta
@@ -149,7 +146,8 @@ func (t *Tourney) Update(e *pred.Event) {
 	idx := int(e.Meta[0] >> 8)
 	slotMeta := e.Meta[1]
 	dirty := false
-	for i, s := range e.Slots {
+	for i := range e.Slots {
+		s := &e.Slots[i]
 		if !s.Valid || !s.IsBranch || i >= t.cfg.FetchWidth {
 			continue
 		}

@@ -18,19 +18,25 @@ import (
 // component can override it.
 type UBTB struct {
 	component
-	tagBits uint
+	tagBits  uint
+	tagShift uint   // fetch-packet offset bits of the PC
+	tagMask  uint64 // Mask(tagBits)
 
+	// keys[i] is entry i's tag with ubtbValid set, or 0 while the entry is
+	// invalid: the fully associative search scans one dense array.
+	keys    []uint64
 	entries []ubtbEntry
-	lru     []uint32 // last-touch stamps for replacement
 	clock   uint32
 }
 
+// ubtbValid marks a live key; tags are at most 63 bits.
+const ubtbValid = 1 << 63
+
 type ubtbEntry struct {
-	valid  bool
-	tag    uint64
+	target uint64
+	lru    uint32 // last-touch stamp for replacement
 	slot   uint8
 	kind   uint8 // btbKind*
-	target uint64
 	hyst   uint8 // 2-bit confidence
 }
 
@@ -50,23 +56,28 @@ func NewUBTB(cfg pred.Config, p UBTBParams) *UBTB {
 	if p.TagBits == 0 {
 		p.TagBits = 28
 	}
+	if p.TagBits > 63 {
+		panic("components: uBTB tags must be at most 63 bits")
+	}
 	return &UBTB{
 		// Latency 1 is its point.  One metadata word: hit flag | entry<<1.
 		component: newComponent(cfg, p.Name, p.ID, 1, 0, 1),
 		tagBits:   p.TagBits,
+		tagShift:  cfg.PktOff(),
+		tagMask:   bitutil.Mask(p.TagBits),
+		keys:      make([]uint64, p.Entries),
 		entries:   make([]ubtbEntry, p.Entries),
-		lru:       make([]uint32, p.Entries),
 	}
 }
 
 func (u *UBTB) tagOf(pc uint64) uint64 {
-	return (pc >> u.cfg.PktOff()) & bitutil.Mask(u.tagBits)
+	return pc >> u.tagShift & u.tagMask
 }
 
 func (u *UBTB) find(pc uint64) int {
-	tag := u.tagOf(pc)
-	for i := range u.entries {
-		if u.entries[i].valid && u.entries[i].tag == tag {
+	key := u.tagOf(pc) | ubtbValid
+	for i, k := range u.keys {
+		if k == key {
 			return i
 		}
 	}
@@ -75,17 +86,26 @@ func (u *UBTB) find(pc uint64) int {
 
 // Predict implements pred.Subcomponent.  Per §III-B a latency-1 component
 // never sees history inputs; the composer hands it zeroed history and this
-// implementation reads only q.PC.
+// implementation reads only q.PC.  It writes every overlay slot (all but
+// the hit slot pass through) and its metadata word.
 func (u *UBTB) Predict(q *pred.Query) pred.Response {
 	overlay, meta := u.response()
 	i := u.find(q.PC)
+	hitSlot := -1 // the slot asserted taken, if any
+	meta[0] = 0   // hit flag | entry<<1; a miss is 0
 	if i >= 0 {
 		u.clock++
-		u.lru[i] = u.clock
-		e := u.entries[i]
+		u.entries[i].lru = u.clock
 		meta[0] = 1 | uint64(i)<<1
-		if int(e.slot) < u.cfg.FetchWidth && bitutil.CtrTaken(e.hyst, 2) {
-			overlay[e.slot] = pred.Pred{
+		if e := &u.entries[i]; bitutil.CtrTaken(e.hyst, 2) {
+			hitSlot = int(e.slot)
+		}
+	}
+	for s := range overlay {
+		var p pred.Pred
+		if s == hitSlot {
+			e := &u.entries[i]
+			p = pred.Pred{
 				DirValid:    true,
 				Taken:       true,
 				TgtValid:    true,
@@ -96,6 +116,7 @@ func (u *UBTB) Predict(q *pred.Query) pred.Response {
 				TgtProvider: u.id,
 			}
 		}
+		overlay[s] = p
 	}
 	return pred.Response{Overlay: overlay, Meta: meta}
 }
@@ -128,14 +149,14 @@ func (u *UBTB) train(e *pred.Event) {
 	}
 	if i < 0 {
 		// Allocate the least recently used entry.
-		victim, best := 0, u.lru[0]
+		victim, best := 0, u.entries[0].lru
 		for j := 1; j < len(u.entries); j++ {
-			if !u.entries[j].valid {
+			if u.keys[j] == 0 {
 				victim = j
 				break
 			}
-			if u.lru[j] < best {
-				victim, best = j, u.lru[j]
+			if u.entries[j].lru < best {
+				victim, best = j, u.entries[j].lru
 			}
 		}
 		kind := uint8(btbKindBranch)
@@ -150,11 +171,8 @@ func (u *UBTB) train(e *pred.Event) {
 			kind = btbKindJump
 		}
 		u.clock++
-		u.entries[victim] = ubtbEntry{
-			valid: true, tag: u.tagOf(e.PC), slot: uint8(slot),
-			kind: kind, target: s.Target, hyst: 2,
-		}
-		u.lru[victim] = u.clock
+		u.keys[victim] = u.tagOf(e.PC) | ubtbValid
+		u.entries[victim] = ubtbEntry{target: s.Target, lru: u.clock, slot: uint8(slot), kind: kind, hyst: 2}
 		return
 	}
 	ent := &u.entries[i]
@@ -175,8 +193,8 @@ func (u *UBTB) train(e *pred.Event) {
 // Reset implements pred.Subcomponent.
 func (u *UBTB) Reset() {
 	for i := range u.entries {
+		u.keys[i] = 0
 		u.entries[i] = ubtbEntry{}
-		u.lru[i] = 0
 	}
 	u.clock = 0
 }

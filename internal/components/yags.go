@@ -17,14 +17,16 @@ import (
 // Metadata carries the choice row and both exception lookups (§III-D).
 type YAGS struct {
 	component
-	idxBits uint
-	excBits uint
-	tagBits uint
-	histLen uint
 
 	choice  *sram.Mem // FetchWidth 2-bit counters per row
 	tCache  *sram.Mem // exceptions for not-taken-biased branches (predict taken)
 	ntCache *sram.Mem // exceptions for taken-biased branches (predict not-taken)
+
+	// Index and tag fields, fixed at construction.
+	choiceHash bitutil.Folder // packet PC folded to idxBits
+	exc        pcHistIndex    // slot PC and history folded to excBits
+	tagShift   uint           // instruction offset bits of the slot PC
+	tagMask    uint64         // Mask(tagBits)
 }
 
 // YAGSParams configures a YAGS instance.
@@ -61,11 +63,11 @@ func NewYAGS(cfg pred.Config, p YAGSParams) *YAGS {
 	y := &YAGS{
 		// Three metadata words: the choice row and both exception rows, each
 		// row | index<<32.
-		component: newComponent(cfg, p.Name, p.ID, p.Latency, 3, 3),
-		idxBits:   bitutil.Clog2(p.ChoiceRows),
-		excBits:   bitutil.Clog2(p.ExcEntries),
-		tagBits:   p.TagBits,
-		histLen:   p.HistLen,
+		component:  newComponent(cfg, p.Name, p.ID, p.Latency, 3, 3),
+		choiceHash: bitutil.NewFolder(cfg.PktOff(), bitutil.Clog2(p.ChoiceRows)),
+		exc:        newPCHistIndex(cfg.InstOff(), bitutil.Clog2(p.ExcEntries), p.HistLen),
+		tagShift:   cfg.InstOff(),
+		tagMask:    bitutil.Mask(p.TagBits),
 	}
 	y.choice = y.newMem(sram.Spec{
 		Name:       p.Name + "_choice",
@@ -89,23 +91,19 @@ func NewYAGS(cfg pred.Config, p YAGSParams) *YAGS {
 }
 
 func (y *YAGS) choiceIdx(pc uint64) int {
-	return int(bitutil.MixPC(pc, y.cfg.PktOff(), y.idxBits))
+	return int(y.choiceHash.Fold(pc))
 }
 
 // exception caches are indexed by pc^hist at *slot* granularity (exceptions
 // are per branch), tagged with low PC bits.
-func (y *YAGS) excIdx(slotPC, ghist uint64) int {
-	pcPart := bitutil.MixPC(slotPC, y.cfg.InstOff(), y.excBits)
-	h := bitutil.XorFold(ghist&bitutil.Mask(y.histLen), y.excBits)
-	return int((pcPart ^ h) & bitutil.Mask(y.excBits))
-}
+func (y *YAGS) excIdx(slotPC, ghist uint64) int { return y.exc.of(slotPC, ghist) }
 
 func (y *YAGS) excTag(slotPC uint64) uint64 {
-	return (slotPC >> y.cfg.InstOff()) & bitutil.Mask(y.tagBits)
+	return slotPC >> y.tagShift & y.tagMask
 }
 
 func (y *YAGS) excHit(row, tag uint64) (bool, uint8) {
-	if row&1 == 1 && (row>>3)&bitutil.Mask(y.tagBits) == tag {
+	if row&1 == 1 && row>>3&y.tagMask == tag {
 		return true, uint8(row >> 1 & 3)
 	}
 	return false, 0
@@ -160,7 +158,8 @@ func (y *YAGS) Update(e *pred.Event) {
 	ntRow := e.Meta[2] & bitutil.Mask(32)
 	ntIdx := int(e.Meta[2] >> 32)
 	dirty := false
-	for i, s := range e.Slots {
+	for i := range e.Slots {
+		s := &e.Slots[i]
 		if !s.Valid || !s.IsBranch || i >= y.cfg.FetchWidth {
 			continue
 		}

@@ -180,7 +180,7 @@ func TestLocalAliasing(t *testing.T) {
 	// tournament design exhibits in Fig. 10.
 	l := NewLocal(16, 8, 1)
 	a := uint64(0x100)
-	b := a + uint64(16)<<1 // same index after MixPC folding? ensure same idx
+	b := a + uint64(16)<<1 // same index after the PC fold? ensure same idx
 	if l.index(a) != l.index(b) {
 		// Construct an aliasing pair directly via index equality search.
 		b = 0

@@ -13,8 +13,7 @@ import (
 type Local struct {
 	mem      *sram.Mem
 	histBits uint
-	idxBits  uint
-	instOff  uint
+	idxHash  bitutil.Folder // PC above instOff folded to the index width
 }
 
 // NewLocal builds a local history table with entries rows of histBits-bit
@@ -37,8 +36,7 @@ func NewLocal(entries int, histBits, instOff uint) *Local {
 			WritePorts: 1,
 		}),
 		histBits: histBits,
-		idxBits:  bitutil.Clog2(entries),
-		instOff:  instOff,
+		idxHash:  bitutil.NewFolder(instOff, bitutil.Clog2(entries)),
 	}
 }
 
@@ -46,7 +44,7 @@ func NewLocal(entries int, histBits, instOff uint) *Local {
 func (l *Local) HistBits() uint { return l.histBits }
 
 func (l *Local) index(pc uint64) int {
-	return int(bitutil.MixPC(pc, l.instOff, l.idxBits))
+	return int(l.idxHash.Fold(pc))
 }
 
 // Read returns the local history for pc (consumes a read port).

@@ -40,8 +40,10 @@ func Simulate(p *compose.Pipeline, r *Reader) (SimResult, error) {
 	var res SimResult
 	cycle := uint64(0)
 	// Accept copies the slot records into the entry, so one buffer serves
-	// every record.
+	// every record.  Each record fills one slot, and the next record zeroes
+	// it again.
 	slots := make([]pred.SlotInfo, p.Cfg.FetchWidth)
+	slot := 0
 	for {
 		rec, err := r.Read()
 		if err == io.EOF {
@@ -55,10 +57,10 @@ func Simulate(p *compose.Pipeline, r *Reader) (SimResult, error) {
 		p.Tick(cycle)
 		e, stages := p.Predict(cycle, rec.PC)
 		final := stages[p.Depth()-1]
-		slot := p.Cfg.SlotOf(rec.PC)
+		slots[slot] = pred.SlotInfo{}
+		slot = p.Cfg.SlotOf(rec.PC)
 		fp := final[slot]
 
-		clear(slots)
 		si := pred.SlotInfo{Valid: true, PC: rec.PC}
 		switch rec.Kind {
 		case program.KindBranch:

@@ -15,6 +15,7 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -82,9 +83,16 @@ func (t *Writer) Close() error {
 	return t.fw.Close()
 }
 
+// maxRecord is the longest encoded record: the head byte and two varints.
+const maxRecord = 1 + 2*binary.MaxVarintLen64
+
 // Reader consumes a binary trace.
 type Reader struct {
 	r *bufio.Reader
+	// end is the error that cut the stream short (io.EOF after a matching
+	// trailer), kept from the first short Peek: every byte left is then
+	// buffered, and each later record is decoded from the buffer alone.
+	end error
 }
 
 // NewReader validates the magic and returns a reader.
@@ -98,34 +106,63 @@ func NewReader(r io.Reader) (*Reader, error) {
 
 // Read returns the next record, or io.EOF once the last record has been
 // read and the trailer matches.  A damaged or cut trace is an error
-// wrapping sealed.ErrCorrupt.
+// wrapping sealed.ErrCorrupt.  The record is decoded from one Peek of the
+// buffered frame, so a record costs no call per byte.
 func (t *Reader) Read() (Record, error) {
-	head, err := t.r.ReadByte()
-	if err == io.EOF {
-		return Record{}, err
+	n := maxRecord
+	if t.end != nil {
+		n = t.r.Buffered()
 	}
+	buf, err := t.r.Peek(n)
 	if err != nil {
-		return Record{}, fmt.Errorf("trace: %w", err)
+		t.end = err
+	}
+	if len(buf) == 0 {
+		if t.end == io.EOF {
+			return Record{}, io.EOF
+		}
+		return Record{}, fmt.Errorf("trace: %w", t.end)
 	}
 	// Only control-flow instructions are traced (see Capture).
+	head := buf[0]
 	kind := program.Kind(head >> 1)
 	if !kind.IsCFI() || kind > program.KindIndirect {
 		return Record{}, fmt.Errorf("trace: invalid record kind %d", kind)
 	}
-	pc, err := binary.ReadUvarint(t.r)
-	if err != nil {
-		return Record{}, fmt.Errorf("trace: truncated record: %w", err)
+	pc, np := binary.Uvarint(buf[1:])
+	if np <= 0 {
+		return Record{}, t.truncated(buf[1:], np)
 	}
-	tgt, err := binary.ReadUvarint(t.r)
-	if err != nil {
-		return Record{}, fmt.Errorf("trace: truncated record: %w", err)
+	tgt, nt := binary.Uvarint(buf[1+np:])
+	if nt <= 0 {
+		return Record{}, t.truncated(buf[1+np:], nt)
 	}
+	_, _ = t.r.Discard(1 + np + nt) // peeked, so buffered: Discard cannot fail
 	return Record{
 		PC:     pc,
 		Kind:   kind,
 		Taken:  head&1 == 1,
 		Target: tgt,
 	}, nil
+}
+
+// errOverflow is binary.ReadUvarint's error for a varint longer than 64
+// bits.
+var errOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+// truncated explains a varint that binary.Uvarint could not decode from
+// rest, the bytes left of the record (n is its result): an overflow, or a
+// stream that ended inside the varint.  A full Peek always holds a whole
+// varint, so in the second case the stream has ended, with t.end.
+func (t *Reader) truncated(rest []byte, n int) error {
+	err := t.end
+	switch {
+	case n < 0 || len(rest) >= binary.MaxVarintLen64:
+		err = errOverflow
+	case err == io.EOF && len(rest) > 0:
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("trace: truncated record: %w", err)
 }
 
 // Capture runs a program's oracle for n instructions and writes its

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -113,6 +114,39 @@ func TestReadRejectsDamage(t *testing.T) {
 	} {
 		if _, err := readAll(bytes.NewReader(raw)); !errors.Is(err, sealed.ErrCorrupt) {
 			t.Errorf("%s: err = %v, want sealed.ErrCorrupt", name, err)
+		}
+	}
+}
+
+// TestReadRejectsEveryCut cuts a captured trace, longer than the reader's
+// buffer, at every byte offset past the magic: each prefix fails with
+// sealed.ErrCorrupt after reading only records of the full trace, and none
+// reaches a clean end of stream.  (A cut inside the magic is another
+// format, sealed.ErrMagic, as the frame's own tests pin.)
+func TestReadRejectsEveryCut(t *testing.T) {
+	prog, err := workloads.Get("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var full bytes.Buffer
+	if _, err := Capture(&full, prog, 3, 8000); err != nil {
+		t.Fatal(err)
+	}
+	data := full.Bytes()
+	if len(data) <= 4096 {
+		t.Fatalf("captured %d bytes; the cuts must cross a buffer refill", len(data))
+	}
+	want, err := readAll(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := len(magic); cut < len(data); cut++ {
+		got, err := readAll(bytes.NewReader(data[:cut]))
+		if !errors.Is(err, sealed.ErrCorrupt) {
+			t.Fatalf("cut at %d of %d: err = %v after %d records, want sealed.ErrCorrupt", cut, len(data), err, len(got))
+		}
+		if len(got) > len(want) || !slices.Equal(got, want[:len(got)]) {
+			t.Fatalf("cut at %d: read %d records that are not a prefix of the trace", cut, len(got))
 		}
 	}
 }

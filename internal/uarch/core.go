@@ -28,6 +28,7 @@ type robE struct {
 	fb     fbInst
 	state  uint8 // 0 waiting, 1 issued, 2 done
 	doneAt uint64
+	bucket uint32 // the completion wheel's bucket while state is 1
 	iq     uint8
 	src    [2]prodRef
 
@@ -140,10 +141,16 @@ type Core struct {
 	pendSeen []int     // paranoid mode: per-slot instruction counts (checkInflight)
 
 	// Scheduler slot sets (see issue and writeback): waitSet holds state-0
-	// entries, execSet state-1 entries, and readySet the waiting entries
-	// whose producers have all written back.
-	waitSet, execSet, readySet slotSet
-	paranoid                   bool // check the sets against a ROB scan every step
+	// entries, and readySet the waiting entries whose producers have all
+	// written back.  The state-1 entries sit in a completion wheel of
+	// slot sets laid end to end in wheel: wheelSet(t&wheelMask) holds those
+	// due at cycle t, or a whole number of turns later when a latency
+	// outlasts the ring.
+	waitSet, readySet slotSet
+	wheel             []uint64
+	wheelMask         uint64
+	paranoid          bool    // check the sets against a ROB scan every step
+	execSeen          slotSet // paranoid mode: the wheel's union (checkSched)
 
 	lastCommitCycle uint64
 	histRepairBase  uint64
@@ -164,7 +171,8 @@ func NewCore(cfg Config, bp *compose.Pipeline, prog *program.Program, seed uint6
 	}
 	oracle := program.NewOracle(prog, seed)
 	words := (cfg.ROBEntries + 63) / 64
-	sets := make([]uint64, 3*words)
+	buckets := wheelBuckets(cfg)
+	sets := make([]uint64, (2+buckets)*words)
 	return &Core{
 		cfg:       cfg,
 		bp:        bp,
@@ -178,12 +186,31 @@ func NewCore(cfg Config, bp *compose.Pipeline, prog *program.Program, seed uint6
 		rob:       make([]robE, cfg.ROBEntries),
 		pending:   make([]pendRec, bp.Opt.HFEntries),
 		waitSet:   sets[:words:words],
-		execSet:   sets[words : 2*words : 2*words],
-		readySet:  sets[2*words:],
+		readySet:  sets[words : 2*words : 2*words],
+		wheel:     sets[2*words:],
+		wheelMask: uint64(buckets - 1),
 		paranoid:  bp.Paranoid(),
 		obsv:      bp.Observer(),
 		S:         stats.NewSim(),
 	}
+}
+
+// maxWheel caps the completion wheel, keeping it a few KB for any latency;
+// an entry due later than one turn waits out the extra turns in its bucket.
+const maxWheel = 256
+
+// wheelBuckets sizes the completion wheel: the smallest power of two that
+// is at least the longest execution latency plus two, so one turn covers
+// every latency from the cycle after issue, up to maxWheel.
+func wheelBuckets(cfg Config) int {
+	lat := max(cfg.ALULat, cfg.MulLat, cfg.FPLat, cfg.L1Lat, cfg.L2Lat, cfg.MemLat, 0)
+	return min(1<<bits.Len(uint(lat+1)), maxWheel)
+}
+
+// wheelSet returns the completion wheel's slot set b.
+func (c *Core) wheelSet(b uint64) slotSet {
+	w := uint64(len(c.waitSet))
+	return c.wheel[b*w : (b+1)*w : (b+1)*w]
 }
 
 // SetBranchProfile attaches a per-PC misprediction attribution profile: the
@@ -483,9 +510,12 @@ func (c *Core) issue() {
 			c.iqUsed[r.iq]--
 			r.state = 1
 			r.doneAt = c.cycle + uint64(c.execLatency(r))
+			// Writeback has run this cycle: a zero latency completes at
+			// the next one.
+			r.bucket = uint32(max(r.doneAt, c.cycle+1) & c.wheelMask)
 			c.waitSet.clear(i)
 			c.readySet.clear(i)
-			c.execSet.set(i)
+			c.wheelSet(uint64(r.bucket)).set(i)
 		}
 	}
 }
@@ -493,17 +523,19 @@ func (c *Core) issue() {
 // writeback completes issued instructions, oldest first, waking their
 // consumers, and resolves correct-path control flow; a misprediction
 // triggers the full flush-and-redirect sequence, which removes every
-// younger entry and so ends the walk.
+// younger entry and so ends the walk.  Only this cycle's wheel bucket is
+// walked: every entry due now is in it.
 func (c *Core) writeback() {
+	due := c.wheelSet(c.cycle & c.wheelMask)
 	for seg := 0; seg < 2; seg++ {
 		lo, hi := c.ageSpan(seg)
-		for i := c.execSet.next(lo, hi); i >= 0; i = c.execSet.next(i+1, hi) {
+		for i := due.next(lo, hi); i >= 0; i = due.next(i+1, hi) {
 			r := &c.rob[i]
 			if r.doneAt > c.cycle {
-				continue
+				continue // due a whole number of turns later
 			}
 			r.state = 2
-			c.execSet.clear(i)
+			due.clear(i)
 			c.wake(r)
 			f := &r.fb
 			if !f.correct || f.predicated || f.inst == nil || !f.inst.Kind.IsCFI() {
@@ -533,11 +565,13 @@ func (c *Core) flushAfter(r *robE, redirect uint64) {
 			break
 		}
 		c.waitSet.clear(ti)
-		c.execSet.clear(ti)
 		c.readySet.clear(ti)
 		c.unlink(tail)
-		if tail.state == 0 {
+		switch tail.state {
+		case 0:
 			c.iqUsed[tail.iq]--
+		case 1:
+			c.wheelSet(uint64(tail.bucket)).clear(ti)
 		}
 		if tail.fb.inst != nil {
 			switch tail.fb.inst.Class {
@@ -776,9 +810,27 @@ func (c *Core) checkInst(f *fbInst) {
 
 // checkSched is the paranoid-mode scheduler invariant: the waiting,
 // executing and ready slot sets must equal what a full ROB scan derives,
-// with ready as the oracle for readiness.  A mismatch is recorded on the
-// pipeline's violation list.
+// with ready as the oracle for readiness.  Executing is the union of the
+// completion wheel's buckets, which must not overlap; each executing entry
+// must sit in the bucket of its completion cycle (the next cycle for a
+// zero latency issued this cycle) and must not be overdue.  A mismatch is
+// recorded on the pipeline's violation list.
 func (c *Core) checkSched() {
+	if c.execSeen == nil {
+		c.execSeen = make(slotSet, len(c.waitSet))
+	}
+	exec := c.execSeen
+	clear(exec)
+	for b := uint64(0); b <= c.wheelMask; b++ {
+		for w, m := range c.wheelSet(b) {
+			if dup := exec[w] & m; dup != 0 {
+				c.bp.ReportViolation("Core.step", c.cycle,
+					"scheduler slot %d is in completion bucket %d and an earlier one",
+					w<<6+bits.TrailingZeros64(dup), b)
+			}
+			exec[w] |= m
+		}
+	}
 	n := len(c.rob)
 	for j := 0; j < len(c.waitSet)*64; j++ {
 		var wantW, wantE, wantR bool
@@ -790,13 +842,33 @@ func (c *Core) checkSched() {
 			if r := &c.rob[j]; age < c.robCount {
 				wantW, wantE = r.state == 0, r.state == 1
 				wantR = wantW && c.ready(r)
+				if wantE {
+					c.checkBucket(j, r)
+				}
 			}
 		}
-		if c.waitSet.has(j) != wantW || c.execSet.has(j) != wantE || c.readySet.has(j) != wantR {
+		if c.waitSet.has(j) != wantW || exec.has(j) != wantE || c.readySet.has(j) != wantR {
 			c.bp.ReportViolation("Core.step", c.cycle,
 				"scheduler slot %d sets waiting=%v executing=%v ready=%v, ROB scan says %v/%v/%v [head=%d count=%d]",
-				j, c.waitSet.has(j), c.execSet.has(j), c.readySet.has(j), wantW, wantE, wantR, c.robHead, c.robCount)
+				j, c.waitSet.has(j), exec.has(j), c.readySet.has(j), wantW, wantE, wantR, c.robHead, c.robCount)
 		}
+	}
+}
+
+// checkBucket checks executing entry r in ROB slot j for checkSched: at
+// the end of a step it is due after this cycle, or this cycle when it
+// issued now with zero latency, and sits in that cycle's bucket.
+func (c *Core) checkBucket(j int, r *robE) {
+	if r.doneAt < c.cycle {
+		c.bp.ReportViolation("Core.step", c.cycle,
+			"scheduler slot %d is still executing, due at cycle %d", j, r.doneAt)
+		return
+	}
+	want := max(r.doneAt, c.cycle+1) & c.wheelMask
+	if held := c.wheelSet(uint64(r.bucket)).has(j); uint64(r.bucket) != want || !held {
+		c.bp.ReportViolation("Core.step", c.cycle,
+			"scheduler slot %d due at cycle %d: bucket %d (holds it: %v), want %d",
+			j, r.doneAt, r.bucket, held, want)
 	}
 }
 

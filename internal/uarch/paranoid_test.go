@@ -1,11 +1,13 @@
 package uarch
 
 import (
+	"reflect"
 	"testing"
 
 	"cobra/internal/compose"
 	"cobra/internal/interval"
 	"cobra/internal/program"
+	"cobra/internal/stats"
 )
 
 // TestParanoidCleanOnRealRuns drives every Table I seed design through a
@@ -95,5 +97,62 @@ func paranoidRun(t *testing.T, cfg Config, topo string, opt compose.Options, pol
 			t.Errorf("violation: %v", v)
 		}
 		t.Fatalf("%d invariant violations on a healthy pipeline", n)
+	}
+}
+
+// TestWheelEdgeCases runs the completion wheel at its edges with the
+// invariant checker armed: a zero ALU latency, whose entries complete on
+// the cycle after issue, and a memory latency longer than the wheel, whose
+// entries wait out whole turns in their bucket.  Each run must be clean
+// and repeat exactly.
+func TestWheelEdgeCases(t *testing.T) {
+	b := program.NewBuilder("wheel", 0x1000, 4, 9)
+	b.Loop(40, func() {
+		b.Ops(6, 0.3, 0.1, 0.2, func() program.MemBehavior {
+			return &program.RandMem{Base: 0x100000, Size: 1 << 22} // misses L2
+		})
+		b.Hammock(0.5, 2, program.ClassALU)
+	})
+	prog := b.MustSeal()
+
+	alu0 := func(c Config) Config { c.ALULat = 0; return c }
+	slowMem := func(c Config) Config { c.MemLat = 3 * maxWheel; return c }
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"alu0", alu0(DefaultConfig())},
+		{"alu0/inorder", alu0(InOrderConfig())},
+		{"mem-over-wheel", slowMem(DefaultConfig())},
+		{"mem-over-wheel/alu0", slowMem(alu0(DefaultConfig()))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.cfg.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.cfg.MemLat > maxWheel && wheelBuckets(tc.cfg) != maxWheel {
+				t.Fatalf("wheel has %d buckets, want the cap %d", wheelBuckets(tc.cfg), maxWheel)
+			}
+			runOnce := func() stats.Sim {
+				opt := compose.Options{GHistBits: 16, Paranoid: true}
+				bp := mkPipeline(t, "GTAG3 > BTB2 > BIM2", opt)
+				core := NewCore(tc.cfg, bp, prog, 7)
+				s := *core.Run(8000)
+				if n := bp.ViolationCount(); n != 0 {
+					for _, v := range bp.Violations()[:min(3, n)] {
+						t.Errorf("violation: %v", v)
+					}
+					t.Fatalf("%d invariant violations", n)
+				}
+				return s
+			}
+			first := runOnce()
+			if first.Instructions < 8000 || first.Mispredicts == 0 {
+				t.Fatalf("run committed %d instructions with %d mispredicts", first.Instructions, first.Mispredicts)
+			}
+			if again := runOnce(); !reflect.DeepEqual(first, again) {
+				t.Errorf("repeated run differs:\n%+v\n%+v", first, again)
+			}
+		})
 	}
 }
