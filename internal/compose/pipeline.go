@@ -610,7 +610,7 @@ func (p *Pipeline) fire(cycle uint64, e *Entry, shiftGlobal bool) {
 	}
 	e.shifts = e.shifts[:0]
 	for i := 0; i <= end; i++ {
-		s := e.Slots[i]
+		s := &e.Slots[i]
 		if !s.Valid || !s.IsBranch {
 			continue
 		}

@@ -112,7 +112,7 @@ type Snapshot struct {
 // Hist returns the snapshotted history words (read-only view; bit 0 of word
 // 0 is the most recent outcome).  Events hand this back to sub-components as
 // "the same histories provided at predict time" (§III-E).
-func (s Snapshot) Hist() []uint64 { return s.hist }
+func (s *Snapshot) Hist() []uint64 { return s.hist }
 
 // Snapshot captures the current state.
 func (g *Global) Snapshot() Snapshot {

@@ -106,7 +106,7 @@ start:
 	}
 	o := program.NewOracle(p, 1)
 	for i := 0; i < 1000; i++ {
-		o.Next()
+		o.Next(&program.Step{})
 	}
 	if got := m.Load(dataBase); got < 100 {
 		t.Errorf("counter = %d after 1000 steps", got)
@@ -122,7 +122,8 @@ func TestSortProgramActuallySorts(t *testing.T) {
 	// Run enough committed instructions for several main-loop iterations.
 	rets := 0
 	for rets < 9 { // 3 per iteration (refill, isort, check)
-		s := o.Next()
+		var s program.Step
+		o.Next(&s)
 		if s.Inst.Kind == program.KindRet {
 			rets++
 		}
@@ -152,7 +153,7 @@ func TestFibProgramComputesFib(t *testing.T) {
 	// acc is the second data symbol: stk (256 words) then acc.
 	accAddr := uint64(dataBase + 256*8)
 	for i := 0; i < 200000 && m.Load(accAddr) < 2*144; i++ {
-		o.Next()
+		o.Next(&program.Step{})
 	}
 	acc := m.Load(accAddr)
 	if acc%144 != 0 || acc == 0 {
@@ -169,7 +170,8 @@ func TestDispatchProgramUsesIndirects(t *testing.T) {
 	indirects := 0
 	targets := map[uint64]bool{}
 	for i := 0; i < 30000; i++ {
-		s := o.Next()
+		var s program.Step
+		o.Next(&s)
 		if s.Inst.Kind == program.KindIndirect {
 			indirects++
 			targets[s.Target] = true
@@ -189,7 +191,8 @@ func TestCompileDeterministic(t *testing.T) {
 		o := program.NewOracle(p, 1)
 		var s uint64
 		for i := 0; i < 20000; i++ {
-			st := o.Next()
+			var st program.Step
+			o.Next(&st)
 			s = s*31 + st.PC
 			if st.Taken {
 				s++

@@ -41,59 +41,52 @@ func (o *Oracle) PC() uint64 { return o.pc }
 // Count returns how many instructions have been executed.
 func (o *Oracle) Count() uint64 { return o.count }
 
-// Next executes one instruction and returns its Step.
-func (o *Oracle) Next() Step {
+// Next executes one instruction and writes its Step into *s, every field,
+// so a caller can reuse one Step (or a ring slot of them) for every call.
+func (o *Oracle) Next(s *Step) {
 	inst := o.prog.At(o.pc)
 	if inst == nil {
 		panic(fmt.Sprintf("program %s: architectural execution fell off the image at %#x",
 			o.prog.Name, o.pc))
 	}
-	s := Step{Inst: inst, PC: o.pc}
 	fall := o.pc + uint64(o.prog.InstBytes)
 	if inst.Sem != nil {
 		// Computational semantics run before control flow is decided (a
 		// branch's own condition is evaluated by its Dir behaviour).
 		inst.Sem.Exec(o.st)
 	}
+	taken, target := false, uint64(0)
 	switch inst.Kind {
-	case KindOp:
-		s.NextPC = fall
 	case KindBranch:
-		s.Taken = inst.Dir.Next(o.st)
-		o.st.Record(s.Taken)
-		if s.Taken {
-			s.Target = inst.Target
-			s.NextPC = inst.Target
-		} else {
-			s.NextPC = fall
+		taken = inst.Dir.Next(o.st)
+		o.st.Record(taken)
+		if taken {
+			target = inst.Target
 		}
 	case KindJump:
-		s.Taken = true
-		s.Target = inst.Target
-		s.NextPC = inst.Target
+		taken, target = true, inst.Target
 	case KindCall:
-		s.Taken = true
-		s.Target = inst.Target
-		s.NextPC = inst.Target
+		taken, target = true, inst.Target
 		o.stack = append(o.stack, fall)
 	case KindRet:
-		s.Taken = true
 		if len(o.stack) == 0 {
 			panic(fmt.Sprintf("program %s: return with empty call stack at %#x", o.prog.Name, o.pc))
 		}
-		s.Target = o.stack[len(o.stack)-1]
+		taken, target = true, o.stack[len(o.stack)-1]
 		o.stack = o.stack[:len(o.stack)-1]
-		s.NextPC = s.Target
 	case KindIndirect:
-		s.Taken = true
-		s.Target = inst.Tgt.NextTarget(o.st)
-		s.NextPC = s.Target
+		taken, target = true, inst.Tgt.NextTarget(o.st)
 	}
+	next := fall
+	if taken {
+		next = target
+	}
+	var addr uint64
 	if inst.Mem != nil {
-		s.Addr = inst.Mem.NextAddr(o.st)
+		addr = inst.Mem.NextAddr(o.st)
 	}
+	*s = Step{Inst: inst, PC: o.pc, Taken: taken, Target: target, NextPC: next, Addr: addr}
 	o.st.Tick()
 	o.count++
-	o.pc = s.NextPC
-	return s
+	o.pc = next
 }

@@ -145,7 +145,8 @@ func TestBuilderLoopProgram(t *testing.T) {
 	// through to the seal jump, wrapping to entry.
 	count := map[Kind]int{}
 	for i := 0; i < 21; i++ {
-		s := o.Next()
+		var s Step
+		o.Next(&s)
 		count[s.Inst.Kind]++
 	}
 	if count[KindBranch] != 5 {
@@ -176,7 +177,8 @@ func TestBuilderCallRet(t *testing.T) {
 	o := NewOracle(p, 1)
 	rets := 0
 	for i := 0; i < 40; i++ {
-		s := o.Next()
+		var s Step
+		o.Next(&s)
 		if s.Inst.Kind == KindRet {
 			rets++
 			if s.Target == 0 {
@@ -338,11 +340,13 @@ func TestProgramSharedAcrossOracles(t *testing.T) {
 	// Advance a ahead by a full pass to desynchronize, then restart b2's
 	// comparison against a fresh third oracle.
 	for i := 0; i < 100; i++ {
-		a.Next()
+		a.Next(&Step{})
 	}
 	c := NewOracle(p, 9)
 	for i := 0; i < 500; i++ {
-		sb, sc := b2.Next(), c.Next()
+		var sb, sc Step
+		b2.Next(&sb)
+		c.Next(&sc)
 		if sb.PC != sc.PC || sb.Taken != sc.Taken || sb.Addr != sc.Addr || sb.Target != sc.Target {
 			t.Fatalf("shared-program divergence at step %d: %+v vs %+v", i, sb, sc)
 		}
@@ -362,7 +366,9 @@ func TestOracleDeterministicReplay(t *testing.T) {
 	}
 	a, b2 := mk(), mk()
 	for i := 0; i < 5000; i++ {
-		sa, sb := a.Next(), b2.Next()
+		var sa, sb Step
+		a.Next(&sa)
+		b2.Next(&sb)
 		if sa.PC != sb.PC || sa.Taken != sb.Taken || sa.NextPC != sb.NextPC || sa.Addr != sb.Addr {
 			t.Fatalf("divergence at %d: %+v vs %+v", i, sa, sb)
 		}

@@ -173,8 +173,9 @@ func Capture(w io.Writer, prog *program.Program, seed uint64, n uint64) (uint64,
 		return 0, err
 	}
 	o := program.NewOracle(prog, seed)
+	var s program.Step
 	for o.Count() < n {
-		s := o.Next()
+		o.Next(&s)
 		if !s.Inst.Kind.IsCFI() {
 			continue
 		}

@@ -22,29 +22,37 @@ const (
 	numIQ
 )
 
-// robE is one reorder-buffer entry.
+// robE is one in-flight instruction's record in the core's ring: deliver
+// writes the front-end half as the instruction enters the fetch buffer, and
+// dispatch the ROB-side half as it enters the ROB.  The record stays in its
+// slot until it commits or is flushed.
 type robE struct {
-	valid  bool
-	fb     fbInst
-	state  uint8 // 0 waiting, 1 issued, 2 done
+	fbInst
+	robState
+}
+
+// robState is the ROB-side half of an in-flight record.
+type robState struct {
 	doneAt uint64
-	bucket uint32 // the completion wheel's bucket while state is 1
-	iq     uint8
 	src    [2]prodRef
+	bucket uint32 // the completion wheel's bucket while state is 1
 
 	// Wakeup links.  waitOn has bit k set while src[k]'s producer is live
 	// and not yet written back; the consumer is then on that producer's
 	// wake list through link slot*2+k+1 (0 ends a list).  wakeHead is this
 	// entry's own list as a producer, youngest consumer first; wakeNext[k]
 	// follows the src[k] link.
-	waitOn   uint8
 	wakeHead int32
 	wakeNext [2]int32
+	waitOn   uint8
+
+	state uint8 // 0 waiting, 1 issued, 2 done
+	iq    uint8
 
 	misp, dirMisp, tgtMisp bool
 }
 
-// slotSet is a bitset over ROB slots.
+// slotSet is a bitset over ring slots.
 type slotSet []uint64
 
 func (s slotSet) set(i int)      { s[i>>6] |= 1 << (i & 63) }
@@ -71,7 +79,7 @@ func (s slotSet) next(lo, hi int) int {
 	return -1
 }
 
-// prodRef names a producing ROB slot (idx < 0 means operand ready).
+// prodRef names a producing ring slot (idx < 0 means operand ready).
 type prodRef struct {
 	idx int
 	seq uint64
@@ -114,8 +122,6 @@ type Core struct {
 	fetchPC       uint64
 	stallUntil    uint64
 	inflight      []*pkt
-	fb            []fbInst
-	fbHead        int // index of the oldest live fetch-buffer entry
 	onCorrect     bool
 	predOffActive bool
 	predOffUntil  uint64
@@ -129,10 +135,16 @@ type Core struct {
 	slotsFree [][]pred.SlotInfo
 	vdScratch []pred.SlotInfo // reusable viewDecode destination
 
-	// backend
-	rob      []robE
+	// In-flight instructions: one power-of-two ring of records.  The ROB is
+	// the robCount records from robHead, and the fetch buffer the fbCount
+	// records after them, so dispatch only moves the boundary.
+	ring     []robE
+	ringMask int
 	robHead  int
 	robCount int
+	fbCount  int
+
+	// backend
 	rename   [32]renameEntry
 	iqUsed   [numIQ]int
 	ldqUsed  int
@@ -170,7 +182,8 @@ func NewCore(cfg Config, bp *compose.Pipeline, prog *program.Program, seed uint6
 		panic("uarch: core and pipeline disagree on fetch geometry")
 	}
 	oracle := program.NewOracle(prog, seed)
-	words := (cfg.ROBEntries + 63) / 64
+	slots := 1 << bits.Len(uint(cfg.ROBEntries+cfg.FetchBufferCap-1))
+	words := (slots + 63) / 64
 	buckets := wheelBuckets(cfg)
 	sets := make([]uint64, (2+buckets)*words)
 	return &Core{
@@ -183,7 +196,8 @@ func NewCore(cfg Config, bp *compose.Pipeline, prog *program.Program, seed uint6
 		steps:     newStepBuffer(oracle),
 		fetchPC:   prog.Entry,
 		onCorrect: true,
-		rob:       make([]robE, cfg.ROBEntries),
+		ring:      make([]robE, slots),
+		ringMask:  slots - 1,
 		pending:   make([]pendRec, bp.Opt.HFEntries),
 		waitSet:   sets[:words:words],
 		readySet:  sets[words : 2*words : 2*words],
@@ -252,24 +266,21 @@ func (c *Core) Pipeline() *compose.Pipeline { return c.bp }
 // Cycle returns the current simulated cycle.
 func (c *Core) Cycle() uint64 { return c.cycle }
 
-// ageSpan returns the seg-th slot range of the ROB ring in age order:
-// robHead..n-1, then 0..robHead-1.  Walking a slot set over both spans
-// visits its members oldest first.
+// ageSpan returns the seg-th slot range of the ROB in age order: from
+// robHead up to the ROB's end or the ring's, then the part that wrapped to
+// slot 0.  Walking a slot set over both spans visits its members oldest
+// first.
 func (c *Core) ageSpan(seg int) (lo, hi int) {
+	end := c.robHead + c.robCount
 	if seg == 0 {
-		return c.robHead, len(c.rob)
+		return c.robHead, min(end, len(c.ring))
 	}
-	return 0, c.robHead
+	return 0, max(end-len(c.ring), 0)
 }
 
-// robIdx maps an age position (0 = oldest) to its ROB slot.
-func (c *Core) robIdx(i int) int {
-	j := c.robHead + i
-	if j >= len(c.rob) {
-		j -= len(c.rob)
-	}
-	return j
-}
+// robIdx maps an age position (0 = oldest ROB record) to its ring slot;
+// positions from robCount on are the fetch buffer's.
+func (c *Core) robIdx(i int) int { return (c.robHead + i) & c.ringMask }
 
 // pend adds n delivered instructions to entry e's outstanding count.  The
 // record lives in e's history-file slot: an entry's instructions all leave
@@ -308,11 +319,11 @@ func (c *Core) tgtProvider(f *fbInst) string {
 	return "(none)"
 }
 
-func classIQ(f *fbInst) uint8 {
-	if f.inst == nil {
+func classIQ(inst *program.Inst) uint8 {
+	if inst == nil {
 		return iqInt
 	}
-	switch f.inst.Class {
+	switch inst.Class {
 	case program.ClassLoad, program.ClassStore:
 		return iqMem
 	case program.ClassFP:
@@ -322,53 +333,56 @@ func classIQ(f *fbInst) uint8 {
 	}
 }
 
-// fbLen returns the fetch-buffer occupancy (the buffer drains via a head
-// index so dequeues never shift or reallocate the backing array).
-func (c *Core) fbLen() int { return len(c.fb) - c.fbHead }
-
 // dispatch renames and inserts fetch-buffer instructions into the ROB and
-// issue queues, up to the decode width, subject to structural limits.
+// issue queues, up to the decode width, subject to structural limits.  The
+// oldest fetch-buffer record is the slot after the ROB's youngest, so an
+// instruction enters the ROB where it already is: dispatch writes its
+// ROB-side half and moves the boundary.
 func (c *Core) dispatch() {
-	if c.fbLen() == 0 {
+	if c.fbCount == 0 {
 		c.S.FetchBubbles++
 		return
 	}
-	for n := 0; n < c.cfg.DecodeWidth && c.fbLen() > 0; n++ {
-		if c.robCount == len(c.rob) {
+	for n := 0; n < c.cfg.DecodeWidth && c.fbCount > 0; n++ {
+		if c.robCount == c.cfg.ROBEntries {
 			return
 		}
-		f := &c.fb[c.fbHead]
-		iq := classIQ(f)
+		idx := c.robIdx(c.robCount)
+		r := &c.ring[idx]
+		inst := r.inst
+		iq := classIQ(inst)
 		if c.iqUsed[iq] >= c.cfg.IQEntries {
 			return
 		}
-		isLoad := f.inst != nil && f.inst.Class == program.ClassLoad
-		isStore := f.inst != nil && f.inst.Class == program.ClassStore
+		isLoad := inst != nil && inst.Class == program.ClassLoad
+		isStore := inst != nil && inst.Class == program.ClassStore
 		if isLoad && c.ldqUsed >= c.cfg.LDQEntries {
 			return
 		}
 		if isStore && c.stqUsed >= c.cfg.STQEntries {
 			return
 		}
-		idx := c.robIdx(c.robCount)
-		r := &c.rob[idx]
-		*r = robE{valid: true, fb: *f, iq: iq}
-		if f.inst != nil {
-			r.src[0] = c.lookupProducer(f.inst.Src1)
-			r.src[1] = c.lookupProducer(f.inst.Src2)
+		// Field by field, as deliver does; doneAt and bucket wait for issue,
+		// and wakeNext[k] for a link.
+		r.state, r.iq, r.waitOn = 0, iq, 0
+		r.misp, r.dirMisp, r.tgtMisp = false, false, false
+		r.wakeHead = 0
+		if inst == nil {
+			r.src[0], r.src[1] = prodRef{idx: -1}, prodRef{idx: -1}
+		} else {
+			r.src[0], r.src[1] = c.lookupProducer(inst.Src1), c.lookupProducer(inst.Src2)
 			c.waitFor(idx, 0)
 			c.waitFor(idx, 1)
-			if f.inst.Dst != 0 {
-				c.rename[f.inst.Dst%32] = renameEntry{idx: idx, seq: f.seq, valid: true}
+			if inst.Dst != 0 {
+				c.rename[inst.Dst%32] = renameEntry{idx: idx, seq: r.seq, valid: true}
 			}
-		} else {
-			r.src[0].idx, r.src[1].idx = -1, -1
 		}
 		c.waitSet.set(idx)
 		if r.waitOn == 0 {
 			c.readySet.set(idx)
 		}
 		c.robCount++
+		c.fbCount--
 		c.iqUsed[iq]++
 		if isLoad {
 			c.ldqUsed++
@@ -376,7 +390,6 @@ func (c *Core) dispatch() {
 		if isStore {
 			c.stqUsed++
 		}
-		c.fbHead++
 	}
 }
 
@@ -395,15 +408,16 @@ func (c *Core) lookupProducer(reg uint8) prodRef {
 // producer is live and not yet written back — the test ready applies,
 // taken once at dispatch.  A done or retired producer stays done, and a
 // flushed producer's consumers are flushed with it, so the answer only
-// ever changes through the producer's writeback (wake).
+// ever changes through the producer's writeback (wake).  A producer's slot
+// holds it until a younger instruction is delivered there, under a new seq.
 func (c *Core) waitFor(slot, k int) {
-	r := &c.rob[slot]
+	r := &c.ring[slot]
 	s := r.src[k]
 	if s.idx < 0 {
 		return
 	}
-	p := &c.rob[s.idx]
-	if !p.valid || p.fb.seq != s.seq || p.state == 2 {
+	p := &c.ring[s.idx]
+	if p.seq != s.seq || p.state == 2 {
 		return
 	}
 	r.wakeNext[k] = p.wakeHead
@@ -416,7 +430,7 @@ func (c *Core) waitFor(slot, k int) {
 func (c *Core) wake(r *robE) {
 	for l := r.wakeHead; l != 0; {
 		slot, k := int(l-1)>>1, (l-1)&1
-		cr := &c.rob[slot]
+		cr := &c.ring[slot]
 		cr.waitOn &^= 1 << k
 		if cr.waitOn == 0 {
 			c.readySet.set(slot)
@@ -432,7 +446,7 @@ func (c *Core) wake(r *robE) {
 func (c *Core) unlink(r *robE) {
 	for k := 1; k >= 0; k-- {
 		if r.waitOn&(1<<k) != 0 {
-			c.rob[r.src[k].idx].wakeHead = r.wakeNext[k]
+			c.ring[r.src[k].idx].wakeHead = r.wakeNext[k]
 		}
 	}
 	r.waitOn = 0
@@ -446,8 +460,8 @@ func (c *Core) ready(r *robE) bool {
 		if s.idx < 0 {
 			continue
 		}
-		p := &c.rob[s.idx]
-		if p.valid && p.fb.seq == s.seq && p.state != 2 {
+		p := &c.ring[s.idx]
+		if p.seq == s.seq && p.state != 2 {
 			return false
 		}
 	}
@@ -457,10 +471,10 @@ func (c *Core) ready(r *robE) bool {
 // execLatency returns the instruction's execution latency, touching the
 // cache model for memory operations.
 func (c *Core) execLatency(r *robE) int {
-	if r.fb.inst == nil {
+	if r.inst == nil {
 		return c.cfg.ALULat
 	}
-	switch r.fb.inst.Class {
+	switch r.inst.Class {
 	case program.ClassMul:
 		return c.cfg.MulLat
 	case program.ClassFP:
@@ -479,10 +493,12 @@ func (c *Core) execLatency(r *robE) int {
 // correct-path instructions, a PC-derived pseudo-address for wrong-path ones
 // (which realistically pollute the cache without touching oracle state).
 func (c *Core) memAddr(r *robE) uint64 {
-	if r.fb.hasStep && r.fb.step.Addr != 0 {
-		return r.fb.step.Addr
+	if r.correct {
+		if a := c.steps.at(r.stepIdx).Addr; a != 0 {
+			return a
+		}
 	}
-	return 0x4000_0000 + (r.fb.pc*0x9E3779B9)&0xF_FFF8
+	return 0x4000_0000 + (r.pc*0x9E3779B9)&0xF_FFF8
 }
 
 // issue selects ready instructions per issue queue, oldest first, up to each
@@ -499,7 +515,7 @@ func (c *Core) issue() {
 	for seg := 0; seg < 2; seg++ {
 		lo, hi := c.ageSpan(seg)
 		for i := cand.next(lo, hi); i >= 0; i = cand.next(i+1, hi) {
-			r := &c.rob[i]
+			r := &c.ring[i]
 			if budget[r.iq] == 0 || !c.readySet.has(i) {
 				if c.cfg.InOrderIssue {
 					return // in-order pipelines stall behind the oldest hazard
@@ -530,18 +546,18 @@ func (c *Core) writeback() {
 	for seg := 0; seg < 2; seg++ {
 		lo, hi := c.ageSpan(seg)
 		for i := due.next(lo, hi); i >= 0; i = due.next(i+1, hi) {
-			r := &c.rob[i]
+			r := &c.ring[i]
 			if r.doneAt > c.cycle {
 				continue // due a whole number of turns later
 			}
 			r.state = 2
 			due.clear(i)
 			c.wake(r)
-			f := &r.fb
-			if !f.correct || f.predicated || f.inst == nil || !f.inst.Kind.IsCFI() {
+			if !r.correct || r.predicated || r.inst == nil || !r.inst.Kind.IsCFI() {
 				continue
 			}
-			res := c.bp.Resolve(c.cycle, f.entry, f.slot, f.step.Taken, f.step.Target)
+			st := c.steps.at(r.stepIdx)
+			res := c.bp.Resolve(c.cycle, r.entry, r.slot, st.Taken, st.Target)
 			if !res.Mispredict {
 				continue
 			}
@@ -553,15 +569,25 @@ func (c *Core) writeback() {
 }
 
 // flushAfter squashes everything younger than the resolving instruction:
-// ROB tail, fetch buffer, in-flight fetch packets, rename mappings, RAS
+// fetch buffer, in-flight fetch packets, ROB tail, rename mappings, RAS
 // state, and the oracle window cursor; then redirects fetch.
 func (c *Core) flushAfter(r *robE, redirect uint64) {
-	branchSeq := r.fb.seq
+	branchSeq := r.seq
+	// The fetch buffer and in-flight packets are all younger than a
+	// resolving branch (in-order frontend).
+	for k := 0; k < c.fbCount; k++ {
+		c.unpend(&c.ring[c.robIdx(c.robCount+k)].fbInst, false)
+	}
+	c.fbCount = 0
+	for _, pk := range c.inflight {
+		c.freePkt(pk)
+	}
+	c.inflight = c.inflight[:0]
 	// ROB tail flush.
 	for c.robCount > 0 {
 		ti := c.robIdx(c.robCount - 1)
-		tail := &c.rob[ti]
-		if tail.fb.seq <= branchSeq {
+		tail := &c.ring[ti]
+		if tail.seq <= branchSeq {
 			break
 		}
 		c.waitSet.clear(ti)
@@ -573,28 +599,17 @@ func (c *Core) flushAfter(r *robE, redirect uint64) {
 		case 1:
 			c.wheelSet(uint64(tail.bucket)).clear(ti)
 		}
-		if tail.fb.inst != nil {
-			switch tail.fb.inst.Class {
+		if tail.inst != nil {
+			switch tail.inst.Class {
 			case program.ClassLoad:
 				c.ldqUsed--
 			case program.ClassStore:
 				c.stqUsed--
 			}
 		}
-		c.unpend(&tail.fb, false)
-		tail.valid = false
+		c.unpend(&tail.fbInst, false)
 		c.robCount--
 	}
-	// Fetch buffer and in-flight packets are all younger than a resolving
-	// branch (in-order frontend).
-	for i := c.fbHead; i < len(c.fb); i++ {
-		c.unpend(&c.fb[i], false)
-	}
-	c.fb, c.fbHead = c.fb[:0], 0
-	for _, pk := range c.inflight {
-		c.freePkt(pk)
-	}
-	c.inflight = c.inflight[:0]
 	// Rename table: drop mappings to flushed producers.
 	for reg := range c.rename {
 		if c.rename[reg].valid && c.rename[reg].seq > branchSeq {
@@ -605,18 +620,18 @@ func (c *Core) flushAfter(r *robE, redirect uint64) {
 	// operation.  An operation is squashed when its packet is younger than
 	// the resolving branch, or when it sits in the *same* packet at a
 	// younger slot (a wrong-path call/ret fetched right after the branch).
-	eSeq := r.fb.entrySeq
+	eSeq := r.entrySeq
 	for i := c.rasHead; i < len(c.rasCps); i++ {
 		cp := c.rasCps[i]
-		if cp.entrySeq > eSeq || (cp.entrySeq == eSeq && cp.opSlot > r.fb.slot) {
+		if cp.entrySeq > eSeq || (cp.entrySeq == eSeq && cp.opSlot > r.slot) {
 			c.ras.Restore(cp.cp)
 			c.rasCps = c.rasCps[:i]
 			break
 		}
 	}
 	// Oracle window: refetch re-serves the same steps.
-	if r.fb.hasStep {
-		c.steps.rewind(r.fb.stepIdx + 1)
+	if r.correct {
+		c.steps.rewind(r.stepIdx + 1)
 	}
 	c.onCorrect = true
 	c.predOffActive = false
@@ -628,11 +643,11 @@ func (c *Core) flushAfter(r *robE, redirect uint64) {
 // commit retires completed instructions in order.
 func (c *Core) commit() {
 	for n := 0; n < c.cfg.CommitWidth && c.robCount > 0; n++ {
-		r := &c.rob[c.robHead]
+		r := &c.ring[c.robHead]
 		if r.state != 2 {
 			return
 		}
-		f := &r.fb
+		f := &r.fbInst
 		if f.correct {
 			c.S.Instructions++
 			c.lastCommitCycle = c.cycle
@@ -666,7 +681,7 @@ func (c *Core) commit() {
 							c.opsScratch = c.bp.SlotOpinions(f.entry, f.slot, c.opsScratch)
 							ops = c.opsScratch
 						}
-						c.prof.Record(f.pc, "branch", f.step.Taken, r.misp, prov, ops)
+						c.prof.Record(f.pc, "branch", c.steps.at(f.stepIdx).Taken, r.misp, prov, ops)
 					}
 				case program.KindJump, program.KindCall:
 					c.S.Jumps++
@@ -710,7 +725,6 @@ func (c *Core) commit() {
 		for c.rasHead < len(c.rasCps) && c.rasCps[c.rasHead].entrySeq < f.entrySeq {
 			c.rasHead++
 		}
-		r.valid = false
 		c.robHead = c.robIdx(1)
 		c.robCount--
 	}
@@ -745,9 +759,14 @@ func (c *Core) step() {
 // history-file entry is live, the pending record in its slot is tagged with
 // its seq, and each record's count is exactly the number of instructions
 // pointing at it; the oracle window [base, end) covers every in-flight
-// instruction's step, and the cursor lies within it.  Program order holds
-// too: instruction seqs strictly increase from the oldest ROB entry through
-// the youngest fetch-buffer entry, and the in-flight packets' entry seqs
+// instruction's step, and the cursor lies within it.  The ring holds at
+// most ROBEntries ROB records and FetchBufferCap fetch-buffer records, and
+// the fetch buffer sits directly after the ROB: its records are the
+// newest deliveries, consecutive seqs ending at the last one, and none of
+// their slots is in a scheduler set (checkSched, which runs first, leaves
+// the completion wheel's union in execSeen).  Program order holds too:
+// instruction seqs strictly increase from the oldest ROB entry through the
+// youngest fetch-buffer entry, and the in-flight packets' entry seqs
 // strictly increase.  A mismatch is recorded on the pipeline's violation
 // list.
 func (c *Core) checkInflight() {
@@ -755,23 +774,34 @@ func (c *Core) checkInflight() {
 		c.pendSeen = make([]int, len(c.pending))
 	}
 	clear(c.pendSeen)
-	var prev uint64 // seq of the previous instruction in program order
-	first := true
-	order := func(where string, i int, seq uint64) {
-		if !first && seq <= prev {
-			c.bp.ReportViolation("Core.step", c.cycle,
-				"%s position %d holds seq %d after seq %d", where, i, seq, prev)
+	if c.robCount > c.cfg.ROBEntries || c.fbCount > c.cfg.FetchBufferCap {
+		c.bp.ReportViolation("Core.step", c.cycle,
+			"ring holds %d ROB records (limit %d) and %d fetch-buffer records (limit %d)",
+			c.robCount, c.cfg.ROBEntries, c.fbCount, c.cfg.FetchBufferCap)
+	}
+	for i := 0; i < c.robCount+c.fbCount; i++ {
+		j := c.robIdx(i)
+		f := &c.ring[j].fbInst
+		where, pos := "ROB", i
+		if i >= c.robCount {
+			where, pos = "fetch buffer", i-c.robCount
+			if want := c.instSeq - uint64(c.robCount+c.fbCount-1-i); f.seq != want {
+				c.bp.ReportViolation("Core.step", c.cycle,
+					"fetch-buffer position %d (ring slot %d) holds seq %d, want delivery %d", pos, j, f.seq, want)
+			}
+			if c.waitSet.has(j) || c.readySet.has(j) || c.execSeen.has(j) {
+				c.bp.ReportViolation("Core.step", c.cycle,
+					"fetch-buffer ring slot %d is in a scheduler set (waiting=%v ready=%v executing=%v)",
+					j, c.waitSet.has(j), c.readySet.has(j), c.execSeen.has(j))
+			}
 		}
-		prev, first = seq, false
-	}
-	for i := 0; i < c.robCount; i++ {
-		f := &c.rob[c.robIdx(i)].fb
-		order("ROB", i, f.seq)
+		if i > 0 {
+			if prev := c.ring[c.robIdx(i-1)].seq; f.seq <= prev {
+				c.bp.ReportViolation("Core.step", c.cycle,
+					"%s position %d holds seq %d after seq %d", where, pos, f.seq, prev)
+			}
+		}
 		c.checkInst(f)
-	}
-	for i := c.fbHead; i < len(c.fb); i++ {
-		order("fetch buffer", i-c.fbHead, c.fb[i].seq)
-		c.checkInst(&c.fb[i])
 	}
 	for i := 1; i < len(c.inflight); i++ {
 		if a, b := c.inflight[i-1].e.Seq(), c.inflight[i].e.Seq(); b <= a {
@@ -802,7 +832,7 @@ func (c *Core) checkInst(f *fbInst) {
 			f.seq, f.entrySeq, slot, r.seq, r.count, f.entry.Seq(), f.entry.Valid())
 	}
 	c.pendSeen[slot]++
-	if s := c.steps; f.hasStep && (f.stepIdx < s.base || f.stepIdx >= s.end) {
+	if s := c.steps; f.correct && (f.stepIdx < s.base || f.stepIdx >= s.end) {
 		c.bp.ReportViolation("Core.step", c.cycle,
 			"instruction seq %d holds oracle step %d outside the window [%d, %d)", f.seq, f.stepIdx, s.base, s.end)
 	}
@@ -831,7 +861,7 @@ func (c *Core) checkSched() {
 			exec[w] |= m
 		}
 	}
-	n := len(c.rob)
+	n := len(c.ring)
 	for j := 0; j < len(c.waitSet)*64; j++ {
 		var wantW, wantE, wantR bool
 		if j < n {
@@ -839,7 +869,7 @@ func (c *Core) checkSched() {
 			if age < 0 {
 				age += n
 			}
-			if r := &c.rob[j]; age < c.robCount {
+			if r := &c.ring[j]; age < c.robCount {
 				wantW, wantE = r.state == 0, r.state == 1
 				wantR = wantW && c.ready(r)
 				if wantE {
@@ -906,7 +936,7 @@ func (c *Core) Run(maxInsts uint64) *stats.Sim {
 		c.step()
 		if c.cycle-c.lastCommitCycle > c.cfg.WatchdogCycles {
 			panic(fmt.Sprintf("uarch: no commit for %d cycles at cycle %d (pc=%#x, rob=%d, fb=%d, inflight=%d)",
-				c.cfg.WatchdogCycles, c.cycle, c.fetchPC, c.robCount, c.fbLen(), len(c.inflight)))
+				c.cfg.WatchdogCycles, c.cycle, c.fetchPC, c.robCount, c.fbCount, len(c.inflight)))
 		}
 	}
 	c.S.Cycles = c.cycle - c.cycleBase

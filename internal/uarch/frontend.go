@@ -28,7 +28,8 @@ type pkt struct {
 	predMask uint32
 }
 
-// fbInst is a delivered instruction waiting in the fetch buffer / ROB.
+// fbInst is the front-end half of an in-flight record: what deliver knows
+// of an instruction as it enters the fetch buffer.
 type fbInst struct {
 	seq      uint64
 	pc       uint64
@@ -37,10 +38,10 @@ type fbInst struct {
 	entrySeq uint64
 	slot     int
 
-	correct bool // on the committed (oracle) path
-	hasStep bool
+	// stepIdx names a correct-path instruction's oracle step, read in place
+	// with steps.at: the window keeps it until the instruction commits.
 	stepIdx uint64
-	step    program.Step
+	correct bool // on the committed (oracle) path
 
 	predicated bool // SFB branch decoded to set-flag (not a predicted CFI)
 	predOff    bool // SFB shadow instruction, architecturally skipped
@@ -50,7 +51,10 @@ type fbInst struct {
 // a mispredict (flushed correct-path instructions are refetched and must be
 // served the same architectural steps).  The window [base, end) lives in a
 // power-of-two ring, step i at ring[i&mask], which doubles when full; pruning
-// committed steps only advances base.
+// committed steps only advances base.  The oracle writes each step straight
+// into its ring slot, and in-flight instructions read it there by index:
+// every live instruction's step stays in the window until commit prunes
+// past it or a flush rewinds the cursor to before it.
 type stepBuffer struct {
 	oracle *program.Oracle
 	ring   []program.Step
@@ -74,11 +78,15 @@ func (s *stepBuffer) peek() *program.Step {
 		if s.end-s.base == uint64(len(s.ring)) {
 			s.grow()
 		}
-		s.ring[s.end&s.mask] = s.oracle.Next()
+		s.oracle.Next(&s.ring[s.end&s.mask])
 		s.end++
 	}
 	return &s.ring[s.cursor&s.mask]
 }
+
+// at returns step idx, which must lie in the window.  The pointer is valid
+// until the next peek.
+func (s *stepBuffer) at(idx uint64) *program.Step { return &s.ring[idx&s.mask] }
 
 // grow doubles the ring, moving the window [base, end) to its new slots.
 func (s *stepBuffer) grow() {
@@ -124,25 +132,23 @@ func (c *Core) scratchSlots() []pred.SlotInfo {
 	return c.vdScratch
 }
 
-// newSlots returns a zeroed fetch-width slot vector, recycling freed ones.
+// newSlots returns a fetch-width slot vector, recycling freed ones; the
+// caller overwrites every slot (viewDecode does).
 func (c *Core) newSlots() []pred.SlotInfo {
 	if k := len(c.slotsFree); k > 0 {
 		s := c.slotsFree[k-1]
 		c.slotsFree = c.slotsFree[:k-1]
-		for i := range s {
-			s[i] = pred.SlotInfo{}
-		}
 		return s
 	}
 	return make([]pred.SlotInfo, c.cfg.Fetch.FetchWidth)
 }
 
-// newPkt returns a reset packet from the freelist (or a fresh one).
+// newPkt returns a zero packet: one from the freelist (freePkt zeroed it)
+// or a fresh one.
 func (c *Core) newPkt() *pkt {
 	if k := len(c.pktFree); k > 0 {
 		pk := c.pktFree[k-1]
 		c.pktFree = c.pktFree[:k-1]
-		*pk = pkt{}
 		return pk
 	}
 	return &pkt{}
@@ -160,20 +166,23 @@ func (c *Core) freePkt(pk *pkt) {
 }
 
 // viewDecode extracts the frontend's working view from a prediction packet
-// into the caller-provided slot vector (zeroed here): per-slot speculation
-// records for branch slots the predictor knows about, the packet-ending CFI,
-// and the next fetch PC.  A taken prediction without a target cannot
-// redirect (the redirect waits for pre-decode).
+// into the caller-provided slot vector, writing each slot once (zero where
+// the view holds no control flow, before start and after a taken CFI):
+// per-slot speculation records for branch slots the predictor knows about,
+// the packet-ending CFI, and the next fetch PC.  A taken prediction without
+// a target cannot redirect (the redirect waits for pre-decode).
 func (c *Core) viewDecode(base uint64, start int, v pred.Packet, slots []pred.SlotInfo) (cfi int, next uint64) {
 	w := c.cfg.Fetch.FetchWidth
 	ib := uint64(c.cfg.Fetch.InstBytes)
-	for i := range slots {
-		slots[i] = pred.SlotInfo{}
-	}
+	slots = slots[:w]
 	cfi = -1
 	next = base + uint64(c.cfg.Fetch.PktBytes())
-	for i := start; i < w; i++ {
-		p := v[i]
+	i := 0
+	for ; i < start; i++ {
+		slots[i] = pred.SlotInfo{}
+	}
+	for ; i < w; i++ {
+		p := &v[i]
 		spc := base + uint64(i)*ib
 		switch p.Kind {
 		case pred.KindBranch:
@@ -188,13 +197,14 @@ func (c *Core) viewDecode(base uint64, start int, v pred.Packet, slots []pred.Sl
 		case pred.KindIndirect:
 			slots[i] = pred.SlotInfo{Valid: true, IsIndir: true, PC: spc, Taken: true}
 		default:
+			slots[i] = pred.SlotInfo{}
 			continue
 		}
 		if slots[i].Taken && p.TgtValid {
 			cfi = i
 			next = p.Target
-			for j := i + 1; j < w; j++ {
-				slots[j] = pred.SlotInfo{}
+			for i++; i < w; i++ {
+				slots[i] = pred.SlotInfo{}
 			}
 			return cfi, next
 		}
@@ -232,25 +242,30 @@ func (c *Core) predecode(pk *pkt) {
 	w := c.cfg.Fetch.FetchWidth
 	ib := uint64(c.cfg.Fetch.InstBytes)
 	view := pk.stages[len(pk.stages)-1]
-	slots := c.scratchSlots()
-	for i := range slots {
-		slots[i] = pred.SlotInfo{}
-	}
+	slots := c.scratchSlots()[:w]
 	cfi := -1
 	next := pk.base + uint64(c.cfg.Fetch.PktBytes())
 	end := w - 1
 	var predMask uint32
 	rasPush, rasRet := uint64(0), false
 
+	// Each slot is written once: zero before start, at slots without
+	// control flow and after the packet-ending CFI.
+	i := 0
+	for ; i < pk.start; i++ {
+		slots[i] = pred.SlotInfo{}
+	}
 scan:
-	for i := pk.start; i < w; i++ {
+	for ; i < w; i++ {
 		spc := pk.base + uint64(i)*ib
 		inst := c.prog.At(spc)
 		if inst == nil || inst.Kind == program.KindOp {
+			slots[i] = pred.SlotInfo{}
 			continue
 		}
 		if c.cfg.SFB && c.isSFB(inst) {
 			predMask |= 1 << uint(i)
+			slots[i] = pred.SlotInfo{}
 			continue
 		}
 		switch inst.Kind {
@@ -291,6 +306,9 @@ scan:
 			}
 			break scan
 		}
+	}
+	for i++; i < w; i++ {
+		slots[i] = pred.SlotInfo{}
 	}
 
 	// RAS operations happen once, checkpointed into the repair log first.
@@ -384,72 +402,62 @@ func (c *Core) dropYoungerPkts(pk *pkt) {
 	}
 }
 
-// deliver pushes the packet's instructions into the fetch buffer, tagging
-// each against the oracle stream.  Returns false (retry next cycle) when the
-// buffer lacks space.
+// deliver writes the packet's instructions into the ring slots after the
+// fetch buffer's youngest, tagging each against the oracle stream.  Returns
+// false (retry next cycle) when the buffer lacks space.
 func (c *Core) deliver(pk *pkt) bool {
 	need := pk.endSlot - pk.start + 1
-	if c.fbLen()+need > c.cfg.FetchBufferCap {
+	if c.fbCount+need > c.cfg.FetchBufferCap {
 		return false // packet waits for fetch-buffer space
 	}
 	ib := uint64(c.cfg.Fetch.InstBytes)
+	entrySeq := pk.e.Seq()
 	for i := pk.start; i <= pk.endSlot; i++ {
 		spc := pk.base + uint64(i)*ib
 		inst := c.prog.At(spc)
-		c.instSeq++
-		f := fbInst{
-			seq: c.instSeq, pc: spc, inst: inst,
-			entry: pk.e, entrySeq: pk.e.Seq(), slot: i,
-			predicated: pk.predMask&(1<<uint(i)) != 0,
-		}
-		if c.onCorrect {
-			if c.predOffActive {
-				if spc < c.predOffUntil {
-					f.predOff = true
-					c.pushFB(f)
-					continue
-				}
-				c.predOffActive = false
-			}
+		predicated := pk.predMask&(1<<uint(i)) != 0
+		var correct, predOff bool
+		var stepIdx uint64
+		switch {
+		case !c.onCorrect:
+		case c.predOffActive && spc < c.predOffUntil:
+			predOff = true
+		default:
+			c.predOffActive = false
 			st := c.steps.peek()
-			if st.PC == spc {
-				f.correct = true
-				f.hasStep = true
-				f.step = *st
-				f.stepIdx = c.steps.consume()
-				if f.predicated && f.step.Taken {
-					c.predOffActive = true
-					c.predOffUntil = f.step.Target
-				}
-				if inst != nil && inst.Kind.IsCFI() && !f.predicated {
-					predNext := spc + ib
-					if i == pk.cfiIdx {
-						predNext = pk.nextPC
-					}
-					if f.step.NextPC != predNext {
-						// Divergence: everything fetched after this CFI is
-						// wrong-path until its resolution redirects.
-						c.onCorrect = false
-					}
-				}
-			} else {
+			if st.PC != spc {
 				c.onCorrect = false
+				break
+			}
+			correct, stepIdx = true, c.steps.consume()
+			if predicated && st.Taken {
+				c.predOffActive = true
+				c.predOffUntil = st.Target
+			}
+			if inst != nil && inst.Kind.IsCFI() && !predicated {
+				predNext := spc + ib
+				if i == pk.cfiIdx {
+					predNext = pk.nextPC
+				}
+				if st.NextPC != predNext {
+					// Divergence: everything fetched after this CFI is
+					// wrong-path until its resolution redirects.
+					c.onCorrect = false
+				}
 			}
 		}
-		c.pushFB(f)
+		// Field by field: a composite literal would be built on the stack
+		// and copied in.
+		c.instSeq++
+		f := &c.ring[c.robIdx(c.robCount+c.fbCount)].fbInst
+		f.seq, f.pc, f.inst = c.instSeq, spc, inst
+		f.entry, f.entrySeq, f.slot = pk.e, entrySeq, i
+		f.stepIdx, f.correct = stepIdx, correct
+		f.predicated, f.predOff = predicated, predOff
+		c.fbCount++
 	}
 	c.pend(pk.e, need)
 	return true
-}
-
-func (c *Core) pushFB(f fbInst) {
-	if c.fbHead > 0 && len(c.fb) == cap(c.fb) {
-		// Reclaim dequeued headroom instead of growing: copy the live tail
-		// down so the buffer's allocation is reused for the whole run.
-		n := copy(c.fb, c.fb[c.fbHead:])
-		c.fb, c.fbHead = c.fb[:n], 0
-	}
-	c.fb = append(c.fb, f)
 }
 
 // frontendAdvance ages in-flight packets: applies deeper-stage overrides
@@ -514,7 +522,7 @@ func (c *Core) fetch() {
 	if len(c.inflight) >= c.bp.Opt.HFEntries/2 || c.bp.Full() {
 		return
 	}
-	if c.fbLen() >= c.cfg.FetchBufferCap {
+	if c.fbCount >= c.cfg.FetchBufferCap {
 		return
 	}
 	e, stages := c.bp.Predict(c.cycle, c.fetchPC)
@@ -526,12 +534,12 @@ func (c *Core) fetch() {
 	slots := c.newSlots()
 	cfi, next := c.viewDecode(base, start, stages[0], slots)
 	c.bp.Accept(c.cycle, e, stages[0], slots, cfi, next)
+	// Field by field: a composite literal would be built on the stack and
+	// copied in.
 	pk := c.newPkt()
-	*pk = pkt{
-		e: e, stages: stages, base: base, start: start,
-		view: stages[0], slots: slots, cfiIdx: cfi, nextPC: next,
-		age: 1, born: c.cycle,
-	}
+	pk.e, pk.stages, pk.base, pk.start = e, stages, base, start
+	pk.view, pk.slots, pk.cfiIdx, pk.nextPC = stages[0], slots, cfi, next
+	pk.age, pk.born = 1, c.cycle
 	c.inflight = append(c.inflight, pk)
 	c.fetchPC = next
 }

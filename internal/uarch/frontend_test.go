@@ -1,9 +1,12 @@
 package uarch
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"cobra/internal/compose"
+	"cobra/internal/pred"
 	"cobra/internal/program"
 )
 
@@ -225,7 +228,8 @@ func TestStepBufferRing(t *testing.T) {
 	var want []program.Step
 	at := func(i uint64) program.Step {
 		for uint64(len(want)) <= i {
-			want = append(want, ref.Next())
+			want = append(want, program.Step{})
+			ref.Next(&want[len(want)-1])
 		}
 		return want[i]
 	}
@@ -283,13 +287,41 @@ func TestMemAddrWrongPathStability(t *testing.T) {
 	p := backEdgeLoop(3)
 	bp := mkPipeline(t, "BIM2", compose.Options{})
 	c := NewCore(DefaultConfig(), bp, p, 7)
-	r := &robE{fb: fbInst{pc: 0x1234, inst: &program.Inst{Class: program.ClassLoad}}}
+	r := &robE{fbInst: fbInst{pc: 0x1234, inst: &program.Inst{Class: program.ClassLoad}}}
 	a1, a2 := c.memAddr(r), c.memAddr(r)
 	if a1 != a2 {
 		t.Error("wrong-path address must be deterministic")
 	}
-	r2 := &robE{fb: fbInst{pc: 0x1238, inst: &program.Inst{Class: program.ClassLoad}}}
+	r2 := &robE{fbInst: fbInst{pc: 0x1238, inst: &program.Inst{Class: program.ClassLoad}}}
 	if c.memAddr(r2) == a1 {
 		t.Error("distinct PCs should map to distinct pseudo-addresses")
+	}
+}
+
+// TestViewDecodeWritesEverySlot: viewDecode's destination is a recycled
+// vector that nobody clears, so every slot must be written — a decode into
+// garbage must equal a decode into zeros, over random packets and starts.
+func TestViewDecodeWritesEverySlot(t *testing.T) {
+	c := NewCore(DefaultConfig(), mkPipeline(t, "BIM2", compose.Options{}), backEdgeLoop(3), 7)
+	w := c.cfg.Fetch.FetchWidth
+	rng := rand.New(rand.NewSource(5))
+	v := make(pred.Packet, w)
+	clean, dirty := make([]pred.SlotInfo, w), make([]pred.SlotInfo, w)
+	junk := pred.SlotInfo{Valid: true, PC: 0xdead, IsJump: true, IsRet: true, Taken: true,
+		PredTaken: true, Target: 0xbeef, Mispredicted: true}
+	for n := 0; n < 20000; n++ {
+		for i := range v {
+			v[i] = pred.Pred{Kind: pred.CFIKind(rng.Intn(6)), DirValid: rng.Intn(2) == 0,
+				Taken: rng.Intn(2) == 0, TgtValid: rng.Intn(3) == 0, Target: rng.Uint64()}
+		}
+		start := rng.Intn(w)
+		for i := range dirty {
+			clean[i], dirty[i] = pred.SlotInfo{}, junk
+		}
+		cfi0, next0 := c.viewDecode(0x4000, start, v, clean)
+		cfi1, next1 := c.viewDecode(0x4000, start, v, dirty)
+		if cfi0 != cfi1 || next0 != next1 || !reflect.DeepEqual(clean, dirty) {
+			t.Fatalf("packet %+v start %d: decode into garbage left\n%+v\nwant\n%+v", v, start, dirty, clean)
+		}
 	}
 }

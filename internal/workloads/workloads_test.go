@@ -35,7 +35,8 @@ func TestOracleRunsForMillions(t *testing.T) {
 		o := program.NewOracle(p, 42)
 		branches := 0
 		for i := 0; i < 200000; i++ {
-			s := o.Next()
+			var s program.Step
+			o.Next(&s)
 			if s.Inst.Kind == program.KindBranch {
 				branches++
 			}
@@ -56,7 +57,8 @@ func TestWorkloadsAreDeterministic(t *testing.T) {
 		o := program.NewOracle(p, 42)
 		var s uint64
 		for i := 0; i < 20000; i++ {
-			st := o.Next()
+			var st program.Step
+			o.Next(&st)
 			s = s*31 + st.PC
 			if st.Taken {
 				s++
@@ -88,7 +90,8 @@ func TestISAWorkloadsExecute(t *testing.T) {
 		o := program.NewOracle(p, 1)
 		branches, cfis := 0, 0
 		for i := 0; i < 50000; i++ {
-			s := o.Next()
+			var s program.Step
+			o.Next(&s)
 			if s.Inst.Kind == program.KindBranch {
 				branches++
 			}
