@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"testing"
@@ -130,9 +131,9 @@ type ScenarioResult struct {
 	Cycles      uint64 `json:"cycles"`
 	Mispredicts uint64 `json:"mispredicts"`
 
-	// Allocation rate: the fewest mallocs of any measured repetition.
-	// Runtime activity adds a few allocations run to run, and the count
-	// drifts across Go releases, so Compare gates it with tolerance.
+	// Allocation rate: the fewest mallocs of any measured repetition,
+	// counted with the collector off.  The count drifts across Go
+	// releases, so Compare gates it with tolerance.
 	Mallocs         uint64  `json:"mallocs"`
 	MallocsPerKInst float64 `json:"mallocs_per_kinst"`
 
@@ -231,10 +232,21 @@ func Run(cfg Config) (*Report, error) {
 // RunScenario measures one scenario: an unmeasured warm-up repetition (to
 // populate the workload memo and geometry cache), then cfg.reps() measured
 // repetitions whose deterministic counters must agree exactly.  It reports
-// the median wall time and the fewest mallocs of any repetition: runtime
-// activity (GC, scheduler) only ever adds allocations to a repetition, so
-// the minimum is the scenario's own count.
+// the median wall time and the fewest mallocs of any repetition.
+//
+// The collector is off from the warm-up to the last repetition (a
+// fig10-small repetition allocates about 10 MB, so the heap stays small).
+// A GC empties every sync.Pool, and the next Get allocates the pool's
+// per-P array and a fresh object; it also wakes runtime cleanup work that
+// allocates on its own.  Either lands in whichever repetition follows the
+// GC, so with the collector on the fewest mallocs still moved from run to
+// run.  Two sources remain, and the minimum drops the first: process-start
+// work on another P can add a few allocations to an early repetition, and
+// with more than one worker the runtime may allocate a goroutine
+// descriptor instead of reusing a dead one, so a multi-spec scenario can
+// read one or two more at -j > 1 (it is exact at -j 1).
 func RunScenario(sc Scenario, cfg Config) (ScenarioResult, error) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	opt := runner.Options{Workers: cfg.Workers}
 	exec := func() (insts, cycles, misp uint64, wall time.Duration, mallocs uint64, err error) {
 		var m0, m1 runtime.MemStats

@@ -82,13 +82,6 @@ func (f Folder) Fold(v uint64) uint64 {
 	return out
 }
 
-// Hash2 combines two values with a cheap invertible-ish mix suitable for
-// table indexing. It is deliberately simple: hardware index functions are
-// XOR/shift networks, not cryptographic hashes.
-func Hash2(a, b uint64) uint64 {
-	return a ^ (b << 1) ^ (b >> 3)
-}
-
 // SatInc increments a w-bit unsigned saturating counter.
 func SatInc(c uint8, w uint) uint8 {
 	if uint64(c) < Mask(w) {

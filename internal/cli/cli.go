@@ -20,7 +20,6 @@ import (
 	"sync"
 	"time"
 
-	"cobra/internal/client"
 	"cobra/internal/interval"
 	"cobra/internal/obs"
 	"cobra/internal/spec"
@@ -343,7 +342,7 @@ func reportProgress(w io.Writer, met *obs.Metrics, every time.Duration) func() e
 	}
 }
 
-// progressPrinter renders a daemon's client.Progress streams on w: one line
+// progressPrinter renders a daemon's progress streams on w: one line
 // per phase transition of each run, tagged with a short digest prefix, so
 // the output stays readable piped into a log and unambiguous when grid
 // points run concurrently.
@@ -353,7 +352,7 @@ type progressPrinter struct {
 	seen map[string]string // digest -> last phase printed
 }
 
-func (p *progressPrinter) update(ev client.Progress) {
+func (p *progressPrinter) update(ev interval.Progress) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if ev.Done || p.seen[ev.Digest] == ev.Phase {

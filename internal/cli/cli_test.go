@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -17,6 +18,8 @@ import (
 	"time"
 
 	"cobra/internal/client"
+	"cobra/internal/interval"
+	"cobra/internal/serve"
 	"cobra/internal/spec"
 )
 
@@ -103,7 +106,7 @@ func TestProgressPrinter(t *testing.T) {
 	var w bytes.Buffer
 	p := &progressPrinter{w: &w, seen: map[string]string{}}
 	a, b := "sha256:aaaaaaaaaaaaaaaa", "sha256:bbbbbbbbbbbbbbbb"
-	for _, ev := range []client.Progress{
+	for _, ev := range []interval.Progress{
 		{Digest: a, Status: "queued", Phase: "queued", QueuePos: 2},
 		{Digest: a, Status: "queued", Phase: "queued", QueuePos: 1},
 		{Digest: b, Status: "running", Phase: "simulate", Cycles: 10, Insts: 5, TargetInsts: 100},
@@ -324,5 +327,48 @@ func TestGuardFlagsReachLoadedSpecs(t *testing.T) {
 	code, _, stderr := run(t, "sim", "-spec", big, "-timeout", "50ms")
 	if code != 1 || !strings.Contains(stderr, context.DeadlineExceeded.Error()) {
 		t.Errorf("cobra sim -spec -timeout 50ms: exit %d, want 1 with a deadline-exceeded error; stderr:\n%s", code, stderr)
+	}
+}
+
+// TestDiffDigestOperands: a sha256: operand is the finished run's
+// intervals, read from the -server daemon's result — the same digest twice
+// is no divergence; an unknown digest, or a run that recorded no
+// intervals, is an error.
+func TestDiffDigestOperands(t *testing.T) {
+	srv, err := serve.New(serve.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx) //nolint:errcheck
+	}()
+	cl, err := client.New(client.Config{BaseURL: ts.URL, Poll: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	settle := func(every uint64) string {
+		sp := &spec.RunSpec{Topology: "BIM2", Workload: "fib", Insts: 20_000}
+		sp.Observe.IntervalInsts = every
+		res, err := cl.Run(context.Background(), sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Digest
+	}
+	withIntervals, without := settle(5000), settle(0)
+
+	code, stdout, stderr := run(t, "diff", "-server", ts.URL, withIntervals, withIntervals)
+	if code != 0 || !strings.Contains(stdout, "no divergence: ") {
+		t.Errorf("diff of one digest with itself: exit %d\n%s%s", code, stdout, stderr)
+	}
+	for _, operand := range []string{"sha256:" + strings.Repeat("0", 64), without} {
+		if code, _, stderr := run(t, "diff", "-server", ts.URL, withIntervals, operand); code != 1 {
+			t.Errorf("diff against %s: exit %d, want 1\n%s", operand, code, stderr)
+		}
 	}
 }

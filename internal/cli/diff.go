@@ -2,6 +2,7 @@ package cli
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"cobra/internal/interval"
 	"cobra/internal/obs"
 	"cobra/internal/sealed"
+	"cobra/internal/serve"
 	"cobra/internal/spec"
 	"cobra/internal/stats"
 )
@@ -28,8 +30,8 @@ import (
 //
 // Each side is, in order of recognition:
 //
-//   - a sha256:<hex> digest — fetched from the -server daemon's
-//     GET /v1/runs/{id}/intervals endpoint;
+//   - a sha256:<hex> digest — the finished run's result, fetched from the
+//     -server daemon's GET /v1/runs/{id};
 //   - a CBRAIVL1 .ivl file written by cobra sim -intervals;
 //   - a RunSpec JSON file — executed (in-process, or on -server) with
 //     interval sampling forced on.
@@ -119,11 +121,21 @@ func resolve(e *env, arg string) (*side, error) {
 		if !ok {
 			return nil, fmt.Errorf("%s: digest operands need -server to fetch intervals from", arg)
 		}
-		set, err := r.Client().Intervals(context.Background(), arg)
+		st, err := r.Client().Get(context.Background(), arg)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", arg, err)
 		}
-		return &side{label: arg, set: set}, nil
+		if st.Status != "done" {
+			return nil, fmt.Errorf("%s: run is %s, not done", arg, st.Status)
+		}
+		var res serve.Result
+		if err := json.Unmarshal(st.Result, &res); err != nil {
+			return nil, fmt.Errorf("%s: corrupt result payload: %w", arg, err)
+		}
+		if res.Intervals == nil {
+			return nil, fmt.Errorf("%s: run did not record intervals (set observe.interval_insts)", arg)
+		}
+		return &side{label: arg, set: res.Intervals}, nil
 	}
 	data, err := os.ReadFile(arg)
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 
 	"cobra/internal/backend"
 	"cobra/internal/client"
+	"cobra/internal/interval"
 	"cobra/internal/obs"
 	"cobra/internal/spec"
 )
@@ -152,7 +153,7 @@ func (cmd *command) start(e *env, body func(*env) error) error {
 	if e.Server == "" {
 		e.be = &backend.Local{Metrics: met}
 	} else {
-		var onProgress func(client.Progress)
+		var onProgress func(interval.Progress)
 		if cmd.remoteProgress || e.Progress > 0 {
 			onProgress = (&progressPrinter{w: e.stderr, seen: map[string]string{}}).update
 		}

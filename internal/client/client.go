@@ -31,8 +31,8 @@ import (
 
 	"cobra/internal/interval"
 	"cobra/internal/obs"
+	"cobra/internal/serve"
 	"cobra/internal/spec"
-	"cobra/internal/stats"
 )
 
 // Config shapes a Client.  Zero values select the documented defaults.
@@ -61,7 +61,7 @@ type Config struct {
 	// the background and forwards every frame.  Purely cosmetic — a broken
 	// stream never fails the run, and frames may stop arriving before the
 	// result does.
-	OnProgress func(Progress)
+	OnProgress func(interval.Progress)
 	// Log receives one structured line per retry and resubmission; nil
 	// discards.
 	Log *slog.Logger
@@ -102,59 +102,14 @@ func New(cfg Config) (*Client, error) {
 	return &Client{cfg: cfg}, nil
 }
 
-// Status mirrors the serve envelope every /v1/runs response uses.
-type Status struct {
-	Digest  string          `json:"digest"`
-	Status  string          `json:"status"` // queued, running, done, failed
-	Cached  bool            `json:"cached,omitempty"`
-	TraceID string          `json:"trace_id,omitempty"`
-	Result  json.RawMessage `json:"result,omitempty"`
-	Error   string          `json:"error,omitempty"`
-	// Resources and Flight accompany failed runs: the daemon's resource
-	// attribution for the last attempt and its flight-recorder tail.
-	Resources *obs.Resources     `json:"resources,omitempty"`
-	Flight    []obs.FlightRecord `json:"flight,omitempty"`
-}
+// Status is the envelope every /v1/runs response uses.
+type Status = serve.Status
 
-// Progress is one frame of a run's live progress stream, mirroring the
-// daemon's GET /v1/runs/{id}/progress events.
-type Progress struct {
-	Digest      string  `json:"digest"`
-	Status      string  `json:"status"` // queued, running, done, failed
-	Phase       string  `json:"phase"`
-	Cycles      uint64  `json:"cycles"`
-	Insts       uint64  `json:"insts"`
-	TargetInsts uint64  `json:"target_insts,omitempty"`
-	InstsPerSec float64 `json:"insts_per_sec"`
-	ElapsedMS   int64   `json:"elapsed_ms"`
-	QueuePos    int     `json:"queue_pos,omitempty"`
-	Done        bool    `json:"done"`
-	// Window is the most recently closed interval window, present while the
-	// watched run records interval telemetry (observe.interval_insts).
-	Window *interval.Window `json:"window,omitempty"`
-}
-
-// Result mirrors the daemon's stored run outcome.  Raw preserves the exact
-// bytes the server returned, so callers can assert byte-identity against a
-// local execution.
+// Result is the daemon's stored run outcome.  Raw preserves the exact bytes
+// the server returned, so callers can assert byte-identity against a local
+// execution; Timings holds the marshaled serve.Timings.
 type Result struct {
-	ResultVersion int           `json:"result_version"`
-	Spec          *spec.RunSpec `json:"spec"`
-	Digest        string        `json:"digest"`
-	TraceID       string        `json:"trace_id,omitempty"`
-	Stats         *stats.Sim    `json:"stats"`
-	Events        []obs.Event   `json:"events,omitempty"`
-	EventsTotal   uint64        `json:"events_total,omitempty"`
-	// Intervals is the windowed interval-telemetry summary (result_version
-	// >= 5) when the spec asked for it.
-	Intervals *interval.Set   `json:"intervals,omitempty"`
-	Timings   json.RawMessage `json:"timings,omitempty"`
-	Retries   int             `json:"retries,omitempty"`
-	// Resources is the daemon's per-run resource attribution (result_version
-	// >= 4): CPU, allocation, and GC cost plus the wait breakdown.
-	Resources *obs.Resources `json:"resources,omitempty"`
-	WallMS    int64          `json:"wall_ms"`
-
+	serve.Result
 	Raw json.RawMessage `json:"-"`
 }
 
@@ -252,7 +207,7 @@ func (c *Client) Get(ctx context.Context, digest string) (Status, error) {
 // SSE when the daemon does and falls back to the single-snapshot form
 // otherwise.  Errors after the stream is open are reported as a nil return —
 // progress is cosmetic and the poll loop still settles the run.
-func (c *Client) Watch(ctx context.Context, digest string, fn func(Progress)) error {
+func (c *Client) Watch(ctx context.Context, digest string, fn func(interval.Progress)) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		c.cfg.BaseURL+"/v1/runs/"+digest+"/progress", nil)
 	if err != nil {
@@ -269,7 +224,7 @@ func (c *Client) Watch(ctx context.Context, digest string, fn func(Progress)) er
 	}
 	if !strings.Contains(resp.Header.Get("Content-Type"), "text/event-stream") {
 		// Long-poll fallback: one snapshot.
-		var p Progress
+		var p interval.Progress
 		if jerr := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&p); jerr != nil {
 			return jerr
 		}
@@ -283,7 +238,7 @@ func (c *Client) Watch(ctx context.Context, digest string, fn func(Progress)) er
 		if !strings.HasPrefix(line, "data: ") {
 			continue
 		}
-		var p Progress
+		var p interval.Progress
 		if jerr := json.Unmarshal([]byte(line[len("data: "):]), &p); jerr != nil {
 			continue
 		}
@@ -293,48 +248,6 @@ func (c *Client) Watch(ctx context.Context, digest string, fn func(Progress)) er
 		}
 	}
 	return nil // broken stream: the caller's poll loop still settles the run
-}
-
-// Intervals fetches a finished run's windowed interval telemetry from
-// GET /v1/runs/{id}/intervals.  An unknown digest — or a run that did not
-// record intervals — is ErrNotFound.
-func (c *Client) Intervals(ctx context.Context, digest string) (*interval.Set, error) {
-	var set *interval.Set
-	_, err := c.withRetry(ctx, "intervals", func() (Status, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-			c.cfg.BaseURL+"/v1/runs/"+digest+"/intervals", nil)
-		if err != nil {
-			return Status{}, err
-		}
-		resp, err := c.cfg.HTTP.Do(req)
-		if err != nil {
-			return Status{}, err
-		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-		if err != nil {
-			return Status{}, err
-		}
-		if resp.StatusCode == http.StatusNotFound {
-			return Status{}, ErrNotFound
-		}
-		if resp.StatusCode != http.StatusOK {
-			return Status{}, &httpError{code: resp.StatusCode, msg: strings.TrimSpace(string(raw)),
-				retryAfter: parseRetryAfter(resp.Header.Get("Retry-After"))}
-		}
-		var doc struct {
-			Intervals *interval.Set `json:"intervals"`
-		}
-		if jerr := json.Unmarshal(raw, &doc); jerr != nil || doc.Intervals == nil {
-			return Status{}, fmt.Errorf("client: run %s: corrupt intervals payload", digest)
-		}
-		set = doc.Intervals
-		return Status{}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return set, nil
 }
 
 // Run is the whole conversation: submit sp, poll until it settles, and
@@ -398,12 +311,11 @@ func (c *Client) Run(ctx context.Context, sp *spec.RunSpec) (*Result, error) {
 		case <-time.After(progressGrace):
 		}
 	}
-	var res Result
-	if err := json.Unmarshal(st.Result, &res); err != nil {
+	res := &Result{Raw: st.Result}
+	if err := json.Unmarshal(st.Result, &res.Result); err != nil {
 		return nil, fmt.Errorf("client: run %s: corrupt result payload: %w", st.Digest, err)
 	}
-	res.Raw = st.Result
-	return &res, nil
+	return res, nil
 }
 
 // do executes one HTTP exchange and decodes the envelope; any status other

@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"cobra/internal/interval"
 	"cobra/internal/serve"
 	"cobra/internal/spec"
 )
@@ -306,7 +307,7 @@ func TestOnProgressEndToEnd(t *testing.T) {
 
 	var (
 		mu     sync.Mutex
-		frames []Progress
+		frames []interval.Progress
 	)
 	slow := &spec.RunSpec{
 		Design: "tage-l", Topology: "LOOP3 > TAGE3 > BTB2 > BIM2 > UBTB1",
@@ -314,7 +315,7 @@ func TestOnProgressEndToEnd(t *testing.T) {
 		Workload: "dhrystone", Seed: 7, Insts: 300_000,
 	}
 	c := newClient(t, ts.URL, func(cfg *Config) {
-		cfg.OnProgress = func(p Progress) {
+		cfg.OnProgress = func(p interval.Progress) {
 			mu.Lock()
 			frames = append(frames, p)
 			mu.Unlock()
@@ -371,10 +372,10 @@ func TestOnProgressSeesTerminalFrame(t *testing.T) {
 	defer ts.Close()
 	var (
 		mu     sync.Mutex
-		frames []Progress
+		frames []interval.Progress
 	)
 	c := newClient(t, ts.URL, func(cfg *Config) {
-		cfg.OnProgress = func(p Progress) {
+		cfg.OnProgress = func(p interval.Progress) {
 			mu.Lock()
 			frames = append(frames, p)
 			mu.Unlock()
@@ -402,9 +403,9 @@ func TestWatchFallback(t *testing.T) {
 		t.Errorf("unexpected %s %s", r.Method, r.URL.Path)
 	}))
 	defer ts.Close()
-	var got []Progress
+	var got []interval.Progress
 	err := newClient(t, ts.URL).Watch(context.Background(), fakeDigest,
-		func(p Progress) { got = append(got, p) })
+		func(p interval.Progress) { got = append(got, p) })
 	if err != nil {
 		t.Fatal(err)
 	}

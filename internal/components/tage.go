@@ -123,9 +123,6 @@ func NewTAGE(cfg pred.Config, g *history.Global, p TAGEParams) *TAGE {
 	return t
 }
 
-// NumTables returns the number of tagged tables (for reports).
-func (t *TAGE) NumTables() int { return len(t.tables) }
-
 // index and tag hash the fetch PC with the table's folded histories.
 // Every term fits the field (the tag's second fold is one bit narrower
 // than the tag, shifted up one), so neither needs a mask.

@@ -8,36 +8,32 @@ import (
 // entry is one renderable paper artifact: a table, figure, or discussion
 // experiment, addressed by the id cobra-experiments and cobra-compose use.
 type entry struct {
-	id string
-	// simulated marks entries whose bytes come from simulation grids (and
-	// therefore scale with Config); static entries render from configuration
-	// alone.
-	simulated bool
-	render    func(Config) string
+	id     string
+	render func(Config) string
 }
 
 // registry lists every experiment in cobra-experiments' canonical order.
 // One table: the tool's -exp switch, the fleet executor's `experiment:`
 // services, and the documentation of valid ids all read from here.
 var registry = []entry{
-	{"table1", false, func(Config) string { return TableI().String() }},
-	{"table2", false, func(Config) string { return TableII().String() }},
-	{"table3", false, func(Config) string { return TableIII().String() }},
-	{"fig8", false, func(Config) string { return Fig8() }},
-	{"fig9", false, func(Config) string { return Fig9() }},
-	{"fig10", true, func(c Config) string { _, t := Fig10(c); return t.String() }},
-	{"d1", true, func(c Config) string { return SerializedFetch(c).String() }},
-	{"d2", true, func(c Config) string { return TageLatency(c).String() }},
-	{"d3", true, func(c Config) string { return HistoryRepair(c).String() }},
-	{"d4", true, func(c Config) string { return SFB(c).String() }},
-	{"tracegap", true, func(c Config) string { return TraceGap(c).String() }},
-	{"energy", true, func(c Config) string { return Energy(c).String() }},
-	{"h2p", true, func(c Config) string { return H2P(c).String() }},
-	{"shootout", true, func(c Config) string { return Shootout(c).String() }},
-	{"ablation-loop", true, func(c Config) string { return AblationLoop(c).String() }},
-	{"ablation-ubtb", true, func(c Config) string { return AblationUBTB(c).String() }},
-	{"ablation-meta", false, func(Config) string { return AblationMetadata().String() }},
-	{"ablation-width", true, func(c Config) string { return AblationWidth(c).String() }},
+	{"table1", func(Config) string { return TableI().String() }},
+	{"table2", func(Config) string { return TableII().String() }},
+	{"table3", func(Config) string { return TableIII().String() }},
+	{"fig8", func(Config) string { return Fig8() }},
+	{"fig9", func(Config) string { return Fig9() }},
+	{"fig10", func(c Config) string { _, t := Fig10(c); return t.String() }},
+	{"d1", func(c Config) string { return SerializedFetch(c).String() }},
+	{"d2", func(c Config) string { return TageLatency(c).String() }},
+	{"d3", func(c Config) string { return HistoryRepair(c).String() }},
+	{"d4", func(c Config) string { return SFB(c).String() }},
+	{"tracegap", func(c Config) string { return TraceGap(c).String() }},
+	{"energy", func(c Config) string { return Energy(c).String() }},
+	{"h2p", func(c Config) string { return H2P(c).String() }},
+	{"shootout", func(c Config) string { return Shootout(c).String() }},
+	{"ablation-loop", func(c Config) string { return AblationLoop(c).String() }},
+	{"ablation-ubtb", func(c Config) string { return AblationUBTB(c).String() }},
+	{"ablation-meta", func(Config) string { return AblationMetadata().String() }},
+	{"ablation-width", func(c Config) string { return AblationWidth(c).String() }},
 }
 
 // Ids lists every experiment id in canonical (paper) order.
@@ -54,18 +50,6 @@ func Known(id string) bool {
 	for _, e := range registry {
 		if e.id == id {
 			return true
-		}
-	}
-	return false
-}
-
-// Simulated reports whether id's bytes depend on simulation (and therefore
-// on Config budgets); static tables render from configuration alone.
-// Unknown ids report false.
-func Simulated(id string) bool {
-	for _, e := range registry {
-		if e.id == id {
-			return e.simulated
 		}
 	}
 	return false

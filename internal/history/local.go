@@ -40,9 +40,6 @@ func NewLocal(entries int, histBits, instOff uint) *Local {
 	}
 }
 
-// HistBits returns the per-entry history length.
-func (l *Local) HistBits() uint { return l.histBits }
-
 func (l *Local) index(pc uint64) int {
 	return int(l.idxHash.Fold(pc))
 }

@@ -134,25 +134,35 @@ func (r *Recorder) SetPhase(ph obs.RunPhase) {
 // (warmup steps or simulate max), so readers can render completion percent.
 func (r *Recorder) SetTarget(insts uint64) { r.target.Store(insts) }
 
-// Progress is one point-in-time read of a run: its progress totals, plus the
-// most recently closed window while windows are on.
+// Progress is one point-in-time read of a run — one frame of cobra-serve's
+// GET /v1/runs/{id}/progress stream and one row of /statusz: its progress
+// totals, plus the most recently closed window while windows are on.
 type Progress struct {
-	obs.ProgressSnapshot
-	Window *Window `json:"window,omitempty"`
+	Digest      string  `json:"digest"`
+	Status      string  `json:"status"` // queued, running, done, failed
+	Phase       string  `json:"phase"`
+	Cycles      uint64  `json:"cycles"`
+	Insts       uint64  `json:"insts"`
+	TargetInsts uint64  `json:"target_insts,omitempty"`
+	InstsPerSec float64 `json:"insts_per_sec"`
+	ElapsedMS   int64   `json:"elapsed_ms"`
+	QueuePos    int     `json:"queue_pos,omitempty"`
+	Done        bool    `json:"done"`
+	Window      *Window `json:"window,omitempty"`
 }
 
 // Snap reads the run's progress.  Safe to call concurrently with the
-// simulation; QueuePos is the caller's to fill (the recorder does not know
-// about its neighbours in a queue).
+// simulation; Digest, Status and QueuePos are the caller's to fill (the
+// recorder knows neither the run's identity nor its neighbours in a queue).
 func (r *Recorder) Snap() Progress {
 	ph := obs.RunPhase(r.phase.Load())
-	p := Progress{ProgressSnapshot: obs.ProgressSnapshot{
+	p := Progress{
 		Phase:       ph.String(),
 		Cycles:      r.cycles.Load(),
 		Insts:       r.insts.Load(),
 		TargetInsts: r.target.Load(),
 		Done:        ph.Terminal(),
-	}}
+	}
 	if start := r.startNS.Load(); start != 0 {
 		elapsed := time.Since(time.Unix(0, start))
 		p.ElapsedMS = elapsed.Milliseconds()

@@ -95,8 +95,10 @@ type Opinion struct {
 	Taken    bool
 }
 
-// MetaSum is the FNV-1a checksum over metadata words used in event records
-// (the same fold paranoid mode uses for its round-trip invariant).
+// MetaSum is the FNV-1a checksum over metadata words used in event records.
+// It folds each word's eight bytes, low byte first; paranoid mode's
+// round-trip checksum (compose.metaSum) folds whole words instead, so the
+// two sums of one blob differ.
 func MetaSum(words []uint64) uint64 {
 	const (
 		offset = 14695981039346656037

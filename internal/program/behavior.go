@@ -10,7 +10,6 @@ package program
 type State struct {
 	rng    uint64   // xorshift64* state
 	recent uint64   // last 64 committed conditional-branch outcomes, bit 0 newest
-	iter   uint64   // committed instruction count
 	slots  []uint64 // per-execution behaviour state, indexed by slot id
 }
 
@@ -50,12 +49,6 @@ func (s *State) Record(taken bool) {
 func (s *State) Outcome(depth uint) bool {
 	return s.recent>>depth&1 == 1
 }
-
-// Tick advances the committed instruction counter.
-func (s *State) Tick() { s.iter++ }
-
-// Iter returns the committed instruction count.
-func (s *State) Iter() uint64 { return s.iter }
 
 // slot returns the per-execution state cell for a behaviour, growing the
 // array on first touch (behaviours used outside a sealed Program default to

@@ -86,7 +86,6 @@ func (o *Oracle) Next(s *Step) {
 		addr = inst.Mem.NextAddr(o.st)
 	}
 	*s = Step{Inst: inst, PC: o.pc, Taken: taken, Target: target, NextPC: next, Addr: addr}
-	o.st.Tick()
 	o.count++
 	o.pc = next
 }

@@ -1,4 +1,4 @@
-package serve
+package serve_test
 
 // Chaos harness: drives a real cobra-serve subprocess through the failures
 // the crash-safety machinery exists for — SIGKILL mid-run, cache corruption
@@ -33,8 +33,27 @@ import (
 	"time"
 
 	"cobra/internal/client"
+	"cobra/internal/serve"
 	"cobra/internal/spec"
 )
+
+// syncBuffer is a goroutine-safe bytes.Buffer for capturing daemon output.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
 
 // buildServeBinary compiles cmd/cobra-serve once per test binary.
 var buildOnce sync.Once
@@ -158,14 +177,14 @@ func (d *daemon) drain(t *testing.T) {
 }
 
 // get fetches a run status from the daemon.
-func (d *daemon) get(t *testing.T, digest string) (int, runStatus) {
+func (d *daemon) get(t *testing.T, digest string) (int, serve.Status) {
 	t.Helper()
 	resp, err := http.Get(d.url + "/v1/runs/" + digest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var rs runStatus
+	var rs serve.Status
 	if err := json.NewDecoder(resp.Body).Decode(&rs); err != nil {
 		t.Fatalf("decoding GET %s (HTTP %d): %v", digest, resp.StatusCode, err)
 	}
@@ -287,7 +306,7 @@ func TestChaosKillRecovery(t *testing.T) {
 		for {
 			code, rs := d2.get(t, digest)
 			if rs.Status == "done" {
-				var res Result
+				var res serve.Result
 				if err := json.Unmarshal(rs.Result, &res); err != nil {
 					t.Fatal(err)
 				}

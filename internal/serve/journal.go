@@ -38,7 +38,10 @@ import (
 const journalMagic = "cbraj1"
 
 // Journal record types.  Replay treats anything else as from-the-future and
-// skips it.
+// skips it.  Only journals written by older daemons hold started records
+// (one per execution attempt); replay accepts them as no-ops, because an
+// accepted record with no done or failed after it is what keeps a digest
+// pending.
 const (
 	recAccepted = "accepted"
 	recStarted  = "started"
@@ -55,8 +58,6 @@ type jrec struct {
 	// Spec is the canonical spec JSON — present on accepted records so
 	// replay can re-enqueue without any other source of truth.
 	Spec json.RawMessage `json:"spec,omitempty"`
-	// Attempt counts prior executions of this digest (started records).
-	Attempt int `json:"attempt,omitempty"`
 	// Retries is how many automatic retries a terminally failed run burned.
 	Retries int    `json:"retries,omitempty"`
 	Error   string `json:"error,omitempty"`
@@ -173,8 +174,8 @@ func readJournal(path string, log *slog.Logger) (pending []pendingRun, skipped i
 				states[rec.Digest] = &state{spec: rec.Spec}
 			}
 		case recStarted:
-			// Progress marker only: an accepted run that started but never
-			// finished is still pending.
+			// Written by older daemons; an accepted run that started but
+			// never finished is still pending.
 		case recDone, recFailed:
 			if st, ok := states[rec.Digest]; ok {
 				st.done = true // duplicates are harmless: done is done

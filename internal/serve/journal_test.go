@@ -314,6 +314,38 @@ func TestServerReplaysJournal(t *testing.T) {
 	}
 }
 
+// TestJournalRecordsPerRun: a run that succeeds first time journals two
+// records, its accepted record before the 202 and its done record after
+// the cache write; an execution attempt writes nothing of its own.
+func TestJournalRecordsPerRun(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{Workers: 1, CacheDir: dir})
+	_, rs := postSpec(t, ts, smallSpec(62))
+	if done := waitDone(t, ts, rs.Digest); done.Status != "done" {
+		t.Fatalf("run: %+v", done)
+	}
+	ts.Close()
+	shutdownServer(t, s)
+	data, err := os.ReadFile(filepath.Join(dir, "journal.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var types []string
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		r, err := decodeRecord(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Digest != rs.Digest {
+			t.Errorf("record for %s, want %s", r.Digest, rs.Digest)
+		}
+		types = append(types, r.Type)
+	}
+	if got := strings.Join(types, " "); got != recAccepted+" "+recDone {
+		t.Errorf("journal records %q, want %q", got, recAccepted+" "+recDone)
+	}
+}
+
 // TestJournalReplayAlreadyCached: a crash between the cache write and the
 // done record leaves a pending digest whose result is already on disk —
 // replay settles it from the cache without re-running anything.

@@ -10,7 +10,6 @@ import (
 
 	"cobra/internal/interval"
 	"cobra/internal/obs"
-	"cobra/internal/stats"
 )
 
 // This file is the live-introspection surface of the daemon: the per-run
@@ -20,20 +19,13 @@ import (
 // simulation nothing measurable and the terminal frame carries the run's
 // final totals.
 
-// progressEvent is one frame of the progress stream: the run's identity and
-// coarse status around the recorder snapshot, which carries — when the run
-// records interval telemetry — the most recently closed window, so a live
-// watcher sees time-resolved IPC/MPKI while the simulation is still in
-// flight.
-type progressEvent struct {
-	Digest string `json:"digest"`
-	Status string `json:"status"` // queued, running, done, failed
-	interval.Progress
-}
-
 // jobEvent is the current frame of an admitted job, read from its recorder.
-func (s *Server) jobEvent(j *job) progressEvent {
-	ev := progressEvent{Digest: j.digest, Progress: j.rec.Snap()}
+// While the run records interval telemetry the frame carries the most
+// recently closed window, so a live watcher sees time-resolved IPC/MPKI
+// while the simulation is still in flight.
+func (s *Server) jobEvent(j *job) interval.Progress {
+	ev := j.rec.Snap()
+	ev.Digest = j.digest
 	if ev.Done {
 		ev.Status = ev.Phase // done or failed
 	} else {
@@ -46,13 +38,9 @@ func (s *Server) jobEvent(j *job) progressEvent {
 // cachedEvent is the terminal frame of a run that finished before the
 // request: its totals and last window are the cached result's own, so they
 // equal what the live stream's final frame carried.
-func cachedEvent(id string, raw []byte) progressEvent {
-	ev := progressEvent{Digest: id, Status: "done"}
-	ev.Phase, ev.Done = obs.PhaseDone.String(), true
-	var res struct {
-		Stats     *stats.Sim    `json:"stats"`
-		Intervals *interval.Set `json:"intervals"`
-	}
+func cachedEvent(id string, raw []byte) interval.Progress {
+	ev := interval.Progress{Digest: id, Status: "done", Phase: obs.PhaseDone.String(), Done: true}
+	var res Result
 	if json.Unmarshal(raw, &res) != nil {
 		return ev
 	}
@@ -83,7 +71,7 @@ func (s *Server) queuePos(j *job) int {
 // snapshotRun assembles the current progress frame for a digest, with the
 // in-flight job it was read from (nil once the run has finished), reporting
 // whether the digest is known at all.
-func (s *Server) snapshotRun(id string) (progressEvent, *job, bool) {
+func (s *Server) snapshotRun(id string) (interval.Progress, *job, bool) {
 	s.mu.Lock()
 	j, inflight := s.jobs[id]
 	_, failed := s.failures[id]
@@ -95,11 +83,9 @@ func (s *Server) snapshotRun(id string) (progressEvent, *job, bool) {
 		return cachedEvent(id, raw), nil, true
 	}
 	if failed {
-		ev := progressEvent{Digest: id, Status: "failed"}
-		ev.Phase, ev.Done = obs.PhaseFailed.String(), true
-		return ev, nil, true
+		return interval.Progress{Digest: id, Status: "failed", Phase: obs.PhaseFailed.String(), Done: true}, nil, true
 	}
-	return progressEvent{}, nil, false
+	return interval.Progress{}, nil, false
 }
 
 // handleProgress serves GET /v1/runs/{id}/progress.  Clients that accept
@@ -136,7 +122,7 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	// eventName maps a frame to its SSE event type: terminal frames are
 	// "done", frames for a job still waiting in the queue are "queued"
 	// keepalives, everything else is "progress".
-	eventName := func(ev *progressEvent) string {
+	eventName := func(ev *interval.Progress) string {
 		if ev.Done {
 			return "done"
 		}
@@ -145,7 +131,7 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 		}
 		return "progress"
 	}
-	emit := func(ev progressEvent) {
+	emit := func(ev interval.Progress) {
 		data, err := json.Marshal(ev)
 		if err != nil {
 			return
@@ -176,24 +162,24 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 // statuszDoc is the machine form of /statusz (?json=1), so scripts and CI can
 // assert on the same numbers the human page shows.
 type statuszDoc struct {
-	Status        string          `json:"status"`
-	UptimeSeconds float64         `json:"uptime_seconds"`
-	Build         obs.Build       `json:"build"`
-	Workers       int             `json:"workers"`
-	QueueDepth    int             `json:"queue_depth"`
-	QueueCap      int             `json:"queue_cap"`
-	Draining      bool            `json:"draining"`
-	Runs          []progressEvent `json:"runs"`
-	CacheEntries  int             `json:"cache_entries"`
-	CacheHits     uint64          `json:"cache_hits"`
-	CacheMisses   uint64          `json:"cache_misses"`
-	CacheHitRate  float64         `json:"cache_hit_rate"`
-	Failures      int             `json:"failures"`
-	JournalPath   string          `json:"journal_path,omitempty"`
-	JournalReplay uint64          `json:"journal_replayed"`
-	JournalSkips  uint64          `json:"journal_records_skipped"`
-	FlightTotal   uint64          `json:"flight_total"`
-	FlightCap     int             `json:"flight_cap"`
+	Status        string              `json:"status"`
+	UptimeSeconds float64             `json:"uptime_seconds"`
+	Build         obs.Build           `json:"build"`
+	Workers       int                 `json:"workers"`
+	QueueDepth    int                 `json:"queue_depth"`
+	QueueCap      int                 `json:"queue_cap"`
+	Draining      bool                `json:"draining"`
+	Runs          []interval.Progress `json:"runs"`
+	CacheEntries  int                 `json:"cache_entries"`
+	CacheHits     uint64              `json:"cache_hits"`
+	CacheMisses   uint64              `json:"cache_misses"`
+	CacheHitRate  float64             `json:"cache_hit_rate"`
+	Failures      int                 `json:"failures"`
+	JournalPath   string              `json:"journal_path,omitempty"`
+	JournalReplay uint64              `json:"journal_replayed"`
+	JournalSkips  uint64              `json:"journal_records_skipped"`
+	FlightTotal   uint64              `json:"flight_total"`
+	FlightCap     int                 `json:"flight_cap"`
 }
 
 func (s *Server) statusz() statuszDoc {
@@ -214,7 +200,7 @@ func (s *Server) statusz() statuszDoc {
 		QueueDepth:    len(s.queue),
 		QueueCap:      s.cfg.QueueLen,
 		Draining:      draining,
-		Runs:          make([]progressEvent, 0, len(jobs)),
+		Runs:          make([]interval.Progress, 0, len(jobs)),
 		CacheEntries:  s.results.len(),
 		CacheHits:     s.met.RequestCount(true),
 		CacheMisses:   s.met.RequestCount(false),

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"cobra/internal/interval"
 	"cobra/internal/obs"
 	"cobra/internal/stats"
 )
@@ -35,7 +36,7 @@ func TestProgressSnapshotFallback(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); strings.Contains(ct, "event-stream") {
 		t.Fatalf("plain GET answered with an event stream (%q)", ct)
 	}
-	var ev progressEvent
+	var ev interval.Progress
 	if err := json.NewDecoder(resp.Body).Decode(&ev); err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestProgressStream(t *testing.T) {
 	}
 
 	var (
-		frames []progressEvent
+		frames []interval.Progress
 		sc     = bufio.NewScanner(resp.Body)
 	)
 	for sc.Scan() {
@@ -89,7 +90,7 @@ func TestProgressStream(t *testing.T) {
 		if !strings.HasPrefix(line, "data: ") {
 			continue
 		}
-		var ev progressEvent
+		var ev interval.Progress
 		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
 			t.Fatalf("bad frame %q: %v", line, err)
 		}
@@ -132,7 +133,7 @@ func TestProgressStream(t *testing.T) {
 }
 
 // resultStats decodes the counters of a finished run's result.
-func resultStats(t *testing.T, rs runStatus) *stats.Sim {
+func resultStats(t *testing.T, rs Status) *stats.Sim {
 	t.Helper()
 	var res Result
 	if err := json.Unmarshal(rs.Result, &res); err != nil || res.Stats == nil {
@@ -323,7 +324,7 @@ func TestProgressStreamQueuedKeepalive(t *testing.T) {
 
 	type frame struct {
 		name string
-		ev   progressEvent
+		ev   interval.Progress
 	}
 	var (
 		frames []frame
@@ -336,7 +337,7 @@ func TestProgressStreamQueuedKeepalive(t *testing.T) {
 		case strings.HasPrefix(line, "event: "):
 			name = strings.TrimPrefix(line, "event: ")
 		case strings.HasPrefix(line, "data: "):
-			var ev progressEvent
+			var ev interval.Progress
 			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
 				t.Fatalf("bad frame %q: %v", line, err)
 			}

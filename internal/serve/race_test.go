@@ -47,7 +47,7 @@ func TestConcurrentCacheAndFingerprint(t *testing.T) {
 				// Odd clients submit with a traceparent so the span recorder
 				// and trace store see concurrent ingestion too.
 				var code int
-				var rs runStatus
+				var rs Status
 				if c%2 == 1 {
 					code, rs = postSpecTraced(t, ts, sp,
 						"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")

@@ -113,9 +113,10 @@ type Result struct {
 	// Intervals is the windowed-telemetry summary when the spec asked for it
 	// (observe.interval_insts > 0), served by GET /v1/runs/{id}/intervals.
 	Intervals *interval.Set `json:"intervals,omitempty"`
-	// Timings breaks the original computation down by hop and phase; like
-	// WallMS it replays from cache unchanged.
-	Timings *Timings `json:"timings,omitempty"`
+	// Timings is the marshaled Timings breakdown of the original
+	// computation by hop and phase; like WallMS it replays from cache
+	// unchanged.
+	Timings json.RawMessage `json:"timings,omitempty"`
 	// Retries is how many failed attempts preceded this result — non-zero
 	// only when the automatic retry policy rescued the run.
 	Retries int `json:"retries,omitempty"`
@@ -356,10 +357,10 @@ func (s *Server) worker() {
 // backoff before it lands in the failure FIFO.  The hops — queue wait,
 // worker, render, cache write — each get a span on the job's trace; the
 // runner parents the exec span (and spec.Exec's phase spans) under the
-// worker span it is handed.  Journal choreography: a started record opens
-// every attempt, and the terminal done/failed record is appended only after
-// the cache holds the result — so a crash at any instant leaves the digest
-// pending and replay re-executes it.
+// worker span it is handed.  Journal choreography: the terminal done/failed
+// record is appended only after the cache holds the result — so a crash at
+// any instant, mid-retry included, leaves the accepted digest pending and
+// replay re-executes it.
 func (s *Server) runJob(j *job) {
 	j.started.Store(true)
 	s.startedCt.Add(1)
@@ -377,7 +378,6 @@ func (s *Server) runJob(j *job) {
 		retryWait time.Duration
 	)
 	for {
-		s.jnl.append(jrec{Type: recStarted, Digest: j.digest, Attempt: attempt})
 		tmg, res, err = s.execAttempt(j, rec, pickup, queueWait, retryWait, attempt)
 		if err == nil {
 			s.jnl.append(jrec{Type: recDone, Digest: j.digest})
@@ -464,20 +464,24 @@ func (s *Server) execAttempt(j *job, rec *obs.SpanRecorder, pickup time.Time, qu
 	out := res[0].Outcome
 	tmg := Timings{QueueWaitMS: ms(queueWait), ExecMS: ms(res[0].Wall), Timings: out.Timings}
 	renderStart := time.Now()
-	data, merr := json.Marshal(Result{
-		ResultVersion: resultVersion,
-		Spec:          res[0].Spec,
-		Digest:        j.digest,
-		TraceID:       j.tc.TraceIDString(),
-		Stats:         out.Stats,
-		Events:        out.Events,
-		EventsTotal:   out.EventsTotal,
-		Intervals:     out.Intervals,
-		Timings:       &tmg,
-		Retries:       attempt,
-		Resources:     &resources,
-		WallMS:        time.Since(pickup).Milliseconds(),
-	})
+	timings, merr := json.Marshal(tmg)
+	var data []byte
+	if merr == nil {
+		data, merr = json.Marshal(Result{
+			ResultVersion: resultVersion,
+			Spec:          res[0].Spec,
+			Digest:        j.digest,
+			TraceID:       j.tc.TraceIDString(),
+			Stats:         out.Stats,
+			Events:        out.Events,
+			EventsTotal:   out.EventsTotal,
+			Intervals:     out.Intervals,
+			Timings:       timings,
+			Retries:       attempt,
+			Resources:     &resources,
+			WallMS:        time.Since(pickup).Milliseconds(),
+		})
+	}
 	rec.Record(j.tc, "render", "render", renderStart, time.Now(), nil)
 	if merr != nil {
 		return tmg, &resources, merr
@@ -520,8 +524,9 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// runStatus is the envelope every /v1/runs response uses.
-type runStatus struct {
+// Status is the envelope every /v1/runs response uses — the one
+// declaration the daemon writes and internal/client decodes.
+type Status struct {
 	Digest  string          `json:"digest"`
 	Status  string          `json:"status"` // queued, running, done, failed
 	Cached  bool            `json:"cached,omitempty"`
@@ -588,7 +593,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.log.Info("run served from cache",
 			"run_digest", digest, "trace_id", tc.TraceIDString(), "phase", "cache_hit",
 			"total_ms", ms(time.Since(reqStart)))
-		writeJSON(w, http.StatusOK, runStatus{
+		writeJSON(w, http.StatusOK, Status{
 			Digest: digest, Status: "done", Cached: true,
 			TraceID: tc.TraceIDString(), Result: raw,
 		})
@@ -606,7 +611,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		rec.Record(tc, "http", "POST /v1/runs", reqStart, time.Now(),
 			map[string]string{"status": "202"})
 		w.Header().Set("Location", "/v1/runs/"+digest)
-		writeJSON(w, http.StatusAccepted, runStatus{
+		writeJSON(w, http.StatusAccepted, Status{
 			Digest: digest, Status: status, TraceID: tc.TraceIDString(),
 		})
 		return
@@ -640,7 +645,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			"run_digest", digest, "trace_id", tc.TraceIDString(), "phase", "queued",
 			"topology", sp.Topology, "workload", sp.Workload, "insts", sp.Insts)
 		w.Header().Set("Location", "/v1/runs/"+digest)
-		writeJSON(w, http.StatusAccepted, runStatus{
+		writeJSON(w, http.StatusAccepted, Status{
 			Digest: digest, Status: "queued", TraceID: tc.TraceIDString(),
 		})
 	default:
@@ -670,15 +675,15 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	fail, failed := s.failures[id]
 	s.mu.Unlock()
 	if inflight {
-		writeJSON(w, http.StatusOK, runStatus{Digest: id, Status: statusOf(j)})
+		writeJSON(w, http.StatusOK, Status{Digest: id, Status: statusOf(j)})
 		return
 	}
 	if raw, ok := s.results.get(id); ok {
-		writeJSON(w, http.StatusOK, runStatus{Digest: id, Status: "done", Cached: true, Result: raw})
+		writeJSON(w, http.StatusOK, Status{Digest: id, Status: "done", Cached: true, Result: raw})
 		return
 	}
 	if failed {
-		writeJSON(w, http.StatusOK, runStatus{
+		writeJSON(w, http.StatusOK, Status{
 			Digest: id, Status: "failed", Error: fail.msg,
 			Resources: fail.resources, Flight: fail.flight,
 		})

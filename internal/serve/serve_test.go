@@ -29,7 +29,7 @@ func slowSpec(seed uint64) *spec.RunSpec {
 	}
 }
 
-func postSpec(t *testing.T, ts *httptest.Server, s *spec.RunSpec) (int, runStatus) {
+func postSpec(t *testing.T, ts *httptest.Server, s *spec.RunSpec) (int, Status) {
 	t.Helper()
 	body, err := json.Marshal(s)
 	if err != nil {
@@ -40,7 +40,7 @@ func postSpec(t *testing.T, ts *httptest.Server, s *spec.RunSpec) (int, runStatu
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var rs runStatus
+	var rs Status
 	if err := json.NewDecoder(resp.Body).Decode(&rs); err != nil {
 		t.Fatalf("decoding response (HTTP %d): %v", resp.StatusCode, err)
 	}
@@ -48,7 +48,7 @@ func postSpec(t *testing.T, ts *httptest.Server, s *spec.RunSpec) (int, runStatu
 }
 
 // waitDone polls GET until the run leaves the queue, failing on deadline.
-func waitDone(t *testing.T, ts *httptest.Server, digest string) runStatus {
+func waitDone(t *testing.T, ts *httptest.Server, digest string) Status {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
@@ -56,7 +56,7 @@ func waitDone(t *testing.T, ts *httptest.Server, digest string) runStatus {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rs runStatus
+		var rs Status
 		err = json.NewDecoder(resp.Body).Decode(&rs)
 		resp.Body.Close()
 		if err != nil {
@@ -68,7 +68,7 @@ func waitDone(t *testing.T, ts *httptest.Server, digest string) runStatus {
 		time.Sleep(20 * time.Millisecond)
 	}
 	t.Fatalf("run %s still not done", digest)
-	return runStatus{}
+	return Status{}
 }
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -221,7 +221,7 @@ func TestBackpressureAndDrain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rs runStatus
+		var rs Status
 		json.NewDecoder(resp.Body).Decode(&rs) //nolint:errcheck
 		resp.Body.Close()
 		if rs.Status != "queued" {

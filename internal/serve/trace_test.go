@@ -15,7 +15,7 @@ import (
 )
 
 // postSpecTraced is postSpec with a traceparent header attached.
-func postSpecTraced(t *testing.T, ts *httptest.Server, s *spec.RunSpec, traceparent string) (int, runStatus) {
+func postSpecTraced(t *testing.T, ts *httptest.Server, s *spec.RunSpec, traceparent string) (int, Status) {
 	t.Helper()
 	body, err := json.Marshal(s)
 	if err != nil {
@@ -32,7 +32,7 @@ func postSpecTraced(t *testing.T, ts *httptest.Server, s *spec.RunSpec, tracepar
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var rs runStatus
+	var rs Status
 	if err := json.NewDecoder(resp.Body).Decode(&rs); err != nil {
 		t.Fatalf("decoding response (HTTP %d): %v", resp.StatusCode, err)
 	}
@@ -101,14 +101,15 @@ func TestTraceEndToEnd(t *testing.T) {
 	if res.TraceID != tid {
 		t.Errorf("result trace_id %q, want %q", res.TraceID, tid)
 	}
-	if res.Timings == nil {
-		t.Fatal("result has no timings breakdown")
+	var tmg Timings
+	if err := json.Unmarshal(res.Timings, &tmg); err != nil {
+		t.Fatalf("result has no timings breakdown: %v", err)
 	}
-	if res.Timings.ExecMS <= 0 || res.Timings.SimulateMS <= 0 || res.Timings.TotalMS <= 0 {
-		t.Errorf("timings not populated: %+v", res.Timings)
+	if tmg.ExecMS <= 0 || tmg.SimulateMS <= 0 || tmg.TotalMS <= 0 {
+		t.Errorf("timings not populated: %+v", tmg)
 	}
-	if res.Timings.SimulateMS > res.Timings.TotalMS {
-		t.Errorf("simulate %.3fms exceeds exec total %.3fms", res.Timings.SimulateMS, res.Timings.TotalMS)
+	if tmg.SimulateMS > tmg.TotalMS {
+		t.Errorf("simulate %.3fms exceeds exec total %.3fms", tmg.SimulateMS, tmg.TotalMS)
 	}
 
 	code, doc := getTrace(t, ts, rs.Digest)
