@@ -5,8 +5,8 @@
 // re-invent both — so the choice is now one interface with two
 // implementations:
 //
-//   - Local executes in-process through runner.RunSpecs, inheriting its
-//     panic containment, metrics accounting, and per-spec timeouts;
+//   - Local executes in-process through runner.Exec, inheriting its panic
+//     containment and metrics accounting;
 //   - Remote submits to a cobra-serve daemon through the retrying client,
 //     riding out restarts, backpressure, and drains.
 //
@@ -20,7 +20,6 @@ package backend
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"cobra/internal/client"
@@ -42,7 +41,7 @@ type Backend interface {
 	Run(ctx context.Context, s *spec.RunSpec) (*spec.Outcome, error)
 }
 
-// Local runs specs in-process.  Each Run goes through runner.RunSpecs, so a
+// Local runs specs in-process.  Each Run goes through runner.Exec, so a
 // panicking simulation becomes a *runner.PanicError instead of killing the
 // process, and job telemetry lands on the shared metrics sink.
 type Local struct {
@@ -61,19 +60,9 @@ func (l *Local) Run(ctx context.Context, s *spec.RunSpec) (*spec.Outcome, error)
 	if l != nil {
 		met = l.Metrics
 	}
-	res, err := runner.RunSpecs([]*spec.RunSpec{s}, runner.Options{
-		Workers: 1, Ctx: ctx, Metrics: met,
-	})
-	if err != nil {
-		// Single-spec batch: unwrap the runner's job framing so callers see
-		// the execution error itself, as spec.Exec would have returned it.
-		var je *runner.JobError
-		if errors.As(err, &je) {
-			return nil, je.Err
-		}
-		return nil, err
-	}
-	return res[0].Outcome, nil
+	met.AddJobs(1)
+	res, err := runner.Exec(s, spec.Attach{Ctx: ctx, Metrics: met})
+	return res.Outcome, err
 }
 
 // Remote runs specs on a cobra-serve daemon through the retrying client.
@@ -134,20 +123,11 @@ func All(ctx context.Context, be Backend, specs []*spec.RunSpec, workers int) ([
 		return slot{out, err}
 	})
 	outs := make([]*spec.Outcome, len(specs))
-	var batch runner.BatchError
-	batch.Total = len(specs)
 	for i, r := range res {
-		if r.err != nil {
-			batch.Errs = append(batch.Errs, &runner.JobError{
-				Index: i, Topology: specs[i].Topology,
-				Workload: "workload " + specs[i].Workload, Err: r.err,
-			})
-			continue
-		}
 		outs[i] = r.out
 	}
-	if len(batch.Errs) > 0 {
-		return outs, &batch
+	if batch := runner.Failures(specs, func(i int) error { return res[i].err }); batch != nil {
+		return outs, batch
 	}
 	return outs, nil
 }

@@ -260,13 +260,17 @@ func TestExitCodes(t *testing.T) {
 }
 
 // TestTimeoutFailsEveryGrid: -timeout bounds every simulation, on the
-// backend path (d2) and the in-process path (energy) alike, and an overrun
-// is a failed run (exit 1), not a panic.
+// backend path (d2), the in-process path (energy) and every cell of a sweep
+// alike, and an overrun is a failed run (exit 1), not a panic.
 func TestTimeoutFailsEveryGrid(t *testing.T) {
-	for _, exp := range []string{"d2", "energy"} {
-		code, _, stderr := run(t, "experiments", "-exp", exp, "-insts", "50000000", "-timeout", "1ms", "-j", "1")
+	for _, args := range [][]string{
+		{"experiments", "-exp", "d2", "-insts", "50000000", "-timeout", "1ms", "-j", "1"},
+		{"experiments", "-exp", "energy", "-insts", "50000000", "-timeout", "1ms", "-j", "1"},
+		{"sweep", "-designs", "-workloads", "gcc", "-insts", "50000000", "-timeout", "1ms", "-j", "1", "-keep-going"},
+	} {
+		code, _, stderr := run(t, args...)
 		if code != 1 || !strings.Contains(stderr, context.DeadlineExceeded.Error()) {
-			t.Errorf("-exp %s -timeout 1ms: exit %d, want 1 with a deadline-exceeded error; stderr:\n%s", exp, code, stderr)
+			t.Errorf("cobra %s: exit %d, want 1 with a deadline-exceeded error; stderr:\n%s", strings.Join(args, " "), code, stderr)
 		}
 	}
 }

@@ -139,7 +139,7 @@ func sweepCmd(fs *flag.FlagSet, c *Config) func(*env) error {
 			policy = runner.CollectAll
 		}
 		full, err := runner.RunSpecs(run, runner.Options{
-			Workers: e.Jobs, Policy: policy, Timeout: e.Timeout, Metrics: e.met,
+			Workers: e.Jobs, Policy: policy, Metrics: e.met,
 		})
 		var batch *runner.BatchError
 		if err != nil && !(errors.As(err, &batch) && *keepGoing) {

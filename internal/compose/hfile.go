@@ -108,11 +108,9 @@ func (hf *historyFile) alloc() *Entry {
 	hf.seq++
 	e := &hf.ring[idx]
 	// Reset field by field: the per-entry buffers (metadata arena, stage
-	// vector, snapshot words, slot records) are reused in place, and Predict
-	// overwrites the snapshot and the histories before anything reads them.
-	for i := range e.Slots {
-		e.Slots[i] = pred.SlotInfo{}
-	}
+	// vector, snapshot words, slot records) are reused in place.  Predict
+	// overwrites the snapshot and the histories, and Accept the slot
+	// records, before anything reads them.
 	e.valid, e.seq, e.PC = true, hf.seq, 0
 	e.prePath, e.ghistLow, e.lhist, e.path = 0, 0, 0, 0
 	e.Used, e.CfiIdx, e.NextPC, e.fired = nil, -1, 0, false

@@ -115,7 +115,6 @@ func TestHistoryFilePanics(t *testing.T) {
 func TestEntryRecycleClearsState(t *testing.T) {
 	hf := newHF(2)
 	e := hf.alloc()
-	e.Slots[1].Valid = true
 	e.shifts = append(e.shifts, true, false)
 	e.lhistSaves = append(e.lhistSaves, lhistSave{pc: 1, old: 2})
 	hf.alloc()
@@ -125,11 +124,38 @@ func TestEntryRecycleClearsState(t *testing.T) {
 	if e2.idx != e.idx {
 		t.Fatal("expected slot reuse")
 	}
-	if e2.Slots[1].Valid || len(e2.shifts) != 0 || len(e2.lhistSaves) != 0 {
+	if len(e2.shifts) != 0 || len(e2.lhistSaves) != 0 {
 		t.Error("recycled entry leaked prior state")
 	}
 	if e2.CfiIdx != -1 {
 		t.Error("CfiIdx not reset")
+	}
+}
+
+// TestAcceptFillsRecycledEntry: alloc leaves a recycled entry's slot records
+// as they were, so a reused ring position must hold exactly the slots of
+// its new Accept, none of its previous occupant's.
+func TestAcceptFillsRecycledEntry(t *testing.T) {
+	p := mustPipeline(t, "GTAG3 > BTB2 > BIM2", Options{HFEntries: 2})
+	e, stages := p.Predict(0, 0x1000)
+	first := e.RingIndex()
+	p.Accept(0, e, stages[0], brSlots(p, 0x1000, map[int]bool{0: false, 2: true, 3: true}), 2, 0x2000)
+	p.Commit(1, e)
+	for cycle := uint64(2); ; cycle += 2 {
+		e, stages = p.Predict(cycle, 0x3000)
+		if e.RingIndex() == first {
+			break
+		}
+		p.Accept(cycle, e, stages[0], brSlots(p, 0x3000, nil), -1, 0x3010)
+		p.Commit(cycle+1, e)
+	}
+	want := brSlots(p, 0x3000, map[int]bool{1: true})
+	p.Accept(9, e, stages[0], want, 1, 0x4000)
+	for i := range want {
+		want[i].PredTaken = want[i].Taken
+		if e.Slots[i] != want[i] {
+			t.Errorf("slot %d after reuse = %+v, want %+v", i, e.Slots[i], want[i])
+		}
 	}
 }
 

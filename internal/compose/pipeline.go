@@ -586,7 +586,9 @@ func (p *Pipeline) event(cycle uint64, e *Entry) *pred.Event {
 // Accept installs the frontend's accepted view of the packet (initially the
 // stage-1 prediction) and performs the speculative state updates: local and
 // global history shifts for each predicted branch, path history, and the
-// fire event to every sub-component (§III-E).
+// fire event to every sub-component (§III-E).  slots must be a full
+// FetchWidth vector: it replaces every slot record of e, which the history
+// file does not clear when it recycles an entry.
 func (p *Pipeline) Accept(cycle uint64, e *Entry, used pred.Packet, slots []pred.SlotInfo, cfiIdx int, nextPC uint64) {
 	p.C.Accepts++
 	e.Used = used

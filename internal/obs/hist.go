@@ -1,19 +1,16 @@
 package obs
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Histogram is a fixed-bucket latency/rate distribution rendered in the
-// Prometheus text exposition (`_bucket`/`_sum`/`_count` with cumulative
-// `le` labels).  Buckets are chosen at construction and never reshaped, so
+// Histogram is a fixed-bucket latency/rate distribution, rendered by
+// Expo.histogram as `_bucket`/`_sum`/`_count` lines with cumulative `le`
+// labels.  Buckets are chosen at construction and never reshaped, so
 // Observe is a lock-free binary search plus two atomic adds; all methods
 // are safe for concurrent use and valid on a nil receiver.
 type Histogram struct {
@@ -126,65 +123,4 @@ func (h *Histogram) Sum() float64 {
 		return 0
 	}
 	return math.Float64frombits(h.sumBits.Load())
-}
-
-// header writes the one-per-family HELP/TYPE preamble.
-func (h *Histogram) header(b *strings.Builder) {
-	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s histogram\n", h.name, h.help, h.name)
-}
-
-// series writes the cumulative bucket, sum, and count lines for this
-// histogram's label set in the classic 0.0.4 text format.
-func (h *Histogram) series(b *strings.Builder) { h.seriesEx(b, false) }
-
-// seriesEx writes the series; withExemplars appends OpenMetrics exemplar
-// suffixes (`# {trace_id="..."} value timestamp`) to bucket lines whose
-// bucket has one.  Classic 0.0.4 output never carries exemplars — the syntax
-// is OpenMetrics-only.
-func (h *Histogram) seriesEx(b *strings.Builder, withExemplars bool) {
-	var exs []exemplar
-	if withExemplars {
-		exs = h.exemplarSnapshot()
-	}
-	emit := func(i int, le string, cum uint64) {
-		fmt.Fprintf(b, "%s_bucket{%sle=%q} %d", h.name, h.labelPrefix(), le, cum)
-		if exs != nil && exs[i].traceID != "" {
-			fmt.Fprintf(b, " # {trace_id=%q} %s %s", exs[i].traceID,
-				strconv.FormatFloat(exs[i].value, 'g', -1, 64),
-				strconv.FormatFloat(exs[i].ts, 'f', 6, 64))
-		}
-		b.WriteByte('\n')
-	}
-	var cum uint64
-	for i, bound := range h.bounds {
-		cum += h.buckets[i].Load()
-		emit(i, formatBound(bound), cum)
-	}
-	cum += h.buckets[len(h.bounds)].Load()
-	emit(len(h.bounds), "+Inf", cum)
-	suffix := ""
-	if h.label != "" {
-		suffix = "{" + h.label + "}"
-	}
-	fmt.Fprintf(b, "%s_sum%s %s\n", h.name, suffix, strconv.FormatFloat(h.Sum(), 'g', -1, 64))
-	fmt.Fprintf(b, "%s_count%s %d\n", h.name, suffix, cum)
-}
-
-func (h *Histogram) labelPrefix() string {
-	if h.label == "" {
-		return ""
-	}
-	return h.label + ","
-}
-
-// Expo renders the full single-series exposition (header + series).
-func (h *Histogram) Expo() string {
-	var b strings.Builder
-	h.header(&b)
-	h.series(&b)
-	return b.String()
-}
-
-func formatBound(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }

@@ -206,7 +206,7 @@ func TestMetricsExpoHistograms(t *testing.T) {
 	m.ObserveRequest(200*time.Millisecond, false)
 	m.ObserveRequest(210*time.Millisecond, false)
 
-	hists := parsePromText(t, m.Expo())
+	hists := parsePromText(t, m.exposition(false, nil))
 	expect := map[string]float64{
 		"cobra_serve_queue_wait_seconds{}":     2,
 		"cobra_job_exec_seconds{}":             1,
@@ -245,7 +245,7 @@ func TestOpenMetricsExemplars(t *testing.T) {
 	m.ObserveRequestEx(5*time.Millisecond, true, "aaaabbbbccccdddd0000111122223333")
 	m.ObserveRequestEx(200*time.Millisecond, false, "ffffeeeeddddcccc0000111122223333")
 
-	om := m.ExpoOpenMetrics()
+	om := m.exposition(true, nil)
 	parsePromText(t, om) // exemplar syntax + bucket invariants
 	if !strings.Contains(om, `# {trace_id="ffffeeeeddddcccc0000111122223333"}`) {
 		t.Errorf("miss exemplar missing from OpenMetrics exposition:\n%s", om)
@@ -254,7 +254,7 @@ func TestOpenMetricsExemplars(t *testing.T) {
 		t.Errorf("hit exemplar missing from OpenMetrics exposition:\n%s", om)
 	}
 
-	classic := m.Expo()
+	classic := m.exposition(false, nil)
 	parsePromText(t, classic)
 	if strings.Contains(classic, " # {") {
 		t.Error("classic Prometheus exposition leaked exemplar syntax")
@@ -281,7 +281,7 @@ func TestOpenMetricsExemplars(t *testing.T) {
 func TestRunResourceFamilies(t *testing.T) {
 	m := NewMetrics()
 	m.ObserveRunResources(Resources{CPUUserMS: 120, GCCPUMS: 8, AllocBytes: 1 << 20})
-	hists := parsePromText(t, m.Expo())
+	hists := parsePromText(t, m.exposition(false, nil))
 	for _, key := range []string{
 		`cobra_run_cpu_seconds{class="user"}`,
 		`cobra_run_cpu_seconds{class="gc"}`,
@@ -301,9 +301,8 @@ func TestRunResourceFamilies(t *testing.T) {
 // TestRuntimeExpoWellFormed: the runtime/metrics-backed families pass the
 // same strict validator as the process metrics, in both exposition flavors.
 func TestRuntimeExpoWellFormed(t *testing.T) {
-	for name, text := range map[string]string{
-		"classic": RuntimeExpo(), "openmetrics": RuntimeExpoOpenMetrics(),
-	} {
+	classic, om := NewMetrics().exposition(false, nil), NewMetrics().exposition(true, nil)
+	for name, text := range map[string]string{"classic": classic, "openmetrics": om} {
 		hists := parsePromText(t, text)
 		for _, fam := range []string{"go_goroutines", "go_heap_objects_bytes", "go_heap_allocs_bytes_total"} {
 			if !strings.Contains(text, "\n"+fam+" ") {
@@ -316,10 +315,10 @@ func TestRuntimeExpoWellFormed(t *testing.T) {
 			}
 		}
 	}
-	if !strings.Contains(RuntimeExpoOpenMetrics(), "# TYPE go_gc_cycles counter") {
+	if !strings.Contains(om, "# TYPE go_gc_cycles counter") {
 		t.Error("OM runtime counter family kept its _total suffix")
 	}
-	if !strings.Contains(RuntimeExpo(), "# TYPE go_gc_cycles_total counter") {
+	if !strings.Contains(classic, "# TYPE go_gc_cycles_total counter") {
 		t.Error("classic runtime counter family lost its _total suffix")
 	}
 }

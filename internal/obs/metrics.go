@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -268,74 +267,29 @@ func (m *Metrics) Snap() Snapshot {
 	return s
 }
 
-// Expo renders the classic Prometheus 0.0.4 text exposition the
-// -metrics-addr endpoint serves (and expvar-style consumers can scrape).
-func (m *Metrics) Expo() string { return m.expo(false) }
-
-// ExpoOpenMetrics renders the OpenMetrics flavour: counter families are
-// declared without the `_total` suffix (samples keep it) and request-latency
-// buckets carry trace-ID exemplars.  Served when a scrape Accepts
-// application/openmetrics-text; the HTTP handler appends the mandatory
-// `# EOF` terminator after any extra families it adds.
-func (m *Metrics) ExpoOpenMetrics() string { return m.expo(true) }
-
-func (m *Metrics) expo(om bool) string {
+// expo writes m's families.
+func (m *Metrics) expo(x *Expo) {
 	s := m.Snap()
-	var b strings.Builder
-	line := func(name, help string, v interface{}) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, v)
-	}
-	counter := func(name, help string, v interface{}) {
-		fam := name
-		if om {
-			// OpenMetrics declares the counter family without _total; the
-			// sample line keeps the suffix.
-			fam = strings.TrimSuffix(name, "_total")
-		}
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %v\n", fam, help, fam, name, v)
-	}
-	line("cobra_jobs_total", "simulation jobs submitted to the runner", s.JobsTotal)
-	line("cobra_jobs_running", "jobs currently executing", s.JobsStarted-s.JobsDone)
-	line("cobra_jobs_done", "jobs finished (including failures)", s.JobsDone)
-	line("cobra_jobs_failed", "jobs that returned an error", s.JobsFailed)
-	line("cobra_sim_cycles_total", "simulated cycles across all jobs", s.Cycles)
-	line("cobra_sim_instructions_total", "committed instructions across all jobs", s.Instructions)
-	line("cobra_sim_kcycles_per_second", "aggregate simulation rate", fmt.Sprintf("%.1f", s.KCyclesPerSec))
-	line("cobra_uptime_seconds", "seconds since the metrics sink was created", fmt.Sprintf("%.1f", s.Uptime.Seconds()))
-	line("cobra_trace_events_dropped_total", "cycle-level events lost to tracer ring overflow", s.EventDrops)
-	counter("cobra_cache_corrupt_total", "disk-cache entries that failed verification and were quarantined", s.CacheCorrupt)
-	counter("cobra_journal_replayed_total", "accepted-but-incomplete digests re-enqueued by journal replay", s.JournalReplayed)
-	counter("cobra_journal_records_skipped_total", "journal records replay skipped as unreadable or unknown", s.JournalSkipped)
-	counter("cobra_job_retries_total", "automatic re-executions of failed jobs before the failure FIFO", s.JobRetries)
+	x.Gauge("cobra_jobs_total", "simulation jobs submitted to the runner", s.JobsTotal)
+	x.Gauge("cobra_jobs_running", "jobs currently executing", s.JobsStarted-s.JobsDone)
+	x.Gauge("cobra_jobs_done", "jobs finished (including failures)", s.JobsDone)
+	x.Gauge("cobra_jobs_failed", "jobs that returned an error", s.JobsFailed)
+	x.Gauge("cobra_sim_cycles_total", "simulated cycles across all jobs", s.Cycles)
+	x.Gauge("cobra_sim_instructions_total", "committed instructions across all jobs", s.Instructions)
+	x.Gauge("cobra_sim_kcycles_per_second", "aggregate simulation rate", fmt.Sprintf("%.1f", s.KCyclesPerSec))
+	x.Gauge("cobra_uptime_seconds", "seconds since the metrics sink was created", fmt.Sprintf("%.1f", s.Uptime.Seconds()))
+	x.Gauge("cobra_trace_events_dropped_total", "cycle-level events lost to tracer ring overflow", s.EventDrops)
+	x.counter("cobra_cache_corrupt_total", "disk-cache entries that failed verification and were quarantined", s.CacheCorrupt)
+	x.counter("cobra_journal_replayed_total", "accepted-but-incomplete digests re-enqueued by journal replay", s.JournalReplayed)
+	x.counter("cobra_journal_records_skipped_total", "journal records replay skipped as unreadable or unknown", s.JournalSkipped)
+	x.counter("cobra_job_retries_total", "automatic re-executions of failed jobs before the failure FIFO", s.JobRetries)
 	for _, h := range []*Histogram{m.queueWait, m.jobSecs, m.jobRate, m.runAlloc} {
-		if h != nil {
-			h.header(&b)
-			h.series(&b)
-		}
+		x.histogram(h)
 	}
 	// The labeled splits are one family each: one HELP/TYPE header, two
 	// labeled series.
-	if m.reqHit != nil && m.reqMiss != nil {
-		m.reqHit.header(&b)
-		m.reqHit.seriesEx(&b, om)
-		m.reqMiss.seriesEx(&b, om)
-	}
-	if m.runCPUUser != nil && m.runCPUGC != nil {
-		m.runCPUUser.header(&b)
-		m.runCPUUser.series(&b)
-		m.runCPUGC.series(&b)
-	}
-	return b.String()
-}
-
-// OpenMetricsContentType is the Content-Type an OpenMetrics response carries;
-// WantsOpenMetrics sniffs a scrape's Accept header for it.
-const OpenMetricsContentType = "application/openmetrics-text; version=1.0.0; charset=utf-8"
-
-// WantsOpenMetrics reports whether an Accept header asks for the OpenMetrics
-// exposition format.
-func WantsOpenMetrics(accept string) bool {
-	return strings.Contains(accept, "application/openmetrics-text")
+	x.histogram(m.reqHit, m.reqMiss)
+	x.histogram(m.runCPUUser, m.runCPUGC)
 }
 
 // ProgressLine renders the one-line periodic report long sweeps print.
@@ -347,24 +301,13 @@ func (m *Metrics) ProgressLine() string {
 		s.Uptime.Truncate(time.Second))
 }
 
-// ServeMetrics starts an HTTP listener on addr serving the text exposition
-// at / and /metrics.  It returns the bound address (useful with ":0") and a
-// closer.  Pass the returned close func to defer so tests and tools release
-// the port.
+// ServeMetrics starts an HTTP listener on addr serving m's exposition
+// (Handler) at / and /metrics.  It returns the bound address (useful with
+// ":0") and a closer.  Pass the returned close func to defer so tests and
+// tools release the port.
 func ServeMetrics(addr string, m *Metrics) (string, func() error, error) {
 	mux := http.NewServeMux()
-	h := func(w http.ResponseWriter, r *http.Request) {
-		if WantsOpenMetrics(r.Header.Get("Accept")) {
-			w.Header().Set("Content-Type", OpenMetricsContentType)
-			fmt.Fprint(w, m.ExpoOpenMetrics())
-			fmt.Fprint(w, RuntimeExpoOpenMetrics())
-			fmt.Fprint(w, "# EOF\n")
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		fmt.Fprint(w, m.Expo())
-		fmt.Fprint(w, RuntimeExpo())
-	}
+	h := m.Handler(nil)
 	mux.HandleFunc("/", h)
 	mux.HandleFunc("/metrics", h)
 	return serve(addr, mux)

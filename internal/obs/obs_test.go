@@ -115,7 +115,7 @@ func TestMetricsSnapshot(t *testing.T) {
 	if !strings.Contains(m.ProgressLine(), "1/4 jobs done") {
 		t.Fatalf("progress line: %q", m.ProgressLine())
 	}
-	expo := m.Expo()
+	expo := m.exposition(false, nil)
 	for _, want := range []string{
 		"cobra_jobs_total 4", "cobra_jobs_running 1", "cobra_jobs_done 1",
 		"cobra_sim_cycles_total 2000", "cobra_sim_instructions_total 1000",

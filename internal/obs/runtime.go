@@ -1,16 +1,12 @@
 package obs
 
 import (
-	"fmt"
 	"math"
 	"runtime/metrics"
-	"strconv"
-	"strings"
 )
 
-// RuntimeExpo renders a small runtime/metrics-backed scrape — scheduler,
-// goroutine, heap, and GC health — appended to the process exposition by
-// ServeMetrics and the serve daemon.  Families:
+// runtime writes a small runtime/metrics-backed scrape — scheduler,
+// goroutine, heap, and GC health — that ends every exposition.  Families:
 //
 //	go_goroutines                   gauge
 //	go_gc_cycles_total              counter
@@ -22,13 +18,7 @@ import (
 // The two histograms come from runtime Float64Histograms, which use hundreds
 // of irregular buckets; they are downsampled to a coarse ladder so the scrape
 // stays scrape-sized, with _sum approximated by bucket midpoints.
-func RuntimeExpo() string { return runtimeExpo(false) }
-
-// RuntimeExpoOpenMetrics is RuntimeExpo with OpenMetrics counter-family
-// naming (family declared without the `_total` suffix).
-func RuntimeExpoOpenMetrics() string { return runtimeExpo(true) }
-
-func runtimeExpo(om bool) string {
+func (x *Expo) runtime() {
 	samples := []metrics.Sample{
 		{Name: rmGoroutines},
 		{Name: rmGCCycles},
@@ -38,41 +28,26 @@ func runtimeExpo(om bool) string {
 		{Name: rmSchedLat},
 	}
 	metrics.Read(samples)
-
-	var b strings.Builder
-	gauge := func(name, help string, v uint64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter := func(name, help string, v uint64) {
-		fam := name
-		if om {
-			fam = strings.TrimSuffix(name, "_total")
-		}
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", fam, help, fam, name, v)
-	}
-	gauge("go_goroutines", "goroutines currently live", kindUint64(samples[0]))
-	counter("go_gc_cycles_total", "completed GC cycles since process start", kindUint64(samples[1]))
-	gauge("go_heap_objects_bytes", "bytes of live heap objects", kindUint64(samples[2]))
-	counter("go_heap_allocs_bytes_total", "cumulative bytes allocated on the heap", kindUint64(samples[3]))
-	runtimeHist(&b, "go_gc_pause_seconds",
+	x.Gauge("go_goroutines", "goroutines currently live", kindUint64(samples[0]))
+	x.counter("go_gc_cycles_total", "completed GC cycles since process start", kindUint64(samples[1]))
+	x.Gauge("go_heap_objects_bytes", "bytes of live heap objects", kindUint64(samples[2]))
+	x.counter("go_heap_allocs_bytes_total", "cumulative bytes allocated on the heap", kindUint64(samples[3]))
+	x.runtimeHist("go_gc_pause_seconds",
 		"stop-the-world GC pause distribution since process start", samples[4])
-	runtimeHist(&b, "go_sched_latency_seconds",
+	x.runtimeHist("go_sched_latency_seconds",
 		"time goroutines spent runnable before running, since process start", samples[5])
-	return b.String()
 }
 
 // runtimeHistBounds is the coarse ladder the runtime histograms are
 // downsampled onto: 1µs to ~1s.
 var runtimeHistBounds = ExpBuckets(1e-6, 4, 11)
 
-// runtimeHist renders one runtime Float64Histogram as a Prometheus histogram
-// on the coarse ladder.  Counts are cumulative since process start (Prometheus
+// runtimeHist writes one runtime Float64Histogram as a histogram family on
+// the coarse ladder.  Counts are cumulative since process start (Prometheus
 // histograms are cumulative anyway, so rate() works as usual).
-func runtimeHist(b *strings.Builder, name, help string, s metrics.Sample) {
-	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
+func (x *Expo) runtimeHist(name, help string, s metrics.Sample) {
 	counts := make([]uint64, len(runtimeHistBounds)+1)
 	var sum float64
-	var total uint64
 	if s.Value.Kind() == metrics.KindFloat64Histogram {
 		h := s.Value.Float64Histogram()
 		for i, n := range h.Counts {
@@ -82,18 +57,10 @@ func runtimeHist(b *strings.Builder, name, help string, s metrics.Sample) {
 			mid := bucketMid(h.Buckets, i)
 			counts[searchBounds(runtimeHistBounds, mid)] += n
 			sum += float64(n) * mid
-			total += n
 		}
 	}
-	var cum uint64
-	for i, bound := range runtimeHistBounds {
-		cum += counts[i]
-		fmt.Fprintf(b, "%s_bucket{le=%q} %d\n", name, formatBound(bound), cum)
-	}
-	cum += counts[len(runtimeHistBounds)]
-	fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-	fmt.Fprintf(b, "%s_sum %s\n", name, strconv.FormatFloat(sum, 'g', -1, 64))
-	fmt.Fprintf(b, "%s_count %d\n", name, total)
+	x.family(name, "histogram", help)
+	x.series(name, "", runtimeHistBounds, counts, sum, nil)
 }
 
 // searchBounds returns the index of the first bound >= v (len(bounds) when v

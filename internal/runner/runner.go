@@ -26,10 +26,9 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
-	"cobra/internal/interval"
 	"cobra/internal/obs"
+	"cobra/internal/spec"
 )
 
 // Derive returns the seed for the job at a submission index: the index-th
@@ -109,9 +108,6 @@ type Options struct {
 	Workers int
 	// Policy selects fail-fast (default) or collect-all error handling.
 	Policy Policy
-	// Timeout, when > 0, bounds each job's wall-clock run time; an
-	// overrunning job aborts cooperatively with context.DeadlineExceeded.
-	Timeout time.Duration
 	// Ctx, when non-nil, cancels the whole batch when done (e.g. SIGINT).
 	Ctx context.Context
 
@@ -120,30 +116,18 @@ type Options struct {
 	// while the batch runs.  Purely observational: counters never influence
 	// job scheduling or results.
 	Metrics *obs.Metrics
-
-	// SpanFor, when non-nil, returns the parent wall-clock span under which
-	// job i's execution spans are recorded (nil parent = job untraced).  The
-	// serving layer uses this to tie each job back to the HTTP request that
-	// enqueued it; spans are pure observability and never affect results.
-	SpanFor func(i int) *obs.ActiveSpan
-	// RecorderFor, when non-nil, returns the telemetry recorder job i feeds
-	// (nil = Exec builds one from the spec and Metrics).  The serving layer
-	// uses this to watch a run's phase, totals and interval windows on the
-	// SSE progress stream while it is still in flight; like spans, recorders
-	// never affect results.
-	RecorderFor func(i int) *interval.Recorder
 }
 
 // JobError identifies which job of a batch failed and why.
 type JobError struct {
 	Index    int
 	Topology string
-	Workload string // "workload <name>" or "program <name>"
+	Workload string
 	Err      error
 }
 
 func (e *JobError) Error() string {
-	return fmt.Sprintf("runner: job %d (%q on %s): %v", e.Index, e.Topology, e.Workload, e.Err)
+	return fmt.Sprintf("runner: job %d (%q on workload %s): %v", e.Index, e.Topology, e.Workload, e.Err)
 }
 
 func (e *JobError) Unwrap() error { return e.Err }
@@ -171,6 +155,22 @@ func (e *BatchError) Error() string {
 		return e.Errs[0].Error()
 	}
 	return fmt.Sprintf("runner: %d of %d jobs failed; first: %v", len(e.Errs), e.Total, e.Errs[0])
+}
+
+// Failures frames every failed job of a batch as a *JobError, errOf(i)
+// being job i's error (nil when it succeeded), and returns them as a
+// *BatchError — or nil when no job failed.
+func Failures(specs []*spec.RunSpec, errOf func(i int) error) *BatchError {
+	var errs []*JobError
+	for i, s := range specs {
+		if err := errOf(i); err != nil {
+			errs = append(errs, &JobError{Index: i, Topology: s.Topology, Workload: s.Workload, Err: err})
+		}
+	}
+	if errs == nil {
+		return nil
+	}
+	return &BatchError{Total: len(specs), Errs: errs}
 }
 
 // Unwrap exposes the individual job errors to errors.Is/As.

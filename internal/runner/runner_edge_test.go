@@ -122,37 +122,27 @@ func TestCancelMidBatch(t *testing.T) {
 	}
 }
 
-// TestTimeoutWhileOthersComplete: a per-job timeout — the batch's or the
-// spec's own TimeoutMS — kills only the overrunning job; the rest of the
-// batch completes and keeps its results.
+// TestTimeoutWhileOthersComplete: a job's own TimeoutMS kills only the
+// overrunning job; the rest of the batch completes and keeps its results.
 func TestTimeoutWhileOthersComplete(t *testing.T) {
 	small := gccSpec(10_000)
-	huge := gccSpec(2_000_000_000)
-	ownBudget := gccSpec(2_000_000_000)
-	ownBudget.TimeoutMS = 500
-	for name, tc := range map[string]struct {
-		overrun *spec.RunSpec
-		timeout time.Duration
-	}{
-		"batch timeout": {huge, 2 * time.Second},
-		"spec timeout":  {ownBudget, 0},
-	} {
-		specs := []*spec.RunSpec{tc.overrun, small, small, small}
-		res, err := RunSpecs(specs, Options{Workers: 2, Policy: CollectAll, Timeout: tc.timeout})
-		var batch *BatchError
-		if !errors.As(err, &batch) {
-			t.Fatalf("%s: want *BatchError, got %v", name, err)
-		}
-		if len(batch.Errs) != 1 || batch.Errs[0].Index != 0 {
-			t.Fatalf("%s: unexpected failures: %v", name, batch)
-		}
-		if !errors.Is(batch.Errs[0], context.DeadlineExceeded) {
-			t.Fatalf("%s: overrunning job error %v, want deadline exceeded", name, batch.Errs[0])
-		}
-		for i := 1; i < len(specs); i++ {
-			if res[i].Outcome == nil || res[i].Outcome.Stats.Instructions < 10_000 {
-				t.Errorf("%s: job %d within budget lost its result: %+v", name, i, res[i])
-			}
+	overrun := gccSpec(2_000_000_000)
+	overrun.TimeoutMS = 500
+	specs := []*spec.RunSpec{overrun, small, small, small}
+	res, err := RunSpecs(specs, Options{Workers: 2, Policy: CollectAll})
+	var batch *BatchError
+	if !errors.As(err, &batch) {
+		t.Fatalf("want *BatchError, got %v", err)
+	}
+	if len(batch.Errs) != 1 || batch.Errs[0].Index != 0 {
+		t.Fatalf("unexpected failures: %v", batch)
+	}
+	if !errors.Is(batch.Errs[0], context.DeadlineExceeded) {
+		t.Fatalf("overrunning job error %v, want deadline exceeded", batch.Errs[0])
+	}
+	for i := 1; i < len(specs); i++ {
+		if res[i].Outcome == nil || res[i].Outcome.Stats.Instructions < 10_000 {
+			t.Errorf("job %d within budget lost its result: %+v", i, res[i])
 		}
 	}
 }

@@ -22,20 +22,20 @@ type SpecResult struct {
 }
 
 // RunSpecs executes the canonical run each spec describes, fanned out across
-// opt.Workers with a deterministic merge.  Every spec runs with its own seed,
-// so each result is bit-identical to a direct cobra-sim/cobra.Run of the same
-// spec.  Specs are not mutated: each job runs its canonical copy, returned in
-// SpecResult.Spec.  A panicking job becomes a *PanicError instead of killing
-// the process.  Failures are reported per opt.Policy: FailFast cancels the
-// rest of the batch and returns (nil, *JobError) for the root cause;
-// CollectAll runs everything and returns the successful results alongside a
-// *BatchError (failed jobs leave a zero SpecResult at their index).
+// opt.Workers with a deterministic merge.  Every spec runs through Exec with
+// its own seed, so each result is bit-identical to a direct
+// cobra-sim/cobra.Run of the same spec.  The whole batch is counted as
+// submitted on opt.Metrics up front, so progress reads done/total.
+// Failures are reported per opt.Policy: FailFast cancels the rest of the
+// batch and returns (nil, *JobError) for the root cause; CollectAll runs
+// everything and returns the successful results alongside a *BatchError
+// (failed jobs leave a zero SpecResult at their index).
 func RunSpecs(specs []*spec.RunSpec, opt Options) ([]SpecResult, error) {
 	base := opt.Ctx
 	if base == nil {
 		base = context.Background()
 	}
-	bctx, cancel := context.WithCancel(base)
+	ctx, cancel := context.WithCancel(base)
 	defer cancel()
 	opt.Metrics.AddJobs(len(specs))
 	type slot struct {
@@ -43,60 +43,53 @@ func RunSpecs(specs []*spec.RunSpec, opt Options) ([]SpecResult, error) {
 		err error
 	}
 	rs := Map(opt.Workers, len(specs), func(i int) slot {
-		ctx, stop := bctx, context.CancelFunc(func() {})
-		if opt.Timeout > 0 {
-			ctx, stop = context.WithTimeout(bctx, opt.Timeout)
-		}
-		opt.Metrics.JobStarted()
-		res, err := runJob(ctx, i, specs[i], opt)
-		stop()
-		opt.Metrics.JobDone(err != nil)
+		res, err := Exec(specs[i], spec.Attach{Ctx: ctx, Metrics: opt.Metrics})
 		if err != nil && opt.Policy == FailFast {
 			cancel()
 		}
 		return slot{res, err}
 	})
 	out := make([]SpecResult, len(specs))
-	var errs []*JobError
 	for i, r := range rs {
-		if r.err != nil {
-			errs = append(errs, &JobError{Index: i, Topology: specs[i].Topology,
-				Workload: "workload " + specs[i].Workload, Err: r.err})
-			continue
+		if r.err == nil {
+			out[i] = r.res
 		}
-		out[i] = r.res
 	}
-	if len(errs) == 0 {
+	batch := Failures(specs, func(i int) error { return rs[i].err })
+	if batch == nil {
 		return out, nil
 	}
 	if opt.Policy == CollectAll {
-		return out, &BatchError{Total: len(specs), Errs: errs}
+		return out, batch
 	}
 	// FailFast: return the root cause, not the cancellation cascade it
 	// triggered in later-draining jobs.
-	for _, e := range errs {
+	for _, e := range batch.Errs {
 		if !errors.Is(e.Err, context.Canceled) {
 			return nil, e
 		}
 	}
-	return nil, errs[0]
+	return nil, batch.Errs[0]
 }
 
-// runJob executes spec i of a batch with the per-job hooks opt assigns it
-// (exec span, telemetry recorder) and books its wall time
-// and event-ring drops on opt.Metrics.
-func runJob(ctx context.Context, i int, s *spec.RunSpec, opt Options) (SpecResult, error) {
-	at := spec.Attach{Ctx: ctx, Metrics: opt.Metrics}
-	if opt.SpanFor != nil {
-		if parent := opt.SpanFor(i); parent != nil {
-			at.Span = parent.Child("exec", "run")
-			at.Span.SetAttr("topology", s.Topology)
-			at.Span.SetAttr("workload", s.Workload)
-		}
+// Exec runs one spec through the runner's boundary, the one every caller
+// that executes a single spec (RunSpecs' jobs, backend.Local, cobra-serve's
+// workers) goes through.  It canonicalizes s and runs spec.Exec under at,
+// turning a panic into a *PanicError instead of killing the process and
+// reporting a cancelled or expired at.Ctx as the context's own error.  When
+// at.Span is set, the run is recorded as an "exec"/"run" child span carrying
+// the topology and workload.  The job's start and finish, wall time,
+// throughput and event-ring drops land on at.Metrics; counting it as
+// submitted (Metrics.AddJobs) is the caller's, so a batch can count all its
+// jobs up front.
+func Exec(s *spec.RunSpec, at spec.Attach) (SpecResult, error) {
+	if at.Ctx == nil {
+		at.Ctx = context.Background()
 	}
-	if opt.RecorderFor != nil {
-		at.Recorder = opt.RecorderFor(i)
-	}
+	at.Span = at.Span.Child("exec", "run")
+	at.Span.SetAttr("topology", s.Topology)
+	at.Span.SetAttr("workload", s.Workload)
+	at.Metrics.JobStarted()
 	begin := time.Now()
 	res, err := safeExec(s, at)
 	res.Wall = time.Since(begin)
@@ -104,18 +97,18 @@ func runJob(ctx context.Context, i int, s *spec.RunSpec, opt Options) (SpecResul
 	if res.Outcome != nil && res.Outcome.Stats != nil {
 		insts = res.Outcome.Stats.Instructions
 		// Surface silent event-ring overflow on /metrics.
-		opt.Metrics.AddEventDrops(res.Outcome.EventsTotal - uint64(len(res.Outcome.Events)))
+		at.Metrics.AddEventDrops(res.Outcome.EventsTotal - uint64(len(res.Outcome.Events)))
 	}
-	opt.Metrics.ObserveJob(res.Wall, insts)
+	at.Metrics.ObserveJob(res.Wall, insts)
 	if err != nil {
 		at.Span.SetAttr("error", err.Error())
 	}
 	at.Span.End()
+	at.Metrics.JobDone(err != nil)
 	return res, err
 }
 
-// safeExec is spec.Exec behind the runner's recover boundary: a panicking
-// job becomes a *PanicError instead of killing the process.
+// safeExec is spec.Exec behind the runner's recover boundary.
 func safeExec(s *spec.RunSpec, at spec.Attach) (res SpecResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -351,8 +351,8 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob executes one spec through the parallel runner (panic containment,
-// per-job timeout, metrics accounting) and publishes the outcome, retrying
+// runJob executes one spec through runner.Exec (panic containment, metrics
+// accounting) under Config.JobTimeout and publishes the outcome, retrying
 // a failed execution up to Config.JobRetries times with capped exponential
 // backoff before it lands in the failure FIFO.  The hops — queue wait,
 // worker, render, cache write — each get a span on the job's trace; the
@@ -438,7 +438,7 @@ func retryBackoff(base time.Duration, attempt int) time.Duration {
 }
 
 // execAttempt runs one execution attempt — with the resource meter wrapped
-// around the runner call, so the attribution record covers failures too —
+// around runner.Exec, so the attribution record covers failures too —
 // and, on success, renders the Result (carrying the attempt count as its
 // retries field and the attribution record) and publishes it to the cache.
 func (s *Server) execAttempt(j *job, rec *obs.SpanRecorder, pickup time.Time, queueWait, retryWait time.Duration, attempt int) (Timings, *obs.Resources, error) {
@@ -446,12 +446,14 @@ func (s *Server) execAttempt(j *job, rec *obs.SpanRecorder, pickup time.Time, qu
 	if attempt > 0 {
 		wspan.SetAttr("attempt", fmt.Sprint(attempt))
 	}
+	ctx, cancel := context.Background(), context.CancelFunc(func() {})
+	if s.cfg.JobTimeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.JobTimeout)
+	}
 	meter := obs.StartResourceMeter(0)
-	res, err := runner.RunSpecs([]*spec.RunSpec{j.spec}, runner.Options{
-		Workers: 1, Policy: runner.FailFast, Timeout: s.cfg.JobTimeout, Metrics: s.met,
-		SpanFor:     func(int) *obs.ActiveSpan { return wspan },
-		RecorderFor: func(int) *interval.Recorder { return j.rec },
-	})
+	s.met.AddJobs(1)
+	res, err := runner.Exec(j.spec, spec.Attach{Ctx: ctx, Metrics: s.met, Span: wspan, Recorder: j.rec})
+	cancel()
 	resources := meter.Stop()
 	resources.QueueWaitMS = float64(queueWait.Microseconds()) / 1000
 	resources.RetryWaitMS = float64(retryWait.Microseconds()) / 1000
@@ -461,15 +463,15 @@ func (s *Server) execAttempt(j *job, rec *obs.SpanRecorder, pickup time.Time, qu
 	if err != nil {
 		return Timings{}, &resources, err
 	}
-	out := res[0].Outcome
-	tmg := Timings{QueueWaitMS: ms(queueWait), ExecMS: ms(res[0].Wall), Timings: out.Timings}
+	out := res.Outcome
+	tmg := Timings{QueueWaitMS: ms(queueWait), ExecMS: ms(res.Wall), Timings: out.Timings}
 	renderStart := time.Now()
 	timings, merr := json.Marshal(tmg)
 	var data []byte
 	if merr == nil {
 		data, merr = json.Marshal(Result{
 			ResultVersion: resultVersion,
-			Spec:          res[0].Spec,
+			Spec:          res.Spec,
 			Digest:        j.digest,
 			TraceID:       j.tc.TraceIDString(),
 			Stats:         out.Stats,
@@ -518,7 +520,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/runs/{id}/progress", s.handleProgress)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /healthz/ready", s.handleReady)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("GET /metrics", s.met.Handler(s.expo))
 	mux.HandleFunc("GET /statusz", s.handleStatusz)
 	obs.RegisterDebug(mux) // /debug/pprof/*, /debug/flight
 	return mux
@@ -815,15 +817,8 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, code, h)
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	om := obs.WantsOpenMetrics(r.Header.Get("Accept"))
-	if om {
-		w.Header().Set("Content-Type", obs.OpenMetricsContentType)
-		fmt.Fprint(w, s.met.ExpoOpenMetrics())
-	} else {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		fmt.Fprint(w, s.met.Expo())
-	}
+// expo appends the daemon's own families to the /metrics exposition.
+func (s *Server) expo(x *obs.Expo) {
 	s.mu.Lock()
 	inflight := len(s.jobs)
 	failures := len(s.failures)
@@ -832,26 +827,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		draining = 1
 	}
 	s.mu.Unlock()
-	gauge := func(name, help string, v any) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, v)
-	}
-	gauge("cobra_serve_queue_depth", "Jobs waiting in the bounded queue.", len(s.queue))
-	gauge("cobra_serve_inflight", "Jobs admitted and not yet finished.", inflight)
-	gauge("cobra_serve_cache_entries", "In-memory result cache entries.", s.results.len())
-	gauge("cobra_serve_failures", "Entries in the bounded failure FIFO.", failures)
-	gauge("cobra_serve_draining", "1 while the server is draining, 0 otherwise.", draining)
-	gauge("cobra_serve_trace_entries", "Per-run request traces held live.", s.traces.len())
-	gauge("cobra_serve_span_drops_total", "Request spans discarded to per-run buffer bounds.", s.traces.droppedTotal())
-	fmt.Fprintf(w, "# HELP go_build_info Build information about the main Go module.\n"+
-		"# TYPE go_build_info gauge\ngo_build_info{path=%q,version=%q,checksum=\"\"} 1\n",
-		s.build.Path, s.build.Version)
-	fmt.Fprintf(w, "# HELP cobra_build_info Build identity of this binary.\n"+
-		"# TYPE cobra_build_info gauge\ncobra_build_info{goversion=%q,revision=%q,dirty=\"%t\"} 1\n",
-		s.build.GoVersion, s.build.Revision, s.build.Dirty)
-	if om {
-		fmt.Fprint(w, obs.RuntimeExpoOpenMetrics())
-		fmt.Fprint(w, "# EOF\n")
-	} else {
-		fmt.Fprint(w, obs.RuntimeExpo())
-	}
+	x.Gauge("cobra_serve_queue_depth", "Jobs waiting in the bounded queue.", len(s.queue))
+	x.Gauge("cobra_serve_inflight", "Jobs admitted and not yet finished.", inflight)
+	x.Gauge("cobra_serve_cache_entries", "In-memory result cache entries.", s.results.len())
+	x.Gauge("cobra_serve_failures", "Entries in the bounded failure FIFO.", failures)
+	x.Gauge("cobra_serve_draining", "1 while the server is draining, 0 otherwise.", draining)
+	x.Gauge("cobra_serve_trace_entries", "Per-run request traces held live.", s.traces.len())
+	x.Gauge("cobra_serve_span_drops_total", "Request spans discarded to per-run buffer bounds.", s.traces.droppedTotal())
+	x.Gauge(fmt.Sprintf("go_build_info{path=%q,version=%q,checksum=\"\"}", s.build.Path, s.build.Version),
+		"Build information about the main Go module.", 1)
+	x.Gauge(fmt.Sprintf("cobra_build_info{goversion=%q,revision=%q,dirty=\"%t\"}", s.build.GoVersion, s.build.Revision, s.build.Dirty),
+		"Build identity of this binary.", 1)
 }

@@ -414,6 +414,11 @@ func TestFailedRunReported(t *testing.T) {
 	if done.Status != "failed" || done.Error == "" {
 		t.Fatalf("timed-out run reported as %+v", done)
 	}
+	// Every attempt is one job on the metrics, submitted, done and failed.
+	snap := s.Metrics().Snap()
+	if n := uint64(done.Resources.Attempts); n == 0 || snap.JobsTotal != n || snap.JobsDone != n || snap.JobsFailed != n {
+		t.Errorf("job accounting after a failed run: %+v (resources %+v)", snap, done.Resources)
+	}
 	if _, ok := s.results.get(rs.Digest); ok {
 		t.Error("failed run was cached")
 	}
