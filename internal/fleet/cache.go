@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -10,7 +11,7 @@ import (
 	"cobra/internal/sealed"
 )
 
-// The result cache is a directory of sealed JSON entries keyed by service
+// The result cache is a directory of sealed entries keyed by service
 // digest.  Because the digest covers the service's canonical content AND its
 // dependencies' digests (see File.Digest), a hit proves the cached output
 // was produced by byte-identical inputs — skipping is substitution, not
@@ -18,6 +19,13 @@ import (
 // cobra-serve's disk cache): fsynced and renamed into place, and checked
 // against their sha256 footer on every read, so a torn or bit-flipped entry
 // is quarantined and recomputed, never replayed as truth.
+//
+// A run, sweep or experiment service caches its output as <hex>.json.  A
+// bundle's output is only its dependencies' outputs joined, so it is never
+// cached: its record is a <hex>.bundle marker naming the service and digest,
+// and a hit re-assembles the output.  A binary that predates markers looks
+// only for <hex>.json, so it can never replay a marker as an empty output;
+// a <hex>.json left for a bundle by such a binary is never read.
 
 // cacheEntry is one cached service result.  Entries written before interval
 // digests existed decode with a nil IntervalDigests — a hit still replays
@@ -32,6 +40,16 @@ type cacheEntry struct {
 // cachePath maps a digest to its entry file.
 func cachePath(dir, digest string) string {
 	return filepath.Join(dir, strings.TrimPrefix(digest, "sha256:")+".json")
+}
+
+// markerPath maps a bundle's digest to its marker file.
+func markerPath(dir, digest string) string {
+	return filepath.Join(dir, strings.TrimPrefix(digest, "sha256:")+".bundle")
+}
+
+// marker is the payload of a bundle's marker.
+func marker(service, digest string) []byte {
+	return []byte("service=" + service + " digest=" + digest + "\n")
 }
 
 // cacheLoad returns the cached entry for digest, if a verified one exists.
@@ -53,19 +71,42 @@ func cacheLoad(dir, digest string) (cacheEntry, bool) {
 	return e, true
 }
 
+// markerLoad reports whether a verified marker for the bundle service with
+// digest exists.  Failures are misses, quarantined like entries.
+func markerLoad(dir, service, digest string) bool {
+	if dir == "" {
+		return false
+	}
+	data, err := sealed.Read(markerPath(dir, digest))
+	return err == nil && bytes.Equal(data, marker(service, digest))
+}
+
 // cacheStore seals an entry and publishes it atomically.
 func cacheStore(dir, digest string, e cacheEntry) error {
 	if dir == "" {
 		return nil
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("fleet: cache: %w", err)
-	}
 	data, err := json.Marshal(e)
 	if err != nil {
 		return fmt.Errorf("fleet: cache: %w", err)
 	}
-	if err := sealed.Publish(cachePath(dir, digest), sealed.Seal(data)); err != nil {
+	return publish(cachePath(dir, digest), data)
+}
+
+// markerStore seals a bundle's marker and publishes it atomically.
+func markerStore(dir, service, digest string) error {
+	if dir == "" {
+		return nil
+	}
+	return publish(markerPath(dir, digest), marker(service, digest))
+}
+
+// publish seals payload into path, creating the cache directory.
+func publish(path string, payload []byte) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return fmt.Errorf("fleet: cache: %w", err)
+	}
+	if err := sealed.Publish(path, sealed.Seal(payload)); err != nil {
 		return fmt.Errorf("fleet: cache: %w", err)
 	}
 	return nil

@@ -15,6 +15,7 @@ import (
 
 	"cobra/internal/backend"
 	"cobra/internal/client"
+	"cobra/internal/sealed"
 	"cobra/internal/serve"
 	"cobra/internal/spec"
 )
@@ -403,6 +404,105 @@ func TestCacheCorruptionHeals(t *testing.T) {
 				t.Errorf("corrupted entry not quarantined: %v", err)
 			}
 		})
+	}
+}
+
+// TestBundleMarkers: a bundle's output is never cached.  Its record is a
+// sealed <hex>.bundle marker holding only its name and digest, a hit
+// re-assembles the output from its dependencies, and neither a damaged
+// marker nor a stale <hex>.json entry for a bundle is ever replayed.
+func TestBundleMarkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the small fleet's simulations")
+	}
+	cache := t.TempDir()
+	cold := runFixture(t, loadFixture(t), cache, nil)
+	outputs := func(res *Result) map[string]string {
+		m := map[string]string{}
+		for name, sr := range res.Services {
+			m[name] = sr.Output
+		}
+		return m
+	}
+	want := outputs(cold)
+
+	jsons, _ := filepath.Glob(filepath.Join(cache, "*.json"))
+	markers, _ := filepath.Glob(filepath.Join(cache, "*.bundle"))
+	if len(jsons) != 6 || len(markers) != 2 {
+		t.Fatalf("cold cache holds %d .json entries and %d markers, want 6 and 2", len(jsons), len(markers))
+	}
+	for _, name := range []string{"tables", "paper"} {
+		d := cold.Services[name].Digest
+		data, err := os.ReadFile(markerPath(cache, d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := sealed.Open(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := string(payload), "service="+name+" digest="+d+"\n"; got != want {
+			t.Errorf("%s marker holds %q, want %q", name, got, want)
+		}
+		if _, err := os.Stat(cachePath(cache, d)); err == nil {
+			t.Errorf("bundle %s has a .json entry", name)
+		}
+	}
+
+	var log bytes.Buffer
+	res, err := loadFixture(t).Run(context.Background(), Options{CacheDir: cache, Parallelism: 4, Log: &log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(log.String(), " action=skipped "); n != 8 || res.Executed != 0 {
+		t.Errorf("cached replay: %d skipped lines, executed=%d, want 8 and 0\n%s", n, res.Executed, log.String())
+	}
+	if !reflect.DeepEqual(outputs(res), want) {
+		t.Error("cached replay outputs differ from the cold run")
+	}
+
+	// A flipped byte in a marker: quarantined, and its bundle re-executed
+	// once with identical output.
+	tables := markerPath(cache, cold.Services["tables"].Digest)
+	data, err := os.ReadFile(tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[0] ^= 0x01
+	if err := os.WriteFile(tables, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res = runFixture(t, loadFixture(t), cache, nil)
+	if res.Executed != 1 || res.Services["tables"].Cached || !res.Services["paper"].Cached {
+		t.Errorf("corrupt tables marker: executed=%d, want only tables executed", res.Executed)
+	}
+	if _, err := os.Stat(tables + ".corrupt"); err != nil {
+		t.Errorf("corrupt marker not quarantined: %v", err)
+	}
+	if !reflect.DeepEqual(outputs(res), want) {
+		t.Error("outputs after a corrupt marker differ from the cold run")
+	}
+
+	// A sealed <hex>.json for paper with the right digest and a wrong output,
+	// as an older binary could have left: never read, with or without the
+	// marker.
+	paper := cold.Services["paper"].Digest
+	if err := cacheStore(cache, paper, cacheEntry{Service: "paper", Digest: paper, Output: "stale\n"}); err != nil {
+		t.Fatal(err)
+	}
+	res = runFixture(t, loadFixture(t), cache, nil)
+	if res.Executed != 0 || res.Services["paper"].Output != want["paper"] {
+		t.Errorf("stale entry beside the marker: executed=%d, paper output %q", res.Executed, res.Services["paper"].Output)
+	}
+	if err := os.Remove(markerPath(cache, paper)); err != nil {
+		t.Fatal(err)
+	}
+	res = runFixture(t, loadFixture(t), cache, nil)
+	if res.Executed != 1 || res.Services["paper"].Output != want["paper"] {
+		t.Errorf("stale entry, no marker: executed=%d, paper output %q", res.Executed, res.Services["paper"].Output)
+	}
+	if _, err := os.Stat(markerPath(cache, paper)); err != nil {
+		t.Errorf("re-executed bundle wrote no marker: %v", err)
 	}
 }
 

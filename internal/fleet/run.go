@@ -66,10 +66,11 @@ type Result struct {
 	Skipped  int                       `json:"skipped"`
 }
 
-// Run executes the fleet: stages in dependency order, services within a
-// stage fanned out across workers, each service either replayed from the
-// result cache (digest hit) or executed on the backend and cached.  The
-// first failing service aborts after its stage settles.
+// Run executes the fleet: stages in dependency order, each service either
+// replayed from the result cache (digest hit, settled in stage order on the
+// calling goroutine) or executed on the backend and cached, the misses of a
+// stage fanned out across workers.  The first failing service aborts after
+// its stage settles.
 func (f *File) Run(ctx context.Context, opt Options) (*Result, error) {
 	stages, err := f.Stages()
 	if err != nil {
@@ -130,8 +131,42 @@ func (f *File) Run(ctx context.Context, opt Options) (*Result, error) {
 			wg   sync.WaitGroup
 			errs []error
 		)
+		// settle records one service's outcome: on the stage loop for a
+		// cache hit, on the service's goroutine for a miss.
+		settle := func(sr *ServiceResult, err error) {
+			mu.Lock()
+			defer mu.Unlock()
+			if err != nil {
+				errs = append(errs, fmt.Errorf("fleet: service %q: %w", sr.Name, err))
+				return
+			}
+			res.Services[sr.Name] = sr
+			if sr.Cached {
+				res.Skipped++
+			} else {
+				res.Executed++
+			}
+			if opt.Log != nil {
+				action := "executed"
+				if sr.Cached {
+					action = "skipped"
+				}
+				line := fmt.Sprintf("service=%s action=%s digest=%s", sr.Name, action, sr.Digest)
+				if n := len(sr.IntervalDigests); n > 0 {
+					line += fmt.Sprintf(" intervals=%d", n)
+				}
+				fmt.Fprintln(opt.Log, line)
+			}
+		}
 		for _, name := range stage {
 			svc, digest := f.Services[name], digests[name]
+			// A hit needs no worker: only a miss takes a slot and a goroutine.
+			if !opt.Force {
+				if sr, ok := replay(svc, digest, opt.CacheDir, getOutput); ok {
+					settle(sr, nil)
+					continue
+				}
+			}
 			wg.Add(1)
 			sem <- struct{}{}
 			go func() {
@@ -139,40 +174,11 @@ func (f *File) Run(ctx context.Context, opt Options) (*Result, error) {
 				defer func() { <-sem }()
 				sr := &ServiceResult{Name: svc.Name, Digest: digest}
 				var err error
-				if e, ok := cacheLoad(opt.CacheDir, digest); ok && !opt.Force {
-					sr.Cached, sr.Output, sr.IntervalDigests = true, e.Output, e.IntervalDigests
-				} else {
-					sr.Output, sr.IntervalDigests, err = f.exec(ctx, svc, be, workers, getOutput, emitDigests)
-					if err == nil {
-						err = cacheStore(opt.CacheDir, digest, cacheEntry{
-							Service: svc.Name, Digest: digest, Output: sr.Output,
-							IntervalDigests: sr.IntervalDigests,
-						})
-					}
+				sr.Output, sr.IntervalDigests, err = f.exec(ctx, svc, be, workers, getOutput, emitDigests)
+				if err == nil {
+					err = store(opt.CacheDir, svc, sr)
 				}
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					errs = append(errs, fmt.Errorf("fleet: service %q: %w", svc.Name, err))
-					return
-				}
-				res.Services[svc.Name] = sr
-				if sr.Cached {
-					res.Skipped++
-				} else {
-					res.Executed++
-				}
-				if opt.Log != nil {
-					action := "executed"
-					if sr.Cached {
-						action = "skipped"
-					}
-					line := fmt.Sprintf("service=%s action=%s digest=%s", svc.Name, action, digest)
-					if n := len(sr.IntervalDigests); n > 0 {
-						line += fmt.Sprintf(" intervals=%d", n)
-					}
-					fmt.Fprintln(opt.Log, line)
-				}
+				settle(sr, err)
 			}()
 		}
 		wg.Wait()
@@ -238,19 +244,54 @@ func (f *File) exec(ctx context.Context, svc *Service, be backend.Backend, worke
 		return out, nil, err
 
 	case svc.Bundle != nil:
-		// Bundles run in a later stage than everything they name, so the
-		// outputs are settled; res map access is safe between stages.
-		parts := make([]string, 0, len(svc.Bundle))
-		for _, name := range svc.Bundle {
-			out, ok := getOutput(name)
-			if !ok {
-				return "", nil, fmt.Errorf("bundled service %q has no result", name)
-			}
-			parts = append(parts, "## "+name+"\n\n"+strings.TrimRight(out, "\n")+"\n")
-		}
-		return strings.Join(parts, "\n"), nil, nil
+		out, err := bundle(svc.Bundle, getOutput)
+		return out, nil, err
 	}
 	return "", nil, fmt.Errorf("service has no kind")
+}
+
+// bundle assembles a bundle's output: one headed section per named service.
+// Bundles run in a later stage than everything they name, so the outputs
+// are settled.
+func bundle(names []string, getOutput func(string) (string, bool)) (string, error) {
+	parts := make([]string, 0, len(names))
+	for _, name := range names {
+		out, ok := getOutput(name)
+		if !ok {
+			return "", fmt.Errorf("bundled service %q has no result", name)
+		}
+		parts = append(parts, "## "+name+"\n\n"+strings.TrimRight(out, "\n")+"\n")
+	}
+	return strings.Join(parts, "\n"), nil
+}
+
+// replay returns svc's result from the cache in dir, if its digest hits.  A
+// bundle hits when its marker verifies, and its output is assembled afresh.
+func replay(svc *Service, digest, dir string, getOutput func(string) (string, bool)) (*ServiceResult, bool) {
+	sr := &ServiceResult{Name: svc.Name, Digest: digest, Cached: true}
+	if svc.Bundle != nil {
+		if !markerLoad(dir, svc.Name, digest) {
+			return nil, false
+		}
+		out, err := bundle(svc.Bundle, getOutput)
+		sr.Output = out
+		return sr, err == nil
+	}
+	e, ok := cacheLoad(dir, digest)
+	sr.Output, sr.IntervalDigests = e.Output, e.IntervalDigests
+	return sr, ok
+}
+
+// store records an executed service in the cache in dir: a bundle's marker,
+// or any other service's output.
+func store(dir string, svc *Service, sr *ServiceResult) error {
+	if svc.Bundle != nil {
+		return markerStore(dir, sr.Name, sr.Digest)
+	}
+	return cacheStore(dir, sr.Digest, cacheEntry{
+		Service: sr.Name, Digest: sr.Digest, Output: sr.Output,
+		IntervalDigests: sr.IntervalDigests,
+	})
 }
 
 // sweepCSV renders a sweep grid as CSV, one row per cell in expansion order.

@@ -30,8 +30,9 @@ func (x *Expo) Gauge(sample, help string, v any) {
 	fmt.Fprintf(&x.b, "%s %v\n", sample, v)
 }
 
-// counter writes a one-sample counter family.
-func (x *Expo) counter(name, help string, v any) {
+// Counter writes a one-sample counter family.  name is the sample name,
+// ending in _total; the OpenMetrics family drops that suffix.
+func (x *Expo) Counter(name, help string, v any) {
 	fam := name
 	if x.om {
 		fam = strings.TrimSuffix(name, "_total")

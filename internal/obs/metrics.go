@@ -270,19 +270,19 @@ func (m *Metrics) Snap() Snapshot {
 // expo writes m's families.
 func (m *Metrics) expo(x *Expo) {
 	s := m.Snap()
-	x.Gauge("cobra_jobs_total", "simulation jobs submitted to the runner", s.JobsTotal)
+	x.Counter("cobra_jobs_total", "simulation jobs submitted to the runner", s.JobsTotal)
 	x.Gauge("cobra_jobs_running", "jobs currently executing", s.JobsStarted-s.JobsDone)
 	x.Gauge("cobra_jobs_done", "jobs finished (including failures)", s.JobsDone)
 	x.Gauge("cobra_jobs_failed", "jobs that returned an error", s.JobsFailed)
-	x.Gauge("cobra_sim_cycles_total", "simulated cycles across all jobs", s.Cycles)
-	x.Gauge("cobra_sim_instructions_total", "committed instructions across all jobs", s.Instructions)
+	x.Counter("cobra_sim_cycles_total", "simulated cycles across all jobs", s.Cycles)
+	x.Counter("cobra_sim_instructions_total", "committed instructions across all jobs", s.Instructions)
 	x.Gauge("cobra_sim_kcycles_per_second", "aggregate simulation rate", fmt.Sprintf("%.1f", s.KCyclesPerSec))
 	x.Gauge("cobra_uptime_seconds", "seconds since the metrics sink was created", fmt.Sprintf("%.1f", s.Uptime.Seconds()))
-	x.Gauge("cobra_trace_events_dropped_total", "cycle-level events lost to tracer ring overflow", s.EventDrops)
-	x.counter("cobra_cache_corrupt_total", "disk-cache entries that failed verification and were quarantined", s.CacheCorrupt)
-	x.counter("cobra_journal_replayed_total", "accepted-but-incomplete digests re-enqueued by journal replay", s.JournalReplayed)
-	x.counter("cobra_journal_records_skipped_total", "journal records replay skipped as unreadable or unknown", s.JournalSkipped)
-	x.counter("cobra_job_retries_total", "automatic re-executions of failed jobs before the failure FIFO", s.JobRetries)
+	x.Counter("cobra_trace_events_dropped_total", "cycle-level events lost to tracer ring overflow", s.EventDrops)
+	x.Counter("cobra_cache_corrupt_total", "disk-cache entries that failed verification and were quarantined", s.CacheCorrupt)
+	x.Counter("cobra_journal_replayed_total", "accepted-but-incomplete digests re-enqueued by journal replay", s.JournalReplayed)
+	x.Counter("cobra_journal_records_skipped_total", "journal records replay skipped as unreadable or unknown", s.JournalSkipped)
+	x.Counter("cobra_job_retries_total", "automatic re-executions of failed jobs before the failure FIFO", s.JobRetries)
 	for _, h := range []*Histogram{m.queueWait, m.jobSecs, m.jobRate, m.runAlloc} {
 		x.histogram(h)
 	}

@@ -29,9 +29,9 @@ func (x *Expo) runtime() {
 	}
 	metrics.Read(samples)
 	x.Gauge("go_goroutines", "goroutines currently live", kindUint64(samples[0]))
-	x.counter("go_gc_cycles_total", "completed GC cycles since process start", kindUint64(samples[1]))
+	x.Counter("go_gc_cycles_total", "completed GC cycles since process start", kindUint64(samples[1]))
 	x.Gauge("go_heap_objects_bytes", "bytes of live heap objects", kindUint64(samples[2]))
-	x.counter("go_heap_allocs_bytes_total", "cumulative bytes allocated on the heap", kindUint64(samples[3]))
+	x.Counter("go_heap_allocs_bytes_total", "cumulative bytes allocated on the heap", kindUint64(samples[3]))
 	x.runtimeHist("go_gc_pause_seconds",
 		"stop-the-world GC pause distribution since process start", samples[4])
 	x.runtimeHist("go_sched_latency_seconds",

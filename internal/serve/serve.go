@@ -833,7 +833,7 @@ func (s *Server) expo(x *obs.Expo) {
 	x.Gauge("cobra_serve_failures", "Entries in the bounded failure FIFO.", failures)
 	x.Gauge("cobra_serve_draining", "1 while the server is draining, 0 otherwise.", draining)
 	x.Gauge("cobra_serve_trace_entries", "Per-run request traces held live.", s.traces.len())
-	x.Gauge("cobra_serve_span_drops_total", "Request spans discarded to per-run buffer bounds.", s.traces.droppedTotal())
+	x.Counter("cobra_serve_span_drops_total", "Request spans discarded to per-run buffer bounds.", s.traces.droppedTotal())
 	x.Gauge(fmt.Sprintf("go_build_info{path=%q,version=%q,checksum=\"\"}", s.build.Path, s.build.Version),
 		"Build information about the main Go module.", 1)
 	x.Gauge(fmt.Sprintf("cobra_build_info{goversion=%q,revision=%q,dirty=\"%t\"}", s.build.GoVersion, s.build.Revision, s.build.Dirty),
