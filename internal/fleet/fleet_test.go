@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"net/http/httptest"
@@ -355,10 +356,10 @@ func TestRunFleetRemote(t *testing.T) {
 	}
 }
 
-// TestCacheCorruptionHeals: a damaged cache entry is a miss, not an error,
-// and never replays its damaged output.  The torn entry is not even JSON;
-// the bit-flipped one is still valid JSON with the right digest field, so
-// only the entry's seal can catch it.
+// TestCacheCorruptionHeals: a damaged cache record is a miss, not an error,
+// and never replays its damaged output.  The torn record has no header; the
+// bit-flipped one still has the right header and differs in one output
+// digit, so only the record's seal can catch it.
 func TestCacheCorruptionHeals(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
@@ -373,19 +374,19 @@ func TestCacheCorruptionHeals(t *testing.T) {
 	}{
 		{"torn", func(*testing.T, []byte) []byte { return []byte("{torn") }},
 		{"bit-flip", func(t *testing.T, entry []byte) []byte {
-			out := bytes.Index(entry, []byte(`"output":"`))
-			if out < 0 {
-				t.Fatalf("no output field in entry:\n%s", entry)
-			}
+			out := bytes.IndexByte(entry, '\n') + 1
 			i := out + bytes.IndexAny(entry[out:], "123456789")
-			entry[i] ^= 0x01 // one digit becomes its neighbour: still valid JSON
+			if out == 0 || i < out {
+				t.Fatalf("no header line or no digit in record:\n%s", entry)
+			}
+			entry[i] ^= 0x01 // one output digit becomes its neighbour
 			return entry
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cache := t.TempDir()
 			res := runFixture(t, sub, cache, nil)
-			entry := cachePath(cache, res.Services["baseline"].Digest)
+			entry := recordPath(cache, res.Services["baseline"].Digest, false)
 			data, err := os.ReadFile(entry)
 			if err != nil {
 				t.Fatal(err)
@@ -408,9 +409,10 @@ func TestCacheCorruptionHeals(t *testing.T) {
 }
 
 // TestBundleMarkers: a bundle's output is never cached.  Its record is a
-// sealed <hex>.bundle marker holding only its name and digest, a hit
-// re-assembles the output from its dependencies, and neither a damaged
-// marker nor a stale <hex>.json entry for a bundle is ever replayed.
+// sealed <hex>.bundle marker holding only its name and digest (the bytes
+// markers have always had), a hit re-assembles the output from its
+// dependencies, and neither a damaged marker nor a stale <hex>.json entry
+// for a bundle is ever replayed.
 func TestBundleMarkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the small fleet's simulations")
@@ -426,14 +428,14 @@ func TestBundleMarkers(t *testing.T) {
 	}
 	want := outputs(cold)
 
-	jsons, _ := filepath.Glob(filepath.Join(cache, "*.json"))
+	records, _ := filepath.Glob(filepath.Join(cache, "*.out"))
 	markers, _ := filepath.Glob(filepath.Join(cache, "*.bundle"))
-	if len(jsons) != 6 || len(markers) != 2 {
-		t.Fatalf("cold cache holds %d .json entries and %d markers, want 6 and 2", len(jsons), len(markers))
+	if len(records) != 6 || len(markers) != 2 {
+		t.Fatalf("cold cache holds %d .out records and %d markers, want 6 and 2", len(records), len(markers))
 	}
 	for _, name := range []string{"tables", "paper"} {
 		d := cold.Services[name].Digest
-		data, err := os.ReadFile(markerPath(cache, d))
+		data, err := os.ReadFile(recordPath(cache, d, true))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -444,8 +446,8 @@ func TestBundleMarkers(t *testing.T) {
 		if got, want := string(payload), "service="+name+" digest="+d+"\n"; got != want {
 			t.Errorf("%s marker holds %q, want %q", name, got, want)
 		}
-		if _, err := os.Stat(cachePath(cache, d)); err == nil {
-			t.Errorf("bundle %s has a .json entry", name)
+		if _, err := os.Stat(recordPath(cache, d, false)); err == nil {
+			t.Errorf("bundle %s has a .out record", name)
 		}
 	}
 
@@ -463,7 +465,7 @@ func TestBundleMarkers(t *testing.T) {
 
 	// A flipped byte in a marker: quarantined, and its bundle re-executed
 	// once with identical output.
-	tables := markerPath(cache, cold.Services["tables"].Digest)
+	tables := recordPath(cache, cold.Services["tables"].Digest, true)
 	data, err := os.ReadFile(tables)
 	if err != nil {
 		t.Fatal(err)
@@ -487,22 +489,99 @@ func TestBundleMarkers(t *testing.T) {
 	// as an older binary could have left: never read, with or without the
 	// marker.
 	paper := cold.Services["paper"].Digest
-	if err := cacheStore(cache, paper, cacheEntry{Service: "paper", Digest: paper, Output: "stale\n"}); err != nil {
-		t.Fatal(err)
-	}
+	writeJSONEntry(t, cache, "paper", paper)
 	res = runFixture(t, loadFixture(t), cache, nil)
 	if res.Executed != 0 || res.Services["paper"].Output != want["paper"] {
 		t.Errorf("stale entry beside the marker: executed=%d, paper output %q", res.Executed, res.Services["paper"].Output)
 	}
-	if err := os.Remove(markerPath(cache, paper)); err != nil {
+	if err := os.Remove(recordPath(cache, paper, true)); err != nil {
 		t.Fatal(err)
 	}
 	res = runFixture(t, loadFixture(t), cache, nil)
 	if res.Executed != 1 || res.Services["paper"].Output != want["paper"] {
 		t.Errorf("stale entry, no marker: executed=%d, paper output %q", res.Executed, res.Services["paper"].Output)
 	}
-	if _, err := os.Stat(markerPath(cache, paper)); err != nil {
+	if _, err := os.Stat(recordPath(cache, paper, true)); err != nil {
 		t.Errorf("re-executed bundle wrote no marker: %v", err)
+	}
+}
+
+// writeJSONEntry leaves in dir the sealed <hex>.json entry an older binary
+// wrote for service, with the right digest and the output "stale".
+func writeJSONEntry(t *testing.T, dir, service, digest string) {
+	t.Helper()
+	doc, err := json.Marshal(map[string]string{"service": service, "digest": digest, "output": "stale"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, strings.TrimPrefix(digest, "sha256:")+".json")
+	if err := sealed.Publish(path, sealed.Seal(doc)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// parseServices parses a fleet of the given services, where RUN stands for
+// one short simulation.
+func parseServices(t *testing.T, services string) *File {
+	t.Helper()
+	run := `{"run": {"design": "b2", "workload": "fib", "insts": 2000, "seed": 1}}`
+	f, err := Parse([]byte(`{"services": {` + strings.ReplaceAll(services, "RUN", run) + `}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// TestIdenticalServicesShareRecords: services with the same content share a
+// digest and so one record, whose name is only informational.  After the
+// cold run neither of two identical runs nor of two identical bundles
+// executes again, and each replays its own name.
+func TestIdenticalServicesShareRecords(t *testing.T) {
+	const twins = `"x": RUN, "y": RUN, "a": {"bundle": ["x"]}, "b": {"bundle": ["x"]}`
+	cache := t.TempDir()
+	// How many services the cold run executes depends on whether a twin's
+	// record is written before the other twin is looked up.
+	cold := runFixture(t, parseServices(t, twins), cache, nil)
+	if cold.Services["x"].Digest != cold.Services["y"].Digest || cold.Services["a"].Digest != cold.Services["b"].Digest {
+		t.Fatal("identical services have different digests")
+	}
+	for run := 2; run <= 3; run++ {
+		res := runFixture(t, parseServices(t, twins), cache, nil)
+		if res.Executed != 0 {
+			t.Errorf("run %d executed %d services, want 0", run, res.Executed)
+		}
+		for name, sr := range res.Services {
+			if sr.Name != name || sr.Output != cold.Services[name].Output {
+				t.Errorf("run %d: service %s replayed as %q with output %q", run, name, sr.Name, sr.Output)
+			}
+		}
+	}
+}
+
+// TestUpgradeFromJSONEntries: a cache holding only the <hex>.json entries of
+// an older binary, with the right digests, is never replayed.  The first run
+// executes every service once and the second executes none.
+func TestUpgradeFromJSONEntries(t *testing.T) {
+	const services = `"x": RUN, "a": {"bundle": ["x"]}`
+	digests, err := parseServices(t, services).Digests()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := t.TempDir()
+	for name, d := range digests {
+		writeJSONEntry(t, cache, name, d)
+	}
+	res := runFixture(t, parseServices(t, services), cache, nil)
+	for name, sr := range res.Services {
+		if sr.Cached || strings.Contains(sr.Output, "stale") {
+			t.Errorf("service %s replayed an old entry: cached=%v output %q", name, sr.Cached, sr.Output)
+		}
+	}
+	if res.Executed != 2 {
+		t.Errorf("first run executed %d services, want 2", res.Executed)
+	}
+	if res = runFixture(t, parseServices(t, services), cache, nil); res.Executed != 0 {
+		t.Errorf("second run executed %d services, want 0", res.Executed)
 	}
 }
 

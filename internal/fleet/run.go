@@ -265,35 +265,6 @@ func bundle(names []string, getOutput func(string) (string, bool)) (string, erro
 	return strings.Join(parts, "\n"), nil
 }
 
-// replay returns svc's result from the cache in dir, if its digest hits.  A
-// bundle hits when its marker verifies, and its output is assembled afresh.
-func replay(svc *Service, digest, dir string, getOutput func(string) (string, bool)) (*ServiceResult, bool) {
-	sr := &ServiceResult{Name: svc.Name, Digest: digest, Cached: true}
-	if svc.Bundle != nil {
-		if !markerLoad(dir, svc.Name, digest) {
-			return nil, false
-		}
-		out, err := bundle(svc.Bundle, getOutput)
-		sr.Output = out
-		return sr, err == nil
-	}
-	e, ok := cacheLoad(dir, digest)
-	sr.Output, sr.IntervalDigests = e.Output, e.IntervalDigests
-	return sr, ok
-}
-
-// store records an executed service in the cache in dir: a bundle's marker,
-// or any other service's output.
-func store(dir string, svc *Service, sr *ServiceResult) error {
-	if svc.Bundle != nil {
-		return markerStore(dir, sr.Name, sr.Digest)
-	}
-	return cacheStore(dir, sr.Digest, cacheEntry{
-		Service: sr.Name, Digest: sr.Digest, Output: sr.Output,
-		IntervalDigests: sr.IntervalDigests,
-	})
-}
-
 // sweepCSV renders a sweep grid as CSV, one row per cell in expansion order.
 // Columns are the dynamic counters every backend can report; the static
 // storage/area/energy columns of cobra-sweep need in-process pipeline
