@@ -122,9 +122,18 @@ func wordsEqual(a, b []uint64) bool {
 	return true
 }
 
-// checkInvariants is the paranoid-mode validator, run after every public
-// pipeline operation.  It is strictly observation-only: nothing it reads is
-// mutated, so enabling paranoid mode cannot change simulation results.
+// checkInvariants runs the paranoid-mode validator after a public pipeline
+// operation.  It is only the mode check, so it inlines at every call site and
+// a pipeline outside paranoid mode pays a field load, not a call.
+func (p *Pipeline) checkInvariants(op string, cycle uint64) {
+	if p.paranoid {
+		p.validate(op, cycle)
+	}
+}
+
+// validate is the paranoid-mode validator.  It is strictly
+// observation-only: nothing it reads is mutated, so enabling paranoid mode
+// cannot change simulation results.
 //
 // Checked invariants:
 //
@@ -141,10 +150,7 @@ func wordsEqual(a, b []uint64) bool {
 //     reference fold of the live history words.
 //  5. Metadata round-trip: every live entry's per-component metadata blob
 //     still matches the checksum pinned at predict time (§III-D).
-func (p *Pipeline) checkInvariants(op string, cycle uint64) {
-	if !p.paranoid {
-		return
-	}
+func (p *Pipeline) validate(op string, cycle uint64) {
 	hf := p.hf
 
 	// 1. Count bounds and ring validity.

@@ -566,7 +566,7 @@ func (p *Pipeline) Predict(cycle uint64, pc uint64) (*Entry, []pred.Packet) {
 		for ni := range p.nodes {
 			e.metaSums = append(e.metaSums, metaSum(e.metas[ni]))
 		}
-		p.checkInvariants("Predict", cycle)
+		p.validate("Predict", cycle)
 	}
 	return e, e.stages
 }

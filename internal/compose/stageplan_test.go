@@ -84,7 +84,7 @@ func referencePredict(p *Pipeline, cycle, pc uint64) (*Entry, []pred.Packet) {
 		for ni := range p.nodes {
 			e.metaSums = append(e.metaSums, metaSum(e.metas[ni]))
 		}
-		p.checkInvariants("Predict", cycle)
+		p.validate("Predict", cycle)
 	}
 	return e, e.stages
 }

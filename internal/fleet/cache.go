@@ -32,7 +32,8 @@ import (
 // A run, sweep or experiment service records its output as <hex>.out.  A
 // bundle's output is only its dependencies' outputs joined, so its record
 // is a <hex>.bundle marker with an empty output, and a hit re-assembles the
-// output.  The <hex>.json entries of older binaries are never read.
+// output.  The <hex>.json entries of older binaries are never read, and
+// storing a digest's record removes its <hex>.json.
 
 // recordPath maps a service's digest to its record file.
 func recordPath(dir, digest string, bundle bool) string {
@@ -115,7 +116,8 @@ func replay(svc *Service, digest, dir string, getOutput func(string) (string, bo
 }
 
 // store seals an executed service's record and publishes it atomically in
-// dir: for a bundle, a marker with an empty output.
+// dir: for a bundle, a marker with an empty output.  An older binary's
+// <hex>.json entry for the digest is removed, as nothing reads it again.
 func store(dir string, svc *Service, sr *ServiceResult) error {
 	if dir == "" {
 		return nil
@@ -130,5 +132,6 @@ func store(dir string, svc *Service, sr *ServiceResult) error {
 	if err := sealed.Publish(recordPath(dir, sr.Digest, svc.Bundle != nil), sealed.Seal(encodeRecord(&rec))); err != nil {
 		return fmt.Errorf("fleet: cache: %w", err)
 	}
+	os.Remove(filepath.Join(dir, strings.TrimPrefix(sr.Digest, "sha256:")+".json")) //nolint:errcheck // usually absent
 	return nil
 }

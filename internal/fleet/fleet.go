@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -271,46 +272,61 @@ func (f *File) Restrict(names []string) (*File, error) {
 	return sub, nil
 }
 
-// digestDoc is the canonical content a service digest covers: its kind and
-// payload plus the digests of everything it depends on.  Including dep
-// digests makes the scheme Merkle-shaped — editing one service re-keys
-// exactly its downstream cone, which is what makes cache skips safe.
-type digestDoc struct {
-	Kind    string          `json:"kind"`
-	Content json.RawMessage `json:"content"`
-	Deps    []depDigest     `json:"deps,omitempty"`
-}
-
+// depDigest is one dependency's entry in a service's digest document.
 type depDigest struct {
 	Name   string `json:"name"`
 	Digest string `json:"digest"`
+}
+
+// digestDoc returns the canonical document a service digest covers: its
+// kind and payload plus the digests of everything it depends on.  Including
+// dep digests makes the scheme Merkle-shaped — editing one service re-keys
+// exactly its downstream cone, which is what makes cache skips safe.
+//
+// The bytes are exactly json.Marshal's for a struct of Kind string
+// `json:"kind"`, Content json.RawMessage `json:"content"` and Deps
+// []depDigest `json:"deps,omitempty"` (FuzzDigestDoc holds them to it;
+// testdata/golden/fleet_digests.txt pins the committed fleets' digests).
+// They are assembled directly: kind is one of four plain words, and content
+// comes from json.Marshal, so it is already compact and HTML-escaped, and
+// Marshal would only re-validate it.
+func digestDoc(kind string, content []byte, deps []depDigest) []byte {
+	doc := make([]byte, 0, len(content)+len(kind)+32)
+	doc = append(append(append(doc, `{"kind":"`...), kind...), `","content":`...)
+	doc = append(doc, content...)
+	if len(deps) > 0 {
+		raw, _ := json.Marshal(deps) // strings only: Marshal cannot fail
+		doc = append(append(doc, `,"deps":`...), raw...)
+	}
+	return append(doc, '}')
 }
 
 // Digest computes svc's content address given its dependencies' digests.
 // Execution knobs (parallelism, backend, cache location) are deliberately
 // excluded: they change where and how fast a service runs, never its bytes.
 func (f *File) Digest(svc *Service, deps map[string]string) (string, error) {
-	doc := digestDoc{}
+	var kind string
+	var content []byte
 	var err error
 	switch {
 	case svc.Run != nil:
-		doc.Kind = "run"
+		kind = "run"
 		var c *spec.RunSpec
 		if c, err = svc.Run.Canonical(); err == nil {
-			doc.Content, err = json.Marshal(c)
+			content, err = json.Marshal(c)
 		}
 	case svc.Sweep != nil:
-		doc.Kind = "sweep"
+		kind = "sweep"
 		var c *spec.Set
 		if c, err = svc.Sweep.Canonical(); err == nil {
-			doc.Content, err = json.Marshal(c)
+			content, err = json.Marshal(c)
 		}
 	case svc.Experiment != nil:
-		doc.Kind = "experiment"
-		doc.Content, err = json.Marshal(svc.Experiment)
+		kind = "experiment"
+		content, err = json.Marshal(svc.Experiment)
 	case svc.Bundle != nil:
-		doc.Kind = "bundle"
-		doc.Content, err = json.Marshal(svc.Bundle)
+		kind = "bundle"
+		content, err = json.Marshal(svc.Bundle)
 	default:
 		err = fmt.Errorf("fleet: service %q has no kind", svc.Name)
 	}
@@ -319,16 +335,14 @@ func (f *File) Digest(svc *Service, deps map[string]string) (string, error) {
 	}
 	names := append([]string(nil), svc.DependsOn...)
 	sort.Strings(names)
+	depDigests := make([]depDigest, 0, len(names))
 	for _, name := range names {
 		d, ok := deps[name]
 		if !ok {
 			return "", fmt.Errorf("fleet: service %q: missing dependency digest for %q", svc.Name, name)
 		}
-		doc.Deps = append(doc.Deps, depDigest{name, d})
+		depDigests = append(depDigests, depDigest{name, d})
 	}
-	raw, err := json.Marshal(doc)
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("sha256:%x", sha256.Sum256(raw)), nil
+	sum := sha256.Sum256(digestDoc(kind, content, depDigests))
+	return "sha256:" + hex.EncodeToString(sum[:]), nil
 }

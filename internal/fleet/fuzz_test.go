@@ -1,11 +1,13 @@
 package fleet
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -74,6 +76,43 @@ func FuzzCacheRecord(f *testing.F) {
 		}
 		if _, ok := decodeRecord(rec, hash(4)); ok {
 			t.Fatalf("record %q hits under another digest", rec)
+		}
+	})
+}
+
+// FuzzDigestDoc: the digest document digestDoc assembles is byte for byte
+// what json.Marshal writes for the equivalent struct, whatever the content's
+// strings and the dependency names hold: HTML-sensitive bytes (<, >, &),
+// quotes, control bytes, non-ASCII and invalid UTF-8 included.  names splits
+// on commas into the dependencies; an empty names has none.
+func FuzzDigestDoc(f *testing.F) {
+	f.Add(uint8(0), "baseline", "")
+	f.Add(uint8(3), "table1", "table1,table2,table3,fig10,baseline,sweep,a b,z")
+	f.Add(uint8(1), `<a href="x">&amp;</a>`, `<dep>,a&b,"q",\`)
+	f.Add(uint8(2), "Prédicteur ≥ 2 — 分支", "é,ß, ,\x00\x1f")
+	f.Add(uint8(3), "\xff\xfe bad utf-8", "\xc3,ok")
+	f.Fuzz(func(t *testing.T, k uint8, item, names string) {
+		kind := []string{"run", "sweep", "experiment", "bundle"}[k%4]
+		content, err := json.Marshal([]string{item, names})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var deps []depDigest
+		if names != "" {
+			for i, name := range strings.Split(names, ",") {
+				deps = append(deps, depDigest{name, fmt.Sprintf("sha256:%x", sha256.Sum256([]byte{byte(i)}))})
+			}
+		}
+		want, err := json.Marshal(struct {
+			Kind    string          `json:"kind"`
+			Content json.RawMessage `json:"content"`
+			Deps    []depDigest     `json:"deps,omitempty"`
+		}{kind, content, deps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := digestDoc(kind, content, deps); !bytes.Equal(got, want) {
+			t.Fatalf("digestDoc = %s\nwant json.Marshal's %s", got, want)
 		}
 	})
 }

@@ -12,8 +12,11 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"syscall"
 )
 
 // ErrCorrupt marks an entry or a frame that failed verification.
@@ -59,7 +62,7 @@ func Open(data []byte) ([]byte, error) {
 // fails Open is renamed path+".corrupt", kept for a post-mortem but never
 // read again, and Open's error is returned.
 func Read(path string) ([]byte, error) {
-	data, err := os.ReadFile(path)
+	data, err := readFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -70,6 +73,47 @@ func Read(path string) ([]byte, error) {
 		os.Remove(path) //nolint:errcheck
 	}
 	return payload, err
+}
+
+// readFile is os.ReadFile without the runtime poller.  os.Open registers
+// every descriptor with the poller (a non-blocking fcntl, an epoll
+// registration and its undoing on close), which is most of what opening a
+// small cache entry costs and buys nothing for a regular file; os.NewFile
+// never makes a blocking descriptor pollable.
+func readFile(path string) ([]byte, error) {
+	fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+	for err == syscall.EINTR {
+		fd, err = syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+	}
+	if err != nil {
+		return nil, &fs.PathError{Op: "open", Path: path, Err: err}
+	}
+	f := os.NewFile(uintptr(fd), path)
+	defer f.Close()
+	size := 0
+	if fi, err := f.Stat(); err == nil {
+		size = int(fi.Size())
+	}
+	return readAll(f, size)
+}
+
+// readAll reads r to EOF into a buffer sized for size bytes, with one byte
+// of slack so a reader of exactly size bytes hits EOF without reallocating.
+func readAll(r io.Reader, size int) ([]byte, error) {
+	data := make([]byte, 0, size+1)
+	for {
+		n, err := r.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		if err == io.EOF {
+			return data, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(data) == cap(data) {
+			data = append(data, 0)[:len(data)]
+		}
+	}
 }
 
 // Publish atomically replaces path with data: a temp file in the same

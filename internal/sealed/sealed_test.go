@@ -41,10 +41,45 @@ func TestPublishRead(t *testing.T) {
 	}
 }
 
+// TestReadMissingIsNotCorrupt: a missing entry is a plain miss, which both
+// caches test for with fs.ErrNotExist, and nothing is quarantined.
 func TestReadMissingIsNotCorrupt(t *testing.T) {
-	_, err := Read(filepath.Join(t.TempDir(), "absent.json"))
+	dir := t.TempDir()
+	_, err := Read(filepath.Join(dir, "absent.json"))
 	if !errors.Is(err, fs.ErrNotExist) || errors.Is(err, ErrCorrupt) {
 		t.Fatalf("missing entry: err = %v, want fs.ErrNotExist only", err)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Errorf("directory after a miss holds %v (%v), want nothing", entries, err)
+	}
+}
+
+// TestReadLargeEntry: an entry of several hundred KB, many times any
+// single read, round-trips whole.
+func TestReadLargeEntry(t *testing.T) {
+	payload := make([]byte, 700<<10)
+	for i := range payload {
+		payload[i] = byte(i * 7 / 3)
+	}
+	path := filepath.Join(t.TempDir(), "large.out")
+	if err := Publish(path, Seal(payload)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(path)
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("Read of a %d-byte entry = %d bytes, %v", len(payload), len(got), err)
+	}
+}
+
+// TestReadAllIgnoresSizeHint: the size a file reported is only a hint; a
+// file that grew or shrank since is still read to EOF.
+func TestReadAllIgnoresSizeHint(t *testing.T) {
+	data := bytes.Repeat([]byte("0123456789abcdef"), 20000)
+	for _, hint := range []int{0, 1, 4095, len(data) - 1, len(data), len(data) + 1, 2 * len(data)} {
+		got, err := readAll(bytes.NewReader(data), hint)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Errorf("readAll(hint %d) = %d bytes, %v; want all %d", hint, len(got), err, len(data))
+		}
 	}
 }
 
