@@ -537,17 +537,26 @@ func parseServices(t *testing.T, services string) *File {
 }
 
 // TestIdenticalServicesShareRecords: services with the same content share a
-// digest and so one record, whose name is only informational.  After the
-// cold run neither of two identical runs nor of two identical bundles
-// executes again, and each replays its own name.
+// digest and so one record, whose name is only informational.  The cold run
+// executes one of two identical runs and one of two identical bundles, and
+// settles each twin as a replay under its own name; later runs execute
+// nothing.
 func TestIdenticalServicesShareRecords(t *testing.T) {
 	const twins = `"x": RUN, "y": RUN, "a": {"bundle": ["x"]}, "b": {"bundle": ["x"]}`
 	cache := t.TempDir()
-	// How many services the cold run executes depends on whether a twin's
-	// record is written before the other twin is looked up.
 	cold := runFixture(t, parseServices(t, twins), cache, nil)
 	if cold.Services["x"].Digest != cold.Services["y"].Digest || cold.Services["a"].Digest != cold.Services["b"].Digest {
 		t.Fatal("identical services have different digests")
+	}
+	if cold.Executed != 2 || cold.Skipped != 2 {
+		t.Errorf("cold run executed=%d skipped=%d, want 2/2", cold.Executed, cold.Skipped)
+	}
+	for name, twin := range map[string]string{"x": "y", "a": "b"} {
+		owner, sr := cold.Services[name], cold.Services[twin]
+		if owner.Cached || !sr.Cached || sr.Name != twin || sr.Output != owner.Output {
+			t.Errorf("cold run: twin %s settled as %q cached=%v (owner %s cached=%v), same output %v",
+				twin, sr.Name, sr.Cached, name, owner.Cached, sr.Output == owner.Output)
+		}
 	}
 	for run := 2; run <= 3; run++ {
 		res := runFixture(t, parseServices(t, twins), cache, nil)
@@ -558,6 +567,41 @@ func TestIdenticalServicesShareRecords(t *testing.T) {
 			if sr.Name != name || sr.Output != cold.Services[name].Output {
 				t.Errorf("run %d: service %s replayed as %q with output %q", run, name, sr.Name, sr.Output)
 			}
+		}
+	}
+}
+
+// TestRunDeterministicAcrossJobs: a cold run's log, -print-digest lines and
+// summary are the same bytes for every Parallelism, although the slow
+// service sorts before the fast ones of its stage and so finishes after them
+// whenever they run side by side.  Two bundles share the last stage, so
+// under -race it also checks their unlocked reads of settled outputs.
+func TestRunDeterministicAcrossJobs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations three times")
+	}
+	const services = `"a-slow": {"run": {"design": "b2", "workload": "fib", "insts": 200000, "seed": 1}},
+		"b-fast": RUN, "c-twin": RUN, "d-sweep": {"sweep": {"base": {"insts": 2000, "seed": 1}, "axes": [
+			{"field": "design", "values": ["b2"]}, {"field": "workload", "values": ["fib", "sort"]}]}},
+		"report": {"bundle": ["a-slow", "b-fast", "c-twin"]}, "summary": {"bundle": ["b-fast", "d-sweep"]}`
+	var want string
+	for _, j := range []int{1, 2, 4} {
+		var log, digests bytes.Buffer
+		res, err := parseServices(t, services).Run(context.Background(), Options{
+			CacheDir: t.TempDir(), Parallelism: j, Log: &log, Digests: &digests,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		summary, err := json.MarshalIndent(res, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := log.String() + digests.String() + string(summary)
+		if j == 1 {
+			want = got
+		} else if got != want {
+			t.Errorf("-j %d differs from -j 1\n--- -j %d ---\n%s\n--- -j 1 ---\n%s", j, j, got, want)
 		}
 	}
 }

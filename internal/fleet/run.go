@@ -6,13 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
-	"sort"
 	"strings"
-	"sync"
 
 	"cobra/internal/backend"
 	"cobra/internal/experiments"
+	"cobra/internal/runner"
 	"cobra/internal/spec"
 )
 
@@ -24,20 +22,20 @@ type Options struct {
 	// that needs no in-process handles.  nil means in-process.
 	Backend backend.Backend
 	// CacheDir holds the local result cache; "" disables caching (every
-	// service executes).
+	// distinct digest of a stage executes).
 	CacheDir string
 	// Parallelism caps concurrent services within a stage and simulation
 	// cells within a service (0 = GOMAXPROCS).  Outputs are bit-identical
 	// for every value.
 	Parallelism int
-	// Force executes every service even when its digest has a cached
-	// result, rewriting the cache.
+	// Force executes every distinct digest of a stage even when it has a
+	// cached result, rewriting the cache.
 	Force bool
-	// Log, when non-nil, receives one service=... line per scheduled
-	// service as it settles.
+	// Log, when non-nil, receives one service=... line per service as it
+	// settles, in stage order.
 	Log io.Writer
 	// Digests, when non-nil, receives one digest=<sha256> line per
-	// executed RunSpec — the shared -print-digest surface.
+	// executed RunSpec, in stage order — the shared -print-digest surface.
 	Digests io.Writer
 }
 
@@ -45,8 +43,8 @@ type Options struct {
 type ServiceResult struct {
 	Name   string `json:"name"`
 	Digest string `json:"digest"`
-	// Cached reports that the output came from the result cache — the
-	// service's cone was unchanged, so nothing was executed for it.
+	// Cached reports that nothing was executed for the service: its output
+	// came from the result cache or from a stage peer with its digest.
 	Cached bool   `json:"cached"`
 	Output string `json:"-"`
 	// IntervalDigests are the content hashes of the interval-telemetry sets
@@ -66,11 +64,14 @@ type Result struct {
 	Skipped  int                       `json:"skipped"`
 }
 
-// Run executes the fleet: stages in dependency order, each service either
-// replayed from the result cache (digest hit, settled in stage order on the
-// calling goroutine) or executed on the backend and cached, the misses of a
-// stage fanned out across workers.  The first failing service aborts after
-// its stage settles.
+// Run executes the fleet stage by stage in dependency order.  In stage order
+// each service is digested and looked up in the result cache; the first to
+// miss a digest owns it, and the distinct missed digests execute and are
+// cached through one runner.Map.  Every service then settles in stage order
+// on the calling goroutine, a twin (a later service with an owner's digest)
+// as a cached replay of its owner's result, so logs and -print-digest lines
+// are identical for every Parallelism.  A failing service aborts the run
+// once its stage has settled.
 func (f *File) Run(ctx context.Context, opt Options) (*Result, error) {
 	stages, err := f.Stages()
 	if err != nil {
@@ -80,20 +81,11 @@ func (f *File) Run(ctx context.Context, opt Options) (*Result, error) {
 	if be == nil {
 		be = &backend.Local{}
 	}
-	workers := opt.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	res := &Result{Name: f.Name, Stages: stages, Services: map[string]*ServiceResult{}}
 	digests := map[string]string{}
-	var mu sync.Mutex // guards res, digests, and the Log/Digests writers
-
-	// getOutput reads a settled dependency's output under the lock: bundles
-	// resolve in a later stage than everything they name, but their stage
-	// peers are concurrently writing other keys of the same map.
+	// Only the calling goroutine writes res.Services, and never while a
+	// stage's misses execute, so a bundle reads its dependencies unlocked.
 	getOutput := func(name string) (string, bool) {
-		mu.Lock()
-		defer mu.Unlock()
 		sr, ok := res.Services[name]
 		if !ok {
 			return "", false
@@ -101,108 +93,112 @@ func (f *File) Run(ctx context.Context, opt Options) (*Result, error) {
 		return sr.Output, true
 	}
 
-	emitDigests := func(specs ...*spec.RunSpec) error {
-		if opt.Digests == nil {
-			return nil
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		for _, s := range specs {
-			d, err := s.Digest()
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(opt.Digests, "digest=%s\n", d)
-		}
-		return nil
-	}
-
 	for _, stage := range stages {
-		// Digests are sequential (cheap, need dep digests); execution fans out.
-		for _, name := range stage {
-			d, err := f.Digest(f.Services[name], digests)
+		hits := make([]*ServiceResult, len(stage))
+		var misses []*ServiceResult // one per distinct missed digest, named by its owner
+		owner := map[string]int{}   // missed digest -> index into misses
+		for i, name := range stage {
+			svc := f.Services[name]
+			d, err := f.Digest(svc, digests)
 			if err != nil {
 				return nil, err
 			}
 			digests[name] = d
-		}
-		sem := make(chan struct{}, workers)
-		var (
-			wg   sync.WaitGroup
-			errs []error
-		)
-		// settle records one service's outcome: on the stage loop for a
-		// cache hit, on the service's goroutine for a miss.
-		settle := func(sr *ServiceResult, err error) {
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				errs = append(errs, fmt.Errorf("fleet: service %q: %w", sr.Name, err))
-				return
+			if !opt.Force {
+				if sr, ok := replay(svc, d, opt.CacheDir, getOutput); ok {
+					hits[i] = sr
+					continue
+				}
 			}
-			res.Services[sr.Name] = sr
+			if _, ok := owner[d]; ok {
+				continue
+			}
+			owner[d] = len(misses)
+			misses = append(misses, &ServiceResult{Name: name, Digest: d})
+			if err := printDigests(opt.Digests, svc); err != nil {
+				return nil, fmt.Errorf("fleet: service %q: %w", name, err)
+			}
+		}
+
+		errs := runner.Map(opt.Parallelism, len(misses), func(i int) error {
+			sr := misses[i]
+			svc := f.Services[sr.Name]
+			var err error
+			sr.Output, sr.IntervalDigests, err = f.exec(ctx, svc, be, opt.Parallelism, getOutput)
+			if err == nil {
+				err = store(opt.CacheDir, svc, sr)
+			}
+			if err != nil {
+				return fmt.Errorf("fleet: service %q: %w", sr.Name, err)
+			}
+			return nil
+		})
+
+		for i, name := range stage {
+			sr := hits[i]
+			if sr == nil {
+				j := owner[digests[name]]
+				if errs[j] != nil {
+					continue
+				}
+				if sr = misses[j]; sr.Name != name {
+					twin := *sr
+					twin.Name, twin.Cached = name, true
+					sr = &twin
+				}
+			}
+			res.Services[name] = sr
+			res.Ordered = append(res.Ordered, sr)
+			action := "executed"
 			if sr.Cached {
 				res.Skipped++
+				action = "skipped"
 			} else {
 				res.Executed++
 			}
 			if opt.Log != nil {
-				action := "executed"
-				if sr.Cached {
-					action = "skipped"
-				}
-				line := fmt.Sprintf("service=%s action=%s digest=%s", sr.Name, action, sr.Digest)
+				line := fmt.Sprintf("service=%s action=%s digest=%s", name, action, sr.Digest)
 				if n := len(sr.IntervalDigests); n > 0 {
 					line += fmt.Sprintf(" intervals=%d", n)
 				}
 				fmt.Fprintln(opt.Log, line)
 			}
 		}
-		for _, name := range stage {
-			svc, digest := f.Services[name], digests[name]
-			// A hit needs no worker: only a miss takes a slot and a goroutine.
-			if !opt.Force {
-				if sr, ok := replay(svc, digest, opt.CacheDir, getOutput); ok {
-					settle(sr, nil)
-					continue
-				}
-			}
-			wg.Add(1)
-			sem <- struct{}{}
-			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				sr := &ServiceResult{Name: svc.Name, Digest: digest}
-				var err error
-				sr.Output, sr.IntervalDigests, err = f.exec(ctx, svc, be, workers, getOutput, emitDigests)
-				if err == nil {
-					err = store(opt.CacheDir, svc, sr)
-				}
-				settle(sr, err)
-			}()
-		}
-		wg.Wait()
-		if len(errs) > 0 {
-			sort.Slice(errs, func(i, j int) bool { return errs[i].Error() < errs[j].Error() })
-			return nil, errors.Join(errs...)
-		}
-	}
-	for _, stage := range stages {
-		for _, name := range stage {
-			res.Ordered = append(res.Ordered, res.Services[name])
+		if err := errors.Join(errs...); err != nil {
+			return nil, err
 		}
 	}
 	return res, nil
 }
 
+// printDigests writes to w, when non-nil, one digest= line per RunSpec svc
+// executes: its run, or its sweep's cells in expansion order.
+func printDigests(w io.Writer, svc *Service) error {
+	if w == nil || svc.Run == nil && svc.Sweep == nil {
+		return nil
+	}
+	specs := []*spec.RunSpec{svc.Run}
+	if svc.Sweep != nil {
+		var err error
+		if specs, err = svc.Sweep.Expand(); err != nil {
+			return err
+		}
+	}
+	for _, s := range specs {
+		d, err := s.Digest()
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "digest=%s\n", d)
+	}
+	return nil
+}
+
 // exec produces one service's output bytes, plus the interval-set content
 // hashes of its runs (in expansion order) when its specs sample intervals.
-func (f *File) exec(ctx context.Context, svc *Service, be backend.Backend, workers int, getOutput func(string) (string, bool), emitDigests func(...*spec.RunSpec) error) (string, []string, error) {
+func (f *File) exec(ctx context.Context, svc *Service, be backend.Backend, workers int, getOutput func(string) (string, bool)) (string, []string, error) {
 	switch {
 	case svc.Run != nil:
-		if err := emitDigests(svc.Run); err != nil {
-			return "", nil, err
-		}
 		out, err := be.Run(ctx, svc.Run)
 		if err != nil {
 			return "", nil, err
@@ -217,9 +213,6 @@ func (f *File) exec(ctx context.Context, svc *Service, be backend.Backend, worke
 	case svc.Sweep != nil:
 		specs, err := svc.Sweep.Expand()
 		if err != nil {
-			return "", nil, err
-		}
-		if err := emitDigests(specs...); err != nil {
 			return "", nil, err
 		}
 		outs, err := backend.All(ctx, be, specs, workers)

@@ -694,20 +694,30 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	writeError(w, http.StatusNotFound, "unknown run %s", id)
 }
 
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
+// finished returns the digest the request names and its finished run's
+// Result, or writes the 400, 404 or 500 that says why there is none.
+func (s *Server) finished(w http.ResponseWriter, r *http.Request) (string, *Result) {
 	id := r.PathValue("id")
 	if !validDigest(id) {
 		writeError(w, http.StatusBadRequest, "malformed digest %q", id)
-		return
+		return id, nil
 	}
 	raw, ok := s.results.get(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, "no finished run %s", id)
-		return
+		return id, nil
 	}
 	var res Result
 	if err := json.Unmarshal(raw, &res); err != nil {
 		writeError(w, http.StatusInternalServerError, "corrupt result: %v", err)
+		return id, nil
+	}
+	return id, &res
+}
+
+func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
+	id, res := s.finished(w, r)
+	if res == nil {
 		return
 	}
 	if !res.Spec.Observe.Events {
@@ -724,19 +734,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // application/octet-stream Accept header) — the same bytes the set's
 // content hash covers, so a client can verify the hash end to end.
 func (s *Server) handleIntervals(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if !validDigest(id) {
-		writeError(w, http.StatusBadRequest, "malformed digest %q", id)
-		return
-	}
-	raw, ok := s.results.get(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no finished run %s", id)
-		return
-	}
-	var res Result
-	if err := json.Unmarshal(raw, &res); err != nil {
-		writeError(w, http.StatusInternalServerError, "corrupt result: %v", err)
+	id, res := s.finished(w, r)
+	if res == nil {
 		return
 	}
 	if res.Intervals == nil {

@@ -361,6 +361,38 @@ func TestEventsEndpoint(t *testing.T) {
 	}
 }
 
+// TestFinishedRunLookup: the events and intervals endpoints answer a
+// malformed digest, an unknown run and an unreadable stored result with the
+// same status and bytes.
+func TestFinishedRunLookup(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	corrupt := "sha256:" + strings.Repeat("c", 64)
+	s.results.putMem(corrupt, []byte("{torn"))
+	unknown := "sha256:" + strings.Repeat("0", 64)
+	for _, tc := range []struct {
+		id   string
+		code int
+		body string
+	}{
+		{"sha256:zzz", http.StatusBadRequest, `{"error":"malformed digest \"sha256:zzz\""}`},
+		{unknown, http.StatusNotFound, `{"error":"no finished run ` + unknown + `"}`},
+		{corrupt, http.StatusInternalServerError,
+			`{"error":"corrupt result: invalid character 't' looking for beginning of object key string"}`},
+	} {
+		for _, endpoint := range []string{"events", "intervals"} {
+			resp, err := http.Get(ts.URL + "/v1/runs/" + tc.id + "/" + endpoint)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.code || string(body) != tc.body+"\n" {
+				t.Errorf("GET %s/%s: HTTP %d %q, want %d %q", tc.id, endpoint, resp.StatusCode, body, tc.code, tc.body+"\n")
+			}
+		}
+	}
+}
+
 // TestBadRequests: malformed specs and digests are rejected cleanly.
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
